@@ -1,4 +1,6 @@
-// Shared helpers for the experiment benches (E1..E8 in DESIGN.md).
+// Shared helpers for the experiment benches (E1..E8). The update model
+// they measure is described in the README section "Update semantics and
+// the planner/checker kernel".
 #pragma once
 
 #include <cstdio>

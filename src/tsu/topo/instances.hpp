@@ -20,7 +20,8 @@ namespace tsu::topo {
 // every edge, so the concrete routes below are our synthesis under every
 // constraint the text states; they are chosen *adversarially* - non-empty
 // X and Y conflict sets and backward moves - so the scenario exercises all
-// WayUp rounds and Peacock's backward phase (see DESIGN.md section 1).
+// WayUp rounds and Peacock's backward phase (see the README section
+// "Update semantics and the planner/checker kernel").
 //   old route: <1, 2, 3, 4, 8, 5, 6, 12>
 //   new route: <1, 7, 5, 3, 2, 9, 10, 11, 12>
 struct Fig1 {

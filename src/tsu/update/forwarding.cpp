@@ -70,6 +70,33 @@ WalkResult walk_from_source(const Instance& inst, const StateMask& state) {
   }
 }
 
+WalkVerdict walk_verdict(const Instance& inst, const StateMask& state) {
+  TSU_ASSERT(state.size() == inst.node_count());
+  WalkVerdict verdict;
+  const NodeId wp = inst.has_waypoint() ? *inst.waypoint() : kInvalidNode;
+  const NodeId destination = inst.destination();
+  const std::size_t hop_bound =
+      inst.old_path().size() + inst.new_path().size();
+
+  NodeId v = inst.source();
+  for (std::size_t hops = 0;; ++hops) {
+    if (v == wp) verdict.visited_waypoint = true;
+    if (v == destination) {
+      verdict.outcome = WalkOutcome::kDelivered;
+      return verdict;
+    }
+    if (hops == hop_bound) {
+      verdict.outcome = WalkOutcome::kLoop;
+      return verdict;
+    }
+    v = active_next(inst, state, v);
+    if (v == kInvalidNode) {
+      verdict.outcome = WalkOutcome::kBlackhole;
+      return verdict;
+    }
+  }
+}
+
 graph::Digraph active_graph(const Instance& inst, const StateMask& state) {
   graph::Digraph g(inst.node_count());
   for (NodeId v = 0; v < inst.node_count(); ++v) {

@@ -7,7 +7,8 @@
 //   - else no rule (packets reaching it are dropped - a blackhole).
 // A packet injected at the source performs a deterministic walk over active
 // rules; the walk terminates at the destination, at a rule-less node, or
-// when it revisits a node (a forwarding loop).
+// when it revisits a node (a forwarding loop). See the README section
+// "Update semantics and the planner/checker kernel".
 #pragma once
 
 #include <string>
@@ -46,6 +47,18 @@ struct WalkResult {
 
 // Deterministic walk from the instance source under `state`.
 WalkResult walk_from_source(const Instance& inst, const StateMask& state);
+
+// The verdict of walk_from_source without the trace: same outcome, and the
+// same visited_waypoint (on loops too - the loop's nodes are the same set).
+// Allocation-free; loops are found by a hop bound instead of a visited set.
+// Only nodes of the old or new path hold rules, so a walk still running
+// after old.size() + new.size() hops has revisited a node.
+struct WalkVerdict {
+  WalkOutcome outcome = WalkOutcome::kDelivered;
+  bool visited_waypoint = false;
+};
+
+WalkVerdict walk_verdict(const Instance& inst, const StateMask& state);
 
 // The functional graph of all active rules under `state` (for strong
 // loop-freedom checks). Nodes: [0, inst.node_count()).

@@ -1,14 +1,9 @@
 #include "tsu/update/instance.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 
 namespace tsu::update {
-
-namespace {
-constexpr std::size_t kNoPos = std::numeric_limits<std::size_t>::max();
-}
 
 std::uint64_t Instance::identity_digest() const noexcept {
   // FNV-1a over (old path, new path, waypoint), length-prefixed so path
@@ -52,74 +47,40 @@ Result<Instance> Instance::make(graph::Path old_path, graph::Path new_path,
   NodeId max_node = 0;
   for (const NodeId v : inst.old_) max_node = std::max(max_node, v);
   for (const NodeId v : inst.new_) max_node = std::max(max_node, v);
-  inst.node_count_ = static_cast<std::size_t>(max_node) + 1;
-
-  inst.old_next_.assign(inst.node_count_, kInvalidNode);
-  inst.new_next_.assign(inst.node_count_, kInvalidNode);
-  inst.old_pos_.assign(inst.node_count_, kNoPos);
-  inst.new_pos_.assign(inst.node_count_, kNoPos);
-  inst.role_.assign(inst.node_count_, NodeRole::kUntouched);
-  inst.touched_mask_.assign(inst.node_count_, false);
+  inst.nodes_.assign(static_cast<std::size_t>(max_node) + 1, NodeInfo{});
 
   for (std::size_t i = 0; i < inst.old_.size(); ++i) {
-    const NodeId v = inst.old_[i];
-    inst.old_pos_[v] = i;
-    if (i + 1 < inst.old_.size()) inst.old_next_[v] = inst.old_[i + 1];
+    NodeInfo& info = inst.nodes_[inst.old_[i]];
+    info.old_pos = static_cast<std::uint32_t>(i);
+    if (i + 1 < inst.old_.size()) info.old_next = inst.old_[i + 1];
   }
   for (std::size_t i = 0; i < inst.new_.size(); ++i) {
-    const NodeId v = inst.new_[i];
-    inst.new_pos_[v] = i;
-    if (i + 1 < inst.new_.size()) inst.new_next_[v] = inst.new_[i + 1];
-  }
-
-  for (NodeId v = 0; v < inst.node_count_; ++v) {
-    const bool on_old = inst.old_pos_[v] != kNoPos;
-    const bool on_new = inst.new_pos_[v] != kNoPos;
-    if (on_old && on_new)
-      inst.role_[v] = NodeRole::kBoth;
-    else if (on_old)
-      inst.role_[v] = NodeRole::kOldOnly;
-    else if (on_new)
-      inst.role_[v] = NodeRole::kNewOnly;
+    NodeInfo& info = inst.nodes_[inst.new_[i]];
+    info.new_pos = static_cast<std::uint32_t>(i);
+    if (i + 1 < inst.new_.size()) info.new_next = inst.new_[i + 1];
   }
 
   // A node is "touched" when its active rule must change: it is on the new
   // path (so it ends up with its new next-hop), it is not the destination,
   // and either it has no old rule (install) or the next-hop differs.
-  const NodeId destination = inst.old_.back();
-  for (const NodeId v : inst.new_) {
-    if (v == destination) continue;
-    if (inst.old_next_[v] != inst.new_next_[v]) {
-      inst.touched_mask_[v] = true;
-      inst.touched_.push_back(v);
-    }
-  }
+  for (const NodeId v : inst.new_)
+    if (inst.is_touched(v)) inst.touched_.push_back(v);
 
   return inst;
 }
 
 NodeRole Instance::role(NodeId v) const noexcept {
-  return v < role_.size() ? role_[v] : NodeRole::kUntouched;
-}
-
-bool Instance::on_old(NodeId v) const noexcept {
-  return v < old_pos_.size() && old_pos_[v] != kNoPos;
-}
-
-bool Instance::on_new(NodeId v) const noexcept {
-  return v < new_pos_.size() && new_pos_[v] != kNoPos;
-}
-
-NodeId Instance::old_next(NodeId v) const noexcept {
-  return v < old_next_.size() ? old_next_[v] : kInvalidNode;
-}
-
-NodeId Instance::new_next(NodeId v) const noexcept {
-  return v < new_next_.size() ? new_next_[v] : kInvalidNode;
+  const bool old_rule = on_old(v);
+  const bool new_rule = on_new(v);
+  if (old_rule && new_rule) return NodeRole::kBoth;
+  if (old_rule) return NodeRole::kOldOnly;
+  if (new_rule) return NodeRole::kNewOnly;
+  return NodeRole::kUntouched;
 }
 
 bool Instance::is_touched(NodeId v) const noexcept {
-  return v < touched_mask_.size() && touched_mask_[v];
+  return on_new(v) && v != destination() &&
+         nodes_[v].old_next != nodes_[v].new_next;
 }
 
 std::vector<NodeId> Instance::old_only_nodes() const {
@@ -162,13 +123,13 @@ std::vector<NodeId> Instance::set_y() const {
 }
 
 std::optional<std::size_t> Instance::old_pos(NodeId v) const noexcept {
-  if (v >= old_pos_.size() || old_pos_[v] == kNoPos) return std::nullopt;
-  return old_pos_[v];
+  if (!on_old(v)) return std::nullopt;
+  return nodes_[v].old_pos;
 }
 
 std::optional<std::size_t> Instance::new_pos(NodeId v) const noexcept {
-  if (v >= new_pos_.size() || new_pos_[v] == kNoPos) return std::nullopt;
-  return new_pos_[v];
+  if (!on_new(v)) return std::nullopt;
+  return nodes_[v].new_pos;
 }
 
 std::string Instance::to_string() const {

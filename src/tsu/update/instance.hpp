@@ -11,9 +11,12 @@
 //   - nodes only on the old path keep forwarding until an optional cleanup
 //     round deletes their rule.
 // The asynchronous-rounds semantics over these rules is defined in
-// forwarding.hpp / DESIGN.md section 2.
+// forwarding.hpp and in the README section "Update semantics and the
+// planner/checker kernel".
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,16 +53,24 @@ class Instance {
   bool has_waypoint() const noexcept { return waypoint_.has_value(); }
 
   // 1 + the largest node id mentioned by either path.
-  std::size_t node_count() const noexcept { return node_count_; }
+  std::size_t node_count() const noexcept { return nodes_.size(); }
 
   NodeRole role(NodeId v) const noexcept;
-  bool on_old(NodeId v) const noexcept;
-  bool on_new(NodeId v) const noexcept;
+  bool on_old(NodeId v) const noexcept {
+    return v < nodes_.size() && nodes_[v].old_pos != kNoPos;
+  }
+  bool on_new(NodeId v) const noexcept {
+    return v < nodes_.size() && nodes_[v].new_pos != kNoPos;
+  }
 
   // Next hop under the old (resp. new) rule; kInvalidNode if the node has
   // no such rule (not on that path, or is the destination).
-  NodeId old_next(NodeId v) const noexcept;
-  NodeId new_next(NodeId v) const noexcept;
+  NodeId old_next(NodeId v) const noexcept {
+    return v < nodes_.size() ? nodes_[v].old_next : kInvalidNode;
+  }
+  NodeId new_next(NodeId v) const noexcept {
+    return v < nodes_.size() ? nodes_[v].new_next : kInvalidNode;
+  }
 
   // Nodes whose forwarding behaviour actually changes (new rule differs from
   // old, or a rule must be freshly installed); excludes the destination.
@@ -70,7 +81,8 @@ class Instance {
   // Nodes on the old path only (candidates for the cleanup round).
   std::vector<NodeId> old_only_nodes() const;
 
-  // --- waypoint segment structure (used by WayUp; see DESIGN.md 3.2) ---
+  // --- waypoint segment structure (used by WayUp; see the README section
+  // "Update semantics and the planner/checker kernel") ---
   // Sets are empty when the instance has no waypoint.
   // O1/N1: nodes strictly before the waypoint on the old/new path (incl. s);
   // O2/N2: nodes strictly after it (incl. d).
@@ -94,20 +106,23 @@ class Instance {
   std::string to_string() const;
 
  private:
+  static constexpr std::uint32_t kNoPos =
+      std::numeric_limits<std::uint32_t>::max();
+
+  // One dense row per node id; roles and touched-ness derive from it.
+  struct NodeInfo {
+    NodeId old_next = kInvalidNode;
+    NodeId new_next = kInvalidNode;
+    std::uint32_t old_pos = kNoPos;
+    std::uint32_t new_pos = kNoPos;
+  };
+
   Instance() = default;
 
   graph::Path old_;
   graph::Path new_;
   std::optional<NodeId> waypoint_;
-  std::size_t node_count_ = 0;
-
-  // Dense per-node tables (kInvalidNode / npos when absent).
-  std::vector<NodeId> old_next_;
-  std::vector<NodeId> new_next_;
-  std::vector<std::size_t> old_pos_;
-  std::vector<std::size_t> new_pos_;
-  std::vector<NodeRole> role_;
-  std::vector<bool> touched_mask_;
+  std::vector<NodeInfo> nodes_;
   std::vector<NodeId> touched_;
 };
 

@@ -24,7 +24,7 @@ std::string property_name(std::uint32_t mask) {
 bool state_satisfies(const Instance& inst, const StateMask& state,
                      std::uint32_t properties) {
   if ((properties & (kWaypoint | kLoopFree | kBlackholeFree)) != 0) {
-    const WalkResult walk = walk_from_source(inst, state);
+    const WalkVerdict walk = walk_verdict(inst, state);
     if ((properties & kWaypoint) != 0 && inst.has_waypoint() &&
         walk.outcome == WalkOutcome::kDelivered && !walk.visited_waypoint)
       return false;

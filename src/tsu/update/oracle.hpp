@@ -1,7 +1,8 @@
 // Transient-consistency properties and the round-safety oracles used both
 // by the schedulers (to build rounds) and by the checker (to verify them).
 //
-// Property semantics over a single transient state S (see DESIGN.md 2):
+// Property semantics over a single transient state S (see the README section
+// "Update semantics and the planner/checker kernel"):
 //   kWaypoint       : the walk from s must not reach d without visiting w.
 //   kLoopFree       : the walk from s must not enter a cycle (weak/relaxed
 //                     loop freedom of Peacock - stale loops off the live
@@ -39,7 +40,8 @@ inline constexpr std::uint32_t kTransientlySecure =
 std::string property_name(std::uint32_t mask);
 
 // Evaluates the property mask on one concrete state. Returns true if all
-// requested properties hold.
+// requested properties hold. Allocation-free unless kGlobalLoopFree is
+// requested (that one builds the active graph).
 bool state_satisfies(const Instance& inst, const StateMask& state,
                      std::uint32_t properties);
 

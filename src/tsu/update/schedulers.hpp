@@ -1,4 +1,4 @@
-// The five update schedulers (DESIGN.md section 3).
+// The update schedulers (see the README section "Update semantics and the planner/checker kernel").
 //
 //   plan_oneshot    - all FlowMods in a single round; what a plain
 //                     `ofctl_rest.py` controller does. Baseline.

@@ -49,19 +49,20 @@ Result<Schedule> plan_secure(const Instance& inst,
     schedule.rounds.push_back(std::move(installs));
   }
 
+  // Candidate order: WayUp's phases are a good heuristic for the joint
+  // property too - nodes behind the waypoint first, then the prefix, then Y.
+  const NodeId w = *inst.waypoint();
+  const std::size_t w_old = *inst.old_pos(w);
+  const bool y_empty = inst.set_y().empty();
+  const auto phase = [&](NodeId v) -> int {
+    if (v == w) return 1;
+    const auto pos_old = inst.old_pos(v);
+    if (!pos_old.has_value()) return 0;
+    return *pos_old > w_old ? 0 : (y_empty ? 1 : 2);
+  };
+
   while (!pending.empty()) {
-    // Candidate order: WayUp's phases are a good heuristic for the joint
-    // property too - nodes behind the waypoint first, then the prefix,
-    // then Y.
     std::vector<NodeId> candidates = pending;
-    const NodeId w = *inst.waypoint();
-    const std::size_t w_old = *inst.old_pos(w);
-    const auto phase = [&](NodeId v) -> int {
-      if (v == w) return 1;
-      const auto pos_old = inst.old_pos(v);
-      if (!pos_old.has_value()) return 0;
-      return *pos_old > w_old ? 0 : (inst.set_y().empty() ? 1 : 2);
-    };
     std::sort(candidates.begin(), candidates.end(), [&](NodeId a, NodeId b) {
       const int pa = phase(a);
       const int pb = phase(b);

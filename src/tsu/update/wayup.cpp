@@ -8,7 +8,8 @@
 // tests/update_property_test.cpp against the exhaustive transient-state
 // checker on thousands of random instances.
 //
-// Notation (DESIGN.md 3.2): s/d endpoints, w waypoint; O1/N1 = old/new path
+// Notation (see the README section "Update semantics and the
+// planner/checker kernel"): s/d endpoints, w waypoint; O1/N1 = old/new path
 // up to and including w; O2/N2 = from w on. Conflict sets
 //   X = (N1 ∩ O2) \ {w}   and   Y = (O1 ∩ N2) \ {w}.
 //

@@ -1,5 +1,6 @@
 #include "tsu/verify/checker.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "tsu/graph/algorithms.hpp"
@@ -9,14 +10,13 @@ namespace tsu::verify {
 
 namespace {
 
-// Property bits that fail on a single concrete state.
+// Property bits that fail on a single concrete state, judged trace-free.
 std::uint32_t violated_bits(const update::Instance& inst,
                             const update::StateMask& state,
-                            std::uint32_t properties,
-                            update::WalkResult* walk_out) {
+                            std::uint32_t properties) {
   using update::WalkOutcome;
   std::uint32_t failed = 0;
-  const update::WalkResult walk = update::walk_from_source(inst, state);
+  const update::WalkVerdict walk = update::walk_verdict(inst, state);
   if ((properties & update::kWaypoint) != 0 && inst.has_waypoint() &&
       walk.outcome == WalkOutcome::kDelivered && !walk.visited_waypoint)
     failed |= update::kWaypoint;
@@ -29,7 +29,6 @@ std::uint32_t violated_bits(const update::Instance& inst,
   if ((properties & update::kGlobalLoopFree) != 0 &&
       !graph::is_acyclic(update::active_graph(inst, state)))
     failed |= update::kGlobalLoopFree;
-  if (walk_out != nullptr) *walk_out = walk;
   return failed;
 }
 
@@ -57,7 +56,7 @@ std::string CheckReport::to_string() const {
 
 bool state_ok(const update::Instance& inst, const update::StateMask& state,
               std::uint32_t properties) {
-  return violated_bits(inst, state, properties, nullptr) == 0;
+  return violated_bits(inst, state, properties) == 0;
 }
 
 Violation minimize_violation(const update::Instance& inst,
@@ -72,7 +71,7 @@ Violation minimize_violation(const update::Instance& inst,
   const auto violates = [&](const std::vector<NodeId>& nodes) {
     state = applied;
     for (const NodeId v : nodes) state[v] = true;
-    return violated_bits(inst, state, properties, nullptr) != 0;
+    return violated_bits(inst, state, properties) != 0;
   };
 
   // Greedy deletion until locally minimal: every remaining node is needed.
@@ -94,7 +93,8 @@ Violation minimize_violation(const update::Instance& inst,
   minimal.subset = subset;
   state = applied;
   for (const NodeId v : subset) state[v] = true;
-  minimal.violated = violated_bits(inst, state, properties, &minimal.walk);
+  minimal.violated = violated_bits(inst, state, properties);
+  minimal.walk = update::walk_from_source(inst, state);
   return minimal;
 }
 
@@ -109,17 +109,21 @@ CheckReport check_schedule(const update::Instance& inst,
   update::StateMask state = applied;
   Rng rng(options.monte_carlo_seed);
 
-  const auto record = [&](std::size_t round_index,
-                          const std::vector<NodeId>& round,
-                          std::uint64_t bits, std::uint32_t failed,
-                          update::WalkResult walk) {
-    if (report.violations.size() >= options.max_violations) return;
+  // States are judged trace-free; only a recorded violation re-walks the
+  // failing state for its witness trace.
+  const auto check_state = [&](std::size_t round_index,
+                               const std::vector<NodeId>& round,
+                               std::uint64_t bits) {
+    ++report.states_checked;
+    const std::uint32_t failed = violated_bits(inst, state, properties);
+    if (failed == 0 || report.violations.size() >= options.max_violations)
+      return;
     Violation v;
     v.violated = failed;
     v.round_index = round_index;
     for (std::size_t i = 0; i < round.size(); ++i)
       if ((bits >> i) & 1ULL) v.subset.push_back(round[i]);
-    v.walk = std::move(walk);
+    v.walk = update::walk_from_source(inst, state);
     report.violations.push_back(std::move(v));
   };
 
@@ -130,11 +134,7 @@ CheckReport check_schedule(const update::Instance& inst,
       for (std::uint64_t bits = 0; bits < subsets; ++bits) {
         for (std::size_t i = 0; i < round.size(); ++i)
           state[round[i]] = applied[round[i]] || ((bits >> i) & 1ULL) != 0;
-        ++report.states_checked;
-        update::WalkResult walk;
-        const std::uint32_t failed =
-            violated_bits(inst, state, properties, &walk);
-        if (failed != 0) record(r, round, bits, failed, std::move(walk));
+        check_state(r, round, bits);
       }
       // Restore `state` to `applied` for the next round's enumeration base.
       for (const NodeId v : round) state[v] = applied[v];
@@ -148,11 +148,7 @@ CheckReport check_schedule(const update::Instance& inst,
           if (i < 64 && on) bits |= 1ULL << i;
           state[round[i]] = applied[round[i]] || on;
         }
-        ++report.states_checked;
-        update::WalkResult walk;
-        const std::uint32_t failed =
-            violated_bits(inst, state, properties, &walk);
-        if (failed != 0) record(r, round, bits, failed, std::move(walk));
+        check_state(r, round, bits);
       }
       for (const NodeId v : round) state[v] = applied[v];
     }
@@ -163,14 +159,13 @@ CheckReport check_schedule(const update::Instance& inst,
     }
   }
 
-  if (options.check_final_state) {
-    const update::StateMask final_state = update::full_state(inst);
+  if (options.check_final_state || options.check_cleanup) {
     const update::WalkResult walk =
-        update::walk_from_source(inst, final_state);
+        update::walk_from_source(inst, update::full_state(inst));
     const bool delivered =
         walk.outcome == update::WalkOutcome::kDelivered &&
         walk.trace == inst.new_path();
-    if (!delivered) {
+    if (options.check_final_state && !delivered) {
       Violation v;
       v.violated = properties;
       v.round_index =
@@ -178,17 +173,15 @@ CheckReport check_schedule(const update::Instance& inst,
       v.walk = walk;
       report.violations.push_back(std::move(v));
     }
-  }
-
-  if (options.check_cleanup && !schedule.cleanup.empty()) {
     // Cleanup deletes rules; it is safe iff the deleted nodes are
-    // unreachable from the source in the final state.
-    const graph::Digraph final_graph =
-        update::active_graph(inst, update::full_state(inst));
-    const std::vector<bool> reach =
-        graph::reachable_from(final_graph, inst.source());
-    for (const NodeId v : schedule.cleanup) {
-      if (v < reach.size() && reach[v]) {
+    // unreachable from the source in the final state. Every node has at
+    // most one active rule, so the nodes reachable from the source are
+    // exactly the nodes of its walk.
+    if (options.check_cleanup) {
+      for (const NodeId v : schedule.cleanup) {
+        if (std::find(walk.trace.begin(), walk.trace.end(), v) ==
+            walk.trace.end())
+          continue;
         Violation viol;
         viol.violated = update::kBlackholeFree;
         viol.round_index = schedule.rounds.size();

@@ -1,7 +1,8 @@
 // Transient-state model checker.
 //
 // Ground truth for the whole repository: every scheduler's output is checked
-// here, per round, against the per-subset asynchrony semantics (DESIGN.md 2).
+// here, per round, against the per-subset asynchrony semantics (README,
+// "Update semantics and the planner/checker kernel").
 // For round R on top of applied set A, all 2^|R| states A ∪ S are enumerated
 // (when |R| <= exhaustive_limit; Monte-Carlo sampling plus the sound
 // union-graph certificate otherwise) and each is evaluated against the
@@ -54,8 +55,9 @@ CheckReport check_schedule(const update::Instance& inst,
                            const CheckOptions& options = {});
 
 // Convenience: checks a one-round-per-call state sequence, i.e. evaluates a
-// single concrete state against the property mask and reports the witness.
-// Used by the dataplane monitor to classify live packet walks.
+// single concrete state against the property mask. Allocation-free unless
+// kGlobalLoopFree is requested. Used by the dataplane monitor to classify
+// live packet walks.
 bool state_ok(const update::Instance& inst, const update::StateMask& state,
               std::uint32_t properties);
 

@@ -3,6 +3,7 @@
 #include "tsu/graph/algorithms.hpp"
 #include "tsu/topo/instances.hpp"
 #include "tsu/update/forwarding.hpp"
+#include "tsu/util/rng.hpp"
 
 namespace tsu::update {
 namespace {
@@ -129,6 +130,57 @@ TEST(ForwardingTest, UnionGraphIsSupergraphOfSubsetStates) {
       EXPECT_TRUE(u.has_edge(e.from, e.to))
           << "missing " << e.from << "->" << e.to << " for bits=" << bits;
   }
+}
+
+TEST(ForwardingTest, WalkVerdictAgreesWithTracedWalk) {
+  // 10k random states over random instances, every node's bit drawn (bits
+  // on untouched or old-only nodes must be ignored like the traced walk
+  // ignores them). The trace-free verdict must match outcome and waypoint
+  // visit of the traced walk - on loops and blackholes too.
+  Rng rng(0xa11ce);
+  std::size_t outcomes[3] = {0, 0, 0};
+  for (std::size_t n = 0; n < 10000; ++n) {
+    // A fresh instance every 10 states; odd batches without waypoint.
+    topo::RandomInstanceOptions options;
+    options.old_interior_max = 10;
+    options.new_len_max = 10;
+    options.with_waypoint = (n / 10) % 2 == 0;
+    Rng instance_rng(n / 10);
+    const Instance inst = topo::random_instance(instance_rng, options);
+    StateMask state = empty_state(inst);
+    for (NodeId v = 0; v < inst.node_count(); ++v)
+      state[v] = rng.bernoulli(0.5);
+    const WalkResult walk = walk_from_source(inst, state);
+    const WalkVerdict verdict = walk_verdict(inst, state);
+    ASSERT_EQ(verdict.outcome, walk.outcome)
+        << inst.to_string() << " " << walk.to_string();
+    ASSERT_EQ(verdict.visited_waypoint, walk.visited_waypoint)
+        << inst.to_string() << " " << walk.to_string();
+    ++outcomes[static_cast<std::size_t>(walk.outcome)];
+  }
+  EXPECT_GT(outcomes[static_cast<std::size_t>(WalkOutcome::kDelivered)], 0u);
+  EXPECT_GT(outcomes[static_cast<std::size_t>(WalkOutcome::kBlackhole)], 0u);
+  EXPECT_GT(outcomes[static_cast<std::size_t>(WalkOutcome::kLoop)], 0u);
+}
+
+TEST(ForwardingTest, WalkVerdictHopBoundOnSparseIds) {
+  // Node ids far above the path lengths: the hop bound depends only on
+  // the path lengths. Updating 160 (-> 130) while 130 keeps its old rule
+  // (-> 160) closes the loop 160 -> 130 -> 160.
+  Result<Instance> made = Instance::make({100, 170, 130, 160, 200},
+                                         {100, 160, 130, 170, 200},
+                                         NodeId{130});
+  ASSERT_TRUE(made.ok());
+  const Instance& inst = made.value();
+  StateMask state = empty_state(inst);
+  state[100] = true;  // 100 -> 160 -> 200 (old rule): a bypass
+  const WalkVerdict bypass = walk_verdict(inst, state);
+  EXPECT_EQ(bypass.outcome, WalkOutcome::kDelivered);
+  EXPECT_FALSE(bypass.visited_waypoint);
+  state[160] = true;
+  EXPECT_EQ(walk_verdict(inst, state).outcome, WalkOutcome::kLoop);
+  EXPECT_EQ(walk_from_source(inst, state).outcome, WalkOutcome::kLoop);
+  EXPECT_TRUE(walk_verdict(inst, state).visited_waypoint);
 }
 
 TEST(ForwardingTest, WalkOutcomeNames) {

@@ -9,7 +9,9 @@
 //     pool" hot loop),
 //   - a full channel round-trip (pooled frame -> codec -> delivery event),
 //   - data-plane packet hops across live flow tables,
-//   - ShardedSim::run_parallel epochs with cross-shard ring posts.
+//   - ShardedSim::run_parallel epochs with cross-shard ring posts,
+//   - transient-state verdicts (update::state_satisfies, verify::state_ok)
+//     and the exact round search's constant allocation budget.
 //
 // Any new per-event allocation anywhere on these paths turns a green test
 // red with an exact count - the same counter the bench JSON publishes.
@@ -30,8 +32,12 @@
 #include "tsu/sim/simulator.hpp"
 #include "tsu/sim/thread_pool.hpp"
 #include "tsu/switchsim/switch.hpp"
+#include "tsu/topo/instances.hpp"
+#include "tsu/update/oracle.hpp"
+#include "tsu/update/schedulers.hpp"
 #include "tsu/util/alloc_hooks.hpp"
 #include "tsu/util/rng.hpp"
+#include "tsu/verify/checker.hpp"
 
 namespace tsu {
 namespace {
@@ -298,6 +304,99 @@ TEST(HotPathAllocTest, WarmCacheSubmissionWindowAllocatesNothing) {
   EXPECT_EQ(result.stats.plan_invalidations, 0u);
   EXPECT_EQ(result.stats.completed, 1200u);
   EXPECT_EQ(result.steady_state_entries_final, 0u);
+}
+
+TEST(HotPathAllocTest, StateVerdictsAllocateNothing) {
+  // Every mask over the touched nodes, under WPE, WLF, BH and their
+  // union: the trace-free walk judges each state off the heap. The
+  // sparse-id instance (ids above 64) runs the hop-bound loop detection
+  // with a state vector far longer than its paths.
+  std::vector<update::Instance> instances;
+  instances.push_back(topo::fig1().instance);
+  instances.push_back(topo::reversal_instance(8));
+  instances.push_back(std::move(update::Instance::make(
+                                    {100, 170, 130, 160, 200},
+                                    {100, 160, 130, 170, 200}, NodeId{130}))
+                          .value());
+  constexpr std::uint32_t kMasks[] = {
+      update::kWaypoint, update::kLoopFree, update::kBlackholeFree,
+      update::kTransientlySecure};
+  std::vector<update::StateMask> states;
+  for (const update::Instance& inst : instances) {
+    const std::vector<NodeId>& touched = inst.touched();
+    for (std::uint64_t bits = 0; bits < (1ULL << touched.size()); ++bits) {
+      update::StateMask state = update::empty_state(inst);
+      for (std::size_t i = 0; i < touched.size(); ++i)
+        state[touched[i]] = ((bits >> i) & 1ULL) != 0;
+      states.push_back(std::move(state));
+    }
+  }
+
+  std::size_t failing = 0;
+  std::size_t disagreements = 0;
+  std::size_t s = 0;
+  const std::uint64_t before = allocs();
+  for (const update::Instance& inst : instances) {
+    const std::size_t count = std::size_t{1} << inst.touched().size();
+    for (std::size_t k = 0; k < count; ++k, ++s) {
+      for (const std::uint32_t mask : kMasks) {
+        const bool ok = update::state_satisfies(inst, states[s], mask);
+        if (verify::state_ok(inst, states[s], mask) != ok) ++disagreements;
+        if (!ok) ++failing;
+      }
+    }
+  }
+  const std::uint64_t during = allocs() - before;
+  EXPECT_EQ(during, 0u) << "state verdicts hit the allocator";
+  EXPECT_EQ(s, states.size());
+  EXPECT_EQ(disagreements, 0u) << "planner and checker verdicts differ";
+  EXPECT_GT(failing, 0u) << "no state failed: the sweep proves nothing";
+}
+
+// Allocations made by one search_rounds call.
+std::uint64_t search_allocs(const update::Instance& inst,
+                            std::uint32_t properties, bool* feasible) {
+  const update::StateMask initial = update::empty_state(inst);
+  const std::uint64_t before = allocs();
+  const Result<std::vector<update::Round>> rounds =
+      update::search_rounds(inst, initial, inst.touched(), properties,
+                            inst.touched().size(), {});
+  const std::uint64_t during = allocs() - before;
+  *feasible = rounds.ok();
+  return during;
+}
+
+TEST(HotPathAllocTest, ExactRoundSearchAllocatesAConstantAmount) {
+  // The search's tables are sized once from the pending count; states are
+  // walked trace-free and rounds built only for the answer. An
+  // infeasibility proof therefore costs the same handful of allocations
+  // whether it visits dozens of states or thousands.
+  bool feasible = true;
+  const std::uint64_t fig1 = search_allocs(topo::fig1().instance,
+                                           update::kTransientlySecure,
+                                           &feasible);
+  EXPECT_FALSE(feasible) << "Figure 1 admits no transiently secure schedule";
+  EXPECT_LE(fig1, 8u);
+
+  // A 9-touched random instance that is infeasible too.
+  Rng rng(0x9a11);
+  topo::RandomInstanceOptions options;
+  options.old_interior_min = options.old_interior_max = 8;
+  options.new_len_min = options.new_len_max = 8;
+  options.reuse_probability = 0.7;
+  std::optional<update::Instance> hard;
+  for (int attempt = 0; attempt < 2000 && !hard.has_value(); ++attempt) {
+    update::Instance inst = topo::random_instance(rng, options);
+    if (inst.touched().size() != 9) continue;
+    bool ok = true;
+    search_allocs(inst, update::kTransientlySecure, &ok);
+    if (!ok) hard.emplace(std::move(inst));
+  }
+  ASSERT_TRUE(hard.has_value()) << "no infeasible 9-touched instance found";
+  const std::uint64_t nine =
+      search_allocs(*hard, update::kTransientlySecure, &feasible);
+  EXPECT_LE(nine, 8u);
+  EXPECT_EQ(nine, fig1) << "allocations scale with the states visited";
 }
 
 }  // namespace

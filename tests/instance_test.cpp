@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "tsu/topo/instances.hpp"
 #include "tsu/update/instance.hpp"
@@ -127,6 +128,53 @@ TEST(InstanceTest, ToStringShowsPathsAndWaypoint) {
   const std::string text = inst.to_string();
   EXPECT_NE(text.find("old=<1, 2, 3, 4, 8, 5, 6, 12>"), std::string::npos);
   EXPECT_NE(text.find("wp=3"), std::string::npos);
+}
+
+TEST(InstanceTest, AccessorsOnSparseNodeIds) {
+  // Node ids up to 9000 on 4- and 5-node paths: every accessor must agree
+  // with a direct reading of the paths, and ids past node_count() read as
+  // untouched.
+  const graph::Path old_path{5000, 7, 42, 64, 9000};
+  const graph::Path new_path{5000, 300, 42, 7, 9000};
+  Result<Instance> made = Instance::make(old_path, new_path, NodeId{42});
+  ASSERT_TRUE(made.ok());
+  const Instance& inst = made.value();
+  EXPECT_EQ(inst.node_count(), 9001u);
+  EXPECT_EQ(inst.source(), 5000u);
+  EXPECT_EQ(inst.destination(), 9000u);
+
+  const auto index_of = [](const graph::Path& path,
+                           NodeId v) -> std::optional<std::size_t> {
+    const auto it = std::find(path.begin(), path.end(), v);
+    if (it == path.end()) return std::nullopt;
+    return static_cast<std::size_t>(it - path.begin());
+  };
+  for (NodeId v = 0; v < 9100; ++v) {
+    const auto po = index_of(old_path, v);
+    const auto pn = index_of(new_path, v);
+    EXPECT_EQ(inst.old_pos(v), po) << v;
+    EXPECT_EQ(inst.new_pos(v), pn) << v;
+    EXPECT_EQ(inst.on_old(v), po.has_value()) << v;
+    EXPECT_EQ(inst.on_new(v), pn.has_value()) << v;
+    const NodeId old_next =
+        po && *po + 1 < old_path.size() ? old_path[*po + 1] : kInvalidNode;
+    const NodeId new_next =
+        pn && *pn + 1 < new_path.size() ? new_path[*pn + 1] : kInvalidNode;
+    EXPECT_EQ(inst.old_next(v), old_next) << v;
+    EXPECT_EQ(inst.new_next(v), new_next) << v;
+    const NodeRole role = po && pn ? NodeRole::kBoth
+                          : po     ? NodeRole::kOldOnly
+                          : pn     ? NodeRole::kNewOnly
+                                   : NodeRole::kUntouched;
+    EXPECT_EQ(inst.role(v), role) << v;
+    EXPECT_EQ(inst.is_touched(v),
+              pn.has_value() && v != 9000 && old_next != new_next)
+        << v;
+  }
+  EXPECT_EQ(inst.touched(), (std::vector<NodeId>{5000, 300, 42, 7}));
+  EXPECT_EQ(inst.old_only_nodes(), (std::vector<NodeId>{64}));
+  EXPECT_EQ(inst.set_x(), (std::vector<NodeId>{}));
+  EXPECT_EQ(inst.set_y(), (std::vector<NodeId>{7}));
 }
 
 TEST(InstanceTest, RoleNames) {
