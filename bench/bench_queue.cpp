@@ -176,6 +176,43 @@ json::Object hotpath_bench() {
            alloc_hooks::allocations() - before_cancel);
   }
 
+  // --- the same loop through constant-delay FIFO lanes ------------------
+  // 1000 self-rescheduling chains, each with one of three repeated delays
+  // (link hop, probe interarrival, switch install), so every entry rides a
+  // lane ring of fixed occupancy and no push or pop sifts a heap.
+  {
+    sim::EventQueue q;
+    std::uint64_t fired = 0;
+    sim::Duration last_delay = 0;
+    constexpr sim::Duration kDelays[] = {sim::microseconds(20),
+                                         sim::microseconds(400),
+                                         sim::microseconds(50)};
+    const auto push = [&](sim::Duration delay, sim::SimTime now) {
+      return q.push_after(delay, now + delay, [&fired, &last_delay, delay]() {
+        ++fired;
+        last_delay = delay;
+      });
+    };
+    auto cycle = [&]() {
+      auto event = q.pop();
+      event.fn();
+      push(last_delay, event.time);
+    };
+    for (sim::SimTime now = 0; now < 1000; ++now)
+      push(kDelays[now % std::size(kDelays)], now);
+    for (int i = 0; i < 1000; ++i) {
+      cycle();
+      q.cancel(push(kDelays[i % std::size(kDelays)], q.next_time()));
+    }
+    constexpr std::uint64_t kCycles = 2000000;
+    const std::uint64_t before = alloc_hooks::allocations();
+    const double ns = time_ns_per(kCycles, [&]() {
+      for (std::uint64_t i = 0; i < kCycles; ++i) cycle();
+    });
+    record("queue_lane_pop_push", kCycles, ns,
+           alloc_hooks::allocations() - before);
+  }
+
   // --- codec: encode_into caller scratch, decode a span view -----------
   {
     proto::FlowMod mod;

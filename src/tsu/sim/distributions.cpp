@@ -7,10 +7,19 @@
 
 namespace tsu::sim {
 
-Duration from_ms(double ms) noexcept {
-  if (ms <= 0) return 0;
-  return static_cast<Duration>(ms * 1e6);
+namespace {
+
+// Nanoseconds as a Duration, saturated to [0, kMaxDuration]: casting a
+// double outside uint64_t's range (or NaN) is undefined behaviour.
+Duration saturate_ns(double ns) noexcept {
+  if (!(ns > 0)) return 0;
+  if (ns >= static_cast<double>(kMaxDuration)) return kMaxDuration;
+  return static_cast<Duration>(ns);
 }
+
+}  // namespace
+
+Duration from_ms(double ms) noexcept { return saturate_ns(ms * 1e6); }
 
 Duration LatencyModel::sample(Rng& rng) const {
   double value = 0;
@@ -21,8 +30,7 @@ Duration LatencyModel::sample(Rng& rng) const {
     case LatencyKind::kLognormal: value = rng.lognormal_median(a, b); break;
     case LatencyKind::kPareto: value = rng.pareto(c, a, b); break;
   }
-  if (value < 0) value = 0;
-  return static_cast<Duration>(value);
+  return saturate_ns(value);
 }
 
 Duration LatencyModel::min_delay() const noexcept {
@@ -30,8 +38,9 @@ Duration LatencyModel::min_delay() const noexcept {
     case LatencyKind::kConstant:
     case LatencyKind::kUniform:
     case LatencyKind::kPareto:
-      // sample() casts a double >= a, so the truncated `a` lower-bounds it.
-      return a <= 0 ? 0 : static_cast<Duration>(a);
+      // sample() saturates a double >= a, so the saturated `a` lower-bounds
+      // it.
+      return saturate_ns(a);
     case LatencyKind::kExponential:
     case LatencyKind::kLognormal:
       return 0;

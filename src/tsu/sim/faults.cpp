@@ -136,6 +136,9 @@ Result<FaultSchedule> FaultSchedule::from_json(const json::Value& value) {
     if (at == nullptr || !at->is_number() || at->as_double() < 0)
       return make_error(Errc::kParseError,
                         "fault event needs numeric 'at_ms' >= 0");
+    if (at->as_double() > to_ms(kMaxDuration))
+      return make_error(Errc::kOutOfRange,
+                        "'at_ms' is beyond the simulated time range");
     event.at = sim::from_ms(at->as_double());
 
     const json::Value* node = obj.find("node");
@@ -156,6 +159,9 @@ Result<FaultSchedule> FaultSchedule::from_json(const json::Value& value) {
       if (down == nullptr || !down->is_number() || down->as_double() <= 0)
         return make_error(Errc::kParseError,
                           "crash/link_down needs numeric 'down_ms' > 0");
+      if (down->as_double() > to_ms(kMaxDuration))
+        return make_error(Errc::kOutOfRange,
+                          "'down_ms' is beyond the simulated time range");
       event.down_for = sim::from_ms(down->as_double());
       if (event.kind == FaultKind::kSwitchCrash) {
         const json::Value* lose = obj.find("lose_state");

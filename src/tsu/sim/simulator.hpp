@@ -35,10 +35,13 @@ class Simulator {
   // Schedules `fn` to run `delay` after the current time. The scope is a
   // PROMISE by the caller: kLocal asserts the handler touches only this
   // shard's state (see event_queue.hpp); when unsure, keep the kShared
-  // default - it only costs parallelism, never correctness.
+  // default - it only costs parallelism, never correctness. A repeated
+  // constant delay rides an O(1) FIFO lane of the queue (event_queue.hpp).
   EventId schedule(Duration delay, EventFn fn,
                    EventScope scope = EventScope::kShared) {
-    return queue_.push(*now_ + delay, std::move(fn), scope);
+    TSU_ASSERT_MSG(delay <= std::numeric_limits<SimTime>::max() - *now_,
+                   "schedule delay overflows the clock");
+    return queue_.push_after(delay, *now_ + delay, std::move(fn), scope);
   }
   EventId schedule_at(SimTime at, EventFn fn,
                       EventScope scope = EventScope::kShared) {
@@ -91,9 +94,9 @@ class Simulator {
   SimTime next_shared_time() const { return queue_.next_shared_time(); }
 
   std::size_t pending() const noexcept { return queue_.size(); }
-  // Heap slots including lazily cancelled ones (see EventQueue::heap_size);
-  // exposed so cancel-heavy clients (the controller's flush timers) can pin
-  // the compaction bound end to end.
+  // Queue entries including lazily cancelled ones (see
+  // EventQueue::heap_size); exposed so cancel-heavy clients (the
+  // controller's flush timers) can pin the compaction bound end to end.
   std::size_t heap_size() const noexcept { return queue_.heap_size(); }
 
  private:

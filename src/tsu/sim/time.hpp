@@ -24,7 +24,13 @@ inline constexpr double to_us(Duration d) {
   return static_cast<double>(d) / 1e3;
 }
 
-// Converts a (non-negative) double amount of milliseconds to a Duration.
+// The longest delay any floating-point conversion yields: 2^62 ns, about
+// 146 years. Saturating there keeps every such duration, and the sum of
+// two of them, inside the 64-bit clock.
+inline constexpr Duration kMaxDuration = Duration{1} << 62;
+
+// Converts a double amount of milliseconds to a Duration: negative and NaN
+// amounts give 0, amounts beyond kMaxDuration saturate at it.
 Duration from_ms(double ms) noexcept;
 
 }  // namespace tsu::sim

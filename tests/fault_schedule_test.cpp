@@ -135,6 +135,33 @@ TEST(FaultScheduleTest, FromJsonRejectsMalformedEvents) {
           .ok());
 }
 
+TEST(FaultScheduleTest, FromJsonRejectsTimesBeyondTheClockRange) {
+  // 1e300 ms once reached an unbounded double -> uint64_t cast (undefined
+  // behaviour) and then a wrapping now + delay in the simulator.
+  const Result<FaultSchedule> far_at = FaultSchedule::from_json(
+      std::string_view("[{\"kind\":\"crash\",\"at_ms\":1e300,\"node\":1,"
+                       "\"down_ms\":1}]"));
+  ASSERT_FALSE(far_at.ok());
+  EXPECT_EQ(far_at.error().code, Errc::kOutOfRange);
+  const Result<FaultSchedule> long_down = FaultSchedule::from_json(
+      std::string_view("[{\"kind\":\"link_down\",\"at_ms\":1,\"node\":1,"
+                       "\"down_ms\":1e300}]"));
+  ASSERT_FALSE(long_down.ok());
+  EXPECT_EQ(long_down.error().code, Errc::kOutOfRange);
+
+  // The largest accepted values still fit the clock, crash and restart
+  // instant both.
+  const std::string at_max = std::to_string(to_ms(kMaxDuration));
+  const Result<FaultSchedule> edge = FaultSchedule::from_json(std::string_view(
+      "[{\"kind\":\"crash\",\"at_ms\":" + at_max +
+      ",\"node\":1,\"down_ms\":" + at_max + "}]"));
+  ASSERT_TRUE(edge.ok()) << edge.error().to_string();
+  const FaultEvent& event = edge.value().events()[0];
+  EXPECT_LE(event.at, kMaxDuration);
+  EXPECT_LE(event.down_for, kMaxDuration);
+  EXPECT_GT(event.at + event.down_for, event.at);
+}
+
 TEST(FaultScheduleTest, RandomGenerationIsSeedDeterministic) {
   ChaosOptions options;
   options.node_count = 24;

@@ -82,6 +82,61 @@ TEST(HotPathAllocTest, EventQueuePoolHotLoopAllocatesNothing) {
   EXPECT_EQ(fired, 102000u);
 }
 
+// A self-rescheduling event chain with one constant delay: the shape of a
+// probe's link hops, a source's injections or a switch's install timer.
+struct ConstantChain {
+  sim::Simulator* sim = nullptr;
+  sim::Duration delay = 0;
+  std::uint64_t fired = 0;
+
+  void tick() {
+    ++fired;
+    sim->schedule(delay, [this]() { tick(); }, sim::EventScope::kLocal);
+  }
+};
+
+// A liveness-style timer re-armed on every tick: the previous arming is
+// cancelled, so almost every timer entry dies in its lane.
+struct ChurnedTimer {
+  sim::Simulator* sim = nullptr;
+  sim::EventId armed = 0;
+  std::uint64_t expired = 0;
+
+  void tick() {
+    sim->cancel(armed);
+    armed = sim->schedule(sim::milliseconds(2), [this]() { ++expired; });
+    sim->schedule(sim::microseconds(50), [this]() { tick(); });
+  }
+};
+
+TEST(HotPathAllocTest, ConstantDelayLanesAllocateNothingOnceWarm) {
+  // Three constant delays (20 us, 400 us, 50 us) with many chains each, so
+  // every lane ring holds hundreds of pending entries, plus a cancel-churned
+  // constant-delay timer - all through Simulator::schedule. Once the lane
+  // rings, the heap and the arena reach their high-water marks, scheduling
+  // and firing them never touches the allocator.
+  sim::Simulator sim;
+  std::vector<ConstantChain> chains;
+  for (const sim::Duration delay :
+       {sim::microseconds(20), sim::microseconds(400), sim::microseconds(50)})
+    for (int i = 0; i < 200; ++i) chains.push_back({&sim, delay, 0});
+  ChurnedTimer timer{&sim};
+  for (std::size_t i = 0; i < chains.size(); ++i)
+    sim.schedule(i, [&chains, i]() { chains[i].tick(); });
+  sim.schedule(0, [&timer]() { timer.tick(); });
+
+  sim.run(sim::milliseconds(20));  // warm every pool
+  const std::uint64_t fired_before = chains[0].fired;
+  const std::uint64_t before = allocs();
+  sim.run(sim::milliseconds(60));
+  const std::uint64_t during = allocs() - before;
+  EXPECT_EQ(during, 0u) << "constant-delay lanes hit the allocator";
+  EXPECT_EQ(chains[0].fired - fired_before, 2000u);  // 40 ms / 20 us
+  EXPECT_EQ(timer.expired, 0u) << "a re-armed timer fired";
+  EXPECT_LE(sim.heap_size(), sim::EventQueue::kCompactSlack * sim.pending() +
+                                 sim::EventQueue::kCompactMinimum);
+}
+
 TEST(HotPathAllocTest, ChannelRoundTripAllocatesNothingOnceWarm) {
   // Send -> pooled frame -> codec encode_into -> delivery event -> decode
   // -> receiver, repeatedly. After the frame pool and event arena warm up,

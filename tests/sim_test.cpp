@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "tsu/sim/distributions.hpp"
@@ -197,6 +202,172 @@ TEST(EventQueueTest, CompactionPreservesCancelSemantics) {
   EXPECT_EQ(fired, 9u);
 }
 
+// Differential check of the constant-delay lanes: the queue and a reference
+// ordered set on (time, band, major, minor) see the same seeded mix of
+// pushes, pops and cancels, and must agree on every popped event,
+// next_time() and next_shared_time() after every step.
+TEST(EventQueueTest, LanesFireInReferenceOrder) {
+  using Key = std::tuple<SimTime, int, std::uint64_t, std::uint64_t>;
+  struct Pending {
+    EventId id;
+    std::uint64_t token;
+    bool shared;
+  };
+  constexpr Duration kConstant[] = {20, 400, 50, 0, 1000};
+
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    EventQueue q;
+    std::map<Key, Pending> ref;
+    std::set<Key> ref_shared;
+    std::vector<Key> recent;  // recently pushed keys: cancel candidates
+    std::uint64_t seq = 0;    // mirrors the queue's push counter
+    std::uint64_t next_token = 0;
+    std::uint64_t fired_token = 0;
+    std::uint64_t remote_seq = 0;
+    SimTime now = 0;
+    std::size_t lane_pushes_reordered = 0;
+    std::size_t cancels = 0;
+
+    const auto add = [&](const Key& key, EventId id, std::uint64_t token,
+                         EventScope scope) {
+      const bool shared = scope == EventScope::kShared;
+      ASSERT_TRUE(ref.emplace(key, Pending{id, token, shared}).second);
+      if (shared) ref_shared.insert(key);
+      recent.push_back(key);
+    };
+    const auto native = [&](SimTime at, Duration delay, bool lane,
+                            EventScope scope) {
+      const std::uint64_t token = next_token++;
+      auto fn = [&fired_token, token]() { fired_token = token; };
+      const EventId id = lane ? q.push_after(delay, at, fn, scope)
+                              : q.push(at, fn, scope);
+      add(Key{at, 0, seq++, 0}, id, token, scope);
+    };
+    const auto cancel = [&](const Key& key) {
+      const auto it = ref.find(key);
+      if (it == ref.end()) return;
+      ASSERT_TRUE(q.cancel(it->second.id));
+      EXPECT_FALSE(q.cancel(it->second.id));
+      ref_shared.erase(key);
+      ref.erase(it);
+      ++cancels;
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+      const EventScope scope =
+          rng.bernoulli(0.7) ? EventScope::kLocal : EventScope::kShared;
+      const std::size_t op = rng.index(100);
+      if (op < 30) {
+        const Duration d = kConstant[rng.index(std::size(kConstant))];
+        native(now + d, d, true, scope);
+      } else if (op < 36) {
+        const Duration d = rng.uniform_u64(1, 5000);  // jittered
+        native(now + d, d, true, scope);
+      } else if (op < 39) {
+        native(now + rng.index(700), 0, false, scope);  // schedule_at
+      } else if (op < 42) {
+        // A remote hand-off landing on an instant native work also uses.
+        const SimTime at = ref.empty() || rng.bernoulli(0.5)
+                               ? now + kConstant[rng.index(3)]
+                               : std::get<0>(ref.begin()->first);
+        const SimTime posted = now - std::min<SimTime>(now, rng.index(50));
+        const std::uint64_t token = next_token++;
+        const EventId id = q.push(
+            at, [&fired_token, token]() { fired_token = token; }, scope,
+            EventQueue::Band::kRemote, posted, ++remote_seq);
+        ++seq;
+        add(Key{at, 1, posted, remote_seq}, id, token, scope);
+      } else if (op < 44) {
+        // A clock behind the lane's tail (a shard rejoining a lagging group
+        // clock): the push must still fire in order.
+        const Duration d = kConstant[rng.index(3)];
+        const SimTime behind = now - std::min<SimTime>(now, 1 + rng.index(300));
+        native(behind + d, d, true, scope);
+        ++lane_pushes_reordered;
+      } else if (op < 56 && !recent.empty()) {
+        // Cancel the newest (a lane tail), an older one (a middle), or the
+        // earliest pending event (a lane or heap head).
+        const std::size_t pick = rng.index(3);
+        if (pick == 0) {
+          cancel(recent.back());
+        } else if (pick == 1) {
+          cancel(recent[rng.index(recent.size())]);
+        } else if (!ref.empty()) {
+          cancel(ref.begin()->first);
+        }
+      } else if (op < 60) {
+        // Timer churn: arm a constant-delay timer and cancel it at once.
+        native(now + 700, 700, true, scope);
+        cancel(recent.back());
+      } else if (!ref.empty()) {
+        const auto first = ref.begin();
+        ASSERT_EQ(q.next_time(), std::get<0>(first->first)) << "step " << step;
+        EventQueue::Fired fired = q.pop();
+        fired.fn();
+        ASSERT_EQ(fired_token, first->second.token)
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(fired.time, std::get<0>(first->first));
+        ASSERT_EQ(fired.scope == EventScope::kShared, first->second.shared);
+        ref_shared.erase(first->first);
+        ref.erase(first);
+        now = fired.time;
+      }
+      if (recent.size() > 64) recent.erase(recent.begin(), recent.begin() + 32);
+
+      ASSERT_EQ(q.size(), ref.size()) << "seed " << seed << " step " << step;
+      if (!ref.empty()) {
+        ASSERT_EQ(q.next_time(), std::get<0>(ref.begin()->first))
+            << "seed " << seed << " step " << step;
+      }
+      ASSERT_EQ(q.next_shared_time(),
+                ref_shared.empty() ? std::numeric_limits<SimTime>::max()
+                                   : std::get<0>(*ref_shared.begin()))
+          << "seed " << seed << " step " << step;
+      ASSERT_LE(q.heap_size(), EventQueue::kCompactSlack * q.size() +
+                                   EventQueue::kCompactMinimum)
+          << "seed " << seed << " step " << step;
+    }
+    // Drain: the tail of the run fires in reference order too.
+    while (!ref.empty()) {
+      EventQueue::Fired fired = q.pop();
+      fired.fn();
+      ASSERT_EQ(fired_token, ref.begin()->second.token) << "seed " << seed;
+      ref.erase(ref.begin());
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_GT(lane_pushes_reordered, 0u);
+    EXPECT_GT(cancels, 1000u);
+  }
+}
+
+TEST(EventQueueTest, LaneFlushTimerCancelChurnStaysBounded) {
+  // FlushTimerCancelChurnStaysBoundedAmidLiveEvents through
+  // Simulator::schedule: the repeated constant delays put both the
+  // cancelled timers and the live work in FIFO lanes, so the bound now
+  // rests on lane compaction.
+  Simulator sim;
+  std::size_t fired = 0;
+  SimTime last_fired = 0;
+  for (int round = 0; round < 5000; ++round) {
+    const EventId timer = sim.schedule(500, []() {});
+    ASSERT_TRUE(sim.cancel(timer));
+    sim.schedule(100, [&]() {
+      EXPECT_GE(sim.now(), last_fired);
+      last_fired = sim.now();
+      ++fired;
+    });
+    if (round % 2 == 0) sim.step();
+    ASSERT_LE(sim.heap_size(), EventQueue::kCompactSlack * sim.pending() +
+                                   EventQueue::kCompactMinimum)
+        << "round " << round;
+    // Advance the clock between rounds without firing anything.
+    sim.run(sim.now() + 1);
+  }
+  sim.run();
+  EXPECT_EQ(fired, 5000u);
+}
+
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   EXPECT_EQ(sim.now(), 0u);
@@ -336,6 +507,38 @@ TEST(TimeTest, UnitHelpers) {
 TEST(TimeTest, FromMsClampsNegative) {
   EXPECT_EQ(from_ms(-1.0), 0u);
   EXPECT_EQ(from_ms(1.5), 1'500'000u);
+}
+
+TEST(TimeTest, FromMsSaturatesAtMaxDuration) {
+  EXPECT_EQ(from_ms(1e300), kMaxDuration);
+  EXPECT_EQ(from_ms(std::numeric_limits<double>::infinity()), kMaxDuration);
+  EXPECT_EQ(from_ms(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(from_ms(to_ms(kMaxDuration) / 2), kMaxDuration / 2);
+  // Two saturated durations still sum inside the clock.
+  EXPECT_GT(kMaxDuration + kMaxDuration, kMaxDuration);
+}
+
+TEST(TimeTest, LatencySamplesSaturateAtMaxDuration) {
+  Rng rng(6);
+  EXPECT_EQ(LatencyModel::constant(kMaxDuration).sample(rng), kMaxDuration);
+  LatencyModel huge = LatencyModel::constant(0);
+  huge.a = 1e300;
+  EXPECT_EQ(huge.sample(rng), kMaxDuration);
+  EXPECT_EQ(huge.min_delay(), kMaxDuration);
+  huge.a = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(huge.sample(rng), kMaxDuration);
+  // A lognormal tail far past the clock range saturates instead of
+  // overflowing the cast.
+  const LatencyModel wild = LatencyModel::lognormal(seconds(1000000), 40);
+  for (int i = 0; i < 1000; ++i) EXPECT_LE(wild.sample(rng), kMaxDuration);
+}
+
+TEST(SimulatorDeathTest, ScheduleDelayOverflowingTheClockAsserts) {
+  Simulator sim;
+  sim.schedule(10, []() {});
+  sim.run();
+  EXPECT_DEATH(sim.schedule(std::numeric_limits<SimTime>::max() - 5, []() {}),
+               "overflows");
 }
 
 // ---------------------------------------------------------- distributions --
