@@ -78,14 +78,16 @@ void run() {
         core::plan(fig.instance, algorithm);
     if (!planned.ok()) continue;
     // Seed 7 shows a bypass for OneShot under the harsh regime.
-    const Result<core::ExecutionResult> result = core::execute(
-        fig.instance, planned.value().schedule, bench::harsh_config(7));
-    if (!result.ok()) continue;
+    const Result<core::MultiFlowExecutionResult> run =
+        core::execute_multiflow({&fig.instance}, {&planned.value().schedule},
+                                bench::harsh_config(7));
+    if (!run.ok()) continue;
+    const core::ExecutionResult& result = run.value().flows.front();
     std::printf("--- %s (seed 7) ---\n", core::to_string(algorithm));
     std::printf("update window: %s\n",
-                format_duration_ns(result.value().update.duration()).c_str());
-    for (std::size_t i = 0; i < result.value().timeline.size(); ++i) {
-      const auto& bucket = result.value().timeline[i];
+                format_duration_ns(result.update.duration()).c_str());
+    for (std::size_t i = 0; i < result.timeline.size(); ++i) {
+      const auto& bucket = result.timeline[i];
       std::printf("[%3zu ms] delivered=%3zu", i, bucket.delivered);
       if (bucket.bypassed != 0)
         std::printf("  BYPASSED-WAYPOINT=%zu", bucket.bypassed);
@@ -94,7 +96,7 @@ void run() {
         std::printf("  dropped=%zu", bucket.blackholed);
       std::printf("\n");
     }
-    std::printf("traffic: %s\n\n", result.value().traffic.to_string().c_str());
+    std::printf("traffic: %s\n\n", result.traffic.to_string().c_str());
   }
 }
 

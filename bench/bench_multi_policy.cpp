@@ -454,15 +454,15 @@ bool run(const char* json_path) {
     config.with_traffic = false;
     config.switch_config.install_latency =
         sim::LatencyModel::lognormal(sim::milliseconds(1), 0.5);
-    const Result<std::vector<core::ExecutionResult>> serial =
-        core::execute_queue(policy_ptrs, schedule_ptrs, config);
-    const Result<core::MergedExecutionResult> merged_run =
-        core::execute_merged(policy_ptrs, schedule_ptrs, config);
+    const Result<core::MultiFlowExecutionResult> serial =
+        core::execute_multiflow(policy_ptrs, schedule_ptrs, config);
+    std::vector<std::size_t> all(policy_ptrs.size());
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+    const Result<core::MultiFlowExecutionResult> merged_run =
+        core::execute_multiflow(policy_ptrs, schedule_ptrs, config, {all});
     if (!serial.ok() || !merged_run.ok()) continue;
-    const double serial_ms = sim::to_ms(
-        serial.value().back().update.finished -
-        serial.value().front().update.started);
-    const double merged_ms = merged_run.value().update_ms();
+    const double serial_ms = serial.value().makespan_ms();
+    const double merged_ms = merged_run.value().flows.front().update_ms();
     makespan.add_row({std::to_string(k), bench::fmt(serial_ms),
                       bench::fmt(merged_ms),
                       bench::fmt(serial_ms / merged_ms, 1) + "x"});
@@ -494,8 +494,8 @@ bool run(const char* json_path) {
       schedule_ptrs.push_back(&schedule);
     core::ExecutorConfig config;
     config.with_traffic = false;
-    const Result<std::vector<core::ExecutionResult>> serial =
-        core::execute_queue(policy_ptrs, schedule_ptrs, config);
+    const Result<core::MultiFlowExecutionResult> serial =
+        core::execute_multiflow(policy_ptrs, schedule_ptrs, config);
     core::ExecutorConfig concurrent_config = config;
     concurrent_config.controller.max_in_flight = k;
     const Result<core::MultiFlowExecutionResult> concurrent =
@@ -506,11 +506,9 @@ bool run(const char* json_path) {
     const Result<core::MultiFlowExecutionResult> batched =
         core::execute_multiflow(policy_ptrs, schedule_ptrs, batched_config);
     if (!serial.ok() || !concurrent.ok() || !batched.ok()) continue;
-    const double serial_ms = sim::to_ms(
-        serial.value().back().update.finished -
-        serial.value().front().update.started);
+    const double serial_ms = serial.value().makespan_ms();
     const double concurrent_ms = concurrent.value().makespan_ms();
-    const std::size_t serial_frames = serial.value().front().frames_sent;
+    const std::size_t serial_frames = serial.value().frames_sent;
     const std::size_t batched_frames = batched.value().frames_sent;
     engine.add_row(
         {std::to_string(k), bench::fmt(serial_ms), bench::fmt(concurrent_ms),
@@ -750,20 +748,15 @@ bool run(const char* json_path) {
               "(greedy_cut partition, live traffic), %zu hardware threads:\n",
               kBatchFlows, kBatchSwitches,
               sim::ThreadPool::hardware_threads());
-  stats::Table parallel_table({"shards", "partition", "exec", "opt",
-                               "wall ms", "speedup", "epochs", "stalls",
-                               "serial frac", "steals", "skips",
+  stats::Table parallel_table({"shards", "partition", "exec", "wall ms",
+                               "speedup", "epochs", "stalls", "serial frac",
                                "makespan ms"});
   json::Array parallel_json;
-  // Each group runs three modes: the sequential reference (speculation +
-  // stealing knobs ON, so the optimized parallel run is its bit-identical
-  // twin), the plain parallel stepper (opt off - the pre-optimization
-  // engine), and the optimized parallel stepper. The greedy_cut groups
-  // measure the shard-local regime (most epochs, stealing territory); the
-  // hash group - nearly every update cross-shard, nonzero inter-round
-  // interval - measures the serial bottleneck regime, where speculative
-  // round release elides interval timers and local-scope barrier replies
-  // remove sync points. serial_fraction = horizon stalls / total events is
+  // Each group runs the sequential reference and the parallel stepper, its
+  // bit-identical twin. The greedy_cut groups measure the shard-local
+  // regime (most epochs); the hash group - nearly every update
+  // cross-shard, nonzero inter-round interval - measures the serial
+  // bottleneck regime. serial_fraction = horizon stalls / total events is
   // the gated figure (tools/check_bench_regression.py).
   struct ParallelGroup {
     std::size_t shards;
@@ -777,14 +770,8 @@ bool run(const char* json_path) {
   for (const ParallelGroup& group : groups) {
     double sequential_wall_ms = 0;
     std::uint64_t sequential_digest = 0;
-    struct Mode {
-      sim::ExecMode exec;
-      bool optimized;
-    };
-    constexpr Mode kModes[] = {{sim::ExecMode::kSequential, true},
-                               {sim::ExecMode::kParallel, false},
-                               {sim::ExecMode::kParallel, true}};
-    for (const Mode mode : kModes) {
+    for (const sim::ExecMode exec :
+         {sim::ExecMode::kSequential, sim::ExecMode::kParallel}) {
       core::ExecutorConfig config;
       config.seed = 4242;
       config.interval = group.interval;
@@ -805,10 +792,8 @@ bool run(const char* json_path) {
       config.controller.batch_window = sim::microseconds(300);
       config.controller.shards = group.shards;
       config.controller.partition = group.partition;
-      config.controller.exec = mode.exec;
+      config.controller.exec = exec;
       config.controller.threads = group.shards;
-      config.controller.speculate = mode.optimized;
-      config.controller.steal = mode.optimized;
       const std::uint64_t allocs_before = alloc_hooks::allocations();
       const Result<core::MultiFlowExecutionResult> run =
           core::execute_multiflow(batch_pool.instance_ptrs,
@@ -817,13 +802,13 @@ bool run(const char* json_path) {
           alloc_hooks::allocations() - allocs_before;
       if (!run.ok()) {
         std::fprintf(stderr, "parallel bench failed for %zu shards %s: %s\n",
-                     group.shards, sim::to_string(mode.exec),
+                     group.shards, sim::to_string(exec),
                      run.error().to_string().c_str());
         parallel_failed = true;
         continue;
       }
       const core::MultiFlowExecutionResult& result = run.value();
-      if (mode.exec == sim::ExecMode::kSequential) {
+      if (exec == sim::ExecMode::kSequential) {
         sequential_wall_ms = result.sharding.wall_ms;
         sequential_digest = result.final_state_digest;
       } else if (result.final_state_digest != sequential_digest) {
@@ -840,27 +825,22 @@ bool run(const char* json_path) {
               ? 0.0
               : static_cast<double>(result.sharding.horizon_stalls) /
                     static_cast<double>(total_events);
-      const double speedup =
-          mode.exec == sim::ExecMode::kSequential ||
-                  result.sharding.wall_ms <= 0
-              ? 1.0
-              : sequential_wall_ms / result.sharding.wall_ms;
-      const bool parallel = mode.exec == sim::ExecMode::kParallel;
+      const bool parallel = exec == sim::ExecMode::kParallel;
+      const double speedup = !parallel || result.sharding.wall_ms <= 0
+                                 ? 1.0
+                                 : sequential_wall_ms / result.sharding.wall_ms;
       parallel_table.add_row(
           {std::to_string(group.shards), topo::to_string(group.partition),
-           sim::to_string(mode.exec), mode.optimized ? "on" : "off",
-           bench::fmt(result.sharding.wall_ms),
+           sim::to_string(exec), bench::fmt(result.sharding.wall_ms),
            parallel ? bench::fmt(speedup) : "-",
            std::to_string(result.sharding.parallel_epochs),
            std::to_string(result.sharding.horizon_stalls),
            parallel ? bench::fmt(serial_fraction) : "-",
-           std::to_string(result.sharding.steals),
-           std::to_string(result.sharding.speculative_releases),
            bench::fmt(result.makespan_ms())});
       json::Object entry;
       entry.set("shards",
                 json::Value(static_cast<std::int64_t>(group.shards)));
-      entry.set("exec", json::Value(sim::to_string(mode.exec)));
+      entry.set("exec", json::Value(sim::to_string(exec)));
       entry.set("threads", json::Value(static_cast<std::int64_t>(
                                result.sharding.threads)));
       entry.set("hardware_threads",
@@ -873,8 +853,6 @@ bool run(const char* json_path) {
                 json::Value(sim::ThreadPool::hardware_threads() <
                             group.shards));
       entry.set("partition", json::Value(topo::to_string(group.partition)));
-      entry.set("speculate", json::Value(mode.optimized));
-      entry.set("steal", json::Value(mode.optimized));
       entry.set("wall_ms", json::Value(result.sharding.wall_ms));
       if (parallel) entry.set("speedup_vs_sequential", json::Value(speedup));
       entry.set("parallel_epochs", json::Value(static_cast<std::int64_t>(
@@ -882,18 +860,13 @@ bool run(const char* json_path) {
       entry.set("horizon_stalls", json::Value(static_cast<std::int64_t>(
                                       result.sharding.horizon_stalls)));
       // The gated serial-health figures are parallel-only: a sequential
-      // merge has no waves, so stalls/steals are structurally zero there.
+      // merge has no waves, so stalls are structurally zero there.
       if (parallel) {
         entry.set("serial_fraction", json::Value(serial_fraction));
-        entry.set("steals", json::Value(static_cast<std::int64_t>(
-                                result.sharding.steals)));
         entry.set("overflow_posts",
                   json::Value(static_cast<std::int64_t>(
                       result.sharding.overflow_posts)));
       }
-      entry.set("speculative_releases",
-                json::Value(static_cast<std::int64_t>(
-                    result.sharding.speculative_releases)));
       entry.set("partition_cut_weight",
                 json::Value(static_cast<std::int64_t>(
                     result.sharding.partition_cut_weight)));

@@ -84,28 +84,24 @@ void queue_bench(json::Array* rows) {
     config.channel.latency = sim::LatencyModel::constant(sim::milliseconds(1));
     config.switch_config.install_latency =
         sim::LatencyModel::lognormal(sim::milliseconds(1), 0.5);
-    const Result<std::vector<core::ExecutionResult>> results =
-        core::execute_queue(instance_ptrs, schedule_ptrs, config);
-    if (!results.ok()) continue;
+    const Result<core::MultiFlowExecutionResult> run =
+        core::execute_multiflow(instance_ptrs, schedule_ptrs, config);
+    if (!run.ok()) continue;
 
     stats::Summary durations;
     stats::Summary queueing;
-    sim::SimTime first_start = ~sim::SimTime{0};
-    sim::SimTime last_finish = 0;
-    for (const core::ExecutionResult& r : results.value()) {
+    for (const core::ExecutionResult& r : run.value().flows) {
       durations.add(r.update_ms());
       queueing.add(sim::to_ms(r.update.queueing_delay()));
-      first_start = std::min(first_start, r.update.started);
-      last_finish = std::max(last_finish, r.update.finished);
     }
-    const double makespan_ms = sim::to_ms(last_finish - first_start);
-    table.add_row({std::to_string(results.value().size()),
+    const double makespan_ms = run.value().makespan_ms();
+    table.add_row({std::to_string(run.value().flows.size()),
                    bench::fmt(makespan_ms), bench::fmt(durations.mean()),
                    bench::fmt(queueing.mean()), bench::fmt(queueing.max())});
     if (rows != nullptr) {
       json::Object entry;
-      entry.set("k", json::Value(
-                         static_cast<std::int64_t>(results.value().size())));
+      entry.set("k", json::Value(static_cast<std::int64_t>(
+                         run.value().flows.size())));
       entry.set("makespan_ms", json::Value(makespan_ms));
       entry.set("mean_update_ms", json::Value(durations.mean()));
       entry.set("mean_queueing_delay_ms", json::Value(queueing.mean()));

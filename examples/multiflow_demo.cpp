@@ -64,19 +64,16 @@ int main() {
   // and the concurrent engine with per-switch frame batching.
   core::ExecutorConfig serial_config;
   serial_config.seed = 7;
-  Result<std::vector<core::ExecutionResult>> serial =
-      core::execute_queue(instance_ptrs, schedule_ptrs, serial_config);
+  Result<core::MultiFlowExecutionResult> serial =
+      core::execute_multiflow(instance_ptrs, schedule_ptrs, serial_config);
   if (!serial.ok()) {
     std::fprintf(stderr, "serial run failed: %s\n",
                  serial.error().to_string().c_str());
     return 1;
   }
-  const double serial_ms = sim::to_ms(
-      serial.value().back().update.finished -
-      serial.value().front().update.started);
   std::printf("%-22s makespan %7.2f ms  frames %6zu\n",
-              "serial queue (K=1)", serial_ms,
-              serial.value().front().frames_sent);
+              "serial queue (K=1)", serial.value().makespan_ms(),
+              serial.value().frames_sent);
 
   core::ExecutorConfig concurrent_config = serial_config;
   concurrent_config.controller.max_in_flight = kFlows;
@@ -84,7 +81,7 @@ int main() {
       core::execute_multiflow(instance_ptrs, schedule_ptrs,
                               concurrent_config);
   core::ExecutorConfig batched_config = concurrent_config;
-  batched_config.controller.batch_frames = true;
+  batched_config.controller.batch_mode = controller::BatchMode::kInstant;
   Result<core::MultiFlowExecutionResult> batched =
       core::execute_multiflow(instance_ptrs, schedule_ptrs, batched_config);
   if (!concurrent.ok() || !batched.ok()) {
@@ -103,6 +100,6 @@ int main() {
   }
   std::printf(
       "no transient violation on any flow; batching saved %zu frames.\n",
-      serial.value().front().frames_sent - batched.value().frames_sent);
+      serial.value().frames_sent - batched.value().frames_sent);
   return 0;
 }

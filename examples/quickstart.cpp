@@ -5,7 +5,8 @@
 // Walks the three layers of the public API:
 //   1. update::Instance  - describe the routing-policy change,
 //   2. core::plan        - pick a scheduler, get (and model-check) rounds,
-//   3. core::execute     - run it against the simulated SDN with traffic.
+//   3. core::execute_multiflow - run it against the simulated SDN with
+//                                traffic.
 #include <cstdio>
 
 #include "tsu/core/executor.hpp"
@@ -46,17 +47,18 @@ int main() {
   //    host keeps sending packets through the network.
   core::ExecutorConfig config;
   config.seed = 42;
-  Result<core::ExecutionResult> result =
-      core::execute(instance.value(), planned.value().schedule, config);
-  if (!result.ok()) {
+  Result<core::MultiFlowExecutionResult> run = core::execute_multiflow(
+      {&instance.value()}, {&planned.value().schedule}, config);
+  if (!run.ok()) {
     std::fprintf(stderr, "execution failed: %s\n",
-                 result.error().to_string().c_str());
+                 run.error().to_string().c_str());
     return 1;
   }
-  std::printf("update   : %.2f ms over %zu rounds\n",
-              result.value().update_ms(), result.value().update.rounds.size());
-  std::printf("traffic  : %s\n", result.value().traffic.to_string().c_str());
+  const core::ExecutionResult& result = run.value().flows.front();
+  std::printf("update   : %.2f ms over %zu rounds\n", result.update_ms(),
+              result.update.rounds.size());
+  std::printf("traffic  : %s\n", result.traffic.to_string().c_str());
   std::printf("security : %zu packets bypassed the firewall\n",
-              result.value().traffic.bypassed);
-  return result.value().traffic.bypassed == 0 ? 0 : 1;
+              result.traffic.bypassed);
+  return result.traffic.bypassed == 0 ? 0 : 1;
 }

@@ -10,7 +10,8 @@
 // over a shared switch pool, admitted under the chosen policy.
 //
 //   $ ./build/sim_cli --flows 256 --switches 60
-//         --admission conflict_aware --max-in-flight 256 --batch
+//         --admission conflict_aware --max-in-flight 256
+//         --batch-mode instant
 //
 // Serve mode runs the open-loop service (core/service.hpp): Poisson
 // arrivals against a template pool, bounded pending queue, live JSON
@@ -44,14 +45,13 @@ void usage() {
                "               [--flows N] [--switches S]\n"
                "               [--admission blind|conflict_aware|serialize]\n"
                "               [--admission-release request|round]\n"
-               "               [--max-in-flight K] [--batch]\n"
+               "               [--max-in-flight K]\n"
                "               [--batch-mode off|instant|window|adaptive]\n"
                "               [--batch-window-ms MS] [--batch-bytes N]\n"
                "               [--batch-replies]\n"
                "               [--shards N]\n"
                "               [--partition hash|block|greedy_cut]\n"
                "               [--exec sequential|parallel] [--threads N]\n"
-               "               [--speculate] [--steal]\n"
                "               [--faults FILE.json] [--liveness-ms MS]\n"
                "               [--failure-response wait|rollback]\n"
                "               [--serve] [--rate R] [--duration-ms MS]\n"
@@ -62,12 +62,11 @@ void usage() {
                "  workloads : fig1 | reversal:<n> | random:<seed>\n"
                "  --flows >1 runs the concurrent multi-flow engine on a\n"
                "  shared pool of --switches switches (default 6 per flow)\n"
-               "  --batch is the legacy alias for --batch-mode instant; an\n"
-               "  explicit --batch-mode (from flag or config file, including\n"
-               "  'off') overrides the alias. window/adaptive hold a\n"
-               "  per-switch outbox up to the window (or byte budget) to\n"
-               "  pack cross-flow frames; --batch-replies coalesces\n"
-               "  same-instant switch->controller replies too\n"
+               "  --batch-mode instant coalesces same-instant messages per\n"
+               "  switch; window/adaptive hold a per-switch outbox up to\n"
+               "  the window (or byte budget) to pack cross-flow frames;\n"
+               "  --batch-replies coalesces same-instant\n"
+               "  switch->controller replies too\n"
                "  --shards N partitions the switches across N controller\n"
                "  shards (hash scatters NodeIds, block keeps contiguous\n"
                "  ranges shard-local, greedy_cut packs switches that share\n"
@@ -76,11 +75,6 @@ void usage() {
                "  the shard coordinator. --exec parallel steps independent\n"
                "  shards on --threads workers (0 = auto) between safe\n"
                "  horizons - bit-identical results, less wall-clock\n"
-               "  --speculate releases round barriers speculatively for\n"
-               "  updates the admission DAG proves conflict-free and lets\n"
-               "  barrier replies process mid-epoch (needs conflict_aware);\n"
-               "  --steal launches each wave's epochs longest-first so idle\n"
-               "  lanes pick up the heaviest shard backlog\n"
                "  --admission-release round frees a request's conflict\n"
                "  footprint per completed round instead of at completion\n"
                "  --faults replays a serialized FaultSchedule (switch\n"
@@ -121,8 +115,7 @@ int run_multiflow(std::size_t flows, std::size_t switches,
               controller::to_string(config.controller.admission),
               controller::to_string(config.controller.admission_release),
               config.controller.max_in_flight,
-              controller::to_string(
-                  controller::effective_batch_mode(config.controller)),
+              controller::to_string(config.controller.batch_mode),
               sim::to_ms(config.controller.batch_window),
               config.controller.batch_bytes);
   std::printf("shards   : %zu (%s partition, %s exec)%s\n",
@@ -162,13 +155,10 @@ int run_multiflow(std::size_t flows, std::size_t switches,
                 result.sharding.partition_cut_weight);
     if (result.sharding.exec == sim::ExecMode::kParallel)
       std::printf("parallel : %zu epochs, %zu horizon stalls, %zu threads, "
-                  "%zu speculative releases, %zu steals, "
                   "%zu overflow posts, %.1f ms wall\n",
                   result.sharding.parallel_epochs,
                   result.sharding.horizon_stalls, result.sharding.threads,
-                  result.sharding.speculative_releases,
-                  result.sharding.steals, result.sharding.overflow_posts,
-                  result.sharding.wall_ms);
+                  result.sharding.overflow_posts, result.sharding.wall_ms);
   }
   std::printf("traffic  : %zu packets, %zu bypassed, %zu looped, "
               "%zu blackholed\n",
@@ -242,7 +232,6 @@ int main(int argc, char** argv) {
   std::optional<controller::AdmissionPolicy> admission_flag;
   std::optional<controller::AdmissionRelease> admission_release_flag;
   std::optional<std::size_t> max_in_flight_flag;
-  bool batch_flag = false;
   std::optional<controller::BatchMode> batch_mode_flag;
   std::optional<double> batch_window_ms_flag;
   std::optional<std::size_t> batch_bytes_flag;
@@ -251,8 +240,6 @@ int main(int argc, char** argv) {
   std::optional<topo::PartitionScheme> partition_flag;
   std::optional<sim::ExecMode> exec_flag;
   std::optional<std::size_t> threads_flag;
-  bool speculate_flag = false;
-  bool steal_flag = false;
   std::optional<sim::FaultSchedule> faults_flag;
   std::optional<double> liveness_ms_flag;
   std::optional<controller::FailureResponse> failure_response_flag;
@@ -344,8 +331,6 @@ int main(int argc, char** argv) {
       const auto n = v != nullptr ? parse_int(v) : std::nullopt;
       if (!n.has_value() || *n < 1) return usage(), 1;
       max_in_flight_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--batch") {
-      batch_flag = true;
     } else if (arg == "--batch-mode") {
       const char* v = next();
       const auto mode =
@@ -396,10 +381,6 @@ int main(int argc, char** argv) {
       const auto n = v != nullptr ? parse_int(v) : std::nullopt;
       if (!n.has_value() || *n < 0) return usage(), 1;
       threads_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--speculate") {
-      speculate_flag = true;
-    } else if (arg == "--steal") {
-      steal_flag = true;
     } else if (arg == "--faults") {
       const char* v = next();
       if (v == nullptr) return usage(), 1;
@@ -477,13 +458,8 @@ int main(int argc, char** argv) {
     config.controller.admission = *admission_flag;
   if (max_in_flight_flag.has_value())
     config.controller.max_in_flight = *max_in_flight_flag;
-  if (batch_flag) config.controller.batch_frames = true;
-  if (batch_mode_flag.has_value()) {
+  if (batch_mode_flag.has_value())
     config.controller.batch_mode = *batch_mode_flag;
-    // Explicit mode retires the legacy alias: --batch-mode off wins over
-    // --batch and over a config file's batch_frames.
-    config.controller.batch_frames = false;
-  }
   if (batch_window_ms_flag.has_value())
     config.controller.batch_window = sim::from_ms(*batch_window_ms_flag);
   if (batch_bytes_flag.has_value())
@@ -496,8 +472,6 @@ int main(int argc, char** argv) {
     config.controller.partition = *partition_flag;
   if (exec_flag.has_value()) config.controller.exec = *exec_flag;
   if (threads_flag.has_value()) config.controller.threads = *threads_flag;
-  if (speculate_flag) config.controller.speculate = true;
-  if (steal_flag) config.controller.steal = true;
   if (plan_cache_flag.has_value())
     config.controller.plan_cache = *plan_cache_flag;
   if (faults_flag.has_value()) config.faults = std::move(*faults_flag);

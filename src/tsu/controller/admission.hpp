@@ -109,21 +109,6 @@ class AdmissionQueue {
   // gates actual starts on its own capacity (max_in_flight).
   bool admissible(Id id) const noexcept;
 
-  // True when the request currently carries any conflict edge - it waits
-  // on an earlier live request or a later one waits on it. The complement
-  // (live and edge-free) is the DAG-proven-disjoint set the speculative
-  // round release keys on: such a request can confirm rounds without the
-  // pacing barrier because no live footprint can observe its rules.
-  // `blocks` may hold stale ids of already-released waiters, so the check
-  // is conservative: a stale edge only disables speculation, never enables
-  // it. Unknown ids report contended (never speculate on what the DAG
-  // cannot vouch for).
-  bool contended(Id id) const noexcept {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) return true;
-    return !it->second.blocked_on.empty() || !it->second.blocks.empty();
-  }
-
   // Removes a finished (or started-and-finished) request from the graph.
   // Returns the ids that became admissible, in arrival order. The returned
   // reference aliases a member scratch vector: it is valid until the next

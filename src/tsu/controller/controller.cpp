@@ -97,7 +97,6 @@ void Controller::recycle_active(ActiveMap::iterator it) {
   slot.next_round = 0;
   slot.waiting = 0;
   slot.coordinated = false;
-  slot.speculative = false;
   slot.token = 0;
   slot.system = false;
   // request / metrics / release_plan keep their buffers; the next occupant
@@ -212,7 +211,6 @@ void Controller::start_pending(std::vector<PendingUpdate>::iterator it) {
   if (active.plan != nullptr) active.metrics.name = active.plan->request.name;
   active.metrics.started = sim_.now();
   active.coordinated = it->held;
-  active.speculative = it->speculative;
   active.token = it->token;
   // Per-round footprint release only means anything when footprints exist
   // (conflict-aware) and rounds complete one at a time (barriers on).
@@ -278,7 +276,7 @@ bool Controller::coordinated_admissible(std::uint64_t token) const noexcept {
   return it != coordinated_ids_.end() && admission_.admissible(it->second);
 }
 
-void Controller::start_coordinated(std::uint64_t token, bool speculative) {
+void Controller::start_coordinated(std::uint64_t token) {
   const auto id_it = coordinated_ids_.find(token);
   TSU_ASSERT_MSG(id_it != coordinated_ids_.end(),
                  "start of unknown coordinated token");
@@ -290,13 +288,7 @@ void Controller::start_coordinated(std::uint64_t token, bool speculative) {
                    [id](const PendingUpdate& p) { return p.id == id; });
   TSU_ASSERT_MSG(it != queue_.end(),
                  "coordinated start of a non-pending update");
-  it->speculative = speculative;
   start_pending(it);
-}
-
-bool Controller::coordinated_uncontended(std::uint64_t token) const noexcept {
-  const auto it = coordinated_ids_.find(token);
-  return it != coordinated_ids_.end() && !admission_.contended(it->second);
 }
 
 void Controller::release_round(std::uint64_t token) {
@@ -306,19 +298,8 @@ void Controller::release_round(std::uint64_t token) {
   const UpdateId id = id_it->second;
   const auto it = active_.find(id);
   TSU_ASSERT_MSG(it != active_.end(), "round release of an inactive update");
-  const ActiveUpdate& active = it->second;
-  const UpdateRequest& request = request_of(active);
-  const sim::Duration interval = request.interval;
-  // Speculative release: a DAG-disjoint sub-request whose next round is
-  // empty installs nothing, so pacing the round buys nothing - confirm it
-  // synchronously inside the coordinator's release loop. The skip removes
-  // one interval-timer event; under the parallel engine every such timer
-  // is a kShared event, i.e. a guaranteed horizon stall.
-  const bool skip_interval =
-      active.speculative && active.next_round < request.rounds.size() &&
-      request.rounds[active.next_round].empty();
-  if (interval == 0 || skip_interval) {
-    if (skip_interval && interval != 0) ++speculative_releases_;
+  const sim::Duration interval = request_of(it->second).interval;
+  if (interval == 0) {
     start_round(id);
   } else {
     sim_.schedule(interval, [this, id]() { start_round(id); });
@@ -343,7 +324,7 @@ void Controller::send_to_switch(NodeId node, proto::Message message) {
   // unfenced log here, before batching can obscure it.
   if (fault_tolerance() && message.type() == proto::MsgType::kFlowMod)
     record_send(node, std::get<proto::FlowMod>(message.body));
-  if (batch_mode_ == BatchMode::kOff) {
+  if (config_.batch_mode == BatchMode::kOff) {
     it->second(message);
     return;
   }
@@ -353,7 +334,7 @@ void Controller::send_to_switch(NodeId node, proto::Message message) {
   box.bytes += bytes;
   box.entries.push_back(OutboxEntry{std::move(message), sim_.now(), bytes});
 
-  if (batch_mode_ == BatchMode::kInstant) {
+  if (config_.batch_mode == BatchMode::kInstant) {
     // Same-instant coalescing: one zero-delay event ships every outbox.
     if (!flush_scheduled_) {
       flush_scheduled_ = true;
@@ -382,7 +363,7 @@ void Controller::send_to_switch(NodeId node, proto::Message message) {
   // message of this fill waits strictly less than the full window.
   if (!box.timer_armed) {
     box.timer_armed = true;
-    const sim::Duration window = batch_mode_ == BatchMode::kAdaptive
+    const sim::Duration window = config_.batch_mode == BatchMode::kAdaptive
                                      ? adaptive_window()
                                      : config_.batch_window;
     // kLocal: same argument as the instant flush above.
@@ -567,23 +548,7 @@ void Controller::on_message(NodeId from, const proto::Message& message) {
         }
         const auto resync_it = resync_waiting_.find(message.xid);
         if (resync_it != resync_waiting_.end()) {
-          if (resync_it->second == from) {
-            if (config_.speculate) {
-              // Speculation makes reply delivery shard-local; completing a
-              // resync is not (on_switch_resynced_ reaches executor-global
-              // state), so defer it to the next sync point as a same-instant
-              // kShared event. Re-validate on fire: a second reconnect in
-              // between abandons this resync.
-              const Xid xid = message.xid;
-              sim_.schedule(0, [this, from, xid]() {
-                const auto it = resync_waiting_.find(xid);
-                if (it == resync_waiting_.end() || it->second != from) return;
-                finish_resync(from, xid);
-              });
-            } else {
-              finish_resync(from, message.xid);
-            }
-          }
+          if (resync_it->second == from) finish_resync(from, message.xid);
           return;
         }
       }
@@ -613,25 +578,7 @@ void Controller::on_message(NodeId from, const proto::Message& message) {
       TSU_ASSERT_MSG(update_it != active_.end(),
                      "barrier reply for a finished update");
       TSU_ASSERT(update_it->second.waiting > 0);
-      if (--update_it->second.waiting == 0) {
-        if (config_.speculate) {
-          // Speculation flips reply delivery to kLocal so barrier replies
-          // process mid-epoch instead of stalling the parallel engine; the
-          // shard-local bookkeeping above already ran, but completing the
-          // round confirms to the coordinator (cross-shard state), so it
-          // defers to the next sync point as a same-instant kShared event.
-          // Identical in sequential mode, keeping both exec modes on one
-          // event schedule. Re-validate on fire: a liveness rollback in
-          // between can retire the update.
-          sim_.schedule(0, [this, id]() {
-            const auto it = active_.find(id);
-            if (it == active_.end() || it->second.waiting != 0) return;
-            finish_round(id);
-          });
-        } else {
-          finish_round(id);
-        }
-      }
+      if (--update_it->second.waiting == 0) finish_round(id);
       return;
     }
     case proto::MsgType::kBatch: {

@@ -31,8 +31,7 @@
 //
 //   kOff      every message is its own frame (no outbox).
 //   kInstant  a zero-delay event flushes all outboxes, so only messages of
-//             the same simulation instant coalesce (the PR-1 behaviour,
-//             still reachable via the legacy `batch_frames` bool).
+//             the same simulation instant coalesce.
 //   kWindow   each outbox holds its messages up to `batch_window` behind a
 //             cancellable flush timer, so messages of *different* instants
 //             share a frame; the accumulated encoded-byte budget
@@ -145,11 +144,6 @@ struct ControllerConfig {
   // How many update requests may progress concurrently. 1 reproduces the
   // paper's strictly serializing message queue.
   std::size_t max_in_flight = 1;
-  // Legacy knob predating BatchMode: true upgrades kOff to kInstant (the
-  // coalescing it used to select). Layers that let a caller set batch_mode
-  // explicitly (config JSON, REST overrides, sim_cli) clear this alias
-  // alongside, so an explicit "off" really turns batching off.
-  bool batch_frames = false;
   // Outbox flush policy and its two budgets: the hold window for
   // kWindow/kAdaptive and the per-switch encoded-byte force-flush budget.
   BatchMode batch_mode = BatchMode::kOff;
@@ -183,20 +177,6 @@ struct ControllerConfig {
   // Worker threads for exec = parallel; 0 picks
   // min(shards, hardware threads).
   std::size_t threads = 0;
-  // Speculative round barriers for cross-shard updates (shard.hpp): a
-  // sub-request whose footprint the admission DAG proves disjoint from
-  // everything live confirms empty rounds without the pacing interval, and
-  // barrier replies are processed shard-locally mid-epoch (round/resync
-  // completion deferred to the next sync point) instead of stalling the
-  // parallel engine. Requires admission = conflict_aware to ever speculate;
-  // identical event schedules in both exec modes, so the seq/par
-  // equivalence guarantee is preserved. Changes timing versus
-  // speculate = false (rounds confirm earlier), hence off by default.
-  bool speculate = false;
-  // exec = parallel: launch each wave's shard epochs longest-first so idle
-  // pool lanes pick up the heaviest backlog (sharded.hpp set_steal).
-  // Deterministic and digest-neutral; purely a wall-clock knob.
-  bool steal = false;
   // --- fault tolerance (sim/faults.hpp) ---------------------------------
   // Per-switch liveness timeout on outstanding barriers. 0 disables fault
   // handling entirely - no timers, no shadow tables, no resync - keeping
@@ -215,14 +195,6 @@ struct ControllerConfig {
   bool resubmit_after_rollback = true;
 };
 
-// The flush policy after legacy-knob normalization: `batch_frames` only
-// means kInstant when no explicit mode is set.
-inline BatchMode effective_batch_mode(const ControllerConfig& config) noexcept {
-  if (config.batch_mode == BatchMode::kOff && config.batch_frames)
-    return BatchMode::kInstant;
-  return config.batch_mode;
-}
-
 // RoundMetrics / UpdateMetrics live in controller/completion_log.hpp,
 // together with the bounded CompletionLog that replaced the append-only
 // completed-metrics vector.
@@ -238,14 +210,13 @@ class Controller {
   Controller(sim::Simulator& simulator, ControllerConfig config)
       : sim_(simulator), config_(config), admission_(config.admission) {
     if (config_.max_in_flight == 0) config_.max_in_flight = 1;
-    batch_mode_ = effective_batch_mode(config_);
     // The pre-encoded send path is only byte-transparent when every frame
     // would be its own wire frame anyway (no outbox coalescing) and no
     // shadow-table bookkeeping needs the Message object (no fault
     // tolerance). Otherwise plan submissions fall back to Message sends -
     // still skipping lowering/footprint/encode recomputation.
-    encoded_eligible_ =
-        batch_mode_ == BatchMode::kOff && config_.liveness_timeout == 0;
+    encoded_eligible_ = config_.batch_mode == BatchMode::kOff &&
+                        config_.liveness_timeout == 0;
     // The recycle stack is a fixed-capacity pool: reserving it here means
     // retire_xid never allocates, so long service runs stay off the heap
     // (the pool would otherwise double its way up during the pre-wrap
@@ -308,7 +279,7 @@ class Controller {
     return flush_timers_cancelled_;
   }
   sim::Duration max_hold() const noexcept { return max_hold_; }
-  BatchMode batch_mode() const noexcept { return batch_mode_; }
+  BatchMode batch_mode() const noexcept { return config_.batch_mode; }
 
   // Admission stats: dependency edges the conflict DAG created and
   // requests that entered the queue blocked on a conflict.
@@ -427,23 +398,10 @@ class Controller {
   // participating shard is admissible AND has a free slot, and then starts
   // all of them in the same instant - atomic capacity acquisition, so two
   // cross-shard updates can never deadlock on partially grabbed slots.
-  // `speculative` marks a DAG-proven-disjoint update (every shard's slice
-  // uncontended at start) eligible for speculative round release.
-  void start_coordinated(std::uint64_t token, bool speculative = false);
+  void start_coordinated(std::uint64_t token);
   // Releases the two-phase round barrier: starts the sub-request's next
-  // round (after the request's inter-round interval). A speculative
-  // sub-request whose next round is EMPTY skips the interval and confirms
-  // synchronously - an empty round installs nothing, so pacing it serves
-  // nothing, and each skip removes one interval-timer event (a guaranteed
-  // horizon stall under the parallel engine).
+  // round (after the request's inter-round interval).
   void release_round(std::uint64_t token);
-  // True while `token` is live here and carries no conflict edge in this
-  // shard's admission DAG slice - the coordinator's speculation gate.
-  bool coordinated_uncontended(std::uint64_t token) const noexcept;
-  // Interval skips taken by speculative round releases.
-  std::size_t speculative_releases() const noexcept {
-    return speculative_releases_;
-  }
 
  private:
   using UpdateId = std::uint64_t;
@@ -459,8 +417,6 @@ class Controller {
     std::shared_ptr<const CompiledPlan> plan;
     // Coordinated sub-request: held until the ShardCoordinator starts it.
     bool held = false;
-    // Set at start_coordinated when the whole update is DAG-disjoint.
-    bool speculative = false;
     std::uint64_t token = 0;
   };
 
@@ -476,8 +432,6 @@ class Controller {
     std::size_t waiting = 0;
     // Cross-shard sub-request: rounds gated by the coordinator.
     bool coordinated = false;
-    // DAG-proven disjoint at start: empty rounds release speculatively.
-    bool speculative = false;
     std::uint64_t token = 0;
     // Controller-originated unwind of a rolled-back update: bypasses
     // admission (the aborted update's footprint still covers its rules)
@@ -656,7 +610,6 @@ class Controller {
   std::unordered_map<Xid, sim::EventId> liveness_timers_;
   UpdateId update_counter_ = 1;
   std::size_t max_in_flight_observed_ = 0;
-  std::size_t speculative_releases_ = 0;
   std::size_t messages_coalesced_ = 0;
   std::size_t batches_sent_ = 0;
   std::size_t timer_flushes_ = 0;
@@ -681,9 +634,7 @@ class Controller {
     sim::EventId timer = 0;
   };
 
-  // Normalized flush policy (legacy batch_frames folded in at
-  // construction). Ordered map so flush-all order is deterministic.
-  BatchMode batch_mode_ = BatchMode::kOff;
+  // Ordered map so flush-all order is deterministic.
   std::map<NodeId, Outbox> outbox_;
   // Reused flush staging buffer: capacities circulate between it and the
   // outboxes, so steady-state flushes stop allocating at high-water size.

@@ -10,12 +10,7 @@ namespace tsu::controller {
 ShardCoordinator::ShardCoordinator(sim::ShardedSim& sim,
                                    topo::SwitchPartition partition,
                                    const ControllerConfig& config)
-    : sim_(sim),
-      partition_(std::move(partition)),
-      // Speculation needs footprints: only conflict-aware admission can
-      // prove an update disjoint from everything live.
-      speculate_(config.speculate &&
-                 config.admission == AdmissionPolicy::kConflictAware) {
+    : sim_(sim), partition_(std::move(partition)) {
   const std::size_t count = partition_.shards();
   TSU_ASSERT_MSG(count >= 1 && count <= proto::kMaxXidShards,
                  "shard count outside [1, 256]");
@@ -171,24 +166,11 @@ void ShardCoordinator::try_start_cross() {
         }
       }
       if (!ready) continue;
-      // Speculation gate, decided once at start: the update runs
-      // speculatively only when every shard's admission DAG slice shows it
-      // edge-free - no live footprint anywhere can observe its rules, so
-      // its empty rounds may confirm without the pacing barrier.
-      bool speculative = speculate_;
-      if (speculative) {
-        for (const std::uint8_t s : parts) {
-          if (!shards_[s]->engine().coordinated_uncontended(token)) {
-            speculative = false;
-            break;
-          }
-        }
-      }
       pending_cross_.erase(it);
       // Atomic acquisition: every participating shard starts in this same
       // instant, so no cross-shard update ever holds a partial slot set.
       for (const std::uint8_t s : parts)
-        shards_[s]->engine().start_coordinated(token, speculative);
+        shards_[s]->engine().start_coordinated(token);
       progress = true;
       break;
     }

@@ -188,15 +188,6 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   }
   std::size_t rounds_synced() const noexcept { return rounds_synced_; }
   sim::Duration sync_overhead() const noexcept { return sync_overhead_; }
-  // Interval skips taken by speculative round release (controller.hpp),
-  // summed over the shards; 0 unless config.speculate with conflict-aware
-  // admission.
-  std::size_t speculative_releases() const noexcept {
-    std::size_t total = 0;
-    for (const auto& shard : shards_)
-      total += shard->engine().speculative_releases();
-    return total;
-  }
 
   // Controller::CoordinationHooks
   void on_round_done(std::uint8_t shard, std::uint64_t token,
@@ -243,8 +234,6 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   std::function<void(const UpdateMetrics&)> on_update_done_;
   std::uint64_t next_token_ = 1;
   bool starting_ = false;  // re-entrancy guard for try_start_cross
-  // config.speculate, pre-gated on conflict-aware admission.
-  bool speculate_ = false;
   std::size_t cross_shard_updates_ = 0;
   std::size_t rounds_synced_ = 0;
   sim::Duration sync_overhead_ = 0;

@@ -97,7 +97,6 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
   if (!value.is_object())
     return make_error(Errc::kParseError, "config must be an object");
   ExecutorConfig config;
-  bool saw_batch_mode = false;
 
   for (const auto& [key, field] : value.as_object()) {
     if (key == "seed") {
@@ -141,12 +140,12 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
           Result<double> v = number_field(sw, "barrier_us", 0);
           if (!v.ok()) return v.error();
           config.switch_config.barrier_processing =
-              static_cast<sim::Duration>(v.value() * 1e3);
+              sim::from_ns(v.value() * 1e3);
         } else if (skey == "processing_us") {
           Result<double> v = number_field(sw, "processing_us", 0);
           if (!v.ok()) return v.error();
           config.switch_config.message_processing =
-              static_cast<sim::Duration>(v.value() * 1e3);
+              sim::from_ns(v.value() * 1e3);
         } else if (skey == "batch_replies") {
           if (!sval.is_bool())
             return make_error(Errc::kParseError,
@@ -166,10 +165,6 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
         return make_error(Errc::kOutOfRange, "'max_in_flight' must be >= 1");
       config.controller.max_in_flight =
           static_cast<std::size_t>(field.as_int());
-    } else if (key == "batch_frames") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError, "'batch_frames' must be a bool");
-      config.controller.batch_frames = field.as_bool();
     } else if (key == "batch_mode") {
       if (!field.is_string())
         return make_error(Errc::kParseError, "'batch_mode' must be a string");
@@ -180,7 +175,6 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                           "unknown batch mode '" + field.as_string() +
                               "' (off | instant | window | adaptive)");
       config.controller.batch_mode = *mode;
-      saw_batch_mode = true;
     } else if (key == "batch_window_ms") {
       if (!field.is_number() || field.as_double() < 0)
         return make_error(Errc::kOutOfRange, "'batch_window_ms' must be >= 0");
@@ -247,14 +241,6 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
       if (!field.is_number() || field.as_int() < 0)
         return make_error(Errc::kOutOfRange, "'threads' must be >= 0");
       config.controller.threads = static_cast<std::size_t>(field.as_int());
-    } else if (key == "speculate") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError, "'speculate' must be a bool");
-      config.controller.speculate = field.as_bool();
-    } else if (key == "steal") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError, "'steal' must be a bool");
-      config.controller.steal = field.as_bool();
     } else if (key == "flow") {
       if (!field.is_number() || field.as_int() < 0)
         return make_error(Errc::kParseError, "'flow' must be >= 0");
@@ -342,10 +328,6 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                         "unknown config field '" + key + "'");
     }
   }
-  // An explicit batch_mode retires the legacy alias, whatever the key
-  // order: "batch_mode": "off" really means off even next to
-  // "batch_frames": true.
-  if (saw_batch_mode) config.controller.batch_frames = false;
   return config;
 }
 
@@ -407,13 +389,8 @@ json::Value config_to_json(const ExecutorConfig& config) {
   root.set("use_barriers", json::Value(config.controller.use_barriers));
   root.set("max_in_flight", json::Value(static_cast<std::int64_t>(
                                 config.controller.max_in_flight)));
-  root.set("batch_frames", json::Value(config.controller.batch_frames));
-  // Emitted only when explicit: parsing treats a present batch_mode as
-  // retiring the legacy batch_frames alias, so writing "off" here would
-  // strip instant-mode batching from a legacy config on a round trip.
-  if (config.controller.batch_mode != controller::BatchMode::kOff)
-    root.set("batch_mode",
-             json::Value(controller::to_string(config.controller.batch_mode)));
+  root.set("batch_mode",
+           json::Value(controller::to_string(config.controller.batch_mode)));
   root.set("batch_window_ms",
            json::Value(sim::to_ms(config.controller.batch_window)));
   root.set("batch_bytes", json::Value(static_cast<std::int64_t>(
@@ -432,8 +409,6 @@ json::Value config_to_json(const ExecutorConfig& config) {
   root.set("exec", json::Value(sim::to_string(config.controller.exec)));
   root.set("threads", json::Value(static_cast<std::int64_t>(
                           config.controller.threads)));
-  root.set("speculate", json::Value(config.controller.speculate));
-  root.set("steal", json::Value(config.controller.steal));
   root.set("flow", json::Value(static_cast<std::int64_t>(config.flow)));
   root.set("priority",
            json::Value(static_cast<std::int64_t>(config.priority)));
@@ -518,8 +493,7 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
         if (!gap.is_number() || gap.as_double() < 0)
           return make_error(Errc::kOutOfRange,
                             "'trace_us' entries must be >= 0");
-        config.trace.push_back(
-            static_cast<sim::Duration>(gap.as_double() * 1e3));
+        config.trace.push_back(sim::from_ns(gap.as_double() * 1e3));
       }
     } else if (key == "trace_cycle") {
       if (!field.is_bool())

@@ -10,7 +10,7 @@
 //   "switch":   { "install": <latency>, "barrier_us": 100,
 //                 "processing_us": 10, "batch_replies": false },
 //   "use_barriers": true,
-//   "max_in_flight": 1, "batch_frames": false,
+//   "max_in_flight": 1,
 //   "batch_mode": "off" | "instant" | "window" | "adaptive",
 //   "batch_window_ms": 0.5, "batch_bytes": 16384,
 //   "admission": "blind" | "conflict_aware" | "serialize",

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <unordered_map>
 
 #include "tsu/controller/plan_cache.hpp"
@@ -29,11 +27,65 @@ flow::FlowRule rule_from_mod(const proto::FlowMod& mod) {
   return flow::FlowRule{mod.match, mod.action, mod.priority, mod.cookie};
 }
 
-// Everything one simulated run needs, wired together. The switches are
-// partitioned across config.controller.shards controller shards; each
-// switch, its duplex channel and its owning shard live on that shard's
-// event queue of the sharded logical clock.
+// The workload's switch co-occurrence graph: one weighted edge per switch
+// pair some instance touches together. Input of the greedy-cut partitioner
+// and of the cut-size accounting in ShardStats.
+std::vector<topo::SwitchAffinity> affinity_edges(
+    const std::vector<const update::Instance*>& instances) {
+  std::unordered_map<std::uint64_t, std::size_t> weights;
+  for (const update::Instance* inst : instances) {
+    std::vector<NodeId> touched;
+    for (NodeId v = 0; v < inst->node_count(); ++v)
+      if (inst->on_old(v) || inst->on_new(v)) touched.push_back(v);
+    for (std::size_t i = 0; i < touched.size(); ++i)
+      for (std::size_t j = i + 1; j < touched.size(); ++j) {
+        const NodeId lo = std::min(touched[i], touched[j]);
+        const NodeId hi = std::max(touched[i], touched[j]);
+        ++weights[(static_cast<std::uint64_t>(lo) << 32) | hi];
+      }
+  }
+  std::vector<topo::SwitchAffinity> edges;
+  edges.reserve(weights.size());
+  for (const auto& [key, weight] : weights)
+    edges.push_back(topo::SwitchAffinity{
+        static_cast<NodeId>(key >> 32),
+        static_cast<NodeId>(key & 0xffffffffull), weight});
+  // The map iterates in hash order; sort so the partitioner's input - and
+  // with it the partition itself - is deterministic.
+  std::sort(edges.begin(), edges.end(),
+            [](const topo::SwitchAffinity& a, const topo::SwitchAffinity& b) {
+              if (a.a != b.a) return a.a < b.a;
+              return a.b < b.b;
+            });
+  return edges;
+}
+
+// The switch-to-shard map of config.shards and config.partition. The
+// block partitioner carves contiguous NodeId ranges, so it needs the extent
+// of the id space the instances use.
+topo::SwitchPartition make_partition(
+    const std::vector<const update::Instance*>& instances,
+    const std::vector<topo::SwitchAffinity>& affinity,
+    const controller::ControllerConfig& config) {
+  std::size_t node_count = 0;
+  for (const update::Instance* inst : instances)
+    node_count = std::max(node_count, inst->node_count());
+  const std::size_t shard_count = config.shards == 0 ? 1 : config.shards;
+  return config.partition == topo::PartitionScheme::kGreedyCut
+             ? topo::make_greedy_cut_partition(shard_count, node_count,
+                                               affinity)
+             : topo::SwitchPartition(shard_count, config.partition,
+                                     node_count);
+}
+
+// Everything one simulated run needs, wired together: a switch for every
+// node the instances touch, with each instance's initial route installed
+// (instance i as flow config.flow + i). The switches are partitioned across
+// config.controller.shards controller shards; each switch, its duplex
+// channel and its owning shard live on that shard's event queue of the
+// sharded logical clock.
 struct Harness {
+  std::vector<topo::SwitchAffinity> affinity;
   sim::ShardedSim sim;
   Rng rng;
   topo::SwitchPartition partition;
@@ -46,24 +98,27 @@ struct Harness {
   std::vector<channel::DuplexChannel*> channels;          // creation order
   std::vector<channel::DuplexChannel*> duplex_by_node;    // fault injection
   std::unique_ptr<controller::ShardCoordinator> ctrl;
-  // controller.speculate: switch->controller deliveries become shard-local
-  // (see add_switch). Captured from the ADJUSTED controller config the
-  // coordinator runs with, not the caller's original.
-  bool speculate = false;
 
-  Harness(const ExecutorConfig& config,
-          const controller::ControllerConfig& controller_config,
-          topo::SwitchPartition switch_partition)
-      : sim(switch_partition.shards()),
+  // `controller_config` is the configuration the coordinator runs with,
+  // which may differ from config.controller (execute_multiflow arms
+  // liveness detection for fault schedules).
+  Harness(const std::vector<const update::Instance*>& instances,
+          const ExecutorConfig& config,
+          const controller::ControllerConfig& controller_config)
+      : affinity(affinity_edges(instances)),
+        sim(controller_config.shards),
         rng(config.seed),
-        partition(std::move(switch_partition)),
-        speculate(controller_config.speculate) {
-    sim.set_steal(controller_config.steal);
+        partition(make_partition(instances, affinity, controller_config)) {
     arenas.reserve(sim.shard_count());
     for (std::size_t s = 0; s < sim.shard_count(); ++s)
       arenas.push_back(std::make_unique<util::SetupArena>());
     ctrl = std::make_unique<controller::ShardCoordinator>(sim, partition,
                                                           controller_config);
+    for (const update::Instance* inst : instances)
+      for (NodeId v = 0; v < inst->node_count(); ++v)
+        if (inst->on_old(v) || inst->on_new(v)) add_switch(v, config);
+    for (std::size_t i = 0; i < instances.size(); ++i)
+      install_initial(*instances[i], config.flow + i, config.priority);
   }
 
   // The event queue everything owned by `node`'s shard schedules on.
@@ -89,15 +144,9 @@ struct Harness {
 
     // Controller->switch deliveries stay on the switch's own shard and
     // only touch its state: safe inside parallel epochs. The reply
-    // direction keeps the kShared default - reply processing can complete
-    // updates and cross shards through the coordinator - UNLESS the
-    // controller speculates: then the engine defers round/resync
-    // completion to the next sync point (controller.cpp), every other
-    // effect of a reply is provably shard-local, and replies may process
-    // mid-epoch too, eliminating the biggest class of horizon stalls.
+    // direction keeps the kShared default: reply processing can complete
+    // updates and cross shards through the coordinator.
     duplex_ptr->to_switch.set_delivery_scope(sim::EventScope::kLocal);
-    if (speculate)
-      duplex_ptr->to_controller.set_delivery_scope(sim::EventScope::kLocal);
     duplex_ptr->to_switch.set_receiver(
         [sw_ptr](const proto::Message& m) { sw_ptr->receive(m); });
     duplex_ptr->to_controller.set_receiver(
@@ -211,12 +260,6 @@ std::uint64_t final_state_digest(const Harness& harness) {
   return h;
 }
 
-void add_instance_switches(Harness& harness, const update::Instance& inst,
-                           const ExecutorConfig& config) {
-  for (NodeId v = 0; v < inst.node_count(); ++v)
-    if (inst.on_old(v) || inst.on_new(v)) harness.add_switch(v, config);
-}
-
 // Per-flow traffic sources feeding one MultiFlowMonitor; flow i of the run
 // is config.flow + i.
 std::vector<std::unique_ptr<dataplane::TrafficSource>> make_sources(
@@ -249,71 +292,6 @@ std::vector<std::unique_ptr<dataplane::TrafficSource>> make_sources(
   return sources;
 }
 
-// The shared engine behind every execute_* entry point: wire the control
-// plane, run per-policy traffic, submit every prepared request at the end
-// of the warmup, and route completed metrics back by key flow. A request
-// may cover one policy (execute_queue / execute_multiflow) or several (a
-// merged multi-policy request); either way it goes through the controller's
-// admission path, so merged and independent requests compose.
-struct EngineRequest {
-  controller::UpdateRequest request;
-  std::vector<std::size_t> policies;  // instance indexes this request updates
-};
-
-struct EngineOutput {
-  std::vector<controller::UpdateMetrics> updates;  // per request, input order
-  dataplane::MonitorReport aggregate;
-  std::vector<dataplane::MonitorReport> traffic;   // per policy
-  std::vector<std::vector<dataplane::ConsistencyMonitor::Bucket>> timelines;
-  sim::Duration timeline_bucket = 0;
-  std::vector<std::size_t> packets_injected;       // per policy
-  std::size_t frames_sent = 0;
-  std::size_t control_bytes = 0;
-  std::size_t messages_sent = 0;
-  std::size_t max_in_flight_observed = 0;
-  std::uint64_t conflict_edges = 0;
-  std::uint64_t blocked_submissions = 0;
-  BatchingStats batching;
-  ShardStats sharding;
-  sim::FaultStats faults;
-  std::uint64_t state_digest = 0;
-  std::uint64_t initial_digest = 0;
-  sim::Duration makespan = 0;
-};
-
-// The workload's switch co-occurrence graph: one weighted edge per switch
-// pair some instance touches together. Input of the greedy-cut partitioner
-// and of the cut-size accounting in ShardStats.
-std::vector<topo::SwitchAffinity> affinity_edges(
-    const std::vector<const update::Instance*>& instances) {
-  std::unordered_map<std::uint64_t, std::size_t> weights;
-  for (const update::Instance* inst : instances) {
-    std::vector<NodeId> touched;
-    for (NodeId v = 0; v < inst->node_count(); ++v)
-      if (inst->on_old(v) || inst->on_new(v)) touched.push_back(v);
-    for (std::size_t i = 0; i < touched.size(); ++i)
-      for (std::size_t j = i + 1; j < touched.size(); ++j) {
-        const NodeId lo = std::min(touched[i], touched[j]);
-        const NodeId hi = std::max(touched[i], touched[j]);
-        ++weights[(static_cast<std::uint64_t>(lo) << 32) | hi];
-      }
-  }
-  std::vector<topo::SwitchAffinity> edges;
-  edges.reserve(weights.size());
-  for (const auto& [key, weight] : weights)
-    edges.push_back(topo::SwitchAffinity{
-        static_cast<NodeId>(key >> 32),
-        static_cast<NodeId>(key & 0xffffffffull), weight});
-  // The map iterates in hash order; sort so the partitioner's input - and
-  // with it the partition itself - is deterministic.
-  std::sort(edges.begin(), edges.end(),
-            [](const topo::SwitchAffinity& a, const topo::SwitchAffinity& b) {
-              if (a.a != b.a) return a.a < b.a;
-              return a.b < b.b;
-            });
-  return edges;
-}
-
 // The lower bound on any cross-shard interaction a kLocal event can
 // create: switch replies mature one channel latency after the send, and a
 // packet's next hop one link latency after the current one. The parallel
@@ -327,45 +305,125 @@ sim::Duration cross_shard_lookahead(const ExecutorConfig& config) {
   return lookahead;
 }
 
-Result<EngineOutput> run_engine(
+// How a run loop went: the pool lanes it used (1 when sequential) and its
+// wall-clock cost (steady clock; the simulation never reads wall time).
+struct RunTiming {
+  std::size_t threads = 1;
+  double wall_ms = 0;
+};
+
+// Steps the harness until every queue drains, sequentially or in parallel
+// epochs per controller_config.exec.
+RunTiming run_harness(Harness& harness, const ExecutorConfig& config,
+                      const controller::ControllerConfig& controller_config) {
+  const bool parallel = controller_config.exec == sim::ExecMode::kParallel;
+  RunTiming timing;
+  // An epoch dispatches exactly shard_count tasks, so more lanes than
+  // shards would only sleep; the clamp also keeps a typo'd `threads`
+  // from asking the OS for an absurd thread count.
+  if (parallel)
+    timing.threads =
+        controller_config.threads != 0
+            ? std::min(controller_config.threads, harness.sim.shard_count())
+            : std::min(harness.sim.shard_count(),
+                       sim::ThreadPool::hardware_threads());
+  const auto wall_start = std::chrono::steady_clock::now();
+  if (parallel) {
+    sim::ThreadPool pool(timing.threads);
+    harness.sim.run_parallel(pool, cross_shard_lookahead(config));
+  } else {
+    harness.sim.run();
+  }
+  timing.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - wall_start)
+                       .count();
+  return timing;
+}
+
+// The controller requests of a closed-loop run in submission order (see
+// execute_multiflow's `groups`); request_of[i] is the request that updates
+// policy i.
+Result<std::vector<controller::UpdateRequest>> make_requests(
     const std::vector<const update::Instance*>& instances,
-    std::vector<EngineRequest> requests, const ExecutorConfig& config,
-    const controller::ControllerConfig& base_controller_config) {
-  if (instances.empty() || requests.empty())
+    const std::vector<const update::Schedule*>& schedules,
+    const std::vector<std::vector<std::size_t>>& groups,
+    const ExecutorConfig& config, std::vector<std::size_t>& request_of) {
+  const std::size_t count = groups.empty() ? instances.size() : groups.size();
+  std::vector<controller::UpdateRequest> requests;
+  requests.reserve(count);
+  request_of.assign(instances.size(), 0);
+  // Groups must partition the policy indexes.
+  std::vector<bool> seen(instances.size(), false);
+  for (std::size_t r = 0; r < count; ++r) {
+    const std::size_t single = r;
+    const std::span<const std::size_t> group =
+        groups.empty() ? std::span<const std::size_t>(&single, 1)
+                       : std::span<const std::size_t>(groups[r]);
+    if (group.empty())
+      return make_error(Errc::kInvalidArgument, "empty group");
+    for (const std::size_t i : group) {
+      if (i >= instances.size() || seen[i])
+        return make_error(Errc::kInvalidArgument,
+                          "groups must partition the policy indexes");
+      seen[i] = true;
+      request_of[i] = r;
+    }
+    if (group.size() == 1) {
+      const std::size_t i = group.front();
+      requests.push_back(controller::request_from_schedule(
+          *instances[i], *schedules[i], config.flow + i, config.priority,
+          config.interval));
+      continue;
+    }
+    std::vector<const update::Instance*> members;
+    std::vector<const update::Schedule*> member_schedules;
+    std::vector<FlowId> flows;
+    for (const std::size_t i : group) {
+      members.push_back(instances[i]);
+      member_schedules.push_back(schedules[i]);
+      flows.push_back(config.flow + i);
+    }
+    Result<update::MergedSchedule> merged =
+        update::merge_policies(members, member_schedules);
+    if (!merged.ok()) return merged.error();
+    requests.push_back(controller::request_from_merged(
+        members, member_schedules, merged.value(), flows, config.priority,
+        config.interval));
+  }
+  for (const bool covered : seen)
+    if (!covered)
+      return make_error(Errc::kInvalidArgument,
+                        "groups must cover every policy");
+  return requests;
+}
+
+}  // namespace
+
+Result<MultiFlowExecutionResult> execute_multiflow(
+    const std::vector<const update::Instance*>& instances,
+    const std::vector<const update::Schedule*>& schedules,
+    const ExecutorConfig& config,
+    const std::vector<std::vector<std::size_t>>& groups) {
+  if (instances.size() != schedules.size() || instances.empty())
     return make_error(Errc::kInvalidArgument,
-                      "need non-empty instance and request lists");
-  if (base_controller_config.shards > proto::kMaxXidShards)
+                      "need matching, non-empty instance/schedule lists");
+  if (config.controller.shards > proto::kMaxXidShards)
     return make_error(Errc::kOutOfRange, "shards must be in [1, 256]");
+  std::vector<std::size_t> request_of;
+  Result<std::vector<controller::UpdateRequest>> built =
+      make_requests(instances, schedules, groups, config, request_of);
+  if (!built.ok()) return built.error();
+  std::vector<controller::UpdateRequest> requests = std::move(built).value();
 
   // A non-empty fault schedule needs detection to be on, or a crashed
   // switch's lost barrier would stall its update forever and the run could
   // never drain. 25 ms comfortably exceeds a healthy barrier round-trip
   // under the default channel latencies.
-  controller::ControllerConfig controller_config = base_controller_config;
+  controller::ControllerConfig controller_config = config.controller;
   if (!config.faults.empty() && controller_config.liveness_timeout == 0)
     controller_config.liveness_timeout = sim::milliseconds(25);
 
-  // The block partitioner carves contiguous NodeId ranges, so it needs the
-  // extent of the id space the instances use.
-  std::size_t node_count = 0;
-  for (const update::Instance* inst : instances)
-    node_count = std::max(node_count, inst->node_count());
-
-  const std::size_t shard_count =
-      controller_config.shards == 0 ? 1 : controller_config.shards;
-  const std::vector<topo::SwitchAffinity> affinity =
-      affinity_edges(instances);
-  topo::SwitchPartition partition =
-      controller_config.partition == topo::PartitionScheme::kGreedyCut
-          ? topo::make_greedy_cut_partition(shard_count, node_count, affinity)
-          : topo::SwitchPartition(shard_count, controller_config.partition,
-                                  node_count);
-
-  Harness harness(config, controller_config, std::move(partition));
-  for (const update::Instance* inst : instances)
-    add_instance_switches(harness, *inst, config);
-  for (std::size_t i = 0; i < instances.size(); ++i)
-    harness.install_initial(*instances[i], config.flow + i, config.priority);
+  Harness harness(instances, config, controller_config);
   const std::uint64_t initial_digest = final_state_digest(harness);
 
   // Fault injection (sim/faults.hpp): each scheduled fault becomes events
@@ -453,21 +511,22 @@ Result<EngineOutput> run_engine(
   // Requests are identified in the completed list by their key flow (a
   // request's `flow` is the first flow it updates; each policy belongs to
   // exactly one request, so key flows are unique).
+  const std::size_t request_count = requests.size();
   std::vector<FlowId> key_flows;
-  key_flows.reserve(requests.size());
-  for (const EngineRequest& r : requests)
-    key_flows.push_back(r.request.flow);
+  key_flows.reserve(request_count);
+  for (const controller::UpdateRequest& r : requests)
+    key_flows.push_back(r.flow);
 
   // Collect completions as they happen (the controller's own retained
   // window is a bounded ring, so a closed-loop run with more requests than
   // the ring capacity must not read results back from it), and stop
   // injecting `drain` after the last update completes.
   std::vector<controller::UpdateMetrics> done_metrics;
-  done_metrics.reserve(requests.size());
+  done_metrics.reserve(request_count);
   harness.ctrl->set_on_update_done(
       [&](const controller::UpdateMetrics& metrics) {
         done_metrics.push_back(metrics);
-        if (done_metrics.size() != requests.size()) return;
+        if (done_metrics.size() != request_count) return;
         // Give in-flight packets and the monitor a drain window.
         // (set_stop is monotone: injection checks the new bound.)
         for (auto& source : sources)
@@ -487,10 +546,9 @@ Result<EngineOutput> run_engine(
   // kShared: submitting reaches the coordinator and can start work on
   // several shards at once.
   std::vector<std::vector<std::size_t>> by_home(harness.sim.shard_count());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t i = 0; i < request_count; ++i) {
     std::size_t home = harness.sim.shard_count();
-    for (const std::vector<controller::RoundOp>& round :
-         requests[i].request.rounds)
+    for (const std::vector<controller::RoundOp>& round : requests[i].rounds)
       for (const controller::RoundOp& op : round)
         home = std::min(home, harness.partition.shard_of(op.node));
     by_home[home == harness.sim.shard_count() ? 0 : home].push_back(i);
@@ -499,34 +557,13 @@ Result<EngineOutput> run_engine(
     if (by_home[s].empty()) continue;
     harness.sim.schedule_on(s, config.warmup, [&, s]() {
       for (const std::size_t i : by_home[s])
-        harness.ctrl->submit(std::move(requests[i].request));
+        harness.ctrl->submit(std::move(requests[i]));
     });
   }
 
-  const bool parallel =
-      controller_config.exec == sim::ExecMode::kParallel;
-  // An epoch dispatches exactly shard_count tasks, so more lanes than
-  // shards would only sleep; the clamp also keeps a typo'd `threads`
-  // from asking the OS for an absurd thread count.
-  const std::size_t pool_threads =
-      !parallel ? 1
-      : controller_config.threads != 0
-          ? std::min(controller_config.threads, harness.sim.shard_count())
-          : std::min(harness.sim.shard_count(),
-                     sim::ThreadPool::hardware_threads());
-  const auto wall_start = std::chrono::steady_clock::now();
-  if (parallel) {
-    sim::ThreadPool pool(pool_threads);
-    harness.sim.run_parallel(pool, cross_shard_lookahead(config));
-  } else {
-    harness.sim.run();
-  }
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
+  const RunTiming timing = run_harness(harness, config, controller_config);
 
-  if (!harness.ctrl->idle() || done_metrics.size() != requests.size())
+  if (!harness.ctrl->idle() || done_metrics.size() != request_count)
     return make_error(Errc::kFailedPrecondition,
                       "simulation drained before all updates completed");
 
@@ -535,270 +572,76 @@ Result<EngineOutput> run_engine(
   std::unordered_map<FlowId, const controller::UpdateMetrics*> by_flow;
   for (const controller::UpdateMetrics& m : done_metrics)
     by_flow[m.flow] = &m;
-
-  EngineOutput out;
-  out.frames_sent = harness.total_frames();
-  out.control_bytes = harness.total_bytes();
-  out.messages_sent = harness.total_messages();
-  out.max_in_flight_observed = harness.ctrl->max_in_flight_observed();
-  out.conflict_edges = harness.ctrl->conflict_edges();
-  out.blocked_submissions = harness.ctrl->blocked_submissions();
-  out.batching.batches_sent = harness.ctrl->batches_sent();
-  out.batching.messages_coalesced = harness.ctrl->messages_coalesced();
-  out.batching.timer_flushes = harness.ctrl->timer_flushes();
-  out.batching.budget_flushes = harness.ctrl->budget_flushes();
-  out.batching.flush_timers_cancelled = harness.ctrl->flush_timers_cancelled();
-  out.batching.max_hold = harness.ctrl->max_hold();
-  out.sharding.shards = harness.ctrl->shard_count();
-  out.sharding.exec = controller_config.exec;
-  out.sharding.threads = pool_threads;
-  out.sharding.cross_shard_updates = harness.ctrl->cross_shard_updates();
-  out.sharding.rounds_synced = harness.ctrl->rounds_synced();
-  out.sharding.sync_overhead = harness.ctrl->sync_overhead();
-  out.sharding.parallel_epochs = harness.sim.parallel_epochs();
-  out.sharding.horizon_stalls = harness.sim.horizon_stalls();
-  out.sharding.speculative_releases = harness.ctrl->speculative_releases();
-  out.sharding.steals = harness.sim.steals();
-  out.sharding.overflow_posts = harness.sim.overflow_posts();
-  out.sharding.events_per_shard = harness.sim.events_per_shard();
-  out.sharding.partition_cut_weight = harness.partition.cut_weight(affinity);
-  out.sharding.wall_ms = wall_ms;
-  out.faults = std::move(fault_stats);
-  out.faults.timeouts = harness.ctrl->timeouts();
-  out.faults.resyncs = harness.ctrl->resyncs();
-  out.faults.resync_frames = harness.ctrl->resync_frames();
-  out.faults.rollbacks = harness.ctrl->rollbacks();
-  out.faults.retries = harness.ctrl->retries();
-  out.faults.resubmissions = harness.ctrl->resubmissions();
-  for (const auto& duplex : harness.channels)
-    out.faults.frames_lost += duplex->to_switch.frames_dropped() +
-                              duplex->to_controller.frames_dropped();
-  for (const switchsim::SimSwitch* sw : harness.switches)
-    if (sw != nullptr) out.faults.frames_lost += sw->frames_dropped();
-  out.state_digest = final_state_digest(harness);
-  out.initial_digest = initial_digest;
-  out.aggregate = monitors.aggregate();
-
+  std::vector<const controller::UpdateMetrics*> metrics_of;
+  metrics_of.reserve(request_count);
   sim::SimTime first_start = std::numeric_limits<sim::SimTime>::max();
   sim::SimTime last_finish = 0;
-  out.updates.reserve(requests.size());
   for (const FlowId key : key_flows) {
     const auto it = by_flow.find(key);
     if (it == by_flow.end())
       return make_error(Errc::kFailedPrecondition,
                         "no completed update for request");
-    out.updates.push_back(*it->second);
+    metrics_of.push_back(it->second);
     first_start = std::min(first_start, it->second->started);
     last_finish = std::max(last_finish, it->second->finished);
   }
-  out.makespan = last_finish - first_start;
 
-  out.traffic.resize(instances.size());
-  out.timelines.resize(instances.size());
-  out.packets_injected.assign(instances.size(), 0);
+  MultiFlowExecutionResult result;
+  result.flows.resize(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
+    ExecutionResult& flow = result.flows[i];
+    flow.update = *metrics_of[request_of[i]];
     const dataplane::ConsistencyMonitor* monitor =
         monitors.find(config.flow + i);
     TSU_ASSERT(monitor != nullptr);
-    out.traffic[i] = monitor->report();
-    out.timelines[i] = monitor->timeline();
-    out.timeline_bucket = monitor->bucket_width();
+    flow.traffic = monitor->report();
+    flow.timeline = monitor->timeline();
+    flow.timeline_bucket = monitor->bucket_width();
     if (config.with_traffic && i < sources.size() && sources[i])
-      out.packets_injected[i] = sources[i]->injected();
+      flow.packets_injected = sources[i]->injected();
   }
-  return out;
-}
-
-// One request per policy, flows numbered config.flow + i.
-std::vector<EngineRequest> per_policy_requests(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config) {
-  std::vector<EngineRequest> requests;
-  requests.reserve(instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    EngineRequest r;
-    r.request = controller::request_from_schedule(
-        *instances[i], *schedules[i], config.flow + i, config.priority,
-        config.interval);
-    r.policies = {i};
-    requests.push_back(std::move(r));
-  }
-  return requests;
-}
-
-// Per-policy ExecutionResults assembled from an engine run where request i
-// covers exactly policy i.
-std::vector<ExecutionResult> per_policy_results(const EngineOutput& out) {
-  std::vector<ExecutionResult> flows(out.updates.size());
-  for (std::size_t i = 0; i < out.updates.size(); ++i) {
-    ExecutionResult& result = flows[i];
-    result.update = out.updates[i];
-    result.traffic = out.traffic[i];
-    result.timeline = out.timelines[i];
-    result.timeline_bucket = out.timeline_bucket;
-    result.frames_sent = out.frames_sent;
-    result.control_bytes = out.control_bytes;
-    result.packets_injected = out.packets_injected[i];
-  }
-  return flows;
-}
-
-}  // namespace
-
-Result<ExecutionResult> execute(const update::Instance& inst,
-                                const update::Schedule& schedule,
-                                const ExecutorConfig& config) {
-  std::vector<const update::Instance*> instances{&inst};
-  std::vector<const update::Schedule*> schedules{&schedule};
-  Result<std::vector<ExecutionResult>> results =
-      execute_queue(instances, schedules, config);
-  if (!results.ok()) return results.error();
-  TSU_ASSERT(results.value().size() == 1);
-  return std::move(results).value()[0];
-}
-
-Result<std::vector<ExecutionResult>> execute_queue(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config) {
-  if (instances.size() != schedules.size() || instances.empty())
-    return make_error(Errc::kInvalidArgument,
-                      "need matching, non-empty instance/schedule lists");
-  // The paper's strictly serializing message queue.
-  controller::ControllerConfig serialized = config.controller;
-  serialized.max_in_flight = 1;
-  Result<EngineOutput> out =
-      run_engine(instances, per_policy_requests(instances, schedules, config),
-                 config, serialized);
-  if (!out.ok()) return out.error();
-  return per_policy_results(out.value());
-}
-
-Result<MultiFlowExecutionResult> execute_multiflow(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config) {
-  if (instances.size() != schedules.size() || instances.empty())
-    return make_error(Errc::kInvalidArgument,
-                      "need matching, non-empty instance/schedule lists");
-  Result<EngineOutput> out =
-      run_engine(instances, per_policy_requests(instances, schedules, config),
-                 config, config.controller);
-  if (!out.ok()) return out.error();
-  MultiFlowExecutionResult result;
-  result.flows = per_policy_results(out.value());
-  result.aggregate = out.value().aggregate;
-  result.frames_sent = out.value().frames_sent;
-  result.control_bytes = out.value().control_bytes;
-  result.messages_sent = out.value().messages_sent;
-  result.max_in_flight_observed = out.value().max_in_flight_observed;
-  result.conflict_edges = out.value().conflict_edges;
-  result.blocked_submissions = out.value().blocked_submissions;
-  result.batching = out.value().batching;
-  result.sharding = out.value().sharding;
-  result.faults = out.value().faults;
-  result.final_state_digest = out.value().state_digest;
-  result.initial_state_digest = out.value().initial_digest;
-  result.makespan = out.value().makespan;
-  return result;
-}
-
-Result<MergedExecutionResult> execute_merged(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config) {
-  if (instances.size() != schedules.size() || instances.empty())
-    return make_error(Errc::kInvalidArgument,
-                      "need matching, non-empty instance/schedule lists");
-  std::vector<std::size_t> all(instances.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  Result<MixedExecutionResult> mixed =
-      execute_mixed(instances, schedules, {all}, config);
-  if (!mixed.ok()) return mixed.error();
-
-  MergedExecutionResult result;
-  result.update = std::move(mixed.value().updates.front());
-  result.traffic = std::move(mixed.value().traffic);
-  result.frames_sent = mixed.value().frames_sent;
-  return result;
-}
-
-Result<MixedExecutionResult> execute_mixed(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const std::vector<std::vector<std::size_t>>& groups,
-    const ExecutorConfig& config) {
-  if (instances.size() != schedules.size() || instances.empty())
-    return make_error(Errc::kInvalidArgument,
-                      "need matching, non-empty instance/schedule lists");
-  if (groups.empty())
-    return make_error(Errc::kInvalidArgument, "need at least one group");
-
-  // Groups must partition the policy indexes.
-  std::vector<bool> seen(instances.size(), false);
-  for (const std::vector<std::size_t>& group : groups) {
-    if (group.empty())
-      return make_error(Errc::kInvalidArgument, "empty group");
-    for (const std::size_t i : group) {
-      if (i >= instances.size() || seen[i])
-        return make_error(Errc::kInvalidArgument,
-                          "groups must partition the policy indexes");
-      seen[i] = true;
-    }
-  }
-  for (const bool covered : seen)
-    if (!covered)
-      return make_error(Errc::kInvalidArgument,
-                        "groups must cover every policy");
-
-  std::vector<EngineRequest> requests;
-  requests.reserve(groups.size());
-  for (const std::vector<std::size_t>& group : groups) {
-    EngineRequest r;
-    r.policies = group;
-    if (group.size() == 1) {
-      const std::size_t i = group.front();
-      r.request = controller::request_from_schedule(
-          *instances[i], *schedules[i], config.flow + i, config.priority,
-          config.interval);
-    } else {
-      std::vector<const update::Instance*> members;
-      std::vector<const update::Schedule*> member_schedules;
-      std::vector<FlowId> flows;
-      for (const std::size_t i : group) {
-        members.push_back(instances[i]);
-        member_schedules.push_back(schedules[i]);
-        flows.push_back(config.flow + i);
-      }
-      Result<update::MergedSchedule> merged =
-          update::merge_policies(members, member_schedules);
-      if (!merged.ok()) return merged.error();
-      r.request = controller::request_from_merged(
-          members, member_schedules, merged.value(), flows, config.priority,
-          config.interval);
-    }
-    requests.push_back(std::move(r));
-  }
-
-  Result<EngineOutput> out =
-      run_engine(instances, std::move(requests), config, config.controller);
-  if (!out.ok()) return out.error();
-
-  MixedExecutionResult result;
-  result.updates = std::move(out.value().updates);
-  result.traffic = std::move(out.value().traffic);
-  result.aggregate = out.value().aggregate;
-  result.frames_sent = out.value().frames_sent;
-  result.max_in_flight_observed = out.value().max_in_flight_observed;
-  result.conflict_edges = out.value().conflict_edges;
-  result.blocked_submissions = out.value().blocked_submissions;
-  result.batching = out.value().batching;
-  result.sharding = out.value().sharding;
-  result.faults = out.value().faults;
-  result.final_state_digest = out.value().state_digest;
-  result.initial_state_digest = out.value().initial_digest;
-  result.makespan = out.value().makespan;
+  result.aggregate = monitors.aggregate();
+  result.frames_sent = harness.total_frames();
+  result.control_bytes = harness.total_bytes();
+  result.messages_sent = harness.total_messages();
+  result.max_in_flight_observed = harness.ctrl->max_in_flight_observed();
+  result.conflict_edges = harness.ctrl->conflict_edges();
+  result.blocked_submissions = harness.ctrl->blocked_submissions();
+  result.batching.batches_sent = harness.ctrl->batches_sent();
+  result.batching.messages_coalesced = harness.ctrl->messages_coalesced();
+  result.batching.timer_flushes = harness.ctrl->timer_flushes();
+  result.batching.budget_flushes = harness.ctrl->budget_flushes();
+  result.batching.flush_timers_cancelled =
+      harness.ctrl->flush_timers_cancelled();
+  result.batching.max_hold = harness.ctrl->max_hold();
+  result.sharding.shards = harness.ctrl->shard_count();
+  result.sharding.exec = controller_config.exec;
+  result.sharding.threads = timing.threads;
+  result.sharding.cross_shard_updates = harness.ctrl->cross_shard_updates();
+  result.sharding.rounds_synced = harness.ctrl->rounds_synced();
+  result.sharding.sync_overhead = harness.ctrl->sync_overhead();
+  result.sharding.parallel_epochs = harness.sim.parallel_epochs();
+  result.sharding.horizon_stalls = harness.sim.horizon_stalls();
+  result.sharding.overflow_posts = harness.sim.overflow_posts();
+  result.sharding.events_per_shard = harness.sim.events_per_shard();
+  result.sharding.partition_cut_weight =
+      harness.partition.cut_weight(harness.affinity);
+  result.sharding.wall_ms = timing.wall_ms;
+  result.faults = std::move(fault_stats);
+  result.faults.timeouts = harness.ctrl->timeouts();
+  result.faults.resyncs = harness.ctrl->resyncs();
+  result.faults.resync_frames = harness.ctrl->resync_frames();
+  result.faults.rollbacks = harness.ctrl->rollbacks();
+  result.faults.retries = harness.ctrl->retries();
+  result.faults.resubmissions = harness.ctrl->resubmissions();
+  for (const auto& duplex : harness.channels)
+    result.faults.frames_lost += duplex->to_switch.frames_dropped() +
+                                 duplex->to_controller.frames_dropped();
+  for (const switchsim::SimSwitch* sw : harness.switches)
+    if (sw != nullptr) result.faults.frames_lost += sw->frames_dropped();
+  result.final_state_digest = final_state_digest(harness);
+  result.initial_state_digest = initial_digest;
+  result.makespan = last_finish - first_start;
   return result;
 }
 
@@ -811,13 +654,6 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   // guarantee, so service mode upgrades it to the conflict DAG.
   if (exec.controller.admission == controller::AdmissionPolicy::kBlind)
     exec.controller.admission = controller::AdmissionPolicy::kConflictAware;
-  // CI kill switch: TSU_PLAN_CACHE=off forces every service run onto the
-  // compile-per-submission path, so the sanitizer jobs can sweep the whole
-  // service/soak suite with the cache inert and prove the transparent-
-  // optimization claim under ASan without duplicating the tests.
-  if (const char* env = std::getenv("TSU_PLAN_CACHE");
-      env != nullptr && std::string_view(env) == "off")
-    exec.controller.plan_cache = false;
   if (config.flows == 0)
     return make_error(Errc::kInvalidArgument, "need at least one template");
   if (config.classes.empty() || config.classes.size() > 256)
@@ -877,24 +713,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     }
   }
 
-  std::size_t node_count = 0;
-  for (const update::Instance* inst : pool.instance_ptrs)
-    node_count = std::max(node_count, inst->node_count());
-  const std::size_t shard_count =
-      exec.controller.shards == 0 ? 1 : exec.controller.shards;
-  const std::vector<topo::SwitchAffinity> affinity =
-      affinity_edges(pool.instance_ptrs);
-  topo::SwitchPartition partition =
-      exec.controller.partition == topo::PartitionScheme::kGreedyCut
-          ? topo::make_greedy_cut_partition(shard_count, node_count, affinity)
-          : topo::SwitchPartition(shard_count, exec.controller.partition,
-                                  node_count);
-
-  Harness harness(exec, exec.controller, std::move(partition));
-  for (const update::Instance* inst : pool.instance_ptrs)
-    add_instance_switches(harness, *inst, exec);
-  for (std::size_t i = 0; i < pool.instances.size(); ++i)
-    harness.install_initial(pool.instances[i], exec.flow + i, exec.priority);
+  Harness harness(pool.instance_ptrs, exec, exec.controller);
 
   // bucket_width 0: aggregate outcome counts only. An open-loop horizon is
   // unbounded, so the per-bucket timeline must stay disabled.
@@ -989,7 +808,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
         exec.controller.max_in_flight == 0 ? 1 : exec.controller.max_in_flight;
     depth_limit = mif > (std::size_t{1} << 20)
                       ? (std::size_t{1} << 20)
-                      : 2 * mif * shard_count;
+                      : 2 * mif * harness.sim.shard_count();
   }
 
   const auto controller_depth = [&]() {
@@ -1228,24 +1047,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     if (source) source->start();
   schedule_next_arrival();
 
-  const bool parallel = exec.controller.exec == sim::ExecMode::kParallel;
-  const std::size_t pool_threads =
-      !parallel ? 1
-      : exec.controller.threads != 0
-          ? std::min(exec.controller.threads, harness.sim.shard_count())
-          : std::min(harness.sim.shard_count(),
-                     sim::ThreadPool::hardware_threads());
-  const auto wall_start = std::chrono::steady_clock::now();
-  if (parallel) {
-    sim::ThreadPool thread_pool(pool_threads);
-    harness.sim.run_parallel(thread_pool, cross_shard_lookahead(exec));
-  } else {
-    harness.sim.run();
-  }
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
+  const RunTiming timing = run_harness(harness, exec, exec.controller);
 
   if (!harness.ctrl->idle() || stats.submitted != stats.completed ||
       pending_total != 0)
@@ -1270,7 +1072,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   result.steady_state_entries_final = harness.ctrl->steady_state_entries();
   result.final_state_digest = final_state_digest(harness);
   result.sim_duration = last_completion;
-  result.wall_ms = wall_ms;
+  result.wall_ms = timing.wall_ms;
   result.frames_sent = harness.total_frames();
   for (std::size_t s = 0; s < harness.ctrl->shard_count(); ++s)
     result.retired_xids += harness.ctrl->shard(s).engine().retired_xids();

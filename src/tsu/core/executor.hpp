@@ -4,10 +4,12 @@
 // by round over asynchronous channels with barriers, and the consistency
 // monitor watches every packet.
 //
-// The engine behind every entry point runs over CONTROLLER SHARDS
-// (controller/shard.hpp): config.controller.shards partitions the switches
-// across that many controller instances on a sharded logical clock
-// (sim/sharded.hpp), with cross-shard updates coordinated round-by-round.
+// The engine behind both entry points (execute_multiflow for closed-loop
+// runs, execute_service for open-loop ones; core/service.hpp) runs over
+// CONTROLLER SHARDS (controller/shard.hpp): config.controller.shards
+// partitions the switches across that many controller instances on a
+// sharded logical clock (sim/sharded.hpp), with cross-shard updates
+// coordinated round-by-round.
 // The default shards = 1 is the single controller, bit-identical to the
 // pre-sharding engine.
 #pragma once
@@ -54,38 +56,20 @@ struct ExecutorConfig {
   sim::FaultSchedule faults;
 };
 
+// One policy's view of a closed-loop run (an element of
+// MultiFlowExecutionResult::flows).
 struct ExecutionResult {
-  controller::UpdateMetrics update;        // timings as the controller saw them
+  // Timings as the controller saw them, of the request that updated this
+  // policy; every member of a merged group reports the group's request.
+  controller::UpdateMetrics update;
   dataplane::MonitorReport traffic;        // packet outcome counts
   std::vector<dataplane::ConsistencyMonitor::Bucket> timeline;
   sim::Duration timeline_bucket = 0;
-  std::size_t frames_sent = 0;             // control-channel frames
-  std::size_t control_bytes = 0;
   std::size_t packets_injected = 0;
 
   double update_ms() const noexcept { return sim::to_ms(update.duration()); }
 };
 
-// Runs one simulated update. The instance's node ids index the switches;
-// the schedule must already be planned for this instance.
-Result<ExecutionResult> execute(const update::Instance& inst,
-                                const update::Schedule& schedule,
-                                const ExecutorConfig& config = {});
-
-// Executes several updates through one controller back-to-back (the paper's
-// message queue; bench E8). The controller is forced to max_in_flight = 1,
-// so results are per-request in submission order.
-Result<std::vector<ExecutionResult>> execute_queue(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config = {});
-
-// Executes several updates CONCURRENTLY through one controller: up to
-// config.controller.max_in_flight requests progress at once, their rounds
-// interleaving on the shared control plane, while per-flow traffic and the
-// consistency monitor observe every flow simultaneously. With
-// config.controller.batch_frames the controller coalesces same-instant
-// messages per switch into Batch frames.
 // Batching observability of one engine run (see controller::BatchMode):
 // frames actually batched, what triggered the flushes, and the longest any
 // message was held in an outbox past readiness (bounded by batch_window).
@@ -118,12 +102,6 @@ struct ShardStats {
   sim::Duration sync_overhead = 0;
   std::size_t parallel_epochs = 0;
   std::size_t horizon_stalls = 0;
-  // Interval skips taken by speculative round release
-  // (controller.speculate; 0 without conflict-aware admission).
-  std::size_t speculative_releases = 0;
-  // Epoch launches the work-stealing reorder promoted past a lower-indexed
-  // busy shard (controller.steal; sim/sharded.hpp).
-  std::size_t steals = 0;
   // Cross-shard mailbox posts that found their SPSC ring full and took the
   // locked overflow path (sim/sharded.hpp) - 0 on a well-sized steady
   // state.
@@ -170,58 +148,25 @@ struct MultiFlowExecutionResult {
   double makespan_ms() const noexcept { return sim::to_ms(makespan); }
 };
 
+// Executes several policy updates through one controller on a simulated
+// control plane - the only closed-loop entry point. Every policy's initial
+// route is installed and its probe traffic flows (flow config.flow + i for
+// policy i); every request is submitted at the end of the warmup, and the
+// run drains `drain` after the last one completes.
+//
+// `groups` shapes the requests. Empty means one request per policy. Else it
+// must partition the policy indexes: a singleton group is that policy's own
+// request, and a group of two or more becomes ONE multi-policy request whose
+// global rounds interleave the members' rounds (update::merge_policies +
+// controller::request_from_merged). Per-policy guarantees carry over because
+// each member's rounds stay ordered and barrier-separated. All requests
+// compose through the controller's admission policy: up to
+// config.controller.max_in_flight progress at once, so max_in_flight = 1
+// (the default) is the paper's strictly serializing message queue.
 Result<MultiFlowExecutionResult> execute_multiflow(
     const std::vector<const update::Instance*>& instances,
     const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config = {});
-
-// Executes several policies as ONE multi-policy request whose global rounds
-// interleave the per-policy rounds (update::merge_policies +
-// controller::request_from_merged; bench E11). Per-policy guarantees carry
-// over because each policy's rounds stay ordered and barrier-separated.
-struct MergedExecutionResult {
-  controller::UpdateMetrics update;              // the single merged update
-  std::vector<dataplane::MonitorReport> traffic; // per policy
-  std::size_t frames_sent = 0;
-
-  double update_ms() const noexcept { return sim::to_ms(update.duration()); }
-};
-
-Result<MergedExecutionResult> execute_merged(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config = {});
-
-// Executes a MIX of merged and independent requests through one controller:
-// `groups` partitions the policy indexes; each singleton group becomes an
-// ordinary per-flow request, each larger group is merged
-// (update::merge_policies) into one multi-policy request, and all requests
-// then compose through the controller's admission policy - a merged request
-// runs concurrently with any independent request whose rule footprint it
-// does not overlap. This is execute_merged and execute_multiflow on the
-// same control plane at once.
-struct MixedExecutionResult {
-  std::vector<controller::UpdateMetrics> updates;  // per group, input order
-  std::vector<dataplane::MonitorReport> traffic;   // per policy, input order
-  dataplane::MonitorReport aggregate;
-  std::size_t frames_sent = 0;
-  std::size_t max_in_flight_observed = 0;
-  std::uint64_t conflict_edges = 0;
-  std::uint64_t blocked_submissions = 0;
-  BatchingStats batching;
-  ShardStats sharding;
-  sim::FaultStats faults;
-  std::uint64_t final_state_digest = 0;
-  std::uint64_t initial_state_digest = 0;
-  sim::Duration makespan = 0;
-
-  double makespan_ms() const noexcept { return sim::to_ms(makespan); }
-};
-
-Result<MixedExecutionResult> execute_mixed(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const std::vector<std::vector<std::size_t>>& groups,
-    const ExecutorConfig& config = {});
+    const ExecutorConfig& config = {},
+    const std::vector<std::vector<std::size_t>>& groups = {});
 
 }  // namespace tsu::core

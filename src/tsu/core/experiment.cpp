@@ -27,10 +27,10 @@ Result<ExperimentResult> run_experiment(const update::Instance& inst,
   result.schedule = std::move(outcome.value().schedule);
   result.check = std::move(*outcome.value().report);
 
-  Result<ExecutionResult> execution =
-      execute(inst, result.schedule, exec_config);
+  Result<MultiFlowExecutionResult> execution =
+      execute_multiflow({&inst}, {&result.schedule}, exec_config);
   if (!execution.ok()) return execution.error();
-  result.execution = std::move(execution).value();
+  result.execution = std::move(execution.value().flows.front());
   return result;
 }
 
@@ -41,9 +41,10 @@ Result<SeedSweep> sweep_seeds(const update::Instance& inst,
   SeedSweep sweep;
   for (const std::uint64_t seed : seeds) {
     exec_config.seed = seed;
-    Result<ExecutionResult> execution = execute(inst, schedule, exec_config);
+    Result<MultiFlowExecutionResult> execution =
+        execute_multiflow({&inst}, {&schedule}, exec_config);
     if (!execution.ok()) return execution.error();
-    const ExecutionResult& result = execution.value();
+    const ExecutionResult& result = execution.value().flows.front();
 
     sweep.update_ms.add(result.update_ms());
     sweep.update_ms_pct.add(result.update_ms());

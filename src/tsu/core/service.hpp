@@ -1,5 +1,5 @@
 // Always-on open-loop service mode: instead of submitting a fixed workload
-// and draining (the closed loop every execute_* entry point runs), the
+// and draining (the closed loop execute_multiflow runs), the
 // service executor keeps a pool of update templates and injects requests
 // into the running control plane at times drawn from an arrival process
 // (topo/arrivals.hpp) - Poisson or trace-driven - independent of how fast

@@ -211,14 +211,6 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
       if (!value.is_number() || value.as_int() < 0)
         return make_error(Errc::kOutOfRange, "'threads' must be >= 0");
       message.threads = static_cast<std::size_t>(value.as_int());
-    } else if (key == "speculate") {
-      if (!value.is_bool())
-        return make_error(Errc::kParseError, "'speculate' must be a bool");
-      message.speculate = value.as_bool();
-    } else if (key == "steal") {
-      if (!value.is_bool())
-        return make_error(Errc::kParseError, "'steal' must be a bool");
-      message.steal = value.as_bool();
     } else if (key == "plan_cache") {
       if (!value.is_string() ||
           (value.as_string() != "on" && value.as_string() != "off"))
@@ -250,10 +242,6 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
       if (!value.is_number() || value.as_int() < 1)
         return make_error(Errc::kOutOfRange, "'max_in_flight' must be >= 1");
       message.max_in_flight = static_cast<std::size_t>(value.as_int());
-    } else if (key == "batch_frames") {
-      if (!value.is_bool())
-        return make_error(Errc::kParseError, "'batch_frames' must be a bool");
-      message.batch_frames = value.as_bool();
     } else if (key == "batch_mode") {
       if (!value.is_string())
         return make_error(Errc::kParseError, "'batch_mode' must be a string");
@@ -321,10 +309,6 @@ std::string to_json(const RestUpdateMessage& message) {
   if (message.threads.has_value())
     root.set("threads",
              json::Value(static_cast<std::int64_t>(*message.threads)));
-  if (message.speculate.has_value())
-    root.set("speculate", json::Value(*message.speculate));
-  if (message.steal.has_value())
-    root.set("steal", json::Value(*message.steal));
   if (message.plan_cache.has_value())
     root.set("plan_cache", json::Value(*message.plan_cache ? "on" : "off"));
   if (message.liveness_timeout_ms.has_value())
@@ -338,8 +322,6 @@ std::string to_json(const RestUpdateMessage& message) {
   if (message.max_in_flight.has_value())
     root.set("max_in_flight",
              json::Value(static_cast<std::int64_t>(*message.max_in_flight)));
-  if (message.batch_frames.has_value())
-    root.set("batch_frames", json::Value(*message.batch_frames));
   if (message.batch_mode.has_value())
     root.set("batch_mode",
              json::Value(controller::to_string(*message.batch_mode)));
@@ -449,19 +431,10 @@ void apply_controller_overrides(const RestUpdateMessage& message,
   if (message.partition.has_value()) config.partition = *message.partition;
   if (message.exec.has_value()) config.exec = *message.exec;
   if (message.threads.has_value()) config.threads = *message.threads;
-  if (message.speculate.has_value()) config.speculate = *message.speculate;
-  if (message.steal.has_value()) config.steal = *message.steal;
   if (message.plan_cache.has_value()) config.plan_cache = *message.plan_cache;
   if (message.max_in_flight.has_value())
     config.max_in_flight = *message.max_in_flight;
-  if (message.batch_frames.has_value())
-    config.batch_frames = *message.batch_frames;
-  if (message.batch_mode.has_value()) {
-    config.batch_mode = *message.batch_mode;
-    // The explicit mode retires the legacy alias: "off" must be able to
-    // override a server-side batch_frames = true.
-    config.batch_frames = false;
-  }
+  if (message.batch_mode.has_value()) config.batch_mode = *message.batch_mode;
   if (message.batch_window_ms.has_value())
     config.batch_window = sim::from_ms(*message.batch_window_ms);
   if (message.batch_bytes.has_value())

@@ -7,19 +7,15 @@
 
 namespace tsu::sim {
 
-namespace {
-
-// Nanoseconds as a Duration, saturated to [0, kMaxDuration]: casting a
-// double outside uint64_t's range (or NaN) is undefined behaviour.
-Duration saturate_ns(double ns) noexcept {
+// Casting a double outside uint64_t's range (or NaN) is undefined
+// behaviour; in-range amounts take the plain truncating cast.
+Duration from_ns(double ns) noexcept {
   if (!(ns > 0)) return 0;
   if (ns >= static_cast<double>(kMaxDuration)) return kMaxDuration;
   return static_cast<Duration>(ns);
 }
 
-}  // namespace
-
-Duration from_ms(double ms) noexcept { return saturate_ns(ms * 1e6); }
+Duration from_ms(double ms) noexcept { return from_ns(ms * 1e6); }
 
 Duration LatencyModel::sample(Rng& rng) const {
   double value = 0;
@@ -30,7 +26,7 @@ Duration LatencyModel::sample(Rng& rng) const {
     case LatencyKind::kLognormal: value = rng.lognormal_median(a, b); break;
     case LatencyKind::kPareto: value = rng.pareto(c, a, b); break;
   }
-  return saturate_ns(value);
+  return from_ns(value);
 }
 
 Duration LatencyModel::min_delay() const noexcept {
@@ -40,7 +36,7 @@ Duration LatencyModel::min_delay() const noexcept {
     case LatencyKind::kPareto:
       // sample() saturates a double >= a, so the saturated `a` lower-bounds
       // it.
-      return saturate_ns(a);
+      return from_ns(a);
     case LatencyKind::kExponential:
     case LatencyKind::kLognormal:
       return 0;

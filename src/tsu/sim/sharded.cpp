@@ -216,37 +216,8 @@ std::size_t ShardedSim::run_parallel(ThreadPool& pool, Duration lookahead,
       processed += count;
       now_ = std::max(now_, shards_[busy]->epoch_now());
     } else {
-      const std::size_t* order = nullptr;
-      if (steal_) {
-        // Longest-epoch-first launch order: pending counts at the wave
-        // start, descending, ties to the lowest index - deterministic
-        // whatever the pool size. Count a steal for every launch the
-        // reorder promoted past a lower-indexed shard that also has work
-        // this wave.
-        steal_order_.resize(n_shards);
-        for (std::size_t i = 0; i < n_shards; ++i) steal_order_[i] = i;
-        std::sort(steal_order_.begin(), steal_order_.end(),
-                  [this](std::size_t a, std::size_t b) {
-                    const std::size_t pa = shards_[a]->pending();
-                    const std::size_t pb = shards_[b]->pending();
-                    if (pa != pb) return pa > pb;
-                    return a < b;
-                  });
-        for (std::size_t pos = 0; pos < n_shards; ++pos) {
-          const std::size_t i = steal_order_[pos];
-          if (shards_[i]->next_event_time() >= wave_bounds_[i]) continue;
-          for (std::size_t later = pos + 1; later < n_shards; ++later) {
-            const std::size_t j = steal_order_[later];
-            if (j < i && shards_[j]->next_event_time() < wave_bounds_[j]) {
-              ++steals_;
-              break;
-            }
-          }
-        }
-        order = steal_order_.data();
-      }
       buffering_ = true;
-      pool.parallel_ordered(n_shards, order, epoch_task);
+      pool.parallel(n_shards, epoch_task);
       buffering_ = false;
       for (std::size_t i = 0; i < n_shards; ++i) {
         events_[i] += counts[i];

@@ -43,14 +43,6 @@
 // order it has under run(), so both modes are bit-identical - the
 // equivalence suite pins this.
 //
-// WORK STEALING. set_steal(true) orders each wave's epoch launches by
-// pending-event count, descending (ties to the lowest shard index) - LPT
-// scheduling, so when shards outnumber pool lanes an idle lane picks up
-// the heaviest remaining epoch first instead of walking shard indexes.
-// The order is a pure function of the wave-start queue states, hence
-// deterministic and thread-count independent; steals() counts how many
-// launches the reorder moved ahead of a lower-indexed eligible shard.
-//
 // MAILBOXES. Shards never schedule into a foreign shard's queue mid-step.
 // A cross-shard hand-off (today: a data-plane packet hopping to a switch
 // owned by another shard) is posted into a lock-free SPSC ring - one ring
@@ -148,11 +140,6 @@ class ShardedSim {
   std::size_t run_parallel(ThreadPool& pool, Duration lookahead,
                            SimTime until = std::numeric_limits<SimTime>::max());
 
-  // Longest-epoch-first launch ordering for waves (see the file comment).
-  // Off by default: with lanes >= shards the order cannot matter.
-  void set_steal(bool on) noexcept { steal_ = on; }
-  bool steal() const noexcept { return steal_; }
-
   std::size_t pending() const noexcept {
     std::size_t total = 0;
     for (const auto& shard : shards_) total += shard->pending();
@@ -165,10 +152,6 @@ class ShardedSim {
   // parallel determinism test pins this).
   std::size_t parallel_epochs() const noexcept { return parallel_epochs_; }
   std::size_t horizon_stalls() const noexcept { return horizon_stalls_; }
-  // Epoch launches the steal reorder promoted past a lower-indexed
-  // eligible shard (0 unless set_steal(true)); a wave-start-state count,
-  // so it is identical across reruns and thread counts.
-  std::size_t steals() const noexcept { return steals_; }
   const std::vector<std::size_t>& events_per_shard() const noexcept {
     return events_;
   }
@@ -226,19 +209,15 @@ class ShardedSim {
   // Reused across drains so sync points allocate nothing once the
   // high-water capacity is reached.
   std::vector<Post> drain_scratch_;
-  // Per-epoch event counts, per-shard wave bounds and the steal launch
-  // order - members so run_parallel itself is allocation-free in steady
-  // state.
+  // Per-epoch event counts and per-shard wave bounds - members so
+  // run_parallel itself is allocation-free in steady state.
   std::vector<std::size_t> epoch_counts_;
   std::vector<SimTime> wave_bounds_;
-  std::vector<std::size_t> steal_order_;
   // True while workers are inside an epoch: posts buffer in the mailbox
   // instead of scheduling straight through.
   bool buffering_ = false;
-  bool steal_ = false;
   std::size_t parallel_epochs_ = 0;
   std::size_t horizon_stalls_ = 0;
-  std::size_t steals_ = 0;
   std::atomic<std::size_t> overflow_posts_{0};
 };
 

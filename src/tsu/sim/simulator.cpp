@@ -36,11 +36,11 @@ std::size_t Simulator::run_epoch(SimTime horizon) {
   std::size_t processed = 0;
   // Dynamic own-kShared guard: the group's per-shard bound only proves that
   // SIBLING shards cannot interact below it. A kLocal handler running in
-  // this very epoch may schedule a kShared event (even at the current
-  // instant - the controller's speculative deferrals do exactly that) below
-  // the bound; stopping the epoch at our own earliest kShared event keeps
-  // same-shard ordering identical to the sequential merger, which also
-  // executes that kShared event next for this shard.
+  // this very epoch may schedule a kShared event below the bound - a switch
+  // handling a FlowMod or barrier sends its reply over the kShared
+  // controller-bound channel; stopping the epoch at our own earliest
+  // kShared event keeps same-shard ordering identical to the sequential
+  // merger, which also executes that kShared event next for this shard.
   while (!queue_.empty() && queue_.next_time() < horizon &&
          queue_.next_time() < queue_.next_shared_time()) {
     EventQueue::Fired fired = queue_.pop();

@@ -31,8 +31,7 @@ void ThreadPool::drain_batch() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (next_ >= count_) return;
-      const std::size_t claim = next_++;
-      index = order_ ? order_[claim] : claim;
+      index = next_++;
     }
     std::exception_ptr error;
     try {
@@ -63,28 +62,18 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel(std::size_t count,
                           const std::function<void(std::size_t)>& fn) {
-  parallel_ordered(count, nullptr, fn);
-}
-
-void ThreadPool::parallel_ordered(std::size_t count, const std::size_t* order,
-                                  const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   if (workers_.empty() || count == 1) {
-    // Inline fast path: no locks, no wakes - run in claim order, so the
+    // Inline fast path: no locks, no wakes - run in index order, so the
     // single-lane execution is exactly the threaded claim sequence. Still
-    // collect every index's error and rethrow the lowest-index one, like
-    // the threaded path.
+    // run every index and rethrow the lowest-index error, like the
+    // threaded path.
     std::exception_ptr first;
-    std::size_t first_index = count;
-    for (std::size_t claim = 0; claim < count; ++claim) {
-      const std::size_t index = order ? order[claim] : claim;
+    for (std::size_t index = 0; index < count; ++index) {
       try {
         fn(index);
       } catch (...) {
-        if (index < first_index) {
-          first = std::current_exception();
-          first_index = index;
-        }
+        if (!first) first = std::current_exception();
       }
     }
     if (first) std::rethrow_exception(first);
@@ -94,7 +83,6 @@ void ThreadPool::parallel_ordered(std::size_t count, const std::size_t* order,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     task_ = &fn;
-    order_ = order;
     count_ = count;
     next_ = 0;
     remaining_ = count;
@@ -108,7 +96,6 @@ void ThreadPool::parallel_ordered(std::size_t count, const std::size_t* order,
     std::unique_lock<std::mutex> lock(mutex_);
     done_.wait(lock, [&]() { return remaining_ == 0; });
     task_ = nullptr;
-    order_ = nullptr;
     for (std::exception_ptr& error : errors_)
       if (error) {
         first = error;

@@ -40,16 +40,6 @@ class ThreadPool {
   // Reentrant calls (fn itself calling parallel) are not supported.
   void parallel(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  // Like parallel(), but lanes CLAIM indexes in the order given by the
-  // `order` permutation of [0, count): order[0] starts first, order[1]
-  // second, ... Which LANE runs which index stays scheduling-dependent;
-  // only the start order is pinned, which is how the sharded engine gets
-  // deterministic longest-epoch-first work stealing (sharded.cpp). A null
-  // `order` means identity. Errors are still reported (and the lowest
-  // rethrown) by index, not by claim position.
-  void parallel_ordered(std::size_t count, const std::size_t* order,
-                        const std::function<void(std::size_t)>& fn);
-
   // std::thread::hardware_concurrency with a floor of 1.
   static std::size_t hardware_threads() noexcept;
 
@@ -64,10 +54,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 
   // Current batch, guarded by mutex_: generation bumps wake the workers,
-  // next/remaining track claim and completion. order_ (may be null =
-  // identity) maps claim position -> index for the current batch.
+  // next/remaining track claim and completion.
   const std::function<void(std::size_t)>* task_ = nullptr;
-  const std::size_t* order_ = nullptr;
   std::size_t count_ = 0;
   std::size_t next_ = 0;
   std::size_t remaining_ = 0;

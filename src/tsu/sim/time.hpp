@@ -29,8 +29,10 @@ inline constexpr double to_us(Duration d) {
 // two of them, inside the 64-bit clock.
 inline constexpr Duration kMaxDuration = Duration{1} << 62;
 
-// Converts a double amount of milliseconds to a Duration: negative and NaN
-// amounts give 0, amounts beyond kMaxDuration saturate at it.
+// Convert a double amount of nanoseconds or milliseconds to a Duration:
+// negative and NaN amounts give 0, amounts beyond kMaxDuration saturate at
+// it.
+Duration from_ns(double ns) noexcept;
 Duration from_ms(double ms) noexcept;
 
 }  // namespace tsu::sim

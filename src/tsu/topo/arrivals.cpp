@@ -11,8 +11,8 @@ ArrivalProcess ArrivalProcess::poisson(double rate_per_sec) {
   TSU_ASSERT_MSG(rate_per_sec > 0, "poisson arrival rate must be positive");
   ArrivalProcess p;
   p.kind_ = Kind::kPoisson;
-  p.gap_model_ = sim::LatencyModel::exponential(
-      static_cast<sim::Duration>(1e9 / rate_per_sec));
+  p.gap_model_ =
+      sim::LatencyModel::exponential(sim::from_ns(1e9 / rate_per_sec));
   return p;
 }
 

@@ -174,9 +174,8 @@ TEST(ConcurrentControllerTest, PerFlowRoundsTrackedIndependently) {
 TEST(ConcurrentControllerTest, BatchingCoalescesCrossFlowFrames) {
   ControllerConfig serial_config;
   serial_config.max_in_flight = 4;
-  serial_config.batch_frames = false;
   ControllerConfig batched_config = serial_config;
-  batched_config.batch_frames = true;
+  batched_config.batch_mode = BatchMode::kInstant;
 
   const auto run = [](TestBed& bed) {
     for (FlowId flow = 1; flow <= 4; ++flow) {
@@ -229,7 +228,7 @@ TEST(ConcurrentControllerTest, BatchingAloneHelpsSingleFlowRounds) {
   // Even one update benefits: a round's FlowMod + barrier to the same
   // switch share a frame.
   ControllerConfig batched_config;
-  batched_config.batch_frames = true;
+  batched_config.batch_mode = BatchMode::kInstant;
   TestBed plain;
   plain.add_switch(1);
   TestBed batched{batched_config};

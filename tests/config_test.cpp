@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "tsu/core/config.hpp"
+#include "tsu/topo/arrivals.hpp"
 
 namespace tsu::core {
 namespace {
@@ -100,6 +104,17 @@ TEST(ConfigTest, UnknownFieldsRejected) {
   EXPECT_FALSE(parse(R"({"switch": {"install_ms": 1}})").ok());
 }
 
+TEST(ConfigTest, RetiredKnobsAreUnknownFields) {
+  for (const char* doc : {R"({"batch_frames": true})",
+                          R"({"speculate": true})", R"({"steal": true})"}) {
+    const Result<ExecutorConfig> parsed = parse(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_NE(parsed.error().message.find("unknown config field"),
+              std::string::npos)
+        << parsed.error().to_string();
+  }
+}
+
 TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"seed": -1})").ok());
   EXPECT_FALSE(parse(R"({"channel": {"loss": 1.5}})").ok());
@@ -108,7 +123,6 @@ TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"traffic": {"ttl": 0}})").ok());
   EXPECT_FALSE(parse(R"({"use_barriers": "yes"})").ok());
   EXPECT_FALSE(parse(R"({"max_in_flight": 0})").ok());
-  EXPECT_FALSE(parse(R"({"batch_frames": 1})").ok());
   EXPECT_FALSE(parse(R"({"batch_mode": "eager"})").ok());
   EXPECT_FALSE(parse(R"({"batch_window_ms": -0.5})").ok());
   EXPECT_FALSE(parse(R"({"batch_bytes": 0})").ok());
@@ -117,8 +131,6 @@ TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"shards": 0})").ok());
   EXPECT_FALSE(parse(R"({"shards": 257})").ok());
   EXPECT_FALSE(parse(R"({"partition": "modulo"})").ok());
-  EXPECT_FALSE(parse(R"({"speculate": 1})").ok());
-  EXPECT_FALSE(parse(R"({"steal": "yes"})").ok());
   EXPECT_FALSE(parse(R"({"switch": {"batch_replies": 1}})").ok());
   EXPECT_FALSE(parse(R"(42)").ok());
   EXPECT_FALSE(parse(R"(not json)").ok());
@@ -137,71 +149,28 @@ TEST(ConfigTest, ShardingKnobsParse) {
             controller::AdmissionRelease::kRound);
   EXPECT_TRUE(parsed.value().switch_config.batch_replies);
 
-  const Result<ExecutorConfig> optimized =
-      parse(R"({"speculate": true, "steal": true})");
-  ASSERT_TRUE(optimized.ok()) << optimized.error().to_string();
-  EXPECT_TRUE(optimized.value().controller.speculate);
-  EXPECT_TRUE(optimized.value().controller.steal);
-
-  // Defaults: the single controller, per-request release, plain replies,
-  // the parallel-stepper optimizations off.
+  // Defaults: the single controller, per-request release, plain replies.
   const Result<ExecutorConfig> defaults = parse("{}");
   ASSERT_TRUE(defaults.ok());
   EXPECT_EQ(defaults.value().controller.shards, 1u);
   EXPECT_EQ(defaults.value().controller.admission_release,
             controller::AdmissionRelease::kRequest);
   EXPECT_FALSE(defaults.value().switch_config.batch_replies);
-  EXPECT_FALSE(defaults.value().controller.speculate);
-  EXPECT_FALSE(defaults.value().controller.steal);
 }
 
 TEST(ConfigTest, ControllerKnobsParse) {
   const Result<ExecutorConfig> parsed = parse(
-      R"({"max_in_flight": 64, "batch_frames": true,
+      R"({"max_in_flight": 64,
           "batch_mode": "window", "batch_window_ms": 0.25,
           "batch_bytes": 8192, "admission": "conflict_aware"})");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().controller.max_in_flight, 64u);
-  // The explicit batch_mode retired the legacy batch_frames alias.
-  EXPECT_FALSE(parsed.value().controller.batch_frames);
   EXPECT_EQ(parsed.value().controller.batch_mode,
             controller::BatchMode::kWindow);
   EXPECT_EQ(parsed.value().controller.batch_window, sim::microseconds(250));
   EXPECT_EQ(parsed.value().controller.batch_bytes, 8192u);
   EXPECT_EQ(parsed.value().controller.admission,
             controller::AdmissionPolicy::kConflictAware);
-}
-
-TEST(ConfigTest, LegacyBatchFramesMeansInstantUnlessModeExplicit) {
-  const Result<ExecutorConfig> legacy = parse(R"({"batch_frames": true})");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(controller::effective_batch_mode(legacy.value().controller),
-            controller::BatchMode::kInstant);
-  // A legacy config round-trips with its effective instant mode intact.
-  const Result<ExecutorConfig> legacy_again = parse(
-      std::string_view(json::write(config_to_json(legacy.value()))));
-  ASSERT_TRUE(legacy_again.ok());
-  EXPECT_EQ(controller::effective_batch_mode(legacy_again.value().controller),
-            controller::BatchMode::kInstant);
-
-  const Result<ExecutorConfig> explicit_mode =
-      parse(R"({"batch_frames": true, "batch_mode": "adaptive"})");
-  ASSERT_TRUE(explicit_mode.ok());
-  EXPECT_EQ(
-      controller::effective_batch_mode(explicit_mode.value().controller),
-      controller::BatchMode::kAdaptive);
-
-  // An explicit "off" overrides the legacy alias, whatever the key order.
-  const Result<ExecutorConfig> explicit_off =
-      parse(R"({"batch_mode": "off", "batch_frames": true})");
-  ASSERT_TRUE(explicit_off.ok());
-  EXPECT_EQ(controller::effective_batch_mode(explicit_off.value().controller),
-            controller::BatchMode::kOff);
-
-  const Result<ExecutorConfig> plain = parse(R"({})");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(controller::effective_batch_mode(plain.value().controller),
-            controller::BatchMode::kOff);
 }
 
 TEST(ConfigTest, RoundTripThroughJson) {
@@ -213,7 +182,6 @@ TEST(ConfigTest, RoundTripThroughJson) {
   config.channel.loss_probability = 0.02;
   config.controller.use_barriers = false;
   config.controller.max_in_flight = 32;
-  config.controller.batch_frames = true;
   config.controller.batch_mode = controller::BatchMode::kAdaptive;
   config.controller.batch_window = sim::microseconds(750);
   config.controller.batch_bytes = 4096;
@@ -221,8 +189,6 @@ TEST(ConfigTest, RoundTripThroughJson) {
   config.controller.admission_release = controller::AdmissionRelease::kRound;
   config.controller.shards = 4;
   config.controller.partition = topo::PartitionScheme::kBlock;
-  config.controller.speculate = true;
-  config.controller.steal = true;
   config.switch_config.batch_replies = true;
   config.with_traffic = false;
   config.ttl = 48;
@@ -239,10 +205,6 @@ TEST(ConfigTest, RoundTripThroughJson) {
   EXPECT_DOUBLE_EQ(c.channel.loss_probability, 0.02);
   EXPECT_FALSE(c.controller.use_barriers);
   EXPECT_EQ(c.controller.max_in_flight, 32u);
-  // batch_frames is an input-only legacy alias; the EFFECTIVE flush policy
-  // is what must survive the trip.
-  EXPECT_EQ(controller::effective_batch_mode(c.controller),
-            controller::BatchMode::kAdaptive);
   EXPECT_EQ(c.controller.batch_mode, controller::BatchMode::kAdaptive);
   EXPECT_EQ(c.controller.batch_window, sim::microseconds(750));
   EXPECT_EQ(c.controller.batch_bytes, 4096u);
@@ -251,12 +213,46 @@ TEST(ConfigTest, RoundTripThroughJson) {
             controller::AdmissionRelease::kRound);
   EXPECT_EQ(c.controller.shards, 4u);
   EXPECT_EQ(c.controller.partition, topo::PartitionScheme::kBlock);
-  EXPECT_TRUE(c.controller.speculate);
-  EXPECT_TRUE(c.controller.steal);
   EXPECT_TRUE(c.switch_config.batch_replies);
   EXPECT_FALSE(c.with_traffic);
   EXPECT_EQ(c.ttl, 48);
   EXPECT_EQ(c.interval, sim::milliseconds(7));
+}
+
+// Durations past the 64-bit clock saturate at sim::kMaxDuration instead of
+// hitting an undefined double-to-integer cast; in-range values keep the
+// plain truncating conversion.
+TEST(ConfigTest, OutOfRangeDurationsSaturate) {
+  const Result<ExecutorConfig> huge =
+      parse(R"({"switch": {"barrier_us": 1e300, "processing_us": 1e300}})");
+  ASSERT_TRUE(huge.ok()) << huge.error().to_string();
+  EXPECT_EQ(huge.value().switch_config.barrier_processing, sim::kMaxDuration);
+  EXPECT_EQ(huge.value().switch_config.message_processing, sim::kMaxDuration);
+  const Result<ExecutorConfig> plain =
+      parse(R"({"switch": {"barrier_us": 2.5, "processing_us": 0.0017}})");
+  ASSERT_TRUE(plain.ok()) << plain.error().to_string();
+  EXPECT_EQ(plain.value().switch_config.barrier_processing, 2500u);
+  EXPECT_EQ(plain.value().switch_config.message_processing, 1u);
+
+  const Result<ServiceConfig> trace =
+      service_config_from_json(std::string_view(
+          R"({"service": {"trace_us": [1e300, 0.5]}})"));
+  ASSERT_TRUE(trace.ok()) << trace.error().to_string();
+  ASSERT_EQ(trace.value().trace.size(), 2u);
+  EXPECT_EQ(trace.value().trace[0], sim::kMaxDuration);
+  EXPECT_EQ(trace.value().trace[1], 500u);
+
+  const Result<ServiceConfig> slow =
+      service_config_from_json(std::string_view(
+          R"({"service": {"rate_per_sec": 1e-300}})"));
+  ASSERT_TRUE(slow.ok()) << slow.error().to_string();
+  // The mean gap, 1e9 / rate ns, saturates too.
+  topo::ArrivalProcess arrivals =
+      topo::ArrivalProcess::poisson(slow.value().arrival_rate_per_sec);
+  EXPECT_DOUBLE_EQ(arrivals.rate_per_sec(),
+                   1e9 / static_cast<double>(sim::kMaxDuration));
+  Rng rng(1);
+  EXPECT_LE(arrivals.next_gap(rng), sim::kMaxDuration);
 }
 
 }  // namespace

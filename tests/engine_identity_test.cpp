@@ -17,11 +17,19 @@
 // and the per-shard event counts. The constant was recorded before the
 // event queue gained its constant-delay lanes; any change to the order in
 // which the engine fires events changes the digest.
+//
+// A second digest pins the closed-loop call shapes on top of the engine:
+// one update on Figure 1, a serializing queue (max_in_flight = 1), one
+// merged multi-policy request and a mix of merged and independent groups.
+// Its constant was recorded when each shape still had its own entry point;
+// execute_multiflow must reproduce all four.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "tsu/core/executor.hpp"
+#include "tsu/core/planner.hpp"
 #include "tsu/core/service.hpp"
 #include "tsu/sim/faults.hpp"
 #include "tsu/topo/instances.hpp"
@@ -30,6 +38,7 @@ namespace tsu::core {
 namespace {
 
 constexpr std::uint64_t kExpectedDigest = 0x0633bd99aeba40a7ULL;
+constexpr std::uint64_t kExpectedEntryPointDigest = 0x8290ce736e3feec6ULL;
 
 class Digest {
  public:
@@ -175,6 +184,114 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
   }
 
   EXPECT_EQ(d.value(), kExpectedDigest) << "digest 0x" << std::hex << d.value();
+}
+
+// One policy's outcome: the update that carried it and its probe verdicts.
+void mix_policy(Digest& d, const controller::UpdateMetrics& update,
+                const dataplane::MonitorReport& traffic) {
+  d.mix(update.started);
+  d.mix(update.finished);
+  d.mix(update.flow_mods_sent);
+  d.mix(update.rounds.size());
+  mix_report(d, traffic);
+}
+
+ExecutorConfig jittery(std::uint64_t seed) {
+  ExecutorConfig config;
+  config.seed = seed;
+  config.channel.latency =
+      sim::LatencyModel::uniform(sim::microseconds(100), sim::milliseconds(2));
+  config.switch_config.install_latency =
+      sim::LatencyModel::lognormal(sim::microseconds(500), 0.8);
+  config.traffic_interarrival =
+      sim::LatencyModel::constant(sim::microseconds(200));
+  config.link_latency = sim::LatencyModel::constant(sim::microseconds(20));
+  return config;
+}
+
+TEST(EngineIdentityTest, EntryPointRunsAreBitIdentical) {
+  Digest d;
+  const topo::Fig1 fig = topo::fig1();
+  const update::Schedule fig_schedule =
+      plan(fig.instance, Algorithm::kWayUp).value().schedule;
+  const topo::PlannedPoolWorkload w =
+      topo::planned_pool_workload(16, 24).value();
+
+  // One update on Figure 1.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const Result<MultiFlowExecutionResult> run =
+        execute_multiflow({&fig.instance}, {&fig_schedule}, jittery(seed));
+    ASSERT_TRUE(run.ok()) << "fig1 seed " << seed << ": "
+                          << run.error().to_string();
+    const ExecutionResult& result = run.value().flows.front();
+    mix_policy(d, result.update, result.traffic);
+    d.mix(result.packets_injected);
+    d.mix(run.value().frames_sent);
+    d.mix(run.value().control_bytes);
+  }
+
+  // The paper's serializing queue over a 16-flow pool: one request at a
+  // time.
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    ExecutorConfig config = jittery(seed);
+    config.controller.max_in_flight = 1;
+    config.controller.admission = controller::AdmissionPolicy::kConflictAware;
+    const Result<MultiFlowExecutionResult> run =
+        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
+    ASSERT_TRUE(run.ok()) << "queue seed " << seed << ": "
+                          << run.error().to_string();
+    const std::vector<ExecutionResult>& flows = run.value().flows;
+    ASSERT_EQ(flows.size(), w.instance_ptrs.size());
+    for (const ExecutionResult& flow : flows) {
+      mix_policy(d, flow.update, flow.traffic);
+      d.mix(flow.packets_injected);
+    }
+    d.mix(run.value().frames_sent);
+    d.mix(run.value().control_bytes);
+  }
+
+  // Three policies merged into one request.
+  const std::vector<const update::Instance*> three(
+      w.instance_ptrs.begin(), w.instance_ptrs.begin() + 3);
+  const std::vector<const update::Schedule*> three_schedules(
+      w.schedule_ptrs.begin(), w.schedule_ptrs.begin() + 3);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const Result<MultiFlowExecutionResult> run =
+        execute_multiflow(three, three_schedules, jittery(seed), {{0, 1, 2}});
+    ASSERT_TRUE(run.ok()) << "merged seed " << seed << ": "
+                          << run.error().to_string();
+    const MultiFlowExecutionResult& result = run.value();
+    ASSERT_EQ(result.flows.size(), three.size());
+    for (const ExecutionResult& flow : result.flows)
+      mix_policy(d, flow.update, flow.traffic);
+    d.mix(result.frames_sent);
+  }
+
+  // Merged and independent requests composing through admission.
+  const std::vector<const update::Instance*> five(
+      w.instance_ptrs.begin(), w.instance_ptrs.begin() + 5);
+  const std::vector<const update::Schedule*> five_schedules(
+      w.schedule_ptrs.begin(), w.schedule_ptrs.begin() + 5);
+  const std::vector<std::vector<std::size_t>> groups{{0, 1}, {2}, {3, 4}};
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    ExecutorConfig config = jittery(seed);
+    config.controller.max_in_flight = 3;
+    config.controller.admission = controller::AdmissionPolicy::kConflictAware;
+    const Result<MultiFlowExecutionResult> run =
+        execute_multiflow(five, five_schedules, config, groups);
+    ASSERT_TRUE(run.ok()) << "mixed seed " << seed << ": "
+                          << run.error().to_string();
+    const MultiFlowExecutionResult& result = run.value();
+    ASSERT_EQ(result.flows.size(), five.size());
+    for (const ExecutionResult& flow : result.flows)
+      mix_policy(d, flow.update, flow.traffic);
+    d.mix(result.frames_sent);
+    d.mix(result.final_state_digest);
+    d.mix(result.makespan);
+  }
+
+  EXPECT_EQ(d.value(), kExpectedEntryPointDigest)
+      << "digest 0x" << std::hex << d.value();
 }
 
 }  // namespace

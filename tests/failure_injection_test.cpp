@@ -40,11 +40,12 @@ TEST(FailureInjectionTest, LossyChannelStillCompletesAndStaysSecure) {
   const update::Schedule schedule = wayup_schedule();
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     config.seed = seed;
-    const Result<ExecutionResult> result =
-        execute(fig1().instance, schedule, config);
+    const Result<MultiFlowExecutionResult> result =
+        execute_multiflow({&fig1().instance}, {&schedule}, config);
     ASSERT_TRUE(result.ok()) << result.error().to_string();
-    EXPECT_EQ(result.value().traffic.bypassed, 0u) << "seed " << seed;
-    EXPECT_GT(result.value().update_ms(), 0.0);
+    EXPECT_EQ(result.value().flows[0].traffic.bypassed, 0u)
+        << "seed " << seed;
+    EXPECT_GT(result.value().flows[0].update_ms(), 0.0);
   }
 }
 
@@ -56,12 +57,13 @@ TEST(FailureInjectionTest, LossMakesUpdatesSlowerNotBroken) {
   ExecutorConfig lossy = clean;
   lossy.channel.loss_probability = 0.4;
   lossy.channel.retransmit_timeout = sim::milliseconds(25);
-  const Result<ExecutionResult> fast =
-      execute(fig1().instance, schedule, clean);
-  const Result<ExecutionResult> slow =
-      execute(fig1().instance, schedule, lossy);
+  const Result<MultiFlowExecutionResult> fast =
+      execute_multiflow({&fig1().instance}, {&schedule}, clean);
+  const Result<MultiFlowExecutionResult> slow =
+      execute_multiflow({&fig1().instance}, {&schedule}, lossy);
   ASSERT_TRUE(fast.ok() && slow.ok());
-  EXPECT_GT(slow.value().update_ms(), fast.value().update_ms());
+  EXPECT_GT(slow.value().flows[0].update_ms(),
+            fast.value().flows[0].update_ms());
 }
 
 TEST(FailureInjectionTest, HeavyTailedInstallsKeepWaypointSafety) {
@@ -71,10 +73,11 @@ TEST(FailureInjectionTest, HeavyTailedInstallsKeepWaypointSafety) {
   const update::Schedule schedule = wayup_schedule();
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     config.seed = seed;
-    const Result<ExecutionResult> result =
-        execute(fig1().instance, schedule, config);
+    const Result<MultiFlowExecutionResult> result =
+        execute_multiflow({&fig1().instance}, {&schedule}, config);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().traffic.bypassed, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[0].traffic.bypassed, 0u)
+        << "seed " << seed;
   }
 }
 
@@ -87,11 +90,13 @@ TEST(FailureInjectionTest, ExtremeJitterKeepsPeacockLoopFree) {
       sim::microseconds(10), sim::milliseconds(100));
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     config.seed = seed;
-    const Result<ExecutionResult> result =
-        execute(fig1().instance, planned.value().schedule, config);
+    const Result<MultiFlowExecutionResult> result =
+        execute_multiflow({&fig1().instance}, {&planned.value().schedule},
+                          config);
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().traffic.looped, 0u) << "seed " << seed;
-    EXPECT_EQ(result.value().traffic.ttl_expired, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[0].traffic.looped, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[0].traffic.ttl_expired, 0u)
+        << "seed " << seed;
   }
 }
 
@@ -105,18 +110,18 @@ TEST(FailureInjectionTest, SlowChannelDoesNotReorderWithinSwitch) {
   config.with_traffic = false;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     config.seed = seed;
-    const Result<ExecutionResult> result =
-        execute(fig1().instance, schedule, config);
+    const Result<MultiFlowExecutionResult> result =
+        execute_multiflow({&fig1().instance}, {&schedule}, config);
     ASSERT_TRUE(result.ok());
   }
 }
 
 TEST(FailureInjectionTest, ExecutorRejectsMismatchedQueueInputs) {
   const update::Schedule schedule = wayup_schedule();
-  const Result<std::vector<ExecutionResult>> empty =
-      execute_queue({}, {}, ExecutorConfig{});
+  const Result<MultiFlowExecutionResult> empty =
+      execute_multiflow({}, {}, ExecutorConfig{});
   EXPECT_FALSE(empty.ok());
-  const Result<std::vector<ExecutionResult>> mismatched = execute_queue(
+  const Result<MultiFlowExecutionResult> mismatched = execute_multiflow(
       {&fig1().instance}, {&schedule, &schedule}, ExecutorConfig{});
   EXPECT_FALSE(mismatched.ok());
 }
@@ -124,12 +129,13 @@ TEST(FailureInjectionTest, ExecutorRejectsMismatchedQueueInputs) {
 TEST(FailureInjectionTest, TrafficlessRunsReportNoPackets) {
   ExecutorConfig config;
   config.with_traffic = false;
-  const Result<ExecutionResult> result =
-      execute(fig1().instance, wayup_schedule(), config);
+  const update::Schedule schedule = wayup_schedule();
+  const Result<MultiFlowExecutionResult> result =
+      execute_multiflow({&fig1().instance}, {&schedule}, config);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().traffic.total, 0u);
-  EXPECT_EQ(result.value().packets_injected, 0u);
-  EXPECT_GT(result.value().update_ms(), 0.0);
+  EXPECT_EQ(result.value().flows[0].traffic.total, 0u);
+  EXPECT_EQ(result.value().flows[0].packets_injected, 0u);
+  EXPECT_GT(result.value().flows[0].update_ms(), 0.0);
 }
 
 TEST(FailureInjectionTest, RetransmissionsAreCounted) {
@@ -137,8 +143,9 @@ TEST(FailureInjectionTest, RetransmissionsAreCounted) {
   config.seed = 3;
   config.channel.loss_probability = 0.5;
   config.with_traffic = false;
-  const Result<ExecutionResult> result =
-      execute(fig1().instance, wayup_schedule(), config);
+  const update::Schedule schedule = wayup_schedule();
+  const Result<MultiFlowExecutionResult> result =
+      execute_multiflow({&fig1().instance}, {&schedule}, config);
   ASSERT_TRUE(result.ok());
   // Frames were still all delivered (the update completed); the loss shows
   // up as latency, mirroring TCP under the OpenFlow session.

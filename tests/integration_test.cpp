@@ -32,12 +32,13 @@ TEST(IntegrationTest, WayUpOnFig1NeverBypassesWaypoint) {
       plan(fig.instance, Algorithm::kWayUp);
   ASSERT_TRUE(planned.ok());
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    const Result<ExecutionResult> result =
-        execute(fig.instance, planned.value().schedule,
-                harsh_async_config(seed));
+    const Result<MultiFlowExecutionResult> result =
+        execute_multiflow({&fig.instance}, {&planned.value().schedule},
+                          harsh_async_config(seed));
     ASSERT_TRUE(result.ok()) << result.error().to_string();
-    EXPECT_EQ(result.value().traffic.bypassed, 0u) << "seed " << seed;
-    EXPECT_GT(result.value().traffic.delivered, 0u);
+    EXPECT_EQ(result.value().flows[0].traffic.bypassed, 0u)
+        << "seed " << seed;
+    EXPECT_GT(result.value().flows[0].traffic.delivered, 0u);
   }
 }
 
@@ -48,11 +49,11 @@ TEST(IntegrationTest, OneShotOnFig1BypassesUnderAsynchrony) {
   ASSERT_TRUE(planned.ok());
   std::size_t bypassed_runs = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    const Result<ExecutionResult> result =
-        execute(fig.instance, planned.value().schedule,
-                harsh_async_config(seed));
+    const Result<MultiFlowExecutionResult> result =
+        execute_multiflow({&fig.instance}, {&planned.value().schedule},
+                          harsh_async_config(seed));
     ASSERT_TRUE(result.ok());
-    if (result.value().traffic.bypassed > 0) ++bypassed_runs;
+    if (result.value().flows[0].traffic.bypassed > 0) ++bypassed_runs;
   }
   // The security violation the paper demos must actually materialize.
   EXPECT_GT(bypassed_runs, 0u);
@@ -64,12 +65,13 @@ TEST(IntegrationTest, PeacockOnFig1NeverLoops) {
       plan(fig.instance, Algorithm::kPeacock);
   ASSERT_TRUE(planned.ok());
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const Result<ExecutionResult> result =
-        execute(fig.instance, planned.value().schedule,
-                harsh_async_config(seed));
+    const Result<MultiFlowExecutionResult> result =
+        execute_multiflow({&fig.instance}, {&planned.value().schedule},
+                          harsh_async_config(seed));
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().traffic.looped, 0u) << "seed " << seed;
-    EXPECT_EQ(result.value().traffic.ttl_expired, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[0].traffic.looped, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[0].traffic.ttl_expired, 0u)
+        << "seed " << seed;
   }
 }
 
@@ -77,18 +79,19 @@ TEST(IntegrationTest, UpdateMetricsAreConsistent) {
   const topo::Fig1 fig = topo::fig1();
   const Result<PlanOutcome> planned = plan(fig.instance, Algorithm::kWayUp);
   ASSERT_TRUE(planned.ok());
-  const Result<ExecutionResult> result =
-      execute(fig.instance, planned.value().schedule, ExecutorConfig{});
+  const Result<MultiFlowExecutionResult> result =
+      execute_multiflow({&fig.instance}, {&planned.value().schedule},
+                        ExecutorConfig{});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  const ExecutionResult& r = result.value();
+  const ExecutionResult& r = result.value().flows[0];
   // 4 semantic rounds + cleanup.
   ASSERT_EQ(r.update.rounds.size(), 5u);
   for (std::size_t i = 1; i < r.update.rounds.size(); ++i)
     EXPECT_GE(r.update.rounds[i].started, r.update.rounds[i - 1].finished);
   EXPECT_EQ(r.update.flow_mods_sent, 11u);  // 8 touched + 3 cleanup
   EXPECT_GT(r.update.barriers_sent, 0u);
-  EXPECT_GT(r.frames_sent, 0u);
-  EXPECT_GT(r.control_bytes, 0u);
+  EXPECT_GT(result.value().frames_sent, 0u);
+  EXPECT_GT(result.value().control_bytes, 0u);
   EXPECT_GT(r.update_ms(), 0.0);
 }
 
@@ -99,12 +102,13 @@ TEST(IntegrationTest, MoreRoundsTakeLonger) {
   const Result<PlanOutcome> oneshot = plan(fig.instance, Algorithm::kOneShot);
   const Result<PlanOutcome> wayup = plan(fig.instance, Algorithm::kWayUp);
   ASSERT_TRUE(oneshot.ok() && wayup.ok());
-  const Result<ExecutionResult> fast =
-      execute(fig.instance, oneshot.value().schedule, config);
-  const Result<ExecutionResult> safe =
-      execute(fig.instance, wayup.value().schedule, config);
+  const Result<MultiFlowExecutionResult> fast =
+      execute_multiflow({&fig.instance}, {&oneshot.value().schedule}, config);
+  const Result<MultiFlowExecutionResult> safe =
+      execute_multiflow({&fig.instance}, {&wayup.value().schedule}, config);
   ASSERT_TRUE(fast.ok() && safe.ok());
-  EXPECT_LT(fast.value().update_ms(), safe.value().update_ms());
+  EXPECT_LT(fast.value().flows[0].update_ms(),
+            safe.value().flows[0].update_ms());
 }
 
 TEST(IntegrationTest, IntervalStretchesUpdateTime) {
@@ -113,15 +117,16 @@ TEST(IntegrationTest, IntervalStretchesUpdateTime) {
   ASSERT_TRUE(planned.ok());
   ExecutorConfig config;
   config.with_traffic = false;
-  const Result<ExecutionResult> tight =
-      execute(fig.instance, planned.value().schedule, config);
+  const Result<MultiFlowExecutionResult> tight =
+      execute_multiflow({&fig.instance}, {&planned.value().schedule}, config);
   config.interval = sim::milliseconds(25);
-  const Result<ExecutionResult> spaced =
-      execute(fig.instance, planned.value().schedule, config);
+  const Result<MultiFlowExecutionResult> spaced =
+      execute_multiflow({&fig.instance}, {&planned.value().schedule}, config);
   ASSERT_TRUE(tight.ok() && spaced.ok());
   // 4 inter-round gaps (incl. before cleanup) of 25 ms each.
-  EXPECT_NEAR(spaced.value().update_ms() - tight.value().update_ms(), 100.0,
-              1.0);
+  EXPECT_NEAR(spaced.value().flows[0].update_ms() -
+                  tight.value().flows[0].update_ms(),
+              100.0, 1.0);
 }
 
 TEST(IntegrationTest, ExecuteQueueSerializes) {
@@ -135,13 +140,13 @@ TEST(IntegrationTest, ExecuteQueueSerializes) {
 
   ExecutorConfig config;
   config.with_traffic = false;
-  const Result<std::vector<ExecutionResult>> results = execute_queue(
+  const Result<MultiFlowExecutionResult> results = execute_multiflow(
       {&fig.instance, &other},
       {&first.value().schedule, &second.value().schedule}, config);
   ASSERT_TRUE(results.ok()) << results.error().to_string();
-  ASSERT_EQ(results.value().size(), 2u);
-  const auto& m1 = results.value()[0].update;
-  const auto& m2 = results.value()[1].update;
+  ASSERT_EQ(results.value().flows.size(), 2u);
+  const auto& m1 = results.value().flows[0].update;
+  const auto& m2 = results.value().flows[1].update;
   EXPECT_GE(m2.started, m1.finished);
   EXPECT_GT(m2.queueing_delay(), 0u);
   EXPECT_EQ(m1.queueing_delay(), 0u);

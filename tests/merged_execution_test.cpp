@@ -40,13 +40,13 @@ TEST(MergedExecutionTest, CompletesAndReportsPerPolicyTraffic) {
   const update::Instance b = policy_two();
   const update::Schedule sa = plan(a, Algorithm::kWayUp).value().schedule;
   const update::Schedule sb = plan(b, Algorithm::kWayUp).value().schedule;
-  const Result<MergedExecutionResult> result =
-      execute_merged({&a, &b}, {&sa, &sb}, jittery(1));
+  const Result<MultiFlowExecutionResult> result =
+      execute_multiflow({&a, &b}, {&sa, &sb}, jittery(1), {{0, 1}});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  ASSERT_EQ(result.value().traffic.size(), 2u);
-  EXPECT_GT(result.value().traffic[0].total, 0u);
-  EXPECT_GT(result.value().traffic[1].total, 0u);
-  EXPECT_GT(result.value().update_ms(), 0.0);
+  ASSERT_EQ(result.value().flows.size(), 2u);
+  EXPECT_GT(result.value().flows[0].traffic.total, 0u);
+  EXPECT_GT(result.value().flows[1].traffic.total, 0u);
+  EXPECT_GT(result.value().flows[0].update_ms(), 0.0);
 }
 
 TEST(MergedExecutionTest, PerPolicyWaypointGuaranteesSurviveMerging) {
@@ -55,11 +55,11 @@ TEST(MergedExecutionTest, PerPolicyWaypointGuaranteesSurviveMerging) {
   const update::Schedule sa = plan(a, Algorithm::kWayUp).value().schedule;
   const update::Schedule sb = plan(b, Algorithm::kWayUp).value().schedule;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    const Result<MergedExecutionResult> result =
-        execute_merged({&a, &b}, {&sa, &sb}, jittery(seed));
+    const Result<MultiFlowExecutionResult> result =
+        execute_multiflow({&a, &b}, {&sa, &sb}, jittery(seed), {{0, 1}});
     ASSERT_TRUE(result.ok()) << result.error().to_string();
-    EXPECT_EQ(result.value().traffic[0].bypassed, 0u) << "seed " << seed;
-    EXPECT_EQ(result.value().traffic[1].bypassed, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[0].traffic.bypassed, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[1].traffic.bypassed, 0u) << "seed " << seed;
   }
 }
 
@@ -72,17 +72,15 @@ TEST(MergedExecutionTest, MergedBeatsSerialMakespan) {
   config.with_traffic = false;
   config.seed = 3;
 
-  const Result<std::vector<ExecutionResult>> serial =
-      execute_queue({&a, &b}, {&sa, &sb}, config);
+  const Result<MultiFlowExecutionResult> serial =
+      execute_multiflow({&a, &b}, {&sa, &sb}, config);
   ASSERT_TRUE(serial.ok());
-  const sim::Duration serial_makespan =
-      serial.value().back().update.finished -
-      serial.value().front().update.started;
 
-  const Result<MergedExecutionResult> merged =
-      execute_merged({&a, &b}, {&sa, &sb}, config);
+  const Result<MultiFlowExecutionResult> merged =
+      execute_multiflow({&a, &b}, {&sa, &sb}, config, {{0, 1}});
   ASSERT_TRUE(merged.ok());
-  EXPECT_LT(merged.value().update.duration(), serial_makespan);
+  EXPECT_LT(merged.value().flows[0].update.duration(),
+            serial.value().makespan);
 }
 
 TEST(MergedExecutionTest, FlowsRemainIsolatedInTables) {
@@ -93,17 +91,17 @@ TEST(MergedExecutionTest, FlowsRemainIsolatedInTables) {
   const update::Instance b = policy_two();
   const update::Schedule sa = plan(a, Algorithm::kPeacock).value().schedule;
   const update::Schedule sb = plan(b, Algorithm::kPeacock).value().schedule;
-  const Result<MergedExecutionResult> result =
-      execute_merged({&a, &b}, {&sa, &sb}, jittery(5));
+  const Result<MultiFlowExecutionResult> result =
+      execute_multiflow({&a, &b}, {&sa, &sb}, jittery(5), {{0, 1}});
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().traffic[0].looped, 0u);
-  EXPECT_EQ(result.value().traffic[1].looped, 0u);
-  EXPECT_GT(result.value().traffic[0].delivered, 0u);
-  EXPECT_GT(result.value().traffic[1].delivered, 0u);
+  EXPECT_EQ(result.value().flows[0].traffic.looped, 0u);
+  EXPECT_EQ(result.value().flows[1].traffic.looped, 0u);
+  EXPECT_GT(result.value().flows[0].traffic.delivered, 0u);
+  EXPECT_GT(result.value().flows[1].traffic.delivered, 0u);
 }
 
 TEST(MergedExecutionTest, RejectsEmptyInput) {
-  EXPECT_FALSE(execute_merged({}, {}, ExecutorConfig{}).ok());
+  EXPECT_FALSE(execute_multiflow({}, {}, ExecutorConfig{}, {{0}}).ok());
 }
 
 TEST(MixedExecutionTest, MergedRequestComposesWithIndependentRequests) {
@@ -142,27 +140,32 @@ TEST(MixedExecutionTest, MergedRequestComposesWithIndependentRequests) {
   const std::vector<const update::Instance*> instances{
       &a, &b, &independents[0], &independents[1]};
   const std::vector<const update::Schedule*> schedules{&sa, &sb, &s0, &s1};
-  const Result<MixedExecutionResult> run = execute_mixed(
-      instances, schedules, {{0, 1}, {2}, {3}}, config);
+  const Result<MultiFlowExecutionResult> run = execute_multiflow(
+      instances, schedules, config, {{0, 1}, {2}, {3}});
   ASSERT_TRUE(run.ok()) << run.error().to_string();
-  const MixedExecutionResult& result = run.value();
+  const MultiFlowExecutionResult& result = run.value();
 
-  ASSERT_EQ(result.updates.size(), 3u);  // merged + two independents
-  ASSERT_EQ(result.traffic.size(), 4u);  // per policy
-  for (const dataplane::MonitorReport& report : result.traffic) {
-    EXPECT_GT(report.total, 0u);
-    EXPECT_EQ(report.bypassed, 0u);
-    EXPECT_EQ(report.looped, 0u);
-    EXPECT_EQ(report.blackholed, 0u);
+  ASSERT_EQ(result.flows.size(), 4u);  // per policy
+  for (const ExecutionResult& flow : result.flows) {
+    EXPECT_GT(flow.traffic.total, 0u);
+    EXPECT_EQ(flow.traffic.bypassed, 0u);
+    EXPECT_EQ(flow.traffic.looped, 0u);
+    EXPECT_EQ(flow.traffic.blackholed, 0u);
   }
+
+  // Both members of the merged group report the merged request.
+  const controller::UpdateMetrics& merged_update = result.flows[0].update;
+  EXPECT_EQ(result.flows[1].update.started, merged_update.started);
+  EXPECT_EQ(result.flows[1].update.finished, merged_update.finished);
+  EXPECT_EQ(result.flows[1].update.flow_mods_sent,
+            merged_update.flow_mods_sent);
 
   // No rule overlap between the merged request and the independents, so
   // all three requests ran concurrently.
   EXPECT_EQ(result.conflict_edges, 0u);
   EXPECT_EQ(result.max_in_flight_observed, 3u);
-  const controller::UpdateMetrics& merged_update = result.updates[0];
-  for (std::size_t r = 1; r < result.updates.size(); ++r)
-    EXPECT_LT(result.updates[r].started, merged_update.finished);
+  for (std::size_t i = 2; i < result.flows.size(); ++i)
+    EXPECT_LT(result.flows[i].update.started, merged_update.finished);
 }
 
 TEST(MixedExecutionTest, RejectsNonPartitionGroups) {
@@ -172,11 +175,14 @@ TEST(MixedExecutionTest, RejectsNonPartitionGroups) {
   const update::Schedule sb = plan(b, Algorithm::kWayUp).value().schedule;
   const std::vector<const update::Instance*> instances{&a, &b};
   const std::vector<const update::Schedule*> schedules{&sa, &sb};
-  EXPECT_FALSE(execute_mixed(instances, schedules, {{0}}, {}).ok());
-  EXPECT_FALSE(execute_mixed(instances, schedules, {{0, 0}, {1}}, {}).ok());
-  EXPECT_FALSE(execute_mixed(instances, schedules, {{0, 2}, {1}}, {}).ok());
-  EXPECT_FALSE(execute_mixed(instances, schedules, {}, {}).ok());
-  EXPECT_FALSE(execute_mixed(instances, schedules, {{0}, {}}, {}).ok());
+  EXPECT_FALSE(execute_multiflow(instances, schedules, {}, {{0}}).ok());
+  EXPECT_FALSE(
+      execute_multiflow(instances, schedules, {}, {{0, 0}, {1}}).ok());
+  EXPECT_FALSE(
+      execute_multiflow(instances, schedules, {}, {{0, 2}, {1}}).ok());
+  EXPECT_FALSE(execute_multiflow(instances, schedules, {}, {{0}, {}}).ok());
+  // No groups at all means one request per policy.
+  EXPECT_TRUE(execute_multiflow(instances, schedules, {}, {}).ok());
 }
 
 TEST(MergedExecutionTest, ManyRandomPoliciesMerge) {
@@ -202,10 +208,10 @@ TEST(MergedExecutionTest, ManyRandomPoliciesMerge) {
   }
   ExecutorConfig config;
   config.with_traffic = false;
-  const Result<MergedExecutionResult> result =
-      execute_merged(instance_ptrs, schedule_ptrs, config);
+  const Result<MultiFlowExecutionResult> result = execute_multiflow(
+      instance_ptrs, schedule_ptrs, config, {{0, 1, 2, 3, 4}});
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_GT(result.value().update.rounds.size(), 0u);
+  EXPECT_GT(result.value().flows[0].update.rounds.size(), 0u);
 }
 
 }  // namespace

@@ -123,8 +123,8 @@ TEST(PlannerCrossCheckTest, ConflictAwareMatchesSerializedOnOverlaps) {
     config.switch_config.install_latency =
         sim::LatencyModel::lognormal(sim::milliseconds(1), 0.8);
 
-    const Result<std::vector<core::ExecutionResult>> serialized =
-        core::execute_queue(w.instance_ptrs, w.schedule_ptrs, config);
+    const Result<core::MultiFlowExecutionResult> serialized =
+        core::execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
     core::ExecutorConfig concurrent_config = config;
     concurrent_config.controller.max_in_flight = kFlows;
     concurrent_config.controller.admission =
@@ -137,7 +137,8 @@ TEST(PlannerCrossCheckTest, ConflictAwareMatchesSerializedOnOverlaps) {
 
     ASSERT_EQ(concurrent.value().flows.size(), kFlows);
     for (std::size_t i = 0; i < kFlows; ++i) {
-      const dataplane::MonitorReport& s = serialized.value()[i].traffic;
+      const dataplane::MonitorReport& s =
+          serialized.value().flows[i].traffic;
       const dataplane::MonitorReport& c = concurrent.value().flows[i].traffic;
       EXPECT_GT(c.total, 0u) << "round " << round << " flow " << i;
       EXPECT_EQ(c.bypassed, s.bypassed) << "round " << round << " flow " << i;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tsu/rest/rest.hpp"
 #include "tsu/topo/generators.hpp"
 #include "tsu/topo/instances.hpp"
@@ -64,19 +66,16 @@ TEST(RestParseTest, WaypointAndBodyOptional) {
 TEST(RestParseTest, ControllerKnobsParsedAndApplied) {
   const Result<RestUpdateMessage> parsed = parse_update_message(
       R"({"oldpath": [1, 2], "newpath": [1, 2],
-          "admission": "conflict_aware", "max_in_flight": 16,
-          "batch_frames": true})");
+          "admission": "conflict_aware", "max_in_flight": 16})");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().admission,
             controller::AdmissionPolicy::kConflictAware);
   EXPECT_EQ(parsed.value().max_in_flight, 16u);
-  EXPECT_EQ(parsed.value().batch_frames, true);
 
   controller::ControllerConfig config;
   apply_controller_overrides(parsed.value(), config);
   EXPECT_EQ(config.admission, controller::AdmissionPolicy::kConflictAware);
   EXPECT_EQ(config.max_in_flight, 16u);
-  EXPECT_TRUE(config.batch_frames);
 
   // Absent knobs leave the config alone.
   const Result<RestUpdateMessage> plain =
@@ -105,18 +104,15 @@ TEST(RestParseTest, BatchingKnobsParsedAndApplied) {
   EXPECT_EQ(config.batch_mode, controller::BatchMode::kAdaptive);
   EXPECT_EQ(config.batch_window, sim::microseconds(250));
   EXPECT_EQ(config.batch_bytes, 4096u);
-  EXPECT_EQ(controller::effective_batch_mode(config),
-            controller::BatchMode::kAdaptive);
 
-  // An explicit "off" header overrides a server-side legacy batch_frames.
+  // An explicit "off" header overrides a server-side batching mode.
   const Result<RestUpdateMessage> off = parse_update_message(
       R"({"oldpath": [1, 2], "newpath": [1, 2], "batch_mode": "off"})");
   ASSERT_TRUE(off.ok());
-  controller::ControllerConfig legacy;
-  legacy.batch_frames = true;
-  apply_controller_overrides(off.value(), legacy);
-  EXPECT_EQ(controller::effective_batch_mode(legacy),
-            controller::BatchMode::kOff);
+  controller::ControllerConfig instant;
+  instant.batch_mode = controller::BatchMode::kInstant;
+  apply_controller_overrides(off.value(), instant);
+  EXPECT_EQ(instant.batch_mode, controller::BatchMode::kOff);
 }
 
 TEST(RestParseTest, RejectsBadControllerKnobs) {
@@ -126,10 +122,6 @@ TEST(RestParseTest, RejectsBadControllerKnobs) {
                    .ok());
   EXPECT_FALSE(parse_update_message(
                    R"({"oldpath": [1], "newpath": [1], "max_in_flight": 0})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1],
-                       "batch_frames": "yes"})")
                    .ok());
   EXPECT_FALSE(parse_update_message(
                    R"({"oldpath": [1], "newpath": [1],
@@ -162,32 +154,18 @@ TEST(RestParseTest, ShardingKnobsParsedAndApplied) {
   const Result<RestUpdateMessage> parsed = parse_update_message(
       R"({"oldpath": [1, 2], "newpath": [1, 2],
           "shards": 4, "partition": "block",
-          "admission_release": "round",
-          "speculate": true, "steal": true})");
+          "admission_release": "round"})");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().shards, 4u);
   EXPECT_EQ(parsed.value().partition, topo::PartitionScheme::kBlock);
   EXPECT_EQ(parsed.value().admission_release,
             controller::AdmissionRelease::kRound);
-  EXPECT_EQ(parsed.value().speculate, true);
-  EXPECT_EQ(parsed.value().steal, true);
 
   controller::ControllerConfig config;
   apply_controller_overrides(parsed.value(), config);
   EXPECT_EQ(config.shards, 4u);
   EXPECT_EQ(config.partition, topo::PartitionScheme::kBlock);
   EXPECT_EQ(config.admission_release, controller::AdmissionRelease::kRound);
-  EXPECT_TRUE(config.speculate);
-  EXPECT_TRUE(config.steal);
-
-  // Non-boolean speculation knobs are malformed, like every other typed
-  // header field.
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1], "speculate": 1})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1], "steal": "on"})")
-                   .ok());
 
   // Absent sharding knobs leave the server's configuration alone.
   const Result<RestUpdateMessage> plain =
@@ -195,13 +173,22 @@ TEST(RestParseTest, ShardingKnobsParsedAndApplied) {
   ASSERT_TRUE(plain.ok());
   controller::ControllerConfig untouched;
   untouched.shards = 2;
-  untouched.speculate = true;
   apply_controller_overrides(plain.value(), untouched);
   EXPECT_EQ(untouched.shards, 2u);
   EXPECT_EQ(untouched.admission_release,
             controller::AdmissionRelease::kRequest);
-  EXPECT_TRUE(untouched.speculate);  // absent field leaves it alone
-  EXPECT_FALSE(untouched.steal);
+}
+
+TEST(RestParseTest, RetiredKnobsAreUnknownKeys) {
+  for (const char* knob : {"batch_frames", "speculate", "steal"}) {
+    const Result<RestUpdateMessage> parsed = parse_update_message(
+        std::string(R"({"oldpath": [1], "newpath": [1], ")") + knob +
+        R"(": true})");
+    ASSERT_FALSE(parsed.ok()) << knob;
+    EXPECT_NE(parsed.error().message.find("unknown body key"),
+              std::string::npos)
+        << parsed.error().to_string();
+  }
 }
 
 TEST(RestParseTest, RejectsMissingPaths) {
@@ -292,21 +279,17 @@ TEST(RestRoundTripTest, ControllerKnobsSurviveRoundTrip) {
   message.new_path = {1, 2};
   message.admission = controller::AdmissionPolicy::kSerialize;
   message.max_in_flight = 8;
-  message.batch_frames = false;
   message.batch_mode = controller::BatchMode::kWindow;
   message.batch_window_ms = 0.5;
   message.batch_bytes = 2048;
   message.shards = 4;
   message.partition = topo::PartitionScheme::kHash;
   message.admission_release = controller::AdmissionRelease::kRound;
-  message.speculate = true;
-  message.steal = false;
   const Result<RestUpdateMessage> back =
       parse_update_message(to_json(message));
   ASSERT_TRUE(back.ok()) << to_json(message);
   EXPECT_EQ(back.value().admission, controller::AdmissionPolicy::kSerialize);
   EXPECT_EQ(back.value().max_in_flight, 8u);
-  EXPECT_EQ(back.value().batch_frames, false);
   EXPECT_EQ(back.value().batch_mode, controller::BatchMode::kWindow);
   EXPECT_DOUBLE_EQ(*back.value().batch_window_ms, 0.5);
   EXPECT_EQ(back.value().batch_bytes, 2048u);
@@ -314,8 +297,6 @@ TEST(RestRoundTripTest, ControllerKnobsSurviveRoundTrip) {
   EXPECT_EQ(back.value().partition, topo::PartitionScheme::kHash);
   EXPECT_EQ(back.value().admission_release,
             controller::AdmissionRelease::kRound);
-  EXPECT_EQ(back.value().speculate, true);
-  EXPECT_EQ(back.value().steal, false);  // false is still an explicit value
 }
 
 TEST(RestToInstanceTest, MapsDatapathsToNodes) {

@@ -4,8 +4,6 @@
 // contract (steady_state_entries back to zero).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string_view>
 #include <vector>
 
 #include "tsu/core/service.hpp"
@@ -64,13 +62,6 @@ TEST(ServiceTest, DeterministicPerSeed) {
 // with traffic and sharding mixed in. Any divergence means the compiled
 // plan diverged from what the lowering pipeline would have produced.
 TEST(ServiceTest, PlanCacheIsBitTransparentAcrossSeeds) {
-  // The CI cache-off sweep (TSU_PLAN_CACHE=off) forces both arms of this
-  // comparison onto the same path, which would vacuously pass the identity
-  // checks and fail the cache-on counter assertions - skip it there; the
-  // normal legs run it.
-  if (const char* env = std::getenv("TSU_PLAN_CACHE");
-      env != nullptr && std::string_view(env) == "off")
-    GTEST_SKIP() << "plan cache forced off by environment";
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     ServiceConfig config = small_service();
     config.exec.seed = seed;

@@ -14,14 +14,9 @@
 // 4-thread pool must be BIT-IDENTICAL to exec = sequential - same final
 // state digest, same frame count, same makespan, same per-flow packet
 // oracle, same coordination counters. Parallelism may only change
-// wall-clock time, never a single simulated event.
-//
-// Speculation + stealing: the same 100 x {1, 2, 4, 8} matrix with
-// speculative round barriers and longest-first epoch launch on (plus a
-// nonzero inter-round interval, the thing speculation elides), a twice-run
-// determinism pin for the steal counter, and a chaos overlay proving a
-// speculatively released round never admits a conflict even while
-// rollback/resync recovery is rewriting the schedule.
+// wall-clock time, never a single simulated event. A chaos overlay holds
+// the same bit-identity while rollback/resync recovery rewrites the
+// schedule.
 //
 // Liveness: 500 seeds of flows deliberately spanning shard boundaries
 // (hash partition scatters each flow's switches) under tight per-shard
@@ -85,11 +80,6 @@ void expect_parallel_bit_identical(const MultiFlowExecutionResult& sequential,
       << "seed " << seed << " shards " << shards;
   EXPECT_EQ(parallel.sharding.sync_overhead,
             sequential.sharding.sync_overhead)
-      << "seed " << seed << " shards " << shards;
-  // Speculative interval skips are part of the event schedule, so they too
-  // must be exec-mode invariant (both zero when speculation is off).
-  EXPECT_EQ(parallel.sharding.speculative_releases,
-            sequential.sharding.speculative_releases)
       << "seed " << seed << " shards " << shards;
   // The event SCHEDULE is identical, not just the outcomes: every shard
   // processed exactly the events it processes under the merger.
@@ -164,6 +154,10 @@ TEST(ShardEquivalenceTest, ShardCountsMatchSingleControllerAcross100Seeds) {
     config.controller.partition = rng.index(2) == 0
                                       ? topo::PartitionScheme::kHash
                                       : topo::PartitionScheme::kBlock;
+    // Half the seeds pace rounds with an inter-round interval, whose timers
+    // are kShared events the parallel stepper must order exactly.
+    config.interval =
+        rng.index(2) == 0 ? 0 : sim::microseconds(200 + 100 * rng.index(8));
 
     // shards = 1: the single controller, the equivalence baseline. The
     // 1-shard group must also be exec-mode invariant.
@@ -378,160 +372,17 @@ TEST(ShardEquivalenceTest, GreedyCutPartitionCutsTheWorkloadCut) {
         << "shard " << s;
 }
 
-TEST(ShardEquivalenceTest, SpeculativeStealingMatrixBitIdentical) {
-  // The speculation + work-stealing matrix: 100 seeds x shards
-  // {1, 2, 4, 8} with conflict-aware admission, speculative round
-  // barriers, longest-first epoch launch AND a nonzero inter-round
-  // interval (the thing speculation elides on empty rounds). Three
-  // assertions per cell:
-  //   1. exec = parallel is BIT-IDENTICAL to exec = sequential under
-  //      speculation + stealing - the optimizations move work between
-  //      waves, never a single simulated event;
-  //   2. the final forwarding state matches a NON-speculative baseline
-  //      digest - skipping a pacing interval may compress the schedule
-  //      but can never change what gets installed;
-  //   3. the safety oracle stays silent - a speculatively released round
-  //      that admitted a conflict would surface as a transient violation.
-  // The sweep must actually take speculative skips and LPT steals, or the
-  // matrix proved nothing - asserted at the end.
-  constexpr std::size_t kShardCounts[] = {2, 4, 8};
-  std::size_t cross_seen = 0, skips_seen = 0, steals_seen = 0;
-  for (std::uint64_t seed = 1; seed <= kEquivalenceSeeds; ++seed) {
-    Rng rng(seed);
-    const std::size_t flows = 3 + rng.index(6);           // 3..8
-    const std::size_t switches = 6 * (1 + rng.index(3));  // 6, 12 or 18
-    const topo::PlannedPoolWorkload w =
-        topo::planned_pool_workload(flows, switches).value();
-
-    ExecutorConfig config = fast_config(seed);
-    config.interval = sim::microseconds(200 + 100 * rng.index(8));
-    config.controller.admission = controller::AdmissionPolicy::kConflictAware;
-    config.controller.max_in_flight = 1 + rng.index(flows);
-    config.controller.batch_mode =
-        static_cast<controller::BatchMode>(rng.index(4));
-    // Hash scatters flows across shards - the speculation stress, since
-    // only cross-shard sub-requests ever see empty rounds.
-    config.controller.partition = rng.index(4) == 0
-                                      ? topo::PartitionScheme::kBlock
-                                      : topo::PartitionScheme::kHash;
-
-    // Non-speculative single-shard run: the WHAT-gets-installed baseline.
-    config.controller.shards = 1;
-    const Result<MultiFlowExecutionResult> plain =
-        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-    ASSERT_TRUE(plain.ok()) << "seed " << seed << ": "
-                            << plain.error().to_string();
-    const MultiFlowExecutionResult& baseline = plain.value();
-
-    config.controller.speculate = true;
-    config.controller.steal = true;
-    for (const std::size_t shards : kShardCounts) {
-      config.controller.shards = shards;
-      config.controller.exec = sim::ExecMode::kSequential;
-      const Result<MultiFlowExecutionResult> seq =
-          execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-      ASSERT_TRUE(seq.ok()) << "seed " << seed << " shards " << shards
-                            << ": " << seq.error().to_string();
-      cross_seen += seq.value().sharding.cross_shard_updates;
-      skips_seen += seq.value().sharding.speculative_releases;
-
-      config.controller.exec = sim::ExecMode::kParallel;
-      config.controller.threads = 4;
-      const Result<MultiFlowExecutionResult> par =
-          execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-      ASSERT_TRUE(par.ok()) << "seed " << seed << " shards " << shards
-                            << " (parallel): " << par.error().to_string();
-      expect_parallel_bit_identical(seq.value(), par.value(), seed, shards);
-      steals_seen += par.value().sharding.steals;
-      config.controller.exec = sim::ExecMode::kSequential;
-      config.controller.threads = 0;
-
-      EXPECT_EQ(seq.value().final_state_digest, baseline.final_state_digest)
-          << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(seq.value().aggregate.bypassed, 0u)
-          << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(seq.value().aggregate.looped, 0u)
-          << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(seq.value().aggregate.blackholed, 0u)
-          << "seed " << seed << " shards " << shards;
-      for (std::size_t i = 0; i < flows; ++i)
-        EXPECT_EQ(seq.value().flows[i].update.flow_mods_sent,
-                  baseline.flows[i].update.flow_mods_sent)
-            << "seed " << seed << " shards " << shards << " flow " << i;
-    }
-    config.controller.speculate = false;
-    config.controller.steal = false;
-  }
-  EXPECT_GT(cross_seen, 0u);
-  EXPECT_GT(skips_seen, 0u);   // speculation actually skipped intervals
-  EXPECT_GT(steals_seen, 0u);  // LPT ordering actually promoted epochs
-}
-
-TEST(ShardEquivalenceTest, SpeculativeParallelRunsAreDeterministicPerSeed) {
-  // Twice-run determinism WITH speculation + stealing: same seed, same
-  // 4-thread pool, two runs - identical per-shard event counts, digests,
-  // epoch/stall counters, speculative skips AND steal counts, whatever
-  // the OS made of the thread schedules. The steal counter is the
-  // sensitive one: it must be a pure function of each wave's start state,
-  // not of which lane got there first.
-  const topo::PlannedPoolWorkload w =
-      topo::planned_pool_workload(8, 12).value();
-  for (const topo::PartitionScheme scheme :
-       {topo::PartitionScheme::kHash, topo::PartitionScheme::kGreedyCut}) {
-    ExecutorConfig config = fast_config(42);
-    config.interval = sim::microseconds(300);
-    config.controller.max_in_flight = 8;
-    config.controller.admission = controller::AdmissionPolicy::kConflictAware;
-    config.controller.batch_mode = controller::BatchMode::kAdaptive;
-    config.controller.shards = 4;
-    config.controller.partition = scheme;
-    config.controller.exec = sim::ExecMode::kParallel;
-    config.controller.threads = 4;
-    config.controller.speculate = true;
-    config.controller.steal = true;
-    const Result<MultiFlowExecutionResult> a =
-        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-    const Result<MultiFlowExecutionResult> b =
-        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-    ASSERT_TRUE(a.ok()) << topo::to_string(scheme);
-    ASSERT_TRUE(b.ok()) << topo::to_string(scheme);
-    ASSERT_EQ(a.value().sharding.events_per_shard.size(), 4u);
-    for (std::size_t s = 0; s < 4; ++s)
-      EXPECT_EQ(a.value().sharding.events_per_shard[s],
-                b.value().sharding.events_per_shard[s])
-          << topo::to_string(scheme) << " shard " << s;
-    EXPECT_EQ(a.value().final_state_digest, b.value().final_state_digest)
-        << topo::to_string(scheme);
-    EXPECT_EQ(a.value().frames_sent, b.value().frames_sent)
-        << topo::to_string(scheme);
-    EXPECT_EQ(a.value().makespan, b.value().makespan)
-        << topo::to_string(scheme);
-    EXPECT_EQ(a.value().sharding.parallel_epochs,
-              b.value().sharding.parallel_epochs)
-        << topo::to_string(scheme);
-    EXPECT_EQ(a.value().sharding.horizon_stalls,
-              b.value().sharding.horizon_stalls)
-        << topo::to_string(scheme);
-    EXPECT_EQ(a.value().sharding.speculative_releases,
-              b.value().sharding.speculative_releases)
-        << topo::to_string(scheme);
-    EXPECT_EQ(a.value().sharding.steals, b.value().sharding.steals)
-        << topo::to_string(scheme);
-  }
-}
-
-TEST(ShardEquivalenceTest, SpeculationUnderChaosStaysSafeAndBitIdentical) {
-  // The chaos overlay on the speculative engine: seeded random fault
+TEST(ShardEquivalenceTest, ParallelUnderChaosStaysSafeAndBitIdentical) {
+  // The chaos overlay on the parallel engine: seeded random fault
   // schedules (crashes with and without state loss, control-link flaps,
-  // frame blackholes) against conflict-aware admission with speculation +
-  // stealing on, alternating wait-retry and rollback recovery. Rollback
-  // is the sharp edge: a rolled-back update's deferred barrier events
-  // must die at their guards, never releasing a round for an aborted or
-  // conflicting schedule. check_fault_trace holds the oracle to zero
-  // consistency violations (outage loss is accounted separately), and the
-  // parallel rerun must stay bit-identical to sequential even with faults
-  // and recovery in the schedule. Failures print the schedule JSON for
-  // sim_cli --faults replay.
+  // frame blackholes) against conflict-aware admission on 4 hash-cut
+  // shards, alternating wait-retry and rollback recovery. Rollback is the
+  // sharp edge: a rolled-back update must never release a round for an
+  // aborted or conflicting schedule. check_fault_trace holds the oracle to
+  // zero consistency violations (outage loss is accounted separately), and
+  // the parallel rerun must stay bit-identical to sequential even with
+  // faults and recovery in the schedule. Failures print the schedule JSON
+  // for sim_cli --faults replay.
 #ifdef TSU_EQUIV_SLIM
   constexpr std::uint64_t kChaosSeeds = 10;
 #else
@@ -552,7 +403,7 @@ TEST(ShardEquivalenceTest, SpeculationUnderChaosStaysSafeAndBitIdentical) {
   options.min_down_ms = 0.5;
   options.max_down_ms = 2;
 
-  std::size_t recoveries = 0, skips_seen = 0;
+  std::size_t recoveries = 0;
   for (std::uint64_t seed = 1; seed <= kChaosSeeds; ++seed) {
     ExecutorConfig config = fast_config(seed);
     config.interval = sim::microseconds(400);
@@ -561,8 +412,6 @@ TEST(ShardEquivalenceTest, SpeculationUnderChaosStaysSafeAndBitIdentical) {
     config.controller.max_in_flight = kFlows;
     config.controller.shards = 4;
     config.controller.partition = topo::PartitionScheme::kHash;
-    config.controller.speculate = true;
-    config.controller.steal = true;
     config.controller.liveness_timeout = sim::milliseconds(2);
     config.controller.failure_response =
         seed % 2 == 0 ? controller::FailureResponse::kRollback
@@ -581,7 +430,6 @@ TEST(ShardEquivalenceTest, SpeculationUnderChaosStaysSafeAndBitIdentical) {
                            << "\nreplay: " << replay;
     recoveries += seq.value().faults.resyncs + seq.value().faults.rollbacks +
                   seq.value().faults.retries;
-    skips_seen += seq.value().sharding.speculative_releases;
 
     config.controller.exec = sim::ExecMode::kParallel;
     config.controller.threads = 4;
@@ -591,10 +439,9 @@ TEST(ShardEquivalenceTest, SpeculationUnderChaosStaysSafeAndBitIdentical) {
                           << par.error().to_string() << "\nreplay: " << replay;
     expect_parallel_bit_identical(seq.value(), par.value(), seed, 4);
   }
-  // The overlay exercised both the recovery machinery and speculation;
-  // a sweep where either never fired would be vacuous.
+  // The overlay exercised the recovery machinery; a sweep where it never
+  // fired would be vacuous.
   EXPECT_GT(recoveries, 0u);
-  EXPECT_GT(skips_seen, 0u);
 }
 
 TEST(ShardEquivalenceTest, CrossShardFlowLivenessSweep500Seeds) {

@@ -164,9 +164,8 @@ def by_label(entries):
 
 
 def parallel_label(entry):
-    opt = "on" if entry.get("speculate") else "off"
     return (f"{entry.get('shards')}shards/{entry.get('partition')}/"
-            f"{entry.get('exec')}/opt={opt}")
+            f"{entry.get('exec')}")
 
 
 def check_parallel(name, base_doc, fresh_doc, tolerance):
