@@ -56,7 +56,6 @@ void usage() {
                "               [--failure-response wait|rollback]\n"
                "               [--serve] [--rate R] [--duration-ms MS]\n"
                "               [--target N] [--max-pending N] [--classes N]\n"
-               "               [--plan-cache on|off]\n"
                "  algorithms: oneshot twophase wayup peacock slf-greedy "
                "secure optimal\n"
                "  workloads : fig1 | reversal:<n> | random:<seed>\n"
@@ -89,10 +88,7 @@ void usage() {
                "  arrivals over N priority classes (0 served first); live\n"
                "  snapshots and the final stats print as JSON, and a\n"
                "  --config file may carry a \"service\" block for the\n"
-               "  full schema (traces, rate limits, snapshot cadence);\n"
-               "  --plan-cache off disables the service submission path's\n"
-               "  compiled-plan cache (memoized rounds/admission footprint/\n"
-               "  pre-encoded frames per template+direction; default on)\n");
+               "  full schema (traces, rate limits, snapshot cadence)\n");
 }
 
 // Multi-flow mode: N peacock-planned flows over a shared switch pool,
@@ -245,7 +241,6 @@ int main(int argc, char** argv) {
   std::optional<controller::FailureResponse> failure_response_flag;
   bool serve = false;
   bool switches_set = false;
-  std::optional<bool> plan_cache_flag;
   std::optional<double> rate_flag;
   std::optional<double> duration_ms_flag;
   std::optional<std::uint64_t> target_flag;
@@ -308,12 +303,6 @@ int main(int argc, char** argv) {
       const auto n = v != nullptr ? parse_int(v) : std::nullopt;
       if (!n.has_value() || *n < 1) return usage(), 1;
       max_pending_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--plan-cache") {
-      const char* v = next();
-      if (v == nullptr ||
-          (std::string_view(v) != "on" && std::string_view(v) != "off"))
-        return usage(), 1;
-      plan_cache_flag = std::string_view(v) == "on";
     } else if (arg == "--classes") {
       const char* v = next();
       const auto n = v != nullptr ? parse_int(v) : std::nullopt;
@@ -472,8 +461,6 @@ int main(int argc, char** argv) {
     config.controller.partition = *partition_flag;
   if (exec_flag.has_value()) config.controller.exec = *exec_flag;
   if (threads_flag.has_value()) config.controller.threads = *threads_flag;
-  if (plan_cache_flag.has_value())
-    config.controller.plan_cache = *plan_cache_flag;
   if (faults_flag.has_value()) config.faults = std::move(*faults_flag);
   if (liveness_ms_flag.has_value())
     config.controller.liveness_timeout = sim::from_ms(*liveness_ms_flag);

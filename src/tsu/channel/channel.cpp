@@ -4,20 +4,7 @@
 
 namespace tsu::channel {
 
-namespace {
-
-bool carries_barrier(const proto::Message& message) {
-  if (message.type() == proto::MsgType::kBarrierRequest) return true;
-  if (message.type() != proto::MsgType::kBatch) return false;
-  for (const proto::Message& inner :
-       std::get<proto::Batch>(message.body).messages)
-    if (inner.type() == proto::MsgType::kBarrierRequest) return true;
-  return false;
-}
-
-}  // namespace
-
-bool ControlChannel::faulted_drop(bool barrier) {
+bool ControlChannel::faulted_drop(std::span<const std::byte> frame) {
   // Fault injection: a dead link has no session to buffer into, and a
   // blackhole eats the frame silently. Both return before any latency or
   // loss sampling, so the fault-free RNG stream is untouched.
@@ -32,51 +19,41 @@ bool ControlChannel::faulted_drop(bool barrier) {
   if (!down_ && pending_drops_ == 0 && !drop_until_barrier_) return false;
   if (!down_) {
     if (pending_drops_ > 0) --pending_drops_;
-    if (pending_drops_ == 0) drop_until_barrier_ = !barrier;
+    if (pending_drops_ == 0)
+      drop_until_barrier_ = !proto::frame_carries_barrier(frame);
   }
   ++frames_dropped_;
   return true;
 }
 
 void ControlChannel::send(const proto::Message& message) {
-  TSU_ASSERT_MSG(receiver_ != nullptr, "channel has no receiver");
-
-  if (faulted_drop(carries_barrier(message))) return;
-
   // Round-trip through the codec: what arrives is what survives the wire.
   // Encode into a pooled buffer - no allocation once the pool is warm.
   std::vector<std::byte> frame = acquire_frame();
   proto::encode_into(message, frame);
-  transmit(std::move(frame),
-           message.type() == proto::MsgType::kBatch
-               ? std::get<proto::Batch>(message.body).messages.size()
-               : 1);
+  transmit(std::move(frame));
 }
 
 void ControlChannel::send_encoded(std::span<const std::byte> bytes,
                                   std::uint32_t xid) {
-  TSU_ASSERT_MSG(receiver_ != nullptr, "channel has no receiver");
-
-  // Pre-encoded frames are always single messages (never batches), so the
-  // type byte alone decides whether this frame carries a barrier.
-  if (faulted_drop(proto::frame_type(bytes) ==
-                   proto::MsgType::kBarrierRequest))
-    return;
-
-  // Copy the immutable plan bytes into a pooled buffer and patch the live
-  // xid in - the only per-send work; no encoder runs. assign() reuses the
-  // pooled capacity, so the warm path stays allocation-free.
+  // Copy the caller's immutable bytes into a pooled buffer and patch the
+  // live xid in - no encoder runs. assign() reuses the pooled capacity, so
+  // the warm path stays allocation-free.
   std::vector<std::byte> frame = acquire_frame();
   frame.assign(bytes.begin(), bytes.end());
   proto::patch_xid(frame, xid);
-  transmit(std::move(frame), 1);
+  transmit(std::move(frame));
 }
 
-void ControlChannel::transmit(std::vector<std::byte>&& frame,
-                              std::size_t messages) {
+void ControlChannel::transmit(std::vector<std::byte>&& frame) {
+  TSU_ASSERT_MSG(receiver_ != nullptr, "channel has no receiver");
+  if (faulted_drop(frame)) {
+    release_frame(std::move(frame));
+    return;
+  }
   ++frames_sent_;
   bytes_sent_ += frame.size();
-  messages_sent_ += messages;
+  messages_sent_ += proto::frame_messages(frame);
 
   sim::Duration latency = config_.latency.sample(rng_);
   while (config_.loss_probability > 0 &&

@@ -58,12 +58,13 @@ class ControlChannel {
   // Enqueues `message` for delivery to the receiver side.
   void send(const proto::Message& message);
 
-  // Zero-encode variant for the compiled-plan submission path: `bytes` is
-  // a complete pre-encoded frame (single message, never a batch) whose xid
-  // field is patched to `xid` after copying into a pooled buffer - the
-  // caller's bytes stay immutable. Delivery is byte-identical to send() of
-  // the equivalent message: same counters, same single latency sample,
-  // same FIFO clamp, same fault gates.
+  // Sends a frame that is already encoded: one message or a Batch, as the
+  // controller's outbox ships them. The bytes are copied into a pooled
+  // buffer and the header's xid is patched to `xid` there, so the caller's
+  // bytes stay immutable (a compiled plan reuses its frames across sends).
+  // Delivery is byte-identical to send() of the decoded message: same
+  // counters, same single latency sample, same FIFO clamp, same fault
+  // gates.
   void send_encoded(std::span<const std::byte> bytes, std::uint32_t xid);
 
   // --- fault injection (sim/faults.hpp; inert unless driven) -----------
@@ -94,15 +95,16 @@ class ControlChannel {
   std::size_t messages_sent() const noexcept { return messages_sent_; }
 
  private:
-  // Shared fault gate: returns true when the frame was consumed by an
-  // outage or blackhole window (counted in frames_dropped_). `barrier` is
-  // whether the frame carries a barrier request - blackhole windows only
-  // close on barrier boundaries.
-  bool faulted_drop(bool barrier);
-  // Shared back half of send()/send_encoded(): counts the frame, samples
-  // one latency (plus loss retransmits) and schedules the FIFO-clamped
-  // delivery event that decodes and hands the message to the receiver.
-  void transmit(std::vector<std::byte>&& frame, std::size_t messages);
+  // Fault gate: returns true when the frame was consumed by an outage or
+  // blackhole window (counted in frames_dropped_). Blackhole windows only
+  // close on a frame that carries a barrier request, read off the header.
+  bool faulted_drop(std::span<const std::byte> frame);
+  // Shared back half of send()/send_encoded(), given the encoded frame:
+  // the fault gate (a dropped frame's buffer goes back to the pool), the
+  // counters (messages read off the header), one latency sample (plus
+  // loss retransmits) and the FIFO-clamped delivery event that decodes
+  // and hands the message to the receiver.
+  void transmit(std::vector<std::byte>&& frame);
 
   // Frame-buffer pool. acquire hands out a cleared vector that keeps its
   // high-water capacity; release returns it after delivery (or epoch drop).

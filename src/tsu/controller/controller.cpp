@@ -21,6 +21,14 @@ constexpr std::size_t kMaxBatchBytes = 48 * 1024;
 // plus queued updates) and reaches the full batch_window here.
 constexpr std::size_t kAdaptiveSaturation = 8;
 
+// Barriers carry no payload, so every barrier request the controller sends
+// is this one frame with its xid patched in.
+std::span<const std::byte> barrier_request_frame() {
+  static const std::vector<std::byte> frame =
+      proto::encode(proto::make_barrier_request(0));
+  return frame;
+}
+
 }  // namespace
 
 const char* to_string(BatchMode mode) noexcept {
@@ -74,11 +82,6 @@ std::optional<FailureResponse> failure_response_from_string(
 void Controller::attach_switch(NodeId node, SendFn send) {
   TSU_ASSERT_MSG(send != nullptr, "null switch link");
   switches_[node] = std::move(send);
-}
-
-void Controller::attach_switch_encoded(NodeId node, SendEncodedFn send) {
-  TSU_ASSERT_MSG(send != nullptr, "null encoded switch link");
-  encoded_switches_[node] = std::move(send);
 }
 
 Controller::ActiveUpdate& Controller::insert_active(UpdateId id) {
@@ -316,23 +319,52 @@ sim::Duration Controller::adaptive_window() const noexcept {
   return config_.batch_window * pressure / kAdaptiveSaturation;
 }
 
-void Controller::send_to_switch(NodeId node, proto::Message message) {
+const Controller::SendFn& Controller::link(NodeId node) const {
   const auto it = switches_.find(node);
   TSU_ASSERT_MSG(it != switches_.end(), "message for unattached switch");
-  // Fault tolerance: every FlowMod headed for the wire - round ops,
-  // retries, resync pushes, rollback undos - commits to the shadow and the
-  // unfenced log here, before batching can obscure it.
-  if (fault_tolerance() && message.type() == proto::MsgType::kFlowMod)
-    record_send(node, std::get<proto::FlowMod>(message.body));
+  return it->second;
+}
+
+void Controller::send_frame(NodeId node, std::span<const std::byte> frame,
+                            Xid xid) {
   if (config_.batch_mode == BatchMode::kOff) {
-    it->second(message);
+    link(node)(frame, xid);  // the channel copies the bytes, patches the xid
     return;
   }
-
   Outbox& box = outbox_[node];
-  const std::size_t bytes = proto::encoded_size(message);
-  box.bytes += bytes;
-  box.entries.push_back(OutboxEntry{std::move(message), sim_.now(), bytes});
+  const std::size_t offset = box.frames.size();
+  box.frames.insert(box.frames.end(), frame.begin(), frame.end());
+  proto::patch_xid(std::span(box.frames).subspan(offset), xid);
+  enqueue(node, box, offset, xid);
+}
+
+void Controller::send_message(NodeId node, const proto::Message& message) {
+  if (config_.batch_mode == BatchMode::kOff) {
+    proto::encode_into(message, frame_scratch_);
+    link(node)(frame_scratch_, message.xid);
+    return;
+  }
+  Outbox& box = outbox_[node];
+  const std::size_t offset = box.frames.size();
+  proto::encode_append(message, box.frames);
+  enqueue(node, box, offset, message.xid);
+}
+
+void Controller::send_flow_mod(NodeId node, Xid xid,
+                               const proto::FlowMod& mod) {
+  // Fault tolerance: every FlowMod headed for the wire - round ops,
+  // retries, resync pushes, rollback undos - commits to the shadow and the
+  // unfenced log at send, before batching can delay it.
+  if (fault_tolerance()) record_send(node, mod);
+  send_message(node, proto::make_flow_mod(xid, mod));
+}
+
+void Controller::enqueue(NodeId node, Outbox& box, std::size_t offset,
+                         Xid xid) {
+  box.entries.push_back(
+      OutboxEntry{static_cast<std::uint32_t>(offset),
+                  static_cast<std::uint32_t>(box.frames.size() - offset), xid,
+                  sim_.now()});
 
   if (config_.batch_mode == BatchMode::kInstant) {
     // Same-instant coalescing: one zero-delay event ships every outbox.
@@ -353,7 +385,7 @@ void Controller::send_to_switch(NodeId node, proto::Message message) {
 
   // kWindow / kAdaptive: the byte budget (or frame cap) force-flushes
   // ahead of the hold window...
-  if (box.bytes >= config_.batch_bytes ||
+  if (box.frames.size() >= config_.batch_bytes ||
       box.entries.size() >= proto::kMaxBatchMessages) {
     flush_switch(node, FlushTrigger::kBudget);
     return;
@@ -391,42 +423,41 @@ void Controller::flush_switch(NodeId node, FlushTrigger trigger) {
     case FlushTrigger::kBudget: ++budget_flushes_; break;
   }
 
-  flush_scratch_.clear();
-  std::vector<OutboxEntry>& entries = flush_scratch_;
-  entries.swap(box.entries);
-  box.bytes = 0;
+  const std::vector<OutboxEntry>& entries = box.entries;
   const sim::SimTime now = sim_.now();
   for (const OutboxEntry& entry : entries)
     max_hold_ = std::max(max_hold_, now - entry.enqueued);
 
-  const SendFn& send = switches_.at(node);
+  const SendFn& send = link(node);
+  const std::span<const std::byte> frames(box.frames);
   std::size_t begin = 0;
   while (begin < entries.size()) {
     // Grow the chunk until either frame limit would be crossed.
     std::size_t end = begin + 1;
-    std::size_t chunk_bytes = entries[begin].bytes;
+    std::size_t chunk_bytes = entries[begin].length;
     while (end < entries.size() && end - begin < proto::kMaxBatchMessages &&
-           chunk_bytes + entries[end].bytes <= kMaxBatchBytes) {
-      chunk_bytes += entries[end].bytes;
+           chunk_bytes + entries[end].length <= kMaxBatchBytes) {
+      chunk_bytes += entries[end].length;
       ++end;
     }
+    const std::span<const std::byte> chunk =
+        frames.subspan(entries[begin].offset, chunk_bytes);
     // A chunk of one (lone message, or the tail of a split) gains nothing
     // from batch framing: send it plain.
     if (end - begin == 1) {
-      send(entries[begin].message);
+      send(chunk, entries[begin].xid);
     } else {
-      std::vector<proto::Message> chunk;
-      chunk.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        chunk.push_back(std::move(entries[i].message));
-      messages_coalesced_ += chunk.size();
+      messages_coalesced_ += end - begin;
       ++batches_sent_;
       const Xid xid = next_xid();
-      send(proto::make_batch(xid, std::move(chunk)));
+      proto::encode_batch_into(xid, end - begin, chunk, frame_scratch_);
+      send(frame_scratch_, xid);
       retire_xid(xid);  // nothing routes on batch xids
     }
     begin = end;
   }
+  box.frames.clear();
+  box.entries.clear();
 }
 
 void Controller::flush_all(FlushTrigger trigger) {
@@ -439,24 +470,18 @@ void Controller::flush_all(FlushTrigger trigger) {
 void Controller::send_round_ops(ActiveUpdate& active, std::size_t round) {
   const UpdateRequest& request = request_of(active);
   const std::vector<RoundOp>& ops = request.rounds[round];
-  // Compiled-plan fast path: ship the cached frame with the live xid
-  // patched in instead of building and encoding a Message - byte-identical
-  // wire traffic, no encoder on the hot path. Only when eligible (see the
-  // constructor) and the switch has an encoded link; otherwise fall back
-  // per op.
-  const bool pre_encoded = active.plan != nullptr && encoded_eligible_;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const RoundOp& op = ops[i];
     const Xid xid = next_xid();
-    bool sent = false;
-    if (pre_encoded) {
-      const auto link = encoded_switches_.find(op.node);
-      if (link != encoded_switches_.end()) {
-        link->second(active.plan->flow_mod_frame(round, i), xid);
-        sent = true;
-      }
+    if (active.plan != nullptr) {
+      // Compiled-plan path: ship the cached frame with the live xid
+      // patched in - the bytes a fresh encode would produce, no encoder on
+      // the hot path. The shadow tables are fed from the plan's op.
+      if (fault_tolerance()) record_send(op.node, op.mod);
+      send_frame(op.node, active.plan->flow_mod_frame(round, i), xid);
+    } else {
+      send_flow_mod(op.node, xid, op.mod);
     }
-    if (!sent) send_to_switch(op.node, proto::make_flow_mod(xid, op.mod));
     retire_xid(xid);  // nothing routes on FlowMod xids
     ++active.metrics.flow_mods_sent;
     ++active.metrics.rounds.back().flow_mods;
@@ -468,15 +493,7 @@ void Controller::send_round_barrier(ActiveUpdate& active, UpdateId id,
   const Xid xid = next_xid();
   insert_waiting(xid, id, node);
   ++active.waiting;
-  bool sent = false;
-  if (active.plan != nullptr && encoded_eligible_) {
-    const auto link = encoded_switches_.find(node);
-    if (link != encoded_switches_.end()) {
-      link->second(active.plan->barrier_frame(), xid);
-      sent = true;
-    }
-  }
-  if (!sent) send_to_switch(node, proto::make_barrier_request(xid));
+  send_frame(node, barrier_request_frame(), xid);
   fence_barrier(node, xid);
   ++active.metrics.barriers_sent;
   ++active.metrics.rounds.back().barriers;
@@ -589,13 +606,11 @@ void Controller::on_message(NodeId from, const proto::Message& message) {
         on_message(from, m);
       return;
     }
-    case proto::MsgType::kEchoRequest: {
-      const auto it = switches_.find(from);
-      if (it != switches_.end())
-        it->second(proto::make_echo_reply(
-            message.xid, std::get<proto::Echo>(message.body).payload));
+    case proto::MsgType::kEchoRequest:
+      send_message(from, proto::make_echo_reply(
+                             message.xid,
+                             std::get<proto::Echo>(message.body).payload));
       return;
-    }
     case proto::MsgType::kHello:
       // A fresh control session: the switch rebooted (maybe stateless) or
       // its link flapped. The xid carries the handshake's state bit (the
@@ -801,12 +816,12 @@ void Controller::retry_update_switch(UpdateId id, NodeId node) {
     for (const RoundOp& op : request.rounds[r])
       if (op.node == node) {
         const Xid mod_xid = next_xid();
-        send_to_switch(node, proto::make_flow_mod(mod_xid, op.mod));
+        send_flow_mod(node, mod_xid, op.mod);
         retire_xid(mod_xid);
       }
   const Xid xid = next_xid();
   waiting_.emplace(xid, std::make_pair(id, node));
-  send_to_switch(node, proto::make_barrier_request(xid));
+  send_frame(node, barrier_request_frame(), xid);
   fence_barrier(node, xid);
 }
 
@@ -843,7 +858,7 @@ void Controller::handle_reconnect(NodeId from, bool has_state) {
         mod.match = rule.match;
         mod.action = rule.action;
         const Xid mod_xid = next_xid();
-        send_to_switch(from, proto::make_flow_mod(mod_xid, mod));
+        send_flow_mod(from, mod_xid, mod);
         retire_xid(mod_xid);
         ++mods;
       }
@@ -894,7 +909,7 @@ void Controller::handle_reconnect(NodeId from, bool has_state) {
         mod.command = proto::FlowModCommand::kDeleteStrict;
       }
       const Xid mod_xid = next_xid();
-      send_to_switch(from, proto::make_flow_mod(mod_xid, mod));
+      send_flow_mod(from, mod_xid, mod);
       retire_xid(mod_xid);
       ++mods;
     }
@@ -905,7 +920,7 @@ void Controller::handle_reconnect(NodeId from, bool has_state) {
   // rounds replayed.
   const Xid xid = next_xid();
   resync_waiting_.emplace(xid, from);
-  send_to_switch(from, proto::make_barrier_request(xid));
+  send_frame(from, barrier_request_frame(), xid);
   fence_barrier(from, xid);
 }
 

@@ -23,11 +23,16 @@
 // nothing in flight, so overlapping updates queue behind their conflicts
 // while disjoint ones parallelize.
 //
-// Outbound messages flow through a per-switch OUTBOX (BatchMode): every
-// message bound for one switch - FlowMods and barrier requests, across all
-// in-flight flows - accumulates in that switch's outbox and ships as a
-// single Batch control frame, the way a production controller packs
-// messages into one TCP segment. When the outbox flushes is the mode:
+// Every message leaves the controller as encoded bytes: plan-backed round
+// ops ship their compiled frames with the live xid patched in
+// (plan_cache.hpp), barriers share one pre-encoded frame, and everything
+// else is encoded once at send. The frames
+// flow through a per-switch OUTBOX (BatchMode): every frame bound for one
+// switch - FlowMods and barrier requests, across all in-flight flows -
+// accumulates, xid already patched, in that switch's byte buffer and ships
+// as a single Batch control frame written around those bytes, the way a
+// production controller packs messages into one TCP segment. When the
+// outbox flushes is the mode:
 //
 //   kOff      every message is its own frame (no outbox).
 //   kInstant  a zero-delay event flushes all outboxes, so only messages of
@@ -155,14 +160,6 @@ struct ControllerConfig {
   AdmissionPolicy admission = AdmissionPolicy::kBlind;
   // When footprints leave the conflict DAG (see AdmissionRelease).
   AdmissionRelease admission_release = AdmissionRelease::kRequest;
-  // Memoized update-plan compilation for the open-loop service mode
-  // (controller/plan_cache.hpp): repeat submissions of a template reuse its
-  // compiled rounds, footprint and pre-encoded frames instead of
-  // re-lowering and re-encoding. Provably transparent - cache-on runs are
-  // bit-identical to cache-off (the equivalence suite pins it), so "off"
-  // exists for that proof and for perf baselines, not for correctness.
-  // Read by the service executor; the engine itself just accepts plans.
-  bool plan_cache = true;
   // Sharded control plane (controller/shard.hpp): how many controller
   // shards the switches are partitioned across - max_in_flight applies PER
   // SHARD - and how switches map to shards. shards = 1 is the single
@@ -201,22 +198,16 @@ struct ControllerConfig {
 
 class Controller {
  public:
-  using SendFn = std::function<void(const proto::Message&)>;
-  // Pre-encoded variant: a complete frame (xid field patched per send by
-  // the channel) instead of a Message. See ControlChannel::send_encoded.
-  using SendEncodedFn =
-      std::function<void(std::span<const std::byte>, Xid)>;
+  // The link towards one switch: a complete encoded frame (one message or
+  // a Batch) and the xid to patch into its header, as
+  // ControlChannel::send_encoded takes them. The bytes are only borrowed
+  // for the call.
+  using SendFn =
+      std::function<void(std::span<const std::byte> frame, Xid xid)>;
 
   Controller(sim::Simulator& simulator, ControllerConfig config)
       : sim_(simulator), config_(config), admission_(config.admission) {
     if (config_.max_in_flight == 0) config_.max_in_flight = 1;
-    // The pre-encoded send path is only byte-transparent when every frame
-    // would be its own wire frame anyway (no outbox coalescing) and no
-    // shadow-table bookkeeping needs the Message object (no fault
-    // tolerance). Otherwise plan submissions fall back to Message sends -
-    // still skipping lowering/footprint/encode recomputation.
-    encoded_eligible_ = config_.batch_mode == BatchMode::kOff &&
-                        config_.liveness_timeout == 0;
     // The recycle stack is a fixed-capacity pool: reserving it here means
     // retire_xid never allocates, so long service runs stay off the heap
     // (the pool would otherwise double its way up during the pre-wrap
@@ -226,9 +217,6 @@ class Controller {
 
   // Registers the outbound channel towards a switch.
   void attach_switch(NodeId node, SendFn send);
-  // Registers the pre-encoded send path towards a switch (optional; plan
-  // submissions fall back to the Message path for switches without one).
-  void attach_switch_encoded(NodeId node, SendEncodedFn send);
 
   // Inbound dispatch: the per-switch channel delivers replies here.
   void on_message(NodeId from, const proto::Message& message);
@@ -240,9 +228,8 @@ class Controller {
   // Compiled-plan submission (plan_cache.hpp): behaviour-identical to
   // submit() of the plan's canonical request with `priority_class` and
   // `enqueued` applied, but the hot path performs no lowering, no
-  // footprint computation and - when eligible - no message encoding. The
-  // plan is shared, immutable and typically reused across many
-  // submissions.
+  // footprint computation and no message encoding. The plan is shared,
+  // immutable and typically reused across many submissions.
   void submit_plan(std::shared_ptr<const CompiledPlan> plan,
                    std::uint8_t priority_class,
                    std::optional<sim::SimTime> enqueued);
@@ -457,9 +444,19 @@ class Controller {
   void start_round(UpdateId id);
   void send_round_ops(ActiveUpdate& active, std::size_t round);
   // One barrier of a round: registers the outstanding xid and ships the
-  // (possibly pre-encoded) barrier request to `node`.
+  // barrier request to `node`.
   void send_round_barrier(ActiveUpdate& active, UpdateId id, NodeId node);
-  void send_to_switch(NodeId node, proto::Message message);
+  // The ways bytes leave for a switch, through its outbox when batching:
+  // an encoded frame with its header xid set to `xid`, or a message
+  // encoded once here. Callers that know the FlowMod do record_send.
+  const SendFn& link(NodeId node) const;
+  void send_frame(NodeId node, std::span<const std::byte> frame, Xid xid);
+  void send_message(NodeId node, const proto::Message& message);
+  void send_flow_mod(NodeId node, Xid xid, const proto::FlowMod& mod);
+  // Registers the frame just appended to `node`'s outbox buffer at
+  // `offset` and applies the mode's flush rule.
+  struct Outbox;
+  void enqueue(NodeId node, Outbox& box, std::size_t offset, Xid xid);
   void flush_switch(NodeId node, FlushTrigger trigger);
   void flush_all(FlushTrigger trigger);
   sim::Duration adaptive_window() const noexcept;
@@ -574,11 +571,6 @@ class Controller {
   ControllerConfig config_;
   AdmissionQueue admission_;
   std::unordered_map<NodeId, SendFn> switches_;
-  // Pre-encoded send paths (plan submissions only); keyed like switches_.
-  std::unordered_map<NodeId, SendEncodedFn> encoded_switches_;
-  // Whether plan-backed sends may use the pre-encoded path (computed at
-  // construction; see the constructor comment).
-  bool encoded_eligible_ = false;
   // Submitted but not yet started, in arrival order. Under conflict-aware
   // admission a later entry may start before an earlier blocked one.
   // A vector (not deque): plan-backed entries hold no heap state, so warm
@@ -617,16 +609,21 @@ class Controller {
   std::size_t flush_timers_cancelled_ = 0;
   sim::Duration max_hold_ = 0;
 
-  // One pending message of a per-switch outbox: readiness instant and
-  // encoded size, so flushes can account hold latency and byte budgets.
+  // One pending frame of a per-switch outbox: where it sits in the
+  // outbox's byte buffer, its xid, and its readiness instant (for the
+  // hold-latency accounting).
   struct OutboxEntry {
-    proto::Message message;
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
+    Xid xid = 0;
     sim::SimTime enqueued = 0;
-    std::size_t bytes = 0;
   };
   struct Outbox {
+    // The pending element frames back to back, xids patched; its size is
+    // what the byte budget counts. Both vectors keep their capacity across
+    // flushes, so steady-state batching stops allocating at high water.
+    std::vector<std::byte> frames;
     std::vector<OutboxEntry> entries;
-    std::size_t bytes = 0;
     // Cancellable per-switch flush timer (kWindow/kAdaptive). A budget or
     // forced flush cancels it; the lazy-cancel event queue compacts the
     // dead slots (see sim/event_queue.hpp).
@@ -636,9 +633,9 @@ class Controller {
 
   // Ordered map so flush-all order is deterministic.
   std::map<NodeId, Outbox> outbox_;
-  // Reused flush staging buffer: capacities circulate between it and the
-  // outboxes, so steady-state flushes stop allocating at high-water size.
-  std::vector<OutboxEntry> flush_scratch_;
+  // Reused frame for a message sent without an outbox and for the Batch
+  // frame a flush writes around a chunk.
+  std::vector<std::byte> frame_scratch_;
   bool flush_scheduled_ = false;  // kInstant: one zero-delay flush-all event
 
   // --- fault tolerance (all empty and untouched when disabled) ----------

@@ -69,7 +69,6 @@ std::shared_ptr<const CompiledPlan> compile_plan(UpdateRequest request,
     order.reserve(round_switches.size());
     for (const NodeId node : round_switches) order.push_back(node);
   }
-  proto::encode_into(proto::make_barrier_request(0), plan->barrier);
   return plan;
 }
 

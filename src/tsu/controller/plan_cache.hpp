@@ -10,28 +10,24 @@
 //
 // A CompiledPlan captures the invariant part once: the canonical
 // UpdateRequest (rounds and all), its admission Footprint, the per-round
-// release plan, and every wire frame pre-encoded with xid 0 plus the
+// release plan, and every FlowMod frame pre-encoded with xid 0 plus the
 // per-round barrier fan-out order. Submitting a plan
 // (Controller::submit_plan) then costs only xid assignment and per-switch
-// routing: the channel copies the cached bytes into its pooled frame buffer
-// and patches the live xid in place (proto::patch_xid - the xid analogue of
-// the Batch encoder's length patch), producing bytes identical to a fresh
-// encode.
+// routing: the cached bytes are copied - into the channel's pooled frame
+// buffer, or into the switch's outbox when batching - and the live xid is
+// patched in place (proto::patch_xid - the xid analogue of the Batch
+// encoder's length patch), producing bytes identical to a fresh encode.
+// This holds in every mode: with batching, the outbox writes its Batch
+// frame around the patched frames, and with fault tolerance on, the
+// shadow tables are fed from the plan's rounds.
 //
-// Transparency is the contract: a cache-on run is bit-identical to the
-// cache-off run - same digests, same wire bytes, same makespan, same oracle
-// verdicts. Two mechanisms guard it:
-//   * eligibility - the pre-encoded send path is only taken when a frame
-//     would be its own wire frame anyway (batching off) and no shadow-table
-//     bookkeeping inspects the Message (fault tolerance off); otherwise the
-//     plan still skips lowering/footprint/encoding recomputation but sends
-//     through the ordinary Message path, which reads the plan's canonical
-//     request and produces identical bytes;
-//   * generation tagging - every plan records the controller's resync
-//     generation at compile time. A fault-driven resync rewrites shadow
-//     state and bumps the generation, so PlanCache::lookup discards any
-//     plan compiled before it (counted as an invalidation) rather than
-//     serving stale frames.
+// Transparency is the contract: a plan-backed submission is bit-identical
+// to submitting its request - same digests, same wire bytes, same
+// makespan, same oracle verdicts. Generation tagging keeps it so across
+// faults: every plan records the controller's resync generation at compile
+// time. A fault-driven resync rewrites shadow state and bumps the
+// generation, so PlanCache::lookup discards any plan compiled before it
+// (counted as an invalidation) rather than serving stale frames.
 #pragma once
 
 #include <cstddef>
@@ -71,12 +67,10 @@ struct CompiledPlan {
   // materializing a request.
   std::vector<NodeId> touched;
   // Flat pool of pre-encoded FlowMod frames (xid 0), indexed per
-  // round/op by `flow_mod_frames`.
+  // round/op by `flow_mod_frames`. (Barriers carry no payload; the
+  // controller sends one shared barrier frame.)
   std::vector<std::byte> frames;
   std::vector<std::vector<FrameRef>> flow_mod_frames;
-  // One pre-encoded BarrierRequest frame (xid 0); barriers are
-  // payload-free, so every round shares it.
-  std::vector<std::byte> barrier;
   // Per-round barrier fan-out targets, captured at compile time by
   // replaying the engine's per-round switch-set construction - same
   // switches, same iteration order as the uncached path.
@@ -89,9 +83,6 @@ struct CompiledPlan {
                                             std::size_t op) const noexcept {
     const FrameRef& ref = flow_mod_frames[round][op];
     return std::span<const std::byte>(frames).subspan(ref.offset, ref.length);
-  }
-  std::span<const std::byte> barrier_frame() const noexcept {
-    return barrier;
   }
 };
 
@@ -110,8 +101,8 @@ std::shared_ptr<const CompiledPlan> compile_plan(UpdateRequest request,
 
 // The memo: template key -> compiled plan, with hit/compile/invalidation
 // counters surfaced through ServiceStats. Keys are the caller's (the
-// service executor derives one per (template, direction) from the update
-// instance's identity digest), so the cache itself never inspects requests.
+// service executor uses 2 * template + direction), so the cache itself
+// never inspects requests.
 class PlanCache {
  public:
   // Returns the cached plan for `key` if it exists and was compiled at

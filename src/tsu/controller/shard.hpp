@@ -96,12 +96,6 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
 
   // Registers the outbound channel towards a switch on its owning shard.
   void attach_switch(NodeId node, Controller::SendFn send);
-  // Registers the pre-encoded send path on the owning shard (plan
-  // submissions; see Controller::attach_switch_encoded).
-  void attach_switch_encoded(NodeId node, Controller::SendEncodedFn send) {
-    shards_[shard_of(node)]->engine().attach_switch_encoded(node,
-                                                            std::move(send));
-  }
   // Fault tolerance (sim/faults.hpp): shadow seeding and the resync
   // callback route to the switch's owning shard; see controller.hpp.
   void seed_shadow(NodeId node, const proto::FlowMod& mod) {

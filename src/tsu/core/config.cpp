@@ -100,9 +100,9 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
 
   for (const auto& [key, field] : value.as_object()) {
     if (key == "seed") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kParseError, "'seed' must be >= 0");
-      config.seed = static_cast<std::uint64_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.seed = static_cast<std::uint64_t>(n.value());
     } else if (key == "channel") {
       if (!field.is_object())
         return make_error(Errc::kParseError, "'channel' must be an object");
@@ -161,10 +161,9 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
         return make_error(Errc::kParseError, "'use_barriers' must be a bool");
       config.controller.use_barriers = field.as_bool();
     } else if (key == "max_in_flight") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'max_in_flight' must be >= 1");
-      config.controller.max_in_flight =
-          static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.controller.max_in_flight = static_cast<std::size_t>(n.value());
     } else if (key == "batch_mode") {
       if (!field.is_string())
         return make_error(Errc::kParseError, "'batch_mode' must be a string");
@@ -180,10 +179,9 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
         return make_error(Errc::kOutOfRange, "'batch_window_ms' must be >= 0");
       config.controller.batch_window = ms(field.as_double());
     } else if (key == "batch_bytes") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'batch_bytes' must be >= 1");
-      config.controller.batch_bytes =
-          static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.controller.batch_bytes = static_cast<std::size_t>(n.value());
     } else if (key == "admission") {
       if (!field.is_string())
         return make_error(Errc::kParseError, "'admission' must be a string");
@@ -205,18 +203,11 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                           "unknown admission release '" + field.as_string() +
                               "' (request | round)");
       config.controller.admission_release = *release;
-    } else if (key == "plan_cache") {
-      if (!field.is_string() ||
-          (field.as_string() != "on" && field.as_string() != "off"))
-        return make_error(Errc::kParseError,
-                          "'plan_cache' must be \"on\" or \"off\"");
-      config.controller.plan_cache = field.as_string() == "on";
     } else if (key == "shards") {
-      if (!field.is_number() || field.as_int() < 1 ||
-          field.as_int() >
-              static_cast<std::int64_t>(proto::kMaxXidShards))
-        return make_error(Errc::kOutOfRange, "'shards' must be in [1, 256]");
-      config.controller.shards = static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(
+          key, 1, static_cast<std::int64_t>(proto::kMaxXidShards));
+      if (!n.ok()) return n.error();
+      config.controller.shards = static_cast<std::size_t>(n.value());
     } else if (key == "partition") {
       if (!field.is_string())
         return make_error(Errc::kParseError, "'partition' must be a string");
@@ -238,18 +229,17 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                               "' (sequential | parallel)");
       config.controller.exec = *mode;
     } else if (key == "threads") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kOutOfRange, "'threads' must be >= 0");
-      config.controller.threads = static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.controller.threads = static_cast<std::size_t>(n.value());
     } else if (key == "flow") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kParseError, "'flow' must be >= 0");
-      config.flow = static_cast<FlowId>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.flow = static_cast<FlowId>(n.value());
     } else if (key == "priority") {
-      if (!field.is_number() || field.as_int() < 0 ||
-          field.as_int() > 0xffff)
-        return make_error(Errc::kOutOfRange, "'priority' out of range");
-      config.priority = static_cast<std::uint16_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 0, 0xffff);
+      if (!n.ok()) return n.error();
+      config.priority = static_cast<std::uint16_t>(n.value());
     } else if (key == "interval_ms") {
       if (!field.is_number() || field.as_double() < 0)
         return make_error(Errc::kOutOfRange, "'interval_ms' must be >= 0");
@@ -300,10 +290,9 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
           if (!model.ok()) return model.error();
           config.link_latency = model.value();
         } else if (tkey == "ttl") {
-          if (!tval.is_number() || tval.as_int() < 1 ||
-              tval.as_int() > 1024)
-            return make_error(Errc::kOutOfRange, "'ttl' out of range");
-          config.ttl = static_cast<int>(tval.as_int());
+          const Result<std::int64_t> ttl = tval.int_in(tkey, 1, 1024);
+          if (!ttl.ok()) return ttl.error();
+          config.ttl = static_cast<int>(ttl.value());
         } else if (tkey == "warmup_ms") {
           Result<double> v = optional_number(traffic, "warmup_ms", 5, 0);
           if (!v.ok()) return v.error();
@@ -400,8 +389,6 @@ json::Value config_to_json(const ExecutorConfig& config) {
   root.set("admission_release",
            json::Value(
                controller::to_string(config.controller.admission_release)));
-  root.set("plan_cache",
-           json::Value(config.controller.plan_cache ? "on" : "off"));
   root.set("shards", json::Value(static_cast<std::int64_t>(
                          config.controller.shards)));
   root.set("partition",
@@ -469,13 +456,14 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
 
   for (const auto& [key, field] : service_block->as_object()) {
     if (key == "flows") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'flows' must be >= 1");
-      config.flows = static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.flows = static_cast<std::size_t>(n.value());
     } else if (key == "pool_switches") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'pool_switches' must be >= 1");
-      config.pool_switches = static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(
+          key, static_cast<std::int64_t>(kMinPoolSwitches), json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.pool_switches = static_cast<std::size_t>(n.value());
     } else if (key == "alternate_directions") {
       if (!field.is_bool())
         return make_error(Errc::kParseError,
@@ -504,17 +492,17 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
         return make_error(Errc::kOutOfRange, "'horizon_ms' must be >= 0");
       config.horizon = ms(field.as_double());
     } else if (key == "target") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kOutOfRange, "'target' must be >= 0");
-      config.target_completions = static_cast<std::uint64_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.target_completions = static_cast<std::uint64_t>(n.value());
     } else if (key == "max_pending") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'max_pending' must be >= 1");
-      config.max_pending = static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.max_pending = static_cast<std::size_t>(n.value());
     } else if (key == "submit_depth") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kOutOfRange, "'submit_depth' must be >= 0");
-      config.submit_depth = static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.submit_depth = static_cast<std::size_t>(n.value());
     } else if (key == "classes") {
       if (!field.is_array() || field.as_array().empty())
         return make_error(Errc::kParseError,
@@ -547,9 +535,9 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
                           "'snapshot_interval_ms' must be >= 0");
       config.snapshot_interval = ms(field.as_double());
     } else if (key == "snapshot_window") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'snapshot_window' must be >= 1");
-      config.snapshot_window = static_cast<std::size_t>(field.as_int());
+      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      config.snapshot_window = static_cast<std::size_t>(n.value());
     } else {
       return make_error(Errc::kParseError,
                         "unknown service field '" + key + "'");

@@ -15,7 +15,6 @@
 //   "batch_window_ms": 0.5, "batch_bytes": 16384,
 //   "admission": "blind" | "conflict_aware" | "serialize",
 //   "admission_release": "request" | "round",
-//   "plan_cache": "on" | "off",
 //   "shards": 1, "partition": "hash" | "block" | "greedy_cut",
 //   "exec": "sequential" | "parallel", "threads": 0,
 //   "flow": 1, "priority": 100, "interval_ms": 0,

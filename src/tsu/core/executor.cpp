@@ -156,15 +156,9 @@ struct Harness {
     sw_ptr->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
-    ctrl->attach_switch(node, [duplex_ptr](const proto::Message& m) {
-      duplex_ptr->to_switch.send(m);
-    });
-    // Zero-encode fast path for compiled-plan submissions: the controller
-    // hands the channel a pre-encoded frame plus the xid to patch into it,
-    // skipping make_flow_mod/encode entirely (channel.hpp send_encoded).
-    ctrl->attach_switch_encoded(
-        node, [duplex_ptr](std::span<const std::byte> bytes, Xid xid) {
-          duplex_ptr->to_switch.send_encoded(bytes, xid);
+    ctrl->attach_switch(
+        node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+          duplex_ptr->to_switch.send_encoded(frame, xid);
         });
 
     switches[node] = sw_ptr;
@@ -656,6 +650,9 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     exec.controller.admission = controller::AdmissionPolicy::kConflictAware;
   if (config.flows == 0)
     return make_error(Errc::kInvalidArgument, "need at least one template");
+  if (config.pool_switches < kMinPoolSwitches)
+    return make_error(Errc::kInvalidArgument,
+                      "pool_switches must be at least 6");
   if (config.classes.empty() || config.classes.size() > 256)
     return make_error(Errc::kInvalidArgument,
                       "priority class count must be in [1, 256]");
@@ -773,27 +770,14 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     tokens[c] = std::max(1.0, config.classes[c].burst);
   std::vector<std::uint64_t> flip(config.flows, 0);
 
-  // Compiled-plan cache (controller/plan_cache.hpp). Keys are derived once
-  // per (template, direction) from the instance's identity digest - the
-  // forward and reverse instances of one template digest differently (the
-  // paths swap), but mix in a direction tag anyway so the key's meaning
-  // never rests on that accident. Submissions below consult the cache with
-  // the coordinator's current resync generation: any fault-driven shadow
-  // rewrite bumps it and stale pre-encoded frames are recompiled, never
-  // served.
-  const bool plan_cache_on = exec.controller.plan_cache;
+  // Compiled-plan cache (controller/plan_cache.hpp), keyed by
+  // 2 * template + direction. Not by the instance's paths: the compiled
+  // request also carries the template's flow id, and templates may share
+  // paths (topo::pool_workload repeats them once the pool outgrows its
+  // switches). Submissions below consult the cache with the coordinator's
+  // current resync generation: any fault-driven shadow rewrite bumps it
+  // and stale pre-encoded frames are recompiled, never served.
   controller::PlanCache plan_cache;
-  std::vector<std::uint64_t> fwd_keys;
-  std::vector<std::uint64_t> rev_keys;
-  if (plan_cache_on) {
-    constexpr std::uint64_t kReverseTag = 0x9e3779b97f4a7c15ULL;
-    fwd_keys.reserve(pool.instances.size());
-    for (const update::Instance& inst : pool.instances)
-      fwd_keys.push_back(inst.identity_digest());
-    rev_keys.reserve(rev_instances.size());
-    for (const update::Instance& inst : rev_instances)
-      rev_keys.push_back(inst.identity_digest() ^ kReverseTag);
-  }
 
   ServiceStats stats;
   stats.by_class.resize(class_count);
@@ -831,38 +815,25 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     --pending_total;
     const bool reverse = config.alternate_directions && (flip[p.tmpl] & 1);
     ++flip[p.tmpl];
-    const update::Instance& inst =
-        reverse ? rev_instances[p.tmpl] : pool.instances[p.tmpl];
-    const update::Schedule& sched =
-        reverse ? rev_schedules[p.tmpl] : pool.schedules[p.tmpl];
-    if (plan_cache_on) {
-      // Warm path: reuse the compiled plan - no request materialization, no
-      // re-encoding; the controller patches xids into the cached frames.
-      // Cold path: build the CANONICAL request (exactly what the cache-off
-      // branch below submits, before the per-submission class/enqueued
-      // stamps) and compile it once.
-      const std::uint64_t key =
-          reverse ? rev_keys[p.tmpl] : fwd_keys[p.tmpl];
-      const std::uint64_t generation = harness.ctrl->resync_generation();
-      std::shared_ptr<const controller::CompiledPlan> plan =
-          plan_cache.lookup(key, generation);
-      if (plan == nullptr) {
-        controller::UpdateRequest req = controller::request_from_schedule(
-            inst, sched, static_cast<FlowId>(exec.flow + p.tmpl),
-            exec.priority, exec.interval);
-        plan = controller::compile_plan(std::move(req), generation);
-        plan_cache.store(key, plan);
-      }
-      harness.ctrl->submit_plan(std::move(plan),
-                                static_cast<std::uint8_t>(cls), p.arrived);
-    } else {
+    // Warm path: reuse the compiled plan - no request materialization, no
+    // re-encoding; the controller patches xids into the cached frames.
+    // Cold path: build the template's canonical request (the per-submission
+    // class and arrival travel with submit_plan) and compile it once.
+    const std::uint64_t key = 2 * p.tmpl + (reverse ? 1 : 0);
+    const std::uint64_t generation = harness.ctrl->resync_generation();
+    std::shared_ptr<const controller::CompiledPlan> plan =
+        plan_cache.lookup(key, generation);
+    if (plan == nullptr) {
       controller::UpdateRequest req = controller::request_from_schedule(
-          inst, sched, static_cast<FlowId>(exec.flow + p.tmpl), exec.priority,
+          reverse ? rev_instances[p.tmpl] : pool.instances[p.tmpl],
+          reverse ? rev_schedules[p.tmpl] : pool.schedules[p.tmpl],
+          static_cast<FlowId>(exec.flow + p.tmpl), exec.priority,
           exec.interval);
-      req.priority_class = static_cast<std::uint8_t>(cls);
-      req.enqueued = p.arrived;
-      harness.ctrl->submit(std::move(req));
+      plan = controller::compile_plan(std::move(req), generation);
+      plan_cache.store(key, plan);
     }
+    harness.ctrl->submit_plan(std::move(plan), static_cast<std::uint8_t>(cls),
+                              p.arrived);
     ++stats.submitted;
     ++stats.by_class[cls].submitted;
   };

@@ -55,6 +55,9 @@ struct ServiceClassConfig {
   double weight = 1;
 };
 
+// The fewest pool switches: one block of topo::pool_workload.
+inline constexpr std::size_t kMinPoolSwitches = 6;
+
 struct ServiceConfig {
   // Control-plane wiring (channel, switch, controller, traffic, seed). The
   // closed-loop warmup/drain fields are ignored; with_traffic still
@@ -62,10 +65,11 @@ struct ServiceConfig {
   ExecutorConfig exec;
 
   // Update-template pool: `flows` two-path instances over `pool_switches`
-  // switches (topo::pool_workload). Each arrival picks a template uniformly;
-  // when alternate_directions, consecutive submissions of one template flip
-  // between old->new and new->old so the data plane always transitions from
-  // its actual current state.
+  // (at least kMinPoolSwitches) switches (topo::pool_workload). Each
+  // arrival picks a template uniformly; when alternate_directions,
+  // consecutive submissions of one template flip between old->new and
+  // new->old so the data plane always transitions from its actual current
+  // state.
   std::size_t flows = 8;
   std::size_t pool_switches = 48;
   bool alternate_directions = true;
@@ -133,10 +137,10 @@ struct ServiceStats {
   std::uint64_t throttled = 0;
   std::size_t peak_pending = 0;
   std::size_t peak_controller_depth = 0;  // queued + active high-water
-  // Compiled-plan cache counters (all zero when controller.plan_cache is
-  // off): compiles = cache misses that built a plan, hits = submissions
-  // served from a cached plan, invalidations = cached plans discarded
-  // because a fault-driven resync bumped the generation.
+  // Compiled-plan cache counters: compiles = cache misses that built a
+  // plan, hits = submissions served from a cached plan, invalidations =
+  // cached plans discarded because a fault-driven resync bumped the
+  // generation.
   std::uint64_t plan_compiles = 0;
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_invalidations = 0;

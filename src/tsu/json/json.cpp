@@ -35,8 +35,25 @@ Value& Object::set(std::string key, Value value) {
 std::int64_t Value::as_int() const {
   TSU_ASSERT(is_number());
   TSU_ASSERT_MSG(std::nearbyint(num_) == num_, "number is not integral");
-  TSU_ASSERT_MSG(num_ >= -9.007199254740992e15 && num_ <= 9.007199254740992e15,
+  TSU_ASSERT_MSG(num_ >= -static_cast<double>(kMaxExactInt) &&
+                     num_ <= static_cast<double>(kMaxExactInt),
                  "number exceeds exact integer range");
+  return static_cast<std::int64_t>(num_);
+}
+
+Result<std::int64_t> Value::int_in(std::string_view name, std::int64_t lo,
+                                   std::int64_t hi) const {
+  TSU_ASSERT(-kMaxExactInt <= lo && lo <= hi && hi <= kMaxExactInt);
+  const auto fail = [&](Errc code) {
+    return make_error(code, std::string("'").append(name).append(
+                                "' must be an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]"));
+  };
+  if (!is_number() || std::nearbyint(num_) != num_)
+    return fail(Errc::kParseError);
+  if (num_ < static_cast<double>(lo) || num_ > static_cast<double>(hi))
+    return fail(Errc::kOutOfRange);
   return static_cast<std::int64_t>(num_);
 }
 

@@ -26,6 +26,9 @@ namespace tsu::json {
 
 class Value;
 
+// 2^53: up to this magnitude a JSON number (a double) is an exact integer.
+inline constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
+
 using Array = std::vector<Value>;
 
 // Insertion-ordered object: preserves the order keys appear in the input,
@@ -93,7 +96,12 @@ class Value {
     return num_;
   }
   // Integer view of a number; asserts the value is integral and in range.
+  // Parsers of outside input use int_in instead.
   std::int64_t as_int() const;
+  // Checked integer view: a non-number or a fraction is a kParseError, an
+  // integer outside [lo, hi] a kOutOfRange; `name` labels the message.
+  Result<std::int64_t> int_in(std::string_view name, std::int64_t lo,
+                              std::int64_t hi) const;
   const std::string& as_string() const {
     TSU_ASSERT(is_string());
     return str_;

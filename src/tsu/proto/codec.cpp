@@ -9,6 +9,17 @@ namespace {
 constexpr std::size_t kHeaderSize = 8;
 constexpr std::size_t kMaxFrame = 1u << 16;
 
+// Big-endian u16 at `at` (the header's length field sits at offset 2).
+std::size_t read_u16(std::span<const std::byte> frame, std::size_t at) {
+  return static_cast<std::size_t>(static_cast<std::uint8_t>(frame[at])) << 8 |
+         static_cast<std::size_t>(static_cast<std::uint8_t>(frame[at + 1]));
+}
+
+MsgType type_of(std::span<const std::byte> frame) {
+  TSU_ASSERT_MSG(frame.size() >= kHeaderSize, "frame smaller than header");
+  return static_cast<MsgType>(frame[1]);
+}
+
 // Match wire format: presence bitmap + present fields.
 enum MatchBits : std::uint8_t {
   kHasFlow = 1u << 0,
@@ -294,9 +305,7 @@ Result<DecodeStreamResult> decode_stream_impl(std::span<const std::byte> data,
   DecodeStreamResult result;
   while (data.size() - result.consumed >= kHeaderSize) {
     const std::span<const std::byte> rest = data.subspan(result.consumed);
-    const auto declared =
-        static_cast<std::size_t>(static_cast<std::uint8_t>(rest[2])) << 8 |
-        static_cast<std::size_t>(static_cast<std::uint8_t>(rest[3]));
+    const std::size_t declared = read_u16(rest, 2);
     if (declared > rest.size()) break;  // incomplete frame; stop cleanly
     Result<Message> message = decode_impl(rest.subspan(0, declared), depth);
     if (!message.ok()) return message.error();
@@ -316,46 +325,30 @@ std::vector<std::byte> encode(const Message& message) {
 
 void encode_into(const Message& message, std::vector<std::byte>& out) {
   out.clear();
+  encode_append(message, out);
+}
+
+void encode_append(const Message& message, std::vector<std::byte>& out) {
   Writer w(out);
   encode_frame(w, message);
 }
 
-namespace {
-
-std::size_t match_size(const flow::Match& match) {
-  std::size_t n = 1;  // presence bitmap
-  if (match.flow.has_value()) n += 8;
-  if (match.src_host.has_value()) n += 4;
-  if (match.dst_host.has_value()) n += 4;
-  if (match.in_port.has_value()) n += 4;
-  return n;
-}
-
-// Mirrors BodyEncoder field for field; proto_test pins
-// encoded_size(m) == encode(m).size() so the two cannot drift.
-struct BodySizer {
-  std::size_t operator()(const Hello&) const { return 0; }
-  std::size_t operator()(const Error& e) const { return 4 + e.text.size(); }
-  std::size_t operator()(const Echo& e) const { return e.payload.size(); }
-  std::size_t operator()(const FeaturesRequest&) const { return 0; }
-  std::size_t operator()(const FeaturesReply&) const { return 12; }
-  std::size_t operator()(const FlowMod& mod) const {
-    return 1 + 1 + 2 + 8 + match_size(mod.match) + 5;  // action: kind + port
-  }
-  std::size_t operator()(const PacketOut&) const { return 28; }
-  std::size_t operator()(const BarrierRequest&) const { return 0; }
-  std::size_t operator()(const BarrierReply&) const { return 0; }
-  std::size_t operator()(const Batch& batch) const {
-    std::size_t n = 2;  // element count
-    for (const Message& m : batch.messages) n += encoded_size(m);
-    return n;
-  }
-};
-
-}  // namespace
-
-std::size_t encoded_size(const Message& message) {
-  return kHeaderSize + std::visit(BodySizer{}, message.body);
+void encode_batch_into(std::uint32_t xid, std::size_t count,
+                       std::span<const std::byte> elements,
+                       std::vector<std::byte>& out) {
+  // Same bytes BodyEncoder lays down for a Batch: header, u16 count, then
+  // each element frame in place.
+  TSU_ASSERT_MSG(count <= 0xffff, "batch too large");
+  const std::size_t frame_size = kHeaderSize + 2 + elements.size();
+  TSU_ASSERT_MSG(frame_size <= 0xffff, "frame exceeds the u16 length field");
+  out.clear();
+  Writer w(out);
+  w.u8(kProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(MsgType::kBatch));
+  w.u16(static_cast<std::uint16_t>(frame_size));
+  w.u32(xid);
+  w.u16(static_cast<std::uint16_t>(count));
+  w.bytes(elements);
 }
 
 void patch_xid(std::span<std::byte> frame, std::uint32_t xid) noexcept {
@@ -366,9 +359,22 @@ void patch_xid(std::span<std::byte> frame, std::uint32_t xid) noexcept {
   frame[7] = static_cast<std::byte>(xid & 0xff);
 }
 
-MsgType frame_type(std::span<const std::byte> frame) noexcept {
-  TSU_ASSERT_MSG(frame.size() >= kHeaderSize, "frame smaller than header");
-  return static_cast<MsgType>(frame[1]);
+std::size_t frame_messages(std::span<const std::byte> frame) noexcept {
+  if (type_of(frame) != MsgType::kBatch) return 1;
+  TSU_ASSERT_MSG(frame.size() >= kHeaderSize + 2, "batch without a count");
+  return read_u16(frame, kHeaderSize);
+}
+
+bool frame_carries_barrier(std::span<const std::byte> frame) noexcept {
+  // A plain frame is its own one element; a Batch's start after the count.
+  std::size_t at = type_of(frame) == MsgType::kBatch ? kHeaderSize + 2 : 0;
+  for (std::size_t i = frame_messages(frame); i > 0; --i) {
+    TSU_ASSERT_MSG(at + kHeaderSize <= frame.size(), "frame truncated");
+    if (static_cast<MsgType>(frame[at + 1]) == MsgType::kBarrierRequest)
+      return true;
+    at += read_u16(frame, at + 2);
+  }
+  return false;
 }
 
 Result<Message> decode(std::span<const std::byte> data) {

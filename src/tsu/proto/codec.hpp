@@ -20,16 +20,19 @@ namespace tsu::proto {
 
 std::vector<std::byte> encode(const Message& message);
 
-// Zero-allocation variant: appends the encoded frame to `out` (cleared
+// Zero-allocation variant: writes the encoded frame into `out` (cleared
 // first). Re-using one scratch vector across calls amortizes the buffer to
 // its high-water capacity - the channel's frame pool is built on this.
 void encode_into(const Message& message, std::vector<std::byte>& out);
+// encode_into without the clear: appends the frame to `out`.
+void encode_append(const Message& message, std::vector<std::byte>& out);
 
-// Encoded frame size in bytes, computed from the message layout without
-// encoding (allocation-free). The controller's outbox uses this to account
-// its per-switch byte budget against real wire bytes; a codec test pins it
-// to encode().size().
-std::size_t encoded_size(const Message& message);
+// Writes into `out` (cleared first) a Batch frame around `count` element
+// frames laid back to back in `elements`: equal to encode(make_batch(xid,
+// m)) for the messages m the elements decode to, with no re-encoding.
+void encode_batch_into(std::uint32_t xid, std::size_t count,
+                       std::span<const std::byte> elements,
+                       std::vector<std::byte>& out);
 
 // Patches the xid field (header bytes [4,8), big-endian) of an
 // already-encoded frame in place - the xid analogue of the length
@@ -38,11 +41,11 @@ std::size_t encoded_size(const Message& message);
 // and the wire bytes stay identical to a fresh encode with that xid.
 void patch_xid(std::span<std::byte> frame, std::uint32_t xid) noexcept;
 
-// Reads the message type byte of an encoded frame (header byte 1) without
-// decoding. Callers that route pre-encoded bytes (e.g. the channel's
-// blackhole fault gate, which must know whether a frame carries a barrier)
-// use this instead of a full decode.
-MsgType frame_type(std::span<const std::byte> frame) noexcept;
+// Header readers for a frame this codec wrote (they assert, so not for
+// untrusted bytes): the messages it carries (a Batch's element count,
+// otherwise 1), and whether it is or holds a BarrierRequest.
+std::size_t frame_messages(std::span<const std::byte> frame) noexcept;
+bool frame_carries_barrier(std::span<const std::byte> frame) noexcept;
 
 // Decodes exactly one frame from the start of `data`.
 Result<Message> decode(std::span<const std::byte> data);

@@ -10,9 +10,10 @@ namespace {
 // Datapath numbers may be JSON numbers or numeric strings.
 Result<DatapathId> as_dpid(const json::Value& value) {
   if (value.is_number()) {
-    const std::int64_t n = value.as_int();
-    if (n < 0) return make_error(Errc::kParseError, "negative datapath id");
-    return static_cast<DatapathId>(n);
+    const Result<std::int64_t> n =
+        value.int_in("datapath id", 0, json::kMaxExactInt);
+    if (!n.ok()) return n.error();
+    return static_cast<DatapathId>(n.value());
   }
   if (value.is_string()) {
     const auto n = parse_int(value.as_string());
@@ -63,34 +64,33 @@ Result<FlowModSpec> parse_flow_mod(const json::Value& value,
   spec.dpid = dp.value();
 
   if (const json::Value* priority = obj.find("priority")) {
-    if (!priority->is_number())
-      return make_error(Errc::kParseError, "'priority' must be a number");
-    const std::int64_t p = priority->as_int();
-    if (p < 0 || p > 0xffff)
-      return make_error(Errc::kOutOfRange, "'priority' out of range");
-    spec.mod.priority = static_cast<std::uint16_t>(p);
+    const Result<std::int64_t> p = priority->int_in("priority", 0, 0xffff);
+    if (!p.ok()) return p.error();
+    spec.mod.priority = static_cast<std::uint16_t>(p.value());
   }
   if (const json::Value* cookie = obj.find("cookie")) {
-    if (!cookie->is_number())
-      return make_error(Errc::kParseError, "'cookie' must be a number");
-    spec.mod.cookie = static_cast<std::uint64_t>(cookie->as_int());
+    const Result<std::int64_t> c =
+        cookie->int_in("cookie", 0, json::kMaxExactInt);
+    if (!c.ok()) return c.error();
+    spec.mod.cookie = static_cast<std::uint64_t>(c.value());
   }
 
   if (const json::Value* match = obj.find("match")) {
     if (!match->is_object())
       return make_error(Errc::kParseError, "'match' must be an object");
     for (const auto& [key, field] : match->as_object()) {
-      if (!field.is_number())
-        return make_error(Errc::kParseError,
-                          "match field '" + key + "' must be a number");
+      // flow is 64-bit; src, dst and in_port are 32-bit ids.
+      const Result<std::int64_t> n = field.int_in(
+          key, 0, key == "flow" ? json::kMaxExactInt : 0xffffffff);
+      if (!n.ok()) return n.error();
       if (key == "flow")
-        spec.mod.match.flow = static_cast<FlowId>(field.as_int());
+        spec.mod.match.flow = static_cast<FlowId>(n.value());
       else if (key == "src")
-        spec.mod.match.src_host = static_cast<NodeId>(field.as_int());
+        spec.mod.match.src_host = static_cast<NodeId>(n.value());
       else if (key == "dst")
-        spec.mod.match.dst_host = static_cast<NodeId>(field.as_int());
+        spec.mod.match.dst_host = static_cast<NodeId>(n.value());
       else if (key == "in_port")
-        spec.mod.match.in_port = static_cast<std::uint32_t>(field.as_int());
+        spec.mod.match.in_port = static_cast<std::uint32_t>(n.value());
       else
         return make_error(Errc::kParseError,
                           "unknown match field '" + key + "'");
@@ -101,17 +101,20 @@ Result<FlowModSpec> parse_flow_mod(const json::Value& value,
     if (!actions->is_array())
       return make_error(Errc::kParseError, "'actions' must be an array");
     for (const json::Value& entry : actions->as_array()) {
-      if (!entry.is_object() || entry.as_object().find("type") == nullptr)
-        return make_error(Errc::kParseError, "action needs a 'type'");
+      const json::Value* type_value =
+          entry.is_object() ? entry.as_object().find("type") : nullptr;
+      if (type_value == nullptr || !type_value->is_string())
+        return make_error(Errc::kParseError, "action needs a string 'type'");
       const json::Object& action = entry.as_object();
-      const std::string& type = action.find("type")->as_string();
+      const std::string& type = type_value->as_string();
       if (type == "OUTPUT") {
         const json::Value* port = action.find("port");
-        if (port == nullptr || !port->is_number())
+        if (port == nullptr)
           return make_error(Errc::kParseError,
                             "OUTPUT action needs numeric 'port'");
-        spec.mod.action =
-            flow::Action::forward(static_cast<NodeId>(port->as_int()));
+        const Result<std::int64_t> n = port->int_in("port", 0, 0xffffffff);
+        if (!n.ok()) return n.error();
+        spec.mod.action = flow::Action::forward(static_cast<NodeId>(n.value()));
       } else if (type == "DELIVER") {
         spec.mod.action = flow::Action::deliver();
       } else if (type == "DROP") {
@@ -182,11 +185,10 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                               "' (request | round)");
       message.admission_release = *release;
     } else if (key == "shards") {
-      if (!value.is_number() || value.as_int() < 1 ||
-          value.as_int() >
-              static_cast<std::int64_t>(proto::kMaxXidShards))
-        return make_error(Errc::kOutOfRange, "'shards' must be in [1, 256]");
-      message.shards = static_cast<std::size_t>(value.as_int());
+      const Result<std::int64_t> n = value.int_in(
+          key, 1, static_cast<std::int64_t>(proto::kMaxXidShards));
+      if (!n.ok()) return n.error();
+      message.shards = static_cast<std::size_t>(n.value());
     } else if (key == "partition") {
       if (!value.is_string())
         return make_error(Errc::kParseError, "'partition' must be a string");
@@ -208,15 +210,9 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                               "' (sequential | parallel)");
       message.exec = *mode;
     } else if (key == "threads") {
-      if (!value.is_number() || value.as_int() < 0)
-        return make_error(Errc::kOutOfRange, "'threads' must be >= 0");
-      message.threads = static_cast<std::size_t>(value.as_int());
-    } else if (key == "plan_cache") {
-      if (!value.is_string() ||
-          (value.as_string() != "on" && value.as_string() != "off"))
-        return make_error(Errc::kParseError,
-                          "'plan_cache' must be \"on\" or \"off\"");
-      message.plan_cache = value.as_string() == "on";
+      const Result<std::int64_t> n = value.int_in(key, 0, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      message.threads = static_cast<std::size_t>(n.value());
     } else if (key == "liveness_timeout_ms") {
       if (!value.is_number() || value.as_double() < 0)
         return make_error(Errc::kOutOfRange,
@@ -234,14 +230,13 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                               "' (wait | rollback)");
       message.failure_response = *response;
     } else if (key == "priority_class") {
-      if (!value.is_number() || value.as_int() < 0 || value.as_int() > 255)
-        return make_error(Errc::kOutOfRange,
-                          "'priority_class' must be in [0, 255]");
-      message.priority_class = static_cast<std::uint32_t>(value.as_int());
+      const Result<std::int64_t> n = value.int_in(key, 0, 255);
+      if (!n.ok()) return n.error();
+      message.priority_class = static_cast<std::uint32_t>(n.value());
     } else if (key == "max_in_flight") {
-      if (!value.is_number() || value.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'max_in_flight' must be >= 1");
-      message.max_in_flight = static_cast<std::size_t>(value.as_int());
+      const Result<std::int64_t> n = value.int_in(key, 1, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      message.max_in_flight = static_cast<std::size_t>(n.value());
     } else if (key == "batch_mode") {
       if (!value.is_string())
         return make_error(Errc::kParseError, "'batch_mode' must be a string");
@@ -257,9 +252,9 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
         return make_error(Errc::kOutOfRange, "'batch_window_ms' must be >= 0");
       message.batch_window_ms = value.as_double();
     } else if (key == "batch_bytes") {
-      if (!value.is_number() || value.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'batch_bytes' must be >= 1");
-      message.batch_bytes = static_cast<std::size_t>(value.as_int());
+      const Result<std::int64_t> n = value.int_in(key, 1, json::kMaxExactInt);
+      if (!n.ok()) return n.error();
+      message.batch_bytes = static_cast<std::size_t>(n.value());
     } else {
       Result<proto::FlowModCommand> command = command_for_key(key);
       if (!command.ok()) return command.error();
@@ -309,8 +304,6 @@ std::string to_json(const RestUpdateMessage& message) {
   if (message.threads.has_value())
     root.set("threads",
              json::Value(static_cast<std::int64_t>(*message.threads)));
-  if (message.plan_cache.has_value())
-    root.set("plan_cache", json::Value(*message.plan_cache ? "on" : "off"));
   if (message.liveness_timeout_ms.has_value())
     root.set("liveness_timeout_ms", json::Value(*message.liveness_timeout_ms));
   if (message.failure_response.has_value())
@@ -431,7 +424,6 @@ void apply_controller_overrides(const RestUpdateMessage& message,
   if (message.partition.has_value()) config.partition = *message.partition;
   if (message.exec.has_value()) config.exec = *message.exec;
   if (message.threads.has_value()) config.threads = *message.threads;
-  if (message.plan_cache.has_value()) config.plan_cache = *message.plan_cache;
   if (message.max_in_flight.has_value())
     config.max_in_flight = *message.max_in_flight;
   if (message.batch_mode.has_value()) config.batch_mode = *message.batch_mode;

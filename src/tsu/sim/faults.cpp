@@ -142,17 +142,19 @@ Result<FaultSchedule> FaultSchedule::from_json(const json::Value& value) {
     event.at = sim::from_ms(at->as_double());
 
     const json::Value* node = obj.find("node");
-    if (node == nullptr || !node->is_number() || node->as_int() < 0)
-      return make_error(Errc::kParseError,
-                        "fault event needs integer 'node' >= 0");
-    event.node = static_cast<NodeId>(node->as_int());
+    if (node == nullptr)
+      return make_error(Errc::kParseError, "fault event needs 'node'");
+    const Result<std::int64_t> node_id = node->int_in("node", 0, 0xffffffff);
+    if (!node_id.ok()) return node_id.error();
+    event.node = static_cast<NodeId>(node_id.value());
 
     if (event.kind == FaultKind::kBlackhole) {
       const json::Value* frames = obj.find("frames");
       if (frames != nullptr) {
-        if (!frames->is_number() || frames->as_int() < 1)
-          return make_error(Errc::kOutOfRange, "'frames' must be >= 1");
-        event.frames = static_cast<std::size_t>(frames->as_int());
+        const Result<std::int64_t> n =
+            frames->int_in("frames", 1, json::kMaxExactInt);
+        if (!n.ok()) return n.error();
+        event.frames = static_cast<std::size_t>(n.value());
       }
     } else {
       const json::Value* down = obj.find("down_ms");

@@ -95,12 +95,10 @@ class Instance {
   std::optional<std::size_t> old_pos(NodeId v) const noexcept;
   std::optional<std::size_t> new_pos(NodeId v) const noexcept;
 
-  // Stable identity of this instance's template: an FNV-1a fold of both
-  // paths and the waypoint. Two instances digest equal iff they describe
-  // the same (old path, new path, waypoint) triple, so the digest keys
-  // memoized artifacts derived purely from the instance - the service
-  // executor's compiled-plan cache derives its per-(template, direction)
-  // keys from it.
+  // Stable identity of this instance: an FNV-1a fold of both paths and the
+  // waypoint. It cannot key an artifact that also depends on other inputs:
+  // a compiled plan carries its flow id, and two templates of a service
+  // pool may share paths.
   std::uint64_t identity_digest() const noexcept;
 
   std::string to_string() const;

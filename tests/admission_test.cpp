@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <set>
 #include <vector>
 
@@ -359,9 +360,10 @@ struct TestBed {
     sw->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
-    ctrl.attach_switch(node, [duplex_ptr](const proto::Message& m) {
-      duplex_ptr->to_switch.send(m);
-    });
+    ctrl.attach_switch(
+        node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+          duplex_ptr->to_switch.send_encoded(frame, xid);
+        });
     switches.emplace(node, std::move(sw));
     channels.push_back(std::move(duplex));
   }

@@ -113,6 +113,59 @@ TEST(ChannelTest, CountsFramesAndBytes) {
   EXPECT_EQ(channel.bytes_sent(), 16u);  // two 8-byte header-only frames
 }
 
+proto::Message flow_mod(Xid xid) {
+  proto::FlowMod mod;
+  mod.match.flow = 3;
+  mod.action = flow::Action::forward(4);
+  return proto::make_flow_mod(xid, mod);
+}
+
+TEST(ChannelTest, EncodedBatchCountsItsElements) {
+  // The controller's outbox ships Batch frames as bytes; the channel reads
+  // the element count off the header and patches the batch xid.
+  Fixture f;
+  ControlChannel channel = f.make(ChannelConfig{});
+  const std::vector<std::byte> frame = proto::encode(proto::make_batch(
+      0, {flow_mod(1), flow_mod(2), proto::make_barrier_request(3)}));
+  channel.send_encoded(frame, 9);
+  f.sim.run();
+  EXPECT_EQ(channel.frames_sent(), 1u);
+  EXPECT_EQ(channel.messages_sent(), 3u);
+  EXPECT_EQ(channel.bytes_sent(), frame.size());
+  ASSERT_EQ(f.received.size(), 1u);
+  EXPECT_EQ(f.received[0].second.xid, 9u);
+  EXPECT_EQ(std::get<proto::Batch>(f.received[0].second.body).messages.size(),
+            3u);
+}
+
+TEST(ChannelTest, BlackholeWindowClosesOnlyOnABatchCarryingABarrier) {
+  // drop_next(1) eats one frame, then keeps eating until a frame that
+  // carries a barrier request, so no barrier can fence a lost FlowMod.
+  // The rule reads batches element by element, for Messages and for
+  // encoded frames alike.
+  for (const bool encoded : {false, true}) {
+    Fixture f;
+    ControlChannel channel = f.make(ChannelConfig{});
+    const auto send = [&](const proto::Message& message) {
+      if (encoded)
+        channel.send_encoded(proto::encode(message), message.xid);
+      else
+        channel.send(message);
+    };
+    channel.drop_next(1);
+    send(proto::make_batch(1, {flow_mod(2), flow_mod(3)}));
+    send(proto::make_batch(4, {flow_mod(5), flow_mod(6)}));
+    send(proto::make_batch(7, {flow_mod(8), proto::make_barrier_request(9)}));
+    send(proto::make_batch(10,
+                           {flow_mod(11), proto::make_barrier_request(12)}));
+    f.sim.run();
+    EXPECT_EQ(channel.frames_dropped(), 3u) << "encoded " << encoded;
+    EXPECT_EQ(channel.frames_sent(), 1u) << "encoded " << encoded;
+    ASSERT_EQ(f.received.size(), 1u) << "encoded " << encoded;
+    EXPECT_EQ(f.received[0].second.xid, 10u) << "encoded " << encoded;
+  }
+}
+
 TEST(ChannelTest, DuplexDirectionsAreIndependent) {
   sim::Simulator sim;
   Rng rng(5);

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 
 #include "tsu/channel/channel.hpp"
 #include "tsu/controller/controller.hpp"
@@ -43,9 +44,10 @@ struct TestBed {
     sw->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
-    ctrl.attach_switch(node, [duplex_ptr](const proto::Message& m) {
-      duplex_ptr->to_switch.send(m);
-    });
+    ctrl.attach_switch(
+        node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+          duplex_ptr->to_switch.send_encoded(frame, xid);
+        });
     switches.emplace(node, std::move(sw));
     channels.push_back(std::move(duplex));
   }

@@ -105,8 +105,9 @@ TEST(ConfigTest, UnknownFieldsRejected) {
 }
 
 TEST(ConfigTest, RetiredKnobsAreUnknownFields) {
-  for (const char* doc : {R"({"batch_frames": true})",
-                          R"({"speculate": true})", R"({"steal": true})"}) {
+  for (const char* doc :
+       {R"({"batch_frames": true})", R"({"speculate": true})",
+        R"({"steal": true})", R"({"plan_cache": "on"})"}) {
     const Result<ExecutorConfig> parsed = parse(doc);
     ASSERT_FALSE(parsed.ok()) << doc;
     EXPECT_NE(parsed.error().message.find("unknown config field"),
@@ -134,6 +135,46 @@ TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"switch": {"batch_replies": 1}})").ok());
   EXPECT_FALSE(parse(R"(42)").ok());
   EXPECT_FALSE(parse(R"(not json)").ok());
+}
+
+TEST(ConfigTest, NonIntegralAndHugeIntegersAreErrors) {
+  // Each document once aborted the process: integer fields read the number
+  // through an assert that it is integral and at most 2^53.
+  const struct {
+    const char* doc;
+    Errc code;
+  } cases[] = {
+      {R"({"seed": 1.5})", Errc::kParseError},
+      {R"({"max_in_flight": 1e300})", Errc::kOutOfRange},
+      {R"({"threads": 0.5})", Errc::kParseError},
+      {R"({"shards": "2"})", Errc::kParseError},
+      {R"({"traffic": {"ttl": 2.5}})", Errc::kParseError},
+  };
+  for (const auto& c : cases) {
+    const Result<ExecutorConfig> parsed = parse(c.doc);
+    ASSERT_FALSE(parsed.ok()) << c.doc;
+    EXPECT_EQ(parsed.error().code, c.code) << parsed.error().to_string();
+  }
+  // The largest integer a JSON number holds exactly still parses.
+  const Result<ExecutorConfig> edge = parse(R"({"seed": 9007199254740992})");
+  ASSERT_TRUE(edge.ok()) << edge.error().to_string();
+  EXPECT_EQ(edge.value().seed, std::uint64_t{1} << 53);
+}
+
+TEST(ConfigTest, ServicePoolNeedsOneBlockOfSwitches) {
+  // pool_switches 3 once parsed and then aborted execute_service inside
+  // topo::pool_workload, which needs a block of 6 switches.
+  const Result<ServiceConfig> small = service_config_from_json(
+      std::string_view(R"({"service": {"pool_switches": 3}})"));
+  ASSERT_FALSE(small.ok());
+  EXPECT_EQ(small.error().code, Errc::kOutOfRange);
+  EXPECT_FALSE(service_config_from_json(
+                   std::string_view(R"({"service": {"flows": 1.5}})"))
+                   .ok());
+  const Result<ServiceConfig> block = service_config_from_json(
+      std::string_view(R"({"service": {"pool_switches": 6}})"));
+  ASSERT_TRUE(block.ok()) << block.error().to_string();
+  EXPECT_EQ(block.value().pool_switches, 6u);
 }
 
 TEST(ConfigTest, ShardingKnobsParse) {

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 
 #include "tsu/channel/channel.hpp"
 #include "tsu/controller/controller.hpp"
@@ -47,9 +48,10 @@ struct TestBed {
     sw->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
-    ctrl.attach_switch(node, [duplex_ptr](const proto::Message& m) {
-      duplex_ptr->to_switch.send(m);
-    });
+    ctrl.attach_switch(
+        node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+          duplex_ptr->to_switch.send_encoded(frame, xid);
+        });
     switches.emplace(node, std::move(sw));
     channels.push_back(std::move(duplex));
   }
@@ -130,9 +132,10 @@ TEST(ControllerTest, AsynchronousRoundStillWaitsForSlowestSwitch) {
   sw_ptr->set_controller_link([duplex_ptr](const proto::Message& m) {
     duplex_ptr->to_controller.send(m);
   });
-  bed.ctrl.attach_switch(3, [duplex_ptr](const proto::Message& m) {
-    duplex_ptr->to_switch.send(m);
-  });
+  bed.ctrl.attach_switch(
+      3, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+        duplex_ptr->to_switch.send_encoded(frame, xid);
+      });
   bed.switches.emplace(3, std::move(slow_switch));
   bed.channels.push_back(std::move(duplex));
 

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 
 #include "tsu/channel/channel.hpp"
 #include "tsu/controller/controller.hpp"
@@ -381,10 +382,9 @@ TEST(FailureInjectionTest, ResyncInvalidatesCompiledPlans) {
   sim::Simulator sim;
   Rng rng{99};
   controller::ControllerConfig ctrl_config;
-  // Fault tolerance on: shadow tables are maintained, so the reconnect
-  // resync has an image to replay (and the pre-encoded fast path is
-  // ineligible - plan submissions take the Message fallback, exactly the
-  // regime a faulty deployment runs in).
+  // Fault tolerance on: shadow tables are maintained (fed from the plan's
+  // rounds as its frames ship), so the reconnect resync has an image to
+  // replay.
   ctrl_config.liveness_timeout = sim::milliseconds(3);
   controller::Controller ctrl(sim, ctrl_config);
   channel::ChannelConfig channel_config;
@@ -409,9 +409,10 @@ TEST(FailureInjectionTest, ResyncInvalidatesCompiledPlans) {
     sw->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
-    ctrl.attach_switch(node, [duplex_ptr](const proto::Message& m) {
-      duplex_ptr->to_switch.send(m);
-    });
+    ctrl.attach_switch(
+        node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+          duplex_ptr->to_switch.send_encoded(frame, xid);
+        });
     switches.emplace(node, std::move(sw));
     channels.push_back(std::move(duplex));
   }

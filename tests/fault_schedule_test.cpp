@@ -162,6 +162,28 @@ TEST(FaultScheduleTest, FromJsonRejectsTimesBeyondTheClockRange) {
   EXPECT_GT(event.at + event.down_for, event.at);
 }
 
+TEST(FaultScheduleTest, FromJsonRejectsNonIntegralAndHugeIntegers) {
+  // A fractional node or a 1e300 frame count once aborted the process; a
+  // node id past 32 bits silently became another switch.
+  const struct {
+    const char* doc;
+    Errc code;
+  } cases[] = {
+      {R"([{"kind":"crash","at_ms":1,"node":1.5,"down_ms":1}])",
+       Errc::kParseError},
+      {R"([{"kind":"blackhole","at_ms":1,"node":0,"frames":1e300}])",
+       Errc::kOutOfRange},
+      {R"([{"kind":"crash","at_ms":1,"node":1099511627776,"down_ms":1}])",
+       Errc::kOutOfRange},
+  };
+  for (const auto& c : cases) {
+    const Result<FaultSchedule> parsed =
+        FaultSchedule::from_json(std::string_view(c.doc));
+    ASSERT_FALSE(parsed.ok()) << c.doc;
+    EXPECT_EQ(parsed.error().code, c.code) << parsed.error().to_string();
+  }
+}
+
 TEST(FaultScheduleTest, RandomGenerationIsSeedDeterministic) {
   ChaosOptions options;
   options.node_count = 24;

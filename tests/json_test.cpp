@@ -256,6 +256,29 @@ TEST(JsonValue, AsIntGuardsIntegrality) {
   EXPECT_DEATH(must_parse("7.5").as_int(), "integral");
 }
 
+TEST(JsonValue, IntInReturnsErrorsInsteadOfAsserting) {
+  EXPECT_EQ(must_parse("7").int_in("n", 0, 7).value(), 7);
+  EXPECT_EQ(must_parse("-3").int_in("n", -3, 0).value(), -3);
+  EXPECT_EQ(must_parse("9007199254740992").int_in("n", 0, kMaxExactInt)
+                .value(),
+            kMaxExactInt);
+  const struct {
+    const char* text;
+    Errc code;
+  } cases[] = {
+      {"7.5", Errc::kParseError},   {"\"7\"", Errc::kParseError},
+      {"null", Errc::kParseError},  {"8", Errc::kOutOfRange},
+      {"-1", Errc::kOutOfRange},    {"1e300", Errc::kOutOfRange},
+      {"-1e300", Errc::kOutOfRange},
+  };
+  for (const auto& c : cases) {
+    const Result<std::int64_t> n = must_parse(c.text).int_in("n", 0, 7);
+    ASSERT_FALSE(n.ok()) << c.text;
+    EXPECT_EQ(n.error().code, c.code) << c.text;
+    EXPECT_EQ(n.error().message, "'n' must be an integer in [0, 7]");
+  }
+}
+
 TEST(JsonValue, ObjectSetOverwrites) {
   Object o;
   o.set("k", Value(1));

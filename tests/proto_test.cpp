@@ -178,46 +178,6 @@ TEST(CodecTest, LengthFieldMatchesFrameSize) {
   EXPECT_EQ(declared, wire.size());
 }
 
-TEST(CodecTest, EncodedSizeMatchesEncodeForEveryBodyShape) {
-  // encoded_size computes frame sizes from the layout without encoding;
-  // this pins it to the encoder so the two cannot drift (the controller's
-  // outbox byte budget depends on it).
-  std::vector<Message> messages;
-  messages.push_back(make_hello(1));
-  messages.push_back(make_barrier_request(2));
-  messages.push_back(make_barrier_reply(3));
-  messages.push_back(make_error(4, 7, "try again"));
-  messages.push_back(make_echo_request(5, {std::byte{1}, std::byte{2}}));
-  messages.push_back(make_echo_reply(6));
-  {
-    Message features;
-    features.xid = 7;
-    features.body = FeaturesReply{42, 3};
-    messages.push_back(features);
-  }
-  {
-    Message out;
-    out.xid = 8;
-    out.body = PacketOut{flow::Packet{9, 1, 2, 3, 64}, 5};
-    messages.push_back(out);
-  }
-  // FlowMods across every match-presence combination.
-  for (int bits = 0; bits < 16; ++bits) {
-    FlowMod mod;
-    if ((bits & 1) != 0) mod.match.flow = 12;
-    if ((bits & 2) != 0) mod.match.src_host = 3;
-    if ((bits & 4) != 0) mod.match.dst_host = 4;
-    if ((bits & 8) != 0) mod.match.in_port = 5;
-    mod.action = flow::Action::forward(9);
-    messages.push_back(make_flow_mod(100 + bits, mod));
-  }
-  for (const Message& m : messages)
-    EXPECT_EQ(encoded_size(m), encode(m).size()) << m.to_string();
-  // And a batch of all of the above.
-  const Message batch = make_batch(999, messages);
-  EXPECT_EQ(encoded_size(batch), encode(batch).size());
-}
-
 TEST(CodecTest, TruncatedFrameRejected) {
   std::vector<std::byte> wire = encode(make_error(5, 1, "text"));
   wire.resize(wire.size() - 3);
@@ -390,6 +350,66 @@ TEST(CodecTest, EncodeIntoMatchesEncodeAndReusesCapacity) {
 }
 
 // ------------------------------------------------------------------ batch --
+
+// Every body shape, plus FlowMods across all 16 match-presence
+// combinations, with the one BarrierRequest last.
+std::vector<Message> every_body_shape() {
+  std::vector<Message> messages;
+  messages.push_back(make_hello(1));
+  messages.push_back(make_barrier_reply(3));
+  messages.push_back(make_error(4, 7, "try again"));
+  messages.push_back(make_echo_request(5, {std::byte{1}, std::byte{2}}));
+  messages.push_back(make_echo_reply(6));
+  {
+    Message features;
+    features.xid = 7;
+    features.body = FeaturesReply{42, 3};
+    messages.push_back(features);
+  }
+  {
+    Message out;
+    out.xid = 8;
+    out.body = PacketOut{flow::Packet{9, 1, 2, 3, 64}, 5};
+    messages.push_back(out);
+  }
+  for (int bits = 0; bits < 16; ++bits) {
+    FlowMod mod;
+    if ((bits & 1) != 0) mod.match.flow = 12;
+    if ((bits & 2) != 0) mod.match.src_host = 3;
+    if ((bits & 4) != 0) mod.match.dst_host = 4;
+    if ((bits & 8) != 0) mod.match.in_port = 5;
+    mod.action = flow::Action::forward(9);
+    messages.push_back(make_flow_mod(100 + bits, mod));
+  }
+  messages.push_back(make_barrier_request(2));
+  return messages;
+}
+
+TEST(CodecBatchTest, BatchOfEncodedFramesMatchesEncodedBatch) {
+  // The controller's outbox appends element frames to one buffer and
+  // writes the Batch frame around them; that must be the frame encode()
+  // gives the decoded messages. Every prefix of the list is checked, so
+  // the barrier walk sees batches with and without its last element.
+  const std::vector<Message> messages = every_body_shape();
+  std::vector<std::byte> elements;
+  std::vector<std::byte> frame;
+  for (std::size_t n = 0; n <= messages.size(); ++n) {
+    const std::vector<Message> prefix(messages.begin(),
+                                      messages.begin() + n);
+    encode_batch_into(999, n, elements, frame);
+    EXPECT_EQ(frame, encode(make_batch(999, prefix))) << n << " elements";
+    EXPECT_EQ(frame_messages(frame), n);
+    EXPECT_EQ(frame_carries_barrier(frame), n == messages.size());
+    if (n == messages.size()) break;
+    const Message& next = messages[n];
+    const std::vector<std::byte> single = encode(next);
+    EXPECT_EQ(frame_messages(single), 1u) << next.to_string();
+    EXPECT_EQ(frame_carries_barrier(single),
+              next.type() == MsgType::kBarrierRequest)
+        << next.to_string();
+    encode_append(next, elements);
+  }
+}
 
 TEST(CodecBatchTest, RoundTripsCoalescedMessages) {
   FlowMod mod;

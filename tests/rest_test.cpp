@@ -180,7 +180,8 @@ TEST(RestParseTest, ShardingKnobsParsedAndApplied) {
 }
 
 TEST(RestParseTest, RetiredKnobsAreUnknownKeys) {
-  for (const char* knob : {"batch_frames", "speculate", "steal"}) {
+  for (const char* knob :
+       {"batch_frames", "speculate", "steal", "plan_cache"}) {
     const Result<RestUpdateMessage> parsed = parse_update_message(
         std::string(R"({"oldpath": [1], "newpath": [1], ")") + knob +
         R"(": true})");
@@ -241,6 +242,42 @@ TEST(RestParseTest, RejectsBadFlowMods) {
                    .ok());
   // Not even JSON.
   EXPECT_FALSE(parse_update_message("oldpath=1,2").ok());
+}
+
+TEST(RestParseTest, NonIntegralAndHugeIntegersAreErrors) {
+  // Each message once aborted the process: integer fields read the number
+  // through an assert that it is integral and at most 2^53 (and an action
+  // 'type' through an assert that it is a string).
+  const struct {
+    const char* body;
+    Errc code;
+  } cases[] = {
+      {R"({"oldpath": [1, 2.5], "newpath": [1, 2]})", Errc::kParseError},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2], "shards": 1e300})",
+       Errc::kOutOfRange},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2], "priority_class": 0.5})",
+       Errc::kParseError},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2], "add": [{"dpid": 1.5}]})",
+       Errc::kParseError},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2],
+           "add": [{"dpid": 1, "cookie": 1e300}]})",
+       Errc::kOutOfRange},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2],
+           "add": [{"dpid": 1, "match": {"src": 4294967296}}]})",
+       Errc::kOutOfRange},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2],
+           "add": [{"dpid": 1, "actions": [{"type": 5}]}]})",
+       Errc::kParseError},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2],
+           "add": [{"dpid": 1, "actions": [{"type": "OUTPUT",
+                                            "port": 2.5}]}]})",
+       Errc::kParseError},
+  };
+  for (const auto& c : cases) {
+    const Result<RestUpdateMessage> parsed = parse_update_message(c.body);
+    ASSERT_FALSE(parsed.ok()) << c.body;
+    EXPECT_EQ(parsed.error().code, c.code) << parsed.error().to_string();
+  }
 }
 
 TEST(RestParseTest, DeleteEntriesSupported) {

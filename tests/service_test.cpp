@@ -4,9 +4,11 @@
 // contract (steady_state_entries back to zero).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "tsu/core/service.hpp"
+#include "tsu/util/rng.hpp"
 
 namespace tsu::core {
 namespace {
@@ -56,52 +58,73 @@ TEST(ServiceTest, DeterministicPerSeed) {
   EXPECT_EQ(a.value().frames_sent, b.value().frames_sent);
 }
 
-// The plan cache's transparency contract: a cached submission must be
-// BIT-identical to a from-scratch one - same frames on the wire, same
-// forwarding state, same makespan, same oracle verdict - across seeds,
-// with traffic and sharding mixed in. Any divergence means the compiled
-// plan diverged from what the lowering pipeline would have produced.
-TEST(ServiceTest, PlanCacheIsBitTransparentAcrossSeeds) {
+// The service wire path, pinned: an FNV-1a digest over the outcomes of
+// 100 seeded runs that mix traffic, 2 shards, batching off or adaptive,
+// liveness detection off or 10 ms, and 4 or 6 templates (6 on 24 switches
+// repeat paths). Every submission ships compiled-plan frames. The constant
+// was recorded while the engine still had a plan-cache-off mode and each
+// run was also checked bit-identical - final state, frames, makespan,
+// completions and probe verdicts - to a cache-off run that lowered and
+// encoded every request from scratch, before the outbox held bytes.
+constexpr std::uint64_t kExpectedServiceDigest = 0x66c1da3f1f05921dULL;
+
+TEST(ServiceTest, PlanBackedWirePathIsPinnedAcrossSeeds) {
+  std::uint64_t digest = 1469598103934665603ULL;
+  const auto mix = [&digest](std::uint64_t value) {
+    digest ^= value;
+    digest *= 1099511628211ULL;
+  };
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     ServiceConfig config = small_service();
     config.exec.seed = seed;
     config.target_completions = 30;
     config.exec.with_traffic = (seed % 5 == 0);  // oracle on a fifth of them
     if (seed % 3 == 0) config.exec.controller.shards = 2;
-    ServiceConfig off_config = config;
-    off_config.exec.controller.plan_cache = false;
+    Rng draw(seed);
+    config.exec.controller.batch_mode = draw.index(2) == 0
+                                            ? controller::BatchMode::kOff
+                                            : controller::BatchMode::kAdaptive;
+    config.exec.controller.liveness_timeout =
+        draw.index(2) == 0 ? 0 : sim::milliseconds(10);
+    config.flows = draw.index(2) == 0 ? 4 : 6;
 
-    const Result<ServiceResult> on = execute_service(config);
-    const Result<ServiceResult> off = execute_service(off_config);
-    ASSERT_TRUE(on.ok()) << "seed " << seed << ": " << on.error().to_string();
-    ASSERT_TRUE(off.ok()) << "seed " << seed << ": "
-                          << off.error().to_string();
-
-    EXPECT_EQ(on.value().final_state_digest, off.value().final_state_digest)
-        << "seed " << seed;
-    EXPECT_EQ(on.value().frames_sent, off.value().frames_sent)
-        << "seed " << seed;
-    EXPECT_EQ(on.value().sim_duration, off.value().sim_duration)
-        << "seed " << seed;
-    EXPECT_EQ(on.value().stats.completed, off.value().stats.completed)
-        << "seed " << seed;
-    EXPECT_EQ(on.value().traffic.total, off.value().traffic.total)
-        << "seed " << seed;
-    EXPECT_EQ(on.value().traffic.bypassed, off.value().traffic.bypassed)
-        << "seed " << seed;
-    EXPECT_EQ(on.value().traffic.looped, off.value().traffic.looped)
-        << "seed " << seed;
-    EXPECT_EQ(on.value().traffic.blackholed, off.value().traffic.blackholed)
-        << "seed " << seed;
+    const Result<ServiceResult> run = execute_service(config);
+    ASSERT_TRUE(run.ok()) << "seed " << seed << ": " << run.error().to_string();
+    const ServiceResult& result = run.value();
 
     // The cache actually engaged: templates repeat, so most submissions
-    // after the first few are hits; cache-off reports all-zero counters.
-    EXPECT_GT(on.value().stats.plan_hits, 0u) << "seed " << seed;
-    EXPECT_GT(on.value().stats.plan_compiles, 0u) << "seed " << seed;
-    EXPECT_EQ(off.value().stats.plan_compiles, 0u) << "seed " << seed;
-    EXPECT_EQ(off.value().stats.plan_hits, 0u) << "seed " << seed;
-    EXPECT_EQ(off.value().stats.plan_invalidations, 0u) << "seed " << seed;
+    // after the first few are hits.
+    EXPECT_GT(result.stats.plan_hits, 0u) << "seed " << seed;
+    EXPECT_GT(result.stats.plan_compiles, 0u) << "seed " << seed;
+    mix(result.final_state_digest);
+    mix(result.frames_sent);
+    mix(result.sim_duration);
+    mix(result.stats.completed);
+    mix(result.traffic.total);
+    mix(result.traffic.delivered);
+    mix(result.traffic.bypassed);
+    mix(result.traffic.looped);
+    mix(result.traffic.blackholed);
+    mix(result.stats.plan_compiles);
+    mix(result.stats.plan_hits);
+    mix(result.stats.plan_invalidations);
   }
+  EXPECT_EQ(digest, kExpectedServiceDigest)
+      << "digest 0x" << std::hex << digest;
+}
+
+// Templates whose paths repeat still get plans of their own. 24 switches
+// hold four distinct path pairs (topo::pool_workload), so templates 4 and
+// 5 reuse the paths of 0 and 1 under their own flow ids; a cache keyed by
+// paths handed them the plans of 0 and 1 and compiled 8 plans, not 12.
+TEST(ServiceTest, TemplatesWithRepeatedPathsCompileTheirOwnPlans) {
+  ServiceConfig config = small_service();
+  config.flows = 6;
+  const Result<ServiceResult> run = execute_service(config);
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  const ServiceStats& stats = run.value().stats;
+  EXPECT_EQ(stats.plan_compiles, 12u);
+  EXPECT_EQ(stats.plan_hits, stats.submitted - 12u);
 }
 
 TEST(ServiceTest, TrafficOracleSeesNoViolations) {
@@ -241,6 +264,17 @@ TEST(ServiceTest, RejectsUnboundedConfigs) {
   config = small_service();
   config.classes.clear();
   EXPECT_FALSE(execute_service(config).ok());
+}
+
+TEST(ServiceTest, RejectsPoolsSmallerThanOneBlock) {
+  // The template pool is built from blocks of 6 switches; a smaller pool
+  // (which a ServiceConfig built in code can ask for) is an argument
+  // error, not an abort inside topo::pool_workload.
+  ServiceConfig config = small_service();
+  config.pool_switches = 3;
+  const Result<ServiceResult> run = execute_service(config);
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error().code, Errc::kInvalidArgument);
 }
 
 TEST(ServiceTest, ShardedServiceDrainsClean) {
