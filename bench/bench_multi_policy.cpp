@@ -13,8 +13,8 @@
 // compress_schedule removes from WayUp/Peacock output when the hazards a
 // constant-round algorithm defends against are absent from the instance.
 //
-// The batching section drives the controller's per-switch outbox across
-// every BatchMode on the 1000-flow pool workload: frames per flow,
+// The batching section drives the controller's per-switch outbox with
+// batching off and adaptive on the 1000-flow pool workload: frames per flow,
 // makespan, p50/p99 per-flow install latency and the max outbox hold, so
 // the frames-vs-latency trade-off is tracked per PR. With --json FILE, the
 // admission-policy and batching sections additionally write their numbers
@@ -473,7 +473,7 @@ bool run(const char* json_path) {
         core::execute_multiflow(policy_ptrs, schedule_ptrs,
                                 concurrent_config);
     core::ExecutorConfig batched_config = concurrent_config;
-    batched_config.controller.batch_mode = controller::BatchMode::kInstant;
+    batched_config.controller.batch_mode = controller::BatchMode::kAdaptive;
     const Result<core::MultiFlowExecutionResult> batched =
         core::execute_multiflow(policy_ptrs, schedule_ptrs, batched_config);
     if (!serial.ok() || !concurrent.ok() || !batched.ok()) continue;
@@ -493,8 +493,9 @@ bool run(const char* json_path) {
 
   // Admission policies on a shared-pool workload: flows share switches
   // (switch-level overlap) but never rules, so rule-level conflict
-  // tracking must reach blind-level parallelism while serialize pays the
-  // full queue; the safety oracle checks all three.
+  // tracking must reach blind-level parallelism while the paper's
+  // serializing queue (max_in_flight = 1) pays the full queue; the safety
+  // oracle checks all three rows.
   std::printf("\nadmission policies: %zu flows over %zu shared switches:\n",
               kAdmissionFlows, kAdmissionSwitches);
   stats::Table admission_table({"policy", "makespan ms", "max in flight",
@@ -503,17 +504,24 @@ bool run(const char* json_path) {
   const topo::PlannedPoolWorkload pool =
       topo::planned_pool_workload(kAdmissionFlows, kAdmissionSwitches)
           .value();
-  for (const controller::AdmissionPolicy policy :
-       {controller::AdmissionPolicy::kBlind,
-        controller::AdmissionPolicy::kConflictAware,
-        controller::AdmissionPolicy::kSerialize}) {
+  const struct {
+    const char* label;
+    controller::AdmissionPolicy policy;
+    std::size_t max_in_flight;
+  } admission_rows[] = {
+      {"blind", controller::AdmissionPolicy::kBlind, kAdmissionFlows},
+      {"conflict_aware", controller::AdmissionPolicy::kConflictAware,
+       kAdmissionFlows},
+      {"max_in_flight=1", controller::AdmissionPolicy::kBlind, 1},
+  };
+  for (const auto& row : admission_rows) {
     core::ExecutorConfig config;
     config.seed = 4242;
     config.traffic_interarrival =
         sim::LatencyModel::constant(sim::milliseconds(2));
-    config.controller.max_in_flight = kAdmissionFlows;
-    config.controller.batch_mode = controller::BatchMode::kInstant;
-    config.controller.admission = policy;
+    config.controller.max_in_flight = row.max_in_flight;
+    config.controller.batch_mode = controller::BatchMode::kAdaptive;
+    config.controller.admission = row.policy;
     const Result<core::MultiFlowExecutionResult> run =
         core::execute_multiflow(pool.instance_ptrs, pool.schedule_ptrs,
                                 config);
@@ -521,8 +529,7 @@ bool run(const char* json_path) {
       // A missing policy row would silently corrupt the CI-tracked JSON
       // series; fail the bench loudly instead.
       std::fprintf(stderr, "admission bench failed for policy %s: %s\n",
-                   controller::to_string(policy),
-                   run.error().to_string().c_str());
+                   row.label, run.error().to_string().c_str());
       admission_failed = true;
       continue;
     }
@@ -531,12 +538,12 @@ bool run(const char* json_path) {
                                    result.aggregate.looped +
                                    result.aggregate.blackholed;
     admission_table.add_row(
-        {controller::to_string(policy), bench::fmt(result.makespan_ms()),
+        {row.label, bench::fmt(result.makespan_ms()),
          std::to_string(result.max_in_flight_observed),
          std::to_string(result.conflict_edges),
          std::to_string(violations)});
     json::Object entry;
-    entry.set("policy", json::Value(controller::to_string(policy)));
+    entry.set("policy", json::Value(row.label));
     entry.set("flows",
               json::Value(static_cast<std::int64_t>(kAdmissionFlows)));
     entry.set("switches",
@@ -559,10 +566,10 @@ bool run(const char* json_path) {
   }
   bench::print_table(admission_table);
 
-  // The adaptive outbox across batch modes: the 1000-flow pool workload,
+  // The adaptive outbox against no batching: the 1000-flow pool workload,
   // every flow in flight at once under conflict-aware admission. Frames
-  // must fall sharply in the windowed modes while the added install
-  // latency stays bounded by the hold window.
+  // must fall sharply with the outbox while the added install latency
+  // stays bounded by the hold window.
   bool batching_failed = false;
   std::printf("\nbatch modes: %zu flows over %zu shared switches "
               "(window 0.3 ms):\n",
@@ -575,8 +582,7 @@ bool run(const char* json_path) {
       topo::planned_pool_workload(kBatchFlows, kBatchSwitches).value();
   std::size_t off_frames = 0;
   for (const controller::BatchMode mode :
-       {controller::BatchMode::kOff, controller::BatchMode::kInstant,
-        controller::BatchMode::kWindow, controller::BatchMode::kAdaptive}) {
+       {controller::BatchMode::kOff, controller::BatchMode::kAdaptive}) {
     core::ExecutorConfig config;
     config.seed = 4242;
     config.with_traffic = false;
@@ -1090,8 +1096,8 @@ bool run(const char* json_path) {
       "switches serialize only the conflicting rounds. Compression removes\n"
       "the rounds constant-round algorithms spend on hazards the concrete\n"
       "instance does not have. Rule-level admission parallelizes the\n"
-      "shared-switch pool blind admission races through and serialize\n"
-      "queues behind. The windowed outbox trades a bounded (<= window)\n"
+      "shared-switch pool blind admission races through and a single\n"
+      "slot queues behind. The adaptive outbox trades a bounded (<= window)\n"
       "install-latency hold for sharply fewer, larger frames. Sharding\n"
       "partitions that work across controllers: a round's barriers cover\n"
       "the same switches either way, so the makespan stays flat even when\n"

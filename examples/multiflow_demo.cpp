@@ -5,9 +5,9 @@
 // Exercises the concurrent update engine end-to-end: 64 disjoint policy
 // changes are submitted together, the controller keeps all of them in
 // flight at once (vs. the paper's one-at-a-time message queue), and with
-// frame batching it coalesces same-instant messages per switch into single
-// control frames. Per-flow traffic runs throughout; the consistency monitor
-// watches every flow simultaneously.
+// adaptive batching it packs the messages bound for one switch, across
+// flows, into single control frames. Per-flow traffic runs throughout; the
+// consistency monitor watches every flow simultaneously.
 #include <cstdio>
 
 #include <vector>
@@ -81,7 +81,7 @@ int main() {
       core::execute_multiflow(instance_ptrs, schedule_ptrs,
                               concurrent_config);
   core::ExecutorConfig batched_config = concurrent_config;
-  batched_config.controller.batch_mode = controller::BatchMode::kInstant;
+  batched_config.controller.batch_mode = controller::BatchMode::kAdaptive;
   Result<core::MultiFlowExecutionResult> batched =
       core::execute_multiflow(instance_ptrs, schedule_ptrs, batched_config);
   if (!concurrent.ok() || !batched.ok()) {

@@ -65,13 +65,6 @@ int main(int argc, char** argv) {
   core::ExecutorConfig config;
   config.seed = 11;
   config.interval = sim::from_ms(message.value().interval_ms);
-  // Honour the message's optional controller knobs (admission policy,
-  // max_in_flight, batch_mode).
-  rest::apply_controller_overrides(message.value(), config.controller);
-  std::printf("admission: %s (max_in_flight %zu, batching %s)\n\n",
-              controller::to_string(config.controller.admission),
-              config.controller.max_in_flight,
-              controller::to_string(config.controller.batch_mode));
   Result<core::ExperimentResult> result =
       core::run_experiment(instance.value(), algorithm, config);
   if (!result.ok()) {

@@ -11,7 +11,7 @@
 //
 //   $ ./build/sim_cli --flows 256 --switches 60
 //         --admission conflict_aware --max-in-flight 256
-//         --batch-mode instant
+//         --batch-mode adaptive
 //
 // Serve mode runs the open-loop service (core/service.hpp): Poisson
 // arrivals against a template pool, bounded pending queue, live JSON
@@ -43,10 +43,9 @@ void usage() {
                "usage: sim_cli [--algorithm NAME] [--workload SPEC]\n"
                "               [--seeds N] [--config FILE.json]\n"
                "               [--flows N] [--switches S]\n"
-               "               [--admission blind|conflict_aware|serialize]\n"
-               "               [--admission-release request|round]\n"
+               "               [--admission blind|conflict_aware]\n"
                "               [--max-in-flight K]\n"
-               "               [--batch-mode off|instant|window|adaptive]\n"
+               "               [--batch-mode off|adaptive]\n"
                "               [--batch-window-ms MS] [--batch-bytes N]\n"
                "               [--batch-replies]\n"
                "               [--shards N]\n"
@@ -61,9 +60,10 @@ void usage() {
                "  workloads : fig1 | reversal:<n> | random:<seed>\n"
                "  --flows >1 runs the concurrent multi-flow engine on a\n"
                "  shared pool of --switches switches (default 6 per flow)\n"
-               "  --batch-mode instant coalesces same-instant messages per\n"
-               "  switch; window/adaptive hold a per-switch outbox up to\n"
-               "  the window (or byte budget) to pack cross-flow frames;\n"
+               "  --max-in-flight 1 is the paper's serializing queue\n"
+               "  --batch-mode adaptive holds a per-switch outbox to pack\n"
+               "  cross-flow frames, up to the window (or byte budget) as\n"
+               "  the queue fills and not at all when idle;\n"
                "  --batch-replies coalesces same-instant\n"
                "  switch->controller replies too\n"
                "  --shards N partitions the switches across N controller\n"
@@ -74,8 +74,6 @@ void usage() {
                "  the shard coordinator. --exec parallel steps independent\n"
                "  shards on --threads workers (0 = auto) between safe\n"
                "  horizons - bit-identical results, less wall-clock\n"
-               "  --admission-release round frees a request's conflict\n"
-               "  footprint per completed round instead of at completion\n"
                "  --faults replays a serialized FaultSchedule (switch\n"
                "  crashes, control-link outages, frame blackholes) against\n"
                "  the run; --liveness-ms sets the controller's detection\n"
@@ -106,10 +104,9 @@ int run_multiflow(std::size_t flows, std::size_t switches,
   const topo::PlannedPoolWorkload w = std::move(workload).value();
 
   std::printf("flows    : %zu over %zu switches\n", flows, switches);
-  std::printf("admission: %s (release per %s), max_in_flight %zu/shard, "
+  std::printf("admission: %s, max_in_flight %zu/shard, "
               "batch_mode %s (window %.2f ms, budget %zu B)\n",
               controller::to_string(config.controller.admission),
-              controller::to_string(config.controller.admission_release),
               config.controller.max_in_flight,
               controller::to_string(config.controller.batch_mode),
               sim::to_ms(config.controller.batch_window),
@@ -226,7 +223,6 @@ int main(int argc, char** argv) {
   // Controller flags are collected separately and applied after the loop,
   // so they win over a --config file regardless of argument order.
   std::optional<controller::AdmissionPolicy> admission_flag;
-  std::optional<controller::AdmissionRelease> admission_release_flag;
   std::optional<std::size_t> max_in_flight_flag;
   std::optional<controller::BatchMode> batch_mode_flag;
   std::optional<double> batch_window_ms_flag;
@@ -339,13 +335,6 @@ int main(int argc, char** argv) {
       batch_bytes_flag = static_cast<std::size_t>(*n);
     } else if (arg == "--batch-replies") {
       batch_replies_flag = true;
-    } else if (arg == "--admission-release") {
-      const char* v = next();
-      const auto release =
-          v != nullptr ? controller::admission_release_from_string(v)
-                       : std::nullopt;
-      if (!release.has_value()) return usage(), 1;
-      admission_release_flag = *release;
     } else if (arg == "--shards") {
       const char* v = next();
       const auto n = v != nullptr ? parse_int(v) : std::nullopt;
@@ -454,8 +443,6 @@ int main(int argc, char** argv) {
   if (batch_bytes_flag.has_value())
     config.controller.batch_bytes = *batch_bytes_flag;
   if (batch_replies_flag) config.switch_config.batch_replies = true;
-  if (admission_release_flag.has_value())
-    config.controller.admission_release = *admission_release_flag;
   if (shards_flag.has_value()) config.controller.shards = *shards_flag;
   if (partition_flag.has_value())
     config.controller.partition = *partition_flag;

@@ -1,5 +1,7 @@
 #include "tsu/channel/channel.hpp"
 
+#include <algorithm>
+
 #include "tsu/util/log.hpp"
 
 namespace tsu::channel {
@@ -58,8 +60,9 @@ void ControlChannel::transmit(std::vector<std::byte>&& frame) {
   sim::Duration latency = config_.latency.sample(rng_);
   while (config_.loss_probability > 0 &&
          rng_.bernoulli(config_.loss_probability)) {
-    // TCP recovers the loss; the receiver just sees it late.
-    latency += config_.retransmit_timeout;
+    // TCP recovers the loss; the receiver just sees it late. Saturating
+    // keeps a run of huge timeouts within a single delay's bound.
+    latency = std::min(latency + config_.retransmit_timeout, sim::kMaxDuration);
     ++retransmissions_;
   }
 

@@ -32,6 +32,7 @@ struct ChannelConfig {
   sim::LatencyModel latency = sim::LatencyModel::constant(sim::milliseconds(1));
   // Probability that a frame transmission is lost and must be retransmitted
   // after `retransmit_timeout` (repeatable; geometric number of attempts).
+  // Must be below 1: at 1 no frame ever arrives.
   double loss_probability = 0.0;
   sim::Duration retransmit_timeout = sim::milliseconds(50);
 };

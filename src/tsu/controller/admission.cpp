@@ -10,7 +10,6 @@ const char* to_string(AdmissionPolicy policy) noexcept {
   switch (policy) {
     case AdmissionPolicy::kBlind: return "blind";
     case AdmissionPolicy::kConflictAware: return "conflict_aware";
-    case AdmissionPolicy::kSerialize: return "serialize";
   }
   return "?";
 }
@@ -19,7 +18,6 @@ std::optional<AdmissionPolicy> admission_policy_from_string(
     std::string_view name) noexcept {
   if (name == "blind") return AdmissionPolicy::kBlind;
   if (name == "conflict_aware") return AdmissionPolicy::kConflictAware;
-  if (name == "serialize") return AdmissionPolicy::kSerialize;
   return std::nullopt;
 }
 
@@ -34,18 +32,6 @@ Footprint Footprint::of(const UpdateRequest& request) {
 void Footprint::add(RuleRef ref) {
   if (std::find(rules_.begin(), rules_.end(), ref) != rules_.end()) return;
   rules_.push_back(std::move(ref));
-}
-
-void Footprint::remove(const RuleRef& ref) {
-  const auto it = std::find(rules_.begin(), rules_.end(), ref);
-  if (it != rules_.end()) rules_.erase(it);
-}
-
-bool Footprint::conflicts_with(const Footprint& other) const noexcept {
-  for (const RuleRef& mine : rules_)
-    for (const RuleRef& theirs : other.rules_)
-      if (mine.conflicts_with(theirs)) return true;
-  return false;
 }
 
 namespace {
@@ -161,53 +147,36 @@ bool AdmissionQueue::submit(Id id, const Footprint& footprint) {
   entry.seq = next_seq_++;
   entry.footprint = footprint;  // copy-assign: pooled capacity reused
 
-  switch (policy_) {
-    case AdmissionPolicy::kBlind:
-      break;  // no edges: capacity is the only gate
-    case AdmissionPolicy::kSerialize:
-      // The paper's message queue: wait for every earlier live request.
-      for (auto& [other_id, other] : entries_) {
-        if (other_id == id) continue;
+  // Blind admission draws no edges - capacity is the only gate - and
+  // keeps no rule index, so it skips both loops and their Match copies.
+  if (policy_ == AdmissionPolicy::kBlind) return true;
+
+  // Rule-level dependency tracking: consult only rules co-located on the
+  // switches this footprint touches. The entry is already in the map but
+  // its rules are not yet in the index, so it never sees itself as a
+  // conflict.
+  for (const RuleRef& rule : footprint.rules()) {
+    const auto bucket = by_node_.find(rule.node);
+    if (bucket == by_node_.end()) continue;
+    for (const auto& [other_id, other_rule] : bucket->second) {
+      if (!rule.conflicts_with(other_rule)) continue;
+      if (!contains(entry.blocked_on, other_id)) {
+        Entry& blocker = entries_.at(other_id);
         reserve_edge_record(entry.blocked_on.size() + 1);
-        reserve_edge_record(other.blocks.size() + 1);
+        reserve_edge_record(blocker.blocks.size() + 1);
         entry.blocked_on.push_back(other_id);
-        other.blocks.push_back(id);
+        blocker.blocks.push_back(id);
         ++conflict_edges_;
       }
-      break;
-    case AdmissionPolicy::kConflictAware:
-      // Rule-level dependency tracking: consult only rules co-located on
-      // the switches this footprint touches. The entry is already in the
-      // map but its rules are not yet in the index, so it never sees
-      // itself as a conflict.
-      for (const RuleRef& rule : footprint.rules()) {
-        const auto bucket = by_node_.find(rule.node);
-        if (bucket == by_node_.end()) continue;
-        for (const auto& [other_id, other_rule] : bucket->second) {
-          if (!rule.conflicts_with(other_rule)) continue;
-          if (!contains(entry.blocked_on, other_id)) {
-            Entry& blocker = entries_.at(other_id);
-            reserve_edge_record(entry.blocked_on.size() + 1);
-            reserve_edge_record(blocker.blocks.size() + 1);
-            entry.blocked_on.push_back(other_id);
-            blocker.blocks.push_back(id);
-            ++conflict_edges_;
-          }
-        }
-      }
-      break;
-  }
-
-  // Only conflict-aware admission ever consults the rule index; skip the
-  // bookkeeping (and its Match copies) for the other policies.
-  if (policy_ == AdmissionPolicy::kConflictAware)
-    for (const RuleRef& rule : footprint.rules()) {
-      auto bucket = by_node_.find(rule.node);
-      Bucket& rules =
-          bucket == by_node_.end() ? insert_bucket(rule.node) : bucket->second;
-      reserve_bucket_record(rules.size() + 1);
-      rules.emplace_back(id, rule);
     }
+  }
+  for (const RuleRef& rule : footprint.rules()) {
+    auto bucket = by_node_.find(rule.node);
+    Bucket& rules =
+        bucket == by_node_.end() ? insert_bucket(rule.node) : bucket->second;
+    reserve_bucket_record(rules.size() + 1);
+    rules.emplace_back(id, rule);
+  }
 
   const bool admitted = entry.blocked_on.empty();
   if (!admitted) ++blocked_submissions_;
@@ -247,49 +216,6 @@ const std::vector<AdmissionQueue::Id>& AdmissionQueue::release(Id id) {
       unblocked_scratch_.push_back(waiter);
   }
   recycle_entry(it);
-
-  std::sort(unblocked_scratch_.begin(), unblocked_scratch_.end(),
-            [this](Id a, Id b) {
-              return entries_.at(a).seq < entries_.at(b).seq;
-            });
-  return unblocked_scratch_;
-}
-
-const std::vector<AdmissionQueue::Id>& AdmissionQueue::release_rules(
-    Id id, const std::vector<RuleRef>& rules) {
-  unblocked_scratch_.clear();
-  if (policy_ != AdmissionPolicy::kConflictAware || rules.empty())
-    return unblocked_scratch_;
-  const auto it = entries_.find(id);
-  TSU_ASSERT_MSG(it != entries_.end(), "release_rules of unknown admission id");
-  Entry& entry = it->second;
-
-  for (const RuleRef& rule : rules) {
-    entry.footprint.remove(rule);
-    const auto bucket = by_node_.find(rule.node);
-    if (bucket == by_node_.end()) continue;
-    auto& index = bucket->second;
-    index.erase(std::remove_if(index.begin(), index.end(),
-                               [&](const auto& e) {
-                                 return e.first == id && e.second == rule;
-                               }),
-                index.end());
-    if (index.empty()) recycle_bucket(bucket);
-  }
-
-  // Waiters blocked on this request may only have conflicted with the
-  // released rules; re-check each against the shrunken footprint. The
-  // blocks list keeps stale entries (harmless: release() tolerates
-  // already-dropped edges via the erase guard).
-  for (const Id waiter : entry.blocks) {
-    const auto waiter_it = entries_.find(waiter);
-    if (waiter_it == entries_.end()) continue;
-    Entry& waiting = waiter_it->second;
-    if (!contains(waiting.blocked_on, id)) continue;
-    if (waiting.footprint.conflicts_with(entry.footprint)) continue;
-    erase_one(waiting.blocked_on, id);
-    if (waiting.blocked_on.empty()) unblocked_scratch_.push_back(waiter);
-  }
 
   std::sort(unblocked_scratch_.begin(), unblocked_scratch_.end(),
             [this](Id a, Id b) {

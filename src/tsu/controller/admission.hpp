@@ -17,11 +17,11 @@
 // finished request erases its edges; requests whose blocked-on set drains
 // become admissible in arrival order.
 //
-// Three policies:
+// Two policies:
 //   kBlind        - no conflict edges; pure max_in_flight (PR 1 behaviour).
+//                   With max_in_flight = 1 this is the paper's strictly
+//                   serializing message queue.
 //   kConflictAware- edges exactly where rule footprints overlap.
-//   kSerialize    - every request blocks on every earlier one: the paper's
-//                   strictly serializing message queue, as a special case.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,6 @@ namespace tsu::controller {
 enum class AdmissionPolicy : std::uint8_t {
   kBlind = 0,
   kConflictAware = 1,
-  kSerialize = 2,
 };
 
 const char* to_string(AdmissionPolicy policy) noexcept;
@@ -69,15 +68,10 @@ class Footprint {
   static Footprint of(const UpdateRequest& request);
 
   void add(RuleRef ref);
-  // Drops one rule (no-op when absent): per-round footprint release
-  // shrinks a live request's footprint as rounds retire.
-  void remove(const RuleRef& ref);
   // Pre-grows rule storage (never shrinks): the admission queue reserves
   // pooled entries to its high-water footprint size so warm-path
   // copy-assignment never reallocates.
   void reserve(std::size_t rules) { rules_.reserve(rules); }
-
-  bool conflicts_with(const Footprint& other) const noexcept;
 
   const std::vector<RuleRef>& rules() const noexcept { return rules_; }
   std::size_t size() const noexcept { return rules_.size(); }
@@ -96,8 +90,6 @@ class AdmissionQueue {
   explicit AdmissionQueue(AdmissionPolicy policy = AdmissionPolicy::kBlind)
       : policy_(policy) {}
 
-  AdmissionPolicy policy() const noexcept { return policy_; }
-
   // Registers a live request. Returns true when it is immediately
   // admissible (conflicts with nothing live under the policy). The
   // footprint is copied into pooled per-entry storage, so a caller
@@ -112,18 +104,8 @@ class AdmissionQueue {
   // Removes a finished (or started-and-finished) request from the graph.
   // Returns the ids that became admissible, in arrival order. The returned
   // reference aliases a member scratch vector: it is valid until the next
-  // submit/release/release_rules call (callers that recurse must copy).
+  // submit/release call (callers that recurse must copy).
   const std::vector<Id>& release(Id id);
-
-  // Finer-grained release (admission_release = round): drops only `rules`
-  // from a live request's footprint - rules its remaining rounds will
-  // never touch again - and re-checks the requests blocked on it against
-  // the shrunken footprint. Returns the ids that became admissible, in
-  // arrival order (same scratch-aliasing contract as release). Only
-  // meaningful under kConflictAware (the other policies track no
-  // footprints); a later release(id) finishes the job.
-  const std::vector<Id>& release_rules(Id id,
-                                       const std::vector<RuleRef>& rules);
 
   std::size_t live() const noexcept { return entries_.size(); }
   // Live requests currently blocked on at least one conflict.
@@ -132,7 +114,7 @@ class AdmissionQueue {
   // Rule-index observability, for pinning steady-state boundedness: the
   // number of switch buckets in the index and the total (request, rule)
   // pairs across them. Buckets are erased as their last rule releases
-  // (release / release_rules prune empty buckets), so both must return to
+  // (release prunes empty buckets), so both must return to
   // 0 whenever no request is live - a long-running admission_test case and
   // Controller::steady_state_entries() hold the line.
   std::size_t index_switches() const noexcept { return by_node_.size(); }

@@ -34,8 +34,6 @@ std::span<const std::byte> barrier_request_frame() {
 const char* to_string(BatchMode mode) noexcept {
   switch (mode) {
     case BatchMode::kOff: return "off";
-    case BatchMode::kInstant: return "instant";
-    case BatchMode::kWindow: return "window";
     case BatchMode::kAdaptive: return "adaptive";
   }
   return "?";
@@ -43,24 +41,7 @@ const char* to_string(BatchMode mode) noexcept {
 
 std::optional<BatchMode> batch_mode_from_string(std::string_view name) {
   if (name == "off") return BatchMode::kOff;
-  if (name == "instant") return BatchMode::kInstant;
-  if (name == "window") return BatchMode::kWindow;
   if (name == "adaptive") return BatchMode::kAdaptive;
-  return std::nullopt;
-}
-
-const char* to_string(AdmissionRelease release) noexcept {
-  switch (release) {
-    case AdmissionRelease::kRequest: return "request";
-    case AdmissionRelease::kRound: return "round";
-  }
-  return "?";
-}
-
-std::optional<AdmissionRelease> admission_release_from_string(
-    std::string_view name) noexcept {
-  if (name == "request") return AdmissionRelease::kRequest;
-  if (name == "round") return AdmissionRelease::kRound;
   return std::nullopt;
 }
 
@@ -102,8 +83,8 @@ void Controller::recycle_active(ActiveMap::iterator it) {
   slot.coordinated = false;
   slot.token = 0;
   slot.system = false;
-  // request / metrics / release_plan keep their buffers; the next occupant
-  // assigns over them.
+  // request / metrics keep their buffers; the next occupant assigns over
+  // them.
   active_pool_.push_back(std::move(node));
 }
 
@@ -123,7 +104,7 @@ void Controller::recycle_waiting(WaitingMap::iterator it) {
   waiting_pool_.push_back(waiting_.extract(it));
 }
 
-void Controller::submit(UpdateRequest request) {
+Controller::PendingUpdate Controller::admit(UpdateRequest request) {
   PendingUpdate pending;
   pending.id = update_counter_++;
   pending.metrics.name = request.name;
@@ -133,13 +114,17 @@ void Controller::submit(UpdateRequest request) {
   pending.metrics.enqueued = request.enqueued.value_or(sim_.now());
   // Register in the conflict DAG before anything can start: a later
   // submission must see this request's footprint. Only conflict-aware
-  // admission reads footprints; don't compute them for the other policies.
+  // admission reads footprints; don't compute them for blind admission.
   admission_.submit(pending.id,
                     config_.admission == AdmissionPolicy::kConflictAware
                         ? Footprint::of(request)
                         : Footprint{});
   pending.request = std::move(request);
-  queue_.push_back(std::move(pending));
+  return pending;
+}
+
+void Controller::submit(UpdateRequest request) {
+  queue_.push_back(admit(std::move(request)));
   maybe_start_next_request();
 }
 
@@ -215,59 +200,16 @@ void Controller::start_pending(std::vector<PendingUpdate>::iterator it) {
   active.metrics.started = sim_.now();
   active.coordinated = it->held;
   active.token = it->token;
-  // Per-round footprint release only means anything when footprints exist
-  // (conflict-aware) and rounds complete one at a time (barriers on).
-  if (config_.admission_release == AdmissionRelease::kRound &&
-      config_.admission == AdmissionPolicy::kConflictAware &&
-      config_.use_barriers) {
-    if (active.plan != nullptr)
-      // Copy-assign: a recycled entry's slices keep their capacity.
-      active.release_plan = active.plan->release_plan;
-    else
-      active.release_plan = round_release_plan(active.request);
-  } else {
-    active.release_plan.clear();
-  }
   queue_.erase(it);
   max_in_flight_observed_ = std::max(max_in_flight_observed_, active_.size());
   start_round(id);
 }
 
-void Controller::release_completed_round_rules(UpdateId id) {
-  const auto it = active_.find(id);
-  TSU_ASSERT(it != active_.end());
-  ActiveUpdate& active = it->second;
-  if (active.release_plan.empty()) return;
-  const std::size_t round = active.next_round - 1;  // the just-completed one
-  if (round >= active.release_plan.size()) return;
-  // Copy the slice into the member scratch and clear it in place: starting
-  // an unblocked request below can rehash active_ (invalidating the
-  // reference), and clearing - not moving - keeps the slice's capacity for
-  // the pooled entry's next occupant.
-  release_rules_scratch_ = active.release_plan[round];
-  active.release_plan[round].clear();
-  if (release_rules_scratch_.empty()) return;
-  if (admission_.release_rules(id, release_rules_scratch_).empty()) return;
-  maybe_start_next_request();
-  if (hooks_ != nullptr) hooks_->on_progress(shard_id_);
-}
-
 void Controller::submit_coordinated(UpdateRequest request,
                                     std::uint64_t token) {
-  PendingUpdate pending;
-  pending.id = update_counter_++;
+  PendingUpdate pending = admit(std::move(request));
   pending.held = true;
   pending.token = token;
-  pending.metrics.name = request.name;
-  pending.metrics.flow = request.flow;
-  pending.metrics.priority_class = request.priority_class;
-  pending.metrics.submitted = sim_.now();
-  pending.metrics.enqueued = request.enqueued.value_or(sim_.now());
-  admission_.submit(pending.id,
-                    config_.admission == AdmissionPolicy::kConflictAware
-                        ? Footprint::of(request)
-                        : Footprint{});
-  pending.request = std::move(request);
   coordinated_ids_[token] = pending.id;
   queue_.push_back(std::move(pending));
   // No start attempt: a held entry adds no start opportunity for the local
@@ -366,28 +308,12 @@ void Controller::enqueue(NodeId node, Outbox& box, std::size_t offset,
                   static_cast<std::uint32_t>(box.frames.size() - offset), xid,
                   sim_.now()});
 
-  if (config_.batch_mode == BatchMode::kInstant) {
-    // Same-instant coalescing: one zero-delay event ships every outbox.
-    if (!flush_scheduled_) {
-      flush_scheduled_ = true;
-      // kLocal: a flush only ships this shard's outboxes through this
-      // shard's channels; it can never complete an update or cross shards.
-      sim_.schedule(
-          0,
-          [this]() {
-            flush_scheduled_ = false;
-            flush_all(FlushTrigger::kInstant);
-          },
-          sim::EventScope::kLocal);
-    }
-    return;
-  }
-
-  // kWindow / kAdaptive: the byte budget (or frame cap) force-flushes
-  // ahead of the hold window...
+  // The byte budget (or frame cap) force-flushes ahead of the hold
+  // window...
   if (box.frames.size() >= config_.batch_bytes ||
       box.entries.size() >= proto::kMaxBatchMessages) {
-    flush_switch(node, FlushTrigger::kBudget);
+    ++budget_flushes_;
+    flush_switch(node, box);
     return;
   }
   // ...otherwise the first message of a fill arms the cancellable flush
@@ -395,32 +321,25 @@ void Controller::enqueue(NodeId node, Outbox& box, std::size_t offset,
   // message of this fill waits strictly less than the full window.
   if (!box.timer_armed) {
     box.timer_armed = true;
-    const sim::Duration window = config_.batch_mode == BatchMode::kAdaptive
-                                     ? adaptive_window()
-                                     : config_.batch_window;
-    // kLocal: same argument as the instant flush above.
+    // kLocal: a flush only ships this outbox through this shard's channel;
+    // it can never complete an update or cross shards.
     box.timer = sim_.schedule(
-        window,
+        adaptive_window(),
         [this, node]() {
-          outbox_.at(node).timer_armed = false;
-          flush_switch(node, FlushTrigger::kTimer);
+          Outbox& armed = outbox_.at(node);
+          armed.timer_armed = false;
+          ++timer_flushes_;
+          flush_switch(node, armed);
         },
         sim::EventScope::kLocal);
   }
 }
 
-void Controller::flush_switch(NodeId node, FlushTrigger trigger) {
-  Outbox& box = outbox_.at(node);
+void Controller::flush_switch(NodeId node, Outbox& box) {
   if (box.timer_armed) {
     box.timer_armed = false;
     sim_.cancel(box.timer);
     ++flush_timers_cancelled_;
-  }
-  if (box.entries.empty()) return;
-  switch (trigger) {
-    case FlushTrigger::kInstant: break;
-    case FlushTrigger::kTimer: ++timer_flushes_; break;
-    case FlushTrigger::kBudget: ++budget_flushes_; break;
   }
 
   const std::vector<OutboxEntry>& entries = box.entries;
@@ -458,13 +377,6 @@ void Controller::flush_switch(NodeId node, FlushTrigger trigger) {
   }
   box.frames.clear();
   box.entries.clear();
-}
-
-void Controller::flush_all(FlushTrigger trigger) {
-  for (auto& [node, box] : outbox_) {
-    (void)box;
-    flush_switch(node, trigger);
-  }
 }
 
 void Controller::send_round_ops(ActiveUpdate& active, std::size_t round) {
@@ -632,17 +544,10 @@ void Controller::on_message(NodeId from, const proto::Message& message) {
 }
 
 void Controller::finish_round(UpdateId id) {
-  {
-    const auto it = active_.find(id);
-    TSU_ASSERT(it != active_.end());
-    it->second.metrics.rounds.back().finished = sim_.now();
-  }
-  // Per-round footprint release may start unblocked requests, which can
-  // rehash active_ - refetch the entry afterwards.
-  release_completed_round_rules(id);
   const auto it = active_.find(id);
   TSU_ASSERT(it != active_.end());
   ActiveUpdate& active = it->second;
+  active.metrics.rounds.back().finished = sim_.now();
 
   const bool more_rounds = active.next_round < request_of(active).rounds.size();
   if (!more_rounds || !config_.use_barriers) {
@@ -1019,9 +924,9 @@ void Controller::finish_rollback(UpdateId id) {
   admission_.release(ctx.original);
   if (config_.resubmit_after_rollback) {
     ++resubmissions_;
-    // A fresh attempt after a backoff (giving the failed switch time to
-    // come back); it re-enters admission as a new arrival.
-    sim_.schedule(effective_backoff(),
+    // A fresh attempt one liveness timeout later (giving the failed switch
+    // time to come back); it re-enters admission as a new arrival.
+    sim_.schedule(config_.liveness_timeout,
                   [this, request = std::move(ctx.request)]() mutable {
                     submit(std::move(request));
                   });

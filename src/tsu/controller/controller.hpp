@@ -35,24 +35,22 @@
 // outbox flushes is the mode:
 //
 //   kOff      every message is its own frame (no outbox).
-//   kInstant  a zero-delay event flushes all outboxes, so only messages of
-//             the same simulation instant coalesce.
-//   kWindow   each outbox holds its messages up to `batch_window` behind a
-//             cancellable flush timer, so messages of *different* instants
-//             share a frame; the accumulated encoded-byte budget
-//             `batch_bytes` (and the frame-size cap) force-flush early.
-//   kAdaptive kWindow, but the hold window scales with queue pressure
-//             (in-flight + queued updates): an idle control plane - where a
-//             round's trailing barrier is provably the last message until
-//             its replies return - collapses to an immediate flush, a
-//             saturated one holds the full window.
+//   kAdaptive each outbox holds its messages behind a cancellable flush
+//             timer armed by the first message of a fill, so messages of
+//             different instants share a frame; the accumulated
+//             encoded-byte budget `batch_bytes` (and the frame-size cap)
+//             force-flush early. The hold window scales with queue
+//             pressure (in-flight + queued updates): an idle control plane
+//             - where a round's trailing barrier is provably the last
+//             message until its replies return - collapses to an immediate
+//             flush, a saturated one holds the full `batch_window`.
 //
-// Liveness invariant for every windowed mode: a non-empty outbox always has
-// a pending flush event, so a round's barriers reach the switch at most
-// `batch_window` after readiness and rounds cannot deadlock - batching
-// trades a bounded per-round latency for fewer, larger frames and never
-// changes per-switch message order (outboxes are FIFO; the switch unpacks
-// batches in order, preserving FlowMod-then-barrier fencing).
+// Liveness invariant: a non-empty outbox always has a pending flush event,
+// so a round's barriers reach the switch at most `batch_window` after
+// readiness and rounds cannot deadlock - batching trades a bounded
+// per-round latency for fewer, larger frames and never changes per-switch
+// message order (outboxes are FIFO; the switch unpacks batches in order,
+// preserving FlowMod-then-barrier fencing).
 //
 // `use_barriers = false` gives the reckless variant for the barrier-cost
 // ablation (bench E7): all rounds are blasted out back-to-back and a single
@@ -99,28 +97,11 @@ namespace tsu::controller {
 // When the per-switch outbox flushes; see the file comment.
 enum class BatchMode : std::uint8_t {
   kOff = 0,
-  kInstant = 1,
-  kWindow = 2,
-  kAdaptive = 3,
+  kAdaptive = 1,
 };
 
 const char* to_string(BatchMode mode) noexcept;
 std::optional<BatchMode> batch_mode_from_string(std::string_view name);
-
-// When a request's admission footprint leaves the conflict DAG:
-//   kRequest  at request completion (the PR 2 behaviour).
-//   kRound    per completed round: rules no later round touches are
-//             released as soon as their last round's barriers return,
-//             shrinking the blocked window for long multi-round updates.
-//             Only meaningful under kConflictAware with barriers on.
-enum class AdmissionRelease : std::uint8_t {
-  kRequest = 0,
-  kRound = 1,
-};
-
-const char* to_string(AdmissionRelease release) noexcept;
-std::optional<AdmissionRelease> admission_release_from_string(
-    std::string_view name) noexcept;
 
 // What a liveness timeout does to the update stalled on a silent switch:
 //   kWait      keep the update alive and re-drive the switch (periodic
@@ -146,20 +127,17 @@ std::optional<FailureResponse> failure_response_from_string(
 
 struct ControllerConfig {
   bool use_barriers = true;
-  // How many update requests may progress concurrently. 1 reproduces the
-  // paper's strictly serializing message queue.
+  // How many update requests may progress concurrently. 1 is the paper's
+  // strictly serializing message queue.
   std::size_t max_in_flight = 1;
-  // Outbox flush policy and its two budgets: the hold window for
-  // kWindow/kAdaptive and the per-switch encoded-byte force-flush budget.
+  // Outbox flush policy and its two budgets: the full kAdaptive hold window
+  // and the per-switch encoded-byte force-flush budget.
   BatchMode batch_mode = BatchMode::kOff;
   sim::Duration batch_window = sim::microseconds(500);
   std::size_t batch_bytes = 16 * 1024;
   // How requests are admitted into the in-flight set (see admission.hpp):
-  // blind capacity-only, rule-level conflict tracking, or global
-  // serialization regardless of max_in_flight.
+  // blind capacity-only, or rule-level conflict tracking.
   AdmissionPolicy admission = AdmissionPolicy::kBlind;
-  // When footprints leave the conflict DAG (see AdmissionRelease).
-  AdmissionRelease admission_release = AdmissionRelease::kRequest;
   // Sharded control plane (controller/shard.hpp): how many controller
   // shards the switches are partitioned across - max_in_flight applies PER
   // SHARD - and how switches map to shards. shards = 1 is the single
@@ -185,10 +163,8 @@ struct ControllerConfig {
   sim::Duration liveness_timeout = 0;
   // Recovery policy when a barrier times out (see FailureResponse).
   FailureResponse failure_response = FailureResponse::kWait;
-  // Pause before a rolled-back request is resubmitted; 0 means one
-  // liveness_timeout.
-  sim::Duration retry_backoff = 0;
-  // Resubmit rolled-back requests (else complete them as aborted).
+  // Resubmit rolled-back requests, one liveness_timeout after the unwind
+  // (else complete them as aborted).
   bool resubmit_after_rollback = true;
 };
 
@@ -256,8 +232,8 @@ class Controller {
   }
   std::size_t batches_sent() const noexcept { return batches_sent_; }
 
-  // Outbox observability (kWindow/kAdaptive): flush counts by trigger,
-  // flush timers cancelled by an earlier byte-budget/forced flush, and the
+  // Outbox observability (kAdaptive): flush counts by trigger,
+  // flush timers cancelled by an earlier byte-budget flush, and the
   // longest any message sat in an outbox past readiness. The latency
   // regression suite pins max_hold() <= batch_window.
   std::size_t timer_flushes() const noexcept { return timer_flushes_; }
@@ -266,7 +242,6 @@ class Controller {
     return flush_timers_cancelled_;
   }
   sim::Duration max_hold() const noexcept { return max_hold_; }
-  BatchMode batch_mode() const noexcept { return config_.batch_mode; }
 
   // Admission stats: dependency edges the conflict DAG created and
   // requests that entered the queue blocked on a conflict.
@@ -370,7 +345,6 @@ class Controller {
     shard_id_ = shard_id;
     hooks_ = hooks;
   }
-  std::uint8_t shard_id() const noexcept { return shard_id_; }
 
   // Registers a HELD sub-request of a cross-shard update: it enters the
   // admission DAG at its global arrival position (so per-shard dependency
@@ -424,14 +398,7 @@ class Controller {
     // admission (the aborted update's footprint still covers its rules)
     // and never rolls back itself (double faults recover kWait-style).
     bool system = false;
-    // admission_release = round: footprint rules keyed by the last round
-    // touching them; slot k is released when round k completes. Empty when
-    // per-round release is off.
-    std::vector<std::vector<RuleRef>> release_plan;
   };
-
-  // Why an outbox shipped; drives the observability counters.
-  enum class FlushTrigger { kInstant, kTimer, kBudget };
 
   // The request a live update executes: the plan's canonical request for
   // plan-backed updates, the owned one otherwise.
@@ -439,6 +406,9 @@ class Controller {
     return active.plan != nullptr ? active.plan->request : active.request;
   }
 
+  // A pending entry for `request`, already registered in the conflict DAG
+  // but not yet queued.
+  PendingUpdate admit(UpdateRequest request);
   void maybe_start_next_request();
   void start_pending(std::vector<PendingUpdate>::iterator it);
   void start_round(UpdateId id);
@@ -454,15 +424,13 @@ class Controller {
   void send_message(NodeId node, const proto::Message& message);
   void send_flow_mod(NodeId node, Xid xid, const proto::FlowMod& mod);
   // Registers the frame just appended to `node`'s outbox buffer at
-  // `offset` and applies the mode's flush rule.
+  // `offset` and applies the flush rule; flush_switch ships the outbox.
   struct Outbox;
   void enqueue(NodeId node, Outbox& box, std::size_t offset, Xid xid);
-  void flush_switch(NodeId node, FlushTrigger trigger);
-  void flush_all(FlushTrigger trigger);
+  void flush_switch(NodeId node, Outbox& box);
   sim::Duration adaptive_window() const noexcept;
   void finish_round(UpdateId id);
   void finish_update(UpdateId id);
-  void release_completed_round_rules(UpdateId id);
 
   // --- fault tolerance ---------------------------------------------------
   // One FlowMod sent but not yet fenced by a barrier reply (FIFO channels:
@@ -492,10 +460,6 @@ class Controller {
   void finish_resync(NodeId node, Xid xid);
   void begin_rollback(UpdateId id);
   void finish_rollback(UpdateId id);
-  sim::Duration effective_backoff() const noexcept {
-    return config_.retry_backoff > 0 ? config_.retry_backoff
-                                     : config_.liveness_timeout;
-  }
 
   // Xid lifecycle. The 24-bit per-shard sequence used to hard-abort on
   // wrap, which killed long soaks. Instead, retired sequence numbers are
@@ -582,10 +546,6 @@ class Controller {
   WaitingMap waiting_;
   std::vector<ActiveMap::node_type> active_pool_;
   std::vector<WaitingMap::node_type> waiting_pool_;
-  // Per-round release staging: the completed round's slice is copied here
-  // (capacities reused on both sides) before admission release can rehash
-  // active_.
-  std::vector<RuleRef> release_rules_scratch_;
   CompletionLog completed_;
   std::function<void(const UpdateMetrics&)> on_update_done_;
   // Sharding: this engine's shard id (tags xids) and the coordinator's
@@ -624,19 +584,17 @@ class Controller {
     // flushes, so steady-state batching stops allocating at high water.
     std::vector<std::byte> frames;
     std::vector<OutboxEntry> entries;
-    // Cancellable per-switch flush timer (kWindow/kAdaptive). A budget or
-    // forced flush cancels it; the lazy-cancel event queue compacts the
-    // dead slots (see sim/event_queue.hpp).
+    // Cancellable per-switch flush timer. A budget flush cancels it; the
+    // lazy-cancel event queue compacts the dead slots (see
+    // sim/event_queue.hpp).
     bool timer_armed = false;
     sim::EventId timer = 0;
   };
 
-  // Ordered map so flush-all order is deterministic.
   std::map<NodeId, Outbox> outbox_;
   // Reused frame for a message sent without an outbox and for the Batch
   // frame a flush writes around a chunk.
   std::vector<std::byte> frame_scratch_;
-  bool flush_scheduled_ = false;  // kInstant: one zero-delay flush-all event
 
   // --- fault tolerance (all empty and untouched when disabled) ----------
   // Shadow tables: the rule state every send has committed each switch to,

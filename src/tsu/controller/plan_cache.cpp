@@ -8,26 +8,6 @@
 
 namespace tsu::controller {
 
-std::vector<std::vector<RuleRef>> round_release_plan(
-    const UpdateRequest& request) {
-  std::vector<std::vector<RuleRef>> plan(request.rounds.size());
-  std::vector<std::pair<RuleRef, std::size_t>> last;
-  for (std::size_t r = 0; r < request.rounds.size(); ++r) {
-    for (const RoundOp& op : request.rounds[r]) {
-      RuleRef ref{op.node, op.mod.table, op.mod.match};
-      const auto it =
-          std::find_if(last.begin(), last.end(),
-                       [&](const auto& e) { return e.first == ref; });
-      if (it == last.end())
-        last.emplace_back(std::move(ref), r);
-      else
-        it->second = r;
-    }
-  }
-  for (auto& [ref, round] : last) plan[round].push_back(std::move(ref));
-  return plan;
-}
-
 std::shared_ptr<const CompiledPlan> compile_plan(UpdateRequest request,
                                                  std::uint64_t generation) {
   auto plan = std::make_shared<CompiledPlan>();
@@ -36,7 +16,6 @@ std::shared_ptr<const CompiledPlan> compile_plan(UpdateRequest request,
   const UpdateRequest& req = plan->request;
 
   plan->footprint = Footprint::of(req);
-  plan->release_plan = round_release_plan(req);
 
   std::vector<std::byte> scratch;
   plan->flow_mod_frames.resize(req.rounds.size());

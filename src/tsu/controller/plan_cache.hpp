@@ -3,20 +3,20 @@
 //
 // The open-loop service mode submits the same few templates over and over
 // (each template alternating forward/reverse), yet every submission used to
-// re-lower the schedule to rounds, recompute the admission footprint and
-// release plan, and re-encode every FlowMod and barrier frame from scratch.
+// re-lower the schedule to rounds, recompute the admission footprint, and
+// re-encode every FlowMod and barrier frame from scratch.
 // All of that work is a pure function of the template - only the xids and
 // the arrival timestamp differ between submissions.
 //
 // A CompiledPlan captures the invariant part once: the canonical
-// UpdateRequest (rounds and all), its admission Footprint, the per-round
-// release plan, and every FlowMod frame pre-encoded with xid 0 plus the
-// per-round barrier fan-out order. Submitting a plan
-// (Controller::submit_plan) then costs only xid assignment and per-switch
-// routing: the cached bytes are copied - into the channel's pooled frame
-// buffer, or into the switch's outbox when batching - and the live xid is
-// patched in place (proto::patch_xid - the xid analogue of the Batch
-// encoder's length patch), producing bytes identical to a fresh encode.
+// UpdateRequest (rounds and all), its admission Footprint, and every
+// FlowMod frame pre-encoded with xid 0 plus the per-round barrier fan-out
+// order. Submitting a plan (Controller::submit_plan) then costs only xid
+// assignment and per-switch routing: the cached bytes are copied - into
+// the channel's pooled frame buffer, or into the switch's outbox when
+// batching - and the live xid is patched in place (proto::patch_xid - the
+// xid analogue of the Batch encoder's length patch), producing bytes
+// identical to a fresh encode.
 // This holds in every mode: with batching, the outbox writes its Batch
 // frame around the patched frames, and with fault tolerance on, the
 // shadow tables are fed from the plan's rounds.
@@ -59,9 +59,6 @@ struct CompiledPlan {
   UpdateRequest request;
   // Admission footprint, identical to Footprint::of(request).
   Footprint footprint;
-  // Per-round footprint release slices (admission_release = round),
-  // identical to round_release_plan(request).
-  std::vector<std::vector<RuleRef>> release_plan;
   // Unique switches the request touches, in first-appearance order; the
   // sharded coordinator routes plan submissions by this set without
   // materializing a request.
@@ -86,16 +83,8 @@ struct CompiledPlan {
   }
 };
 
-// Keys every footprint rule by the LAST round touching it: once that
-// round's barriers return, no later round of the request can write the rule
-// again, so its admission entry is safe to release early. Shared by the
-// controller's per-round release (admission_release = round) and
-// compile_plan, which bakes the result into the plan.
-std::vector<std::vector<RuleRef>> round_release_plan(
-    const UpdateRequest& request);
-
-// Compiles `request` into an immutable plan: footprint, release plan,
-// touched set, and every wire frame encoded once with xid 0.
+// Compiles `request` into an immutable plan: footprint, touched set, and
+// every wire frame encoded once with xid 0.
 std::shared_ptr<const CompiledPlan> compile_plan(UpdateRequest request,
                                                  std::uint64_t generation);
 

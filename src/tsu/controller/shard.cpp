@@ -18,12 +18,12 @@ ShardCoordinator::ShardCoordinator(sim::ShardedSim& sim,
                  "sharded clock and partition disagree on shard count");
   shards_.reserve(count);
   for (std::size_t s = 0; s < count; ++s) {
-    shards_.push_back(std::make_unique<ControllerShard>(
-        static_cast<std::uint8_t>(s), sim_.shard(s), config, this));
+    shards_.push_back(std::make_unique<Controller>(sim_.shard(s), config));
+    shards_.back()->set_shard(static_cast<std::uint8_t>(s), this);
     // Shard-local completions land on the coordinator's completed list in
     // global completion order; cross-shard merges arrive through
     // on_coordinated_done instead.
-    shards_.back()->engine().set_on_update_done(
+    shards_.back()->set_on_update_done(
         [this](const UpdateMetrics& metrics) {
           const UpdateMetrics& done = completed_.record(metrics);
           if (on_update_done_) on_update_done_(done);
@@ -32,9 +32,7 @@ ShardCoordinator::ShardCoordinator(sim::ShardedSim& sim,
 }
 
 void ShardCoordinator::attach_switch(NodeId node, Controller::SendFn send) {
-  ControllerShard& owner = *shards_[partition_.shard_of(node)];
-  owner.engine().attach_switch(node, std::move(send));
-  owner.note_switch_attached();
+  shards_[partition_.shard_of(node)]->attach_switch(node, std::move(send));
 }
 
 void ShardCoordinator::on_message(NodeId from, const proto::Message& message) {
@@ -45,12 +43,12 @@ void ShardCoordinator::on_message(NodeId from, const proto::Message& message) {
                    << static_cast<unsigned>(proto::xid_shard(message.xid))
                    << " but routed to shard " << owner;
   }
-  shards_[owner]->engine().on_message(from, message);
+  shards_[owner]->on_message(from, message);
 }
 
 void ShardCoordinator::submit(UpdateRequest request) {
   if (shards_.size() == 1) {
-    shards_[0]->engine().submit(std::move(request));
+    shards_[0]->submit(std::move(request));
     return;
   }
 
@@ -66,8 +64,7 @@ void ShardCoordinator::submit(UpdateRequest request) {
   if (parts.size() <= 1) {
     // Shard-local (or degenerate empty): the owner runs it exactly like
     // the single controller would.
-    shards_[parts.empty() ? 0 : parts.front()]->engine().submit(
-        std::move(request));
+    shards_[parts.empty() ? 0 : parts.front()]->submit(std::move(request));
     return;
   }
 
@@ -103,7 +100,7 @@ void ShardCoordinator::submit(UpdateRequest request) {
 
   cross_.emplace(token, std::move(cross));
   for (std::size_t i = 0; i < parts.size(); ++i)
-    shards_[parts[i]]->engine().submit_coordinated(std::move(subs[i]), token);
+    shards_[parts[i]]->submit_coordinated(std::move(subs[i]), token);
   pending_cross_.push_back(token);
   try_start_cross();
 }
@@ -112,8 +109,7 @@ void ShardCoordinator::submit_plan(std::shared_ptr<const CompiledPlan> plan,
                                    std::uint8_t priority_class,
                                    std::optional<sim::SimTime> enqueued) {
   if (shards_.size() == 1) {
-    shards_[0]->engine().submit_plan(std::move(plan), priority_class,
-                                     enqueued);
+    shards_[0]->submit_plan(std::move(plan), priority_class, enqueued);
     return;
   }
   // Route by the plan's pre-deduplicated touched set - no request
@@ -131,8 +127,8 @@ void ShardCoordinator::submit_plan(std::shared_ptr<const CompiledPlan> plan,
     }
   }
   if (!cross) {
-    shards_[owner < 0 ? 0 : owner]->engine().submit_plan(
-        std::move(plan), priority_class, enqueued);
+    shards_[owner < 0 ? 0 : owner]->submit_plan(std::move(plan),
+                                                 priority_class, enqueued);
     return;
   }
   // Cross-shard: the coordinated protocol needs per-shard sub-requests, so
@@ -159,7 +155,7 @@ void ShardCoordinator::try_start_cross() {
       const std::vector<std::uint8_t> parts = cross_.at(token).shards;
       bool ready = true;
       for (const std::uint8_t s : parts) {
-        const Controller& engine = shards_[s]->engine();
+        const Controller& engine = *shards_[s];
         if (!engine.coordinated_admissible(token) || !engine.has_capacity()) {
           ready = false;
           break;
@@ -170,7 +166,7 @@ void ShardCoordinator::try_start_cross() {
       // Atomic acquisition: every participating shard starts in this same
       // instant, so no cross-shard update ever holds a partial slot set.
       for (const std::uint8_t s : parts)
-        shards_[s]->engine().start_coordinated(token);
+        shards_[s]->start_coordinated(token);
       progress = true;
       break;
     }
@@ -199,7 +195,7 @@ void ShardCoordinator::on_round_done(std::uint8_t, std::uint64_t token,
   cross.confirms = 0;
   const std::vector<std::uint8_t> parts = cross.shards;
   for (const std::uint8_t s : parts)
-    shards_[s]->engine().release_round(token);
+    shards_[s]->release_round(token);
 }
 
 void ShardCoordinator::on_coordinated_done(std::uint8_t, std::uint64_t token,
@@ -245,7 +241,7 @@ UpdateMetrics ShardCoordinator::merge_slices(
 
 bool ShardCoordinator::idle() const noexcept {
   for (const auto& shard : shards_)
-    if (!shard->engine().idle()) return false;
+    if (!shard->idle()) return false;
   return pending_cross_.empty() && cross_.empty();
 }
 

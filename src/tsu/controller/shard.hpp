@@ -1,5 +1,5 @@
-// The sharded controller: partition the switches across N ControllerShard
-// instances - each owning a disjoint switch set, its own admission DAG
+// The sharded controller: partition the switches across N Controller
+// shards - each owning a disjoint switch set, its own admission DAG
 // slice, its own per-switch outboxes and its own event queue of the
 // sharded logical clock (sim/sharded.hpp) - plus the ShardCoordinator that
 // routes update requests and runs cross-shard updates through a two-phase
@@ -53,29 +53,6 @@
 
 namespace tsu::controller {
 
-// One controller shard: the concurrent update engine bound to a shard id
-// (which tags its xids) and the partition slice of switches it owns.
-class ControllerShard {
- public:
-  ControllerShard(std::uint8_t id, sim::Simulator& sim,
-                  const ControllerConfig& config,
-                  Controller::CoordinationHooks* hooks)
-      : engine_(sim, config) {
-    engine_.set_shard(id, hooks);
-  }
-
-  std::uint8_t id() const noexcept { return engine_.shard_id(); }
-  Controller& engine() noexcept { return engine_; }
-  const Controller& engine() const noexcept { return engine_; }
-
-  std::size_t switches_owned() const noexcept { return switches_owned_; }
-  void note_switch_attached() noexcept { ++switches_owned_; }
-
- private:
-  Controller engine_;
-  std::size_t switches_owned_ = 0;
-};
-
 // Routes requests and replies between the outside world and the shards,
 // and drives the cross-shard protocol described in the file comment. The
 // public surface mirrors Controller's, so the executor drives either
@@ -86,7 +63,7 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
                    const ControllerConfig& config);
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
-  ControllerShard& shard(std::size_t i) { return *shards_[i]; }
+  Controller& shard(std::size_t i) { return *shards_[i]; }
   const topo::SwitchPartition& partition() const noexcept {
     return partition_;
   }
@@ -99,10 +76,10 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   // Fault tolerance (sim/faults.hpp): shadow seeding and the resync
   // callback route to the switch's owning shard; see controller.hpp.
   void seed_shadow(NodeId node, const proto::FlowMod& mod) {
-    shards_[shard_of(node)]->engine().seed_shadow(node, mod);
+    shards_[shard_of(node)]->seed_shadow(node, mod);
   }
   void set_on_switch_resynced(std::function<void(NodeId)> fn) {
-    for (auto& shard : shards_) shard->engine().set_on_switch_resynced(fn);
+    for (auto& shard : shards_) shard->set_on_switch_resynced(fn);
   }
   // Inbound dispatch: routes a switch's reply to the shard that owns it.
   void on_message(NodeId from, const proto::Message& message);
@@ -122,7 +99,7 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   std::uint64_t resync_generation() const noexcept {
     std::uint64_t total = 0;
     for (const auto& shard : shards_)
-      total += shard->engine().resync_generation();
+      total += shard->resync_generation();
     return total;
   }
 
@@ -148,7 +125,7 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   std::size_t steady_state_entries() const noexcept {
     std::size_t total = cross_.size() + pending_cross_.size();
     for (const auto& shard : shards_)
-      total += shard->engine().steady_state_entries();
+      total += shard->steady_state_entries();
     return total;
   }
 
@@ -195,15 +172,15 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   // high-water marks take the max.
   template <class Get>
   auto sum_over_shards(Get get) const {
-    decltype(get(shards_.front()->engine())) total{};
-    for (const auto& shard : shards_) total += get(shard->engine());
+    decltype(get(*shards_.front())) total{};
+    for (const auto& shard : shards_) total += get(*shard);
     return total;
   }
   template <class Get>
   auto max_over_shards(Get get) const {
-    decltype(get(shards_.front()->engine())) most{};
+    decltype(get(*shards_.front())) most{};
     for (const auto& shard : shards_)
-      most = std::max(most, get(shard->engine()));
+      most = std::max(most, get(*shard));
     return most;
   }
 
@@ -221,7 +198,7 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
 
   sim::ShardedSim& sim_;
   topo::SwitchPartition partition_;
-  std::vector<std::unique_ptr<ControllerShard>> shards_;
+  std::vector<std::unique_ptr<Controller>> shards_;
   std::unordered_map<std::uint64_t, CrossUpdate> cross_;
   std::deque<std::uint64_t> pending_cross_;  // not-yet-started, arrival order
   CompletionLog completed_;

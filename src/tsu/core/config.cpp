@@ -113,9 +113,10 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
           if (!model.ok()) return model.error();
           config.channel.latency = model.value();
         } else if (ckey == "loss") {
+          // A loss of 1 would retransmit every frame forever.
           if (!cval.is_number() || cval.as_double() < 0 ||
-              cval.as_double() > 1)
-            return make_error(Errc::kOutOfRange, "'loss' must be in [0,1]");
+              cval.as_double() >= 1)
+            return make_error(Errc::kOutOfRange, "'loss' must be in [0,1)");
           config.channel.loss_probability = cval.as_double();
         } else if (ckey == "retransmit_timeout_ms") {
           Result<double> v =
@@ -172,7 +173,7 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
       if (!mode.has_value())
         return make_error(Errc::kParseError,
                           "unknown batch mode '" + field.as_string() +
-                              "' (off | instant | window | adaptive)");
+                              "' (off | adaptive)");
       config.controller.batch_mode = *mode;
     } else if (key == "batch_window_ms") {
       if (!field.is_number() || field.as_double() < 0)
@@ -190,19 +191,8 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
       if (!policy.has_value())
         return make_error(Errc::kParseError,
                           "unknown admission policy '" + field.as_string() +
-                              "' (blind | conflict_aware | serialize)");
+                              "' (blind | conflict_aware)");
       config.controller.admission = *policy;
-    } else if (key == "admission_release") {
-      if (!field.is_string())
-        return make_error(Errc::kParseError,
-                          "'admission_release' must be a string");
-      const std::optional<controller::AdmissionRelease> release =
-          controller::admission_release_from_string(field.as_string());
-      if (!release.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown admission release '" + field.as_string() +
-                              "' (request | round)");
-      config.controller.admission_release = *release;
     } else if (key == "shards") {
       const Result<std::int64_t> n = field.int_in(
           key, 1, static_cast<std::int64_t>(proto::kMaxXidShards));
@@ -264,10 +254,6 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                           "unknown failure response '" + field.as_string() +
                               "' (wait | rollback)");
       config.controller.failure_response = *response;
-    } else if (key == "retry_backoff_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'retry_backoff_ms' must be >= 0");
-      config.controller.retry_backoff = ms(field.as_double());
     } else if (key == "resubmit") {
       if (!field.is_bool())
         return make_error(Errc::kParseError, "'resubmit' must be a bool");
@@ -386,9 +372,6 @@ json::Value config_to_json(const ExecutorConfig& config) {
                               config.controller.batch_bytes)));
   root.set("admission",
            json::Value(controller::to_string(config.controller.admission)));
-  root.set("admission_release",
-           json::Value(
-               controller::to_string(config.controller.admission_release)));
   root.set("shards", json::Value(static_cast<std::int64_t>(
                          config.controller.shards)));
   root.set("partition",
@@ -406,8 +389,6 @@ json::Value config_to_json(const ExecutorConfig& config) {
   root.set("failure_response",
            json::Value(
                controller::to_string(config.controller.failure_response)));
-  root.set("retry_backoff_ms",
-           json::Value(sim::to_ms(config.controller.retry_backoff)));
   root.set("resubmit", json::Value(config.controller.resubmit_after_rollback));
   // Emitted only when non-empty, so fault-free configs stay byte-stable.
   if (!config.faults.empty()) root.set("faults", config.faults.to_json());
@@ -464,11 +445,6 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
           key, static_cast<std::int64_t>(kMinPoolSwitches), json::kMaxExactInt);
       if (!n.ok()) return n.error();
       config.pool_switches = static_cast<std::size_t>(n.value());
-    } else if (key == "alternate_directions") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError,
-                          "'alternate_directions' must be a bool");
-      config.alternate_directions = field.as_bool();
     } else if (key == "rate_per_sec") {
       if (!field.is_number() || field.as_double() <= 0)
         return make_error(Errc::kOutOfRange, "'rate_per_sec' must be > 0");
@@ -535,7 +511,8 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
                           "'snapshot_interval_ms' must be >= 0");
       config.snapshot_interval = ms(field.as_double());
     } else if (key == "snapshot_window") {
-      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
+      const Result<std::int64_t> n = field.int_in(
+          key, 1, static_cast<std::int64_t>(kMaxSnapshotWindow));
       if (!n.ok()) return n.error();
       config.snapshot_window = static_cast<std::size_t>(n.value());
     } else {
@@ -554,8 +531,6 @@ json::Value service_config_to_json(const ServiceConfig& config) {
               json::Value(static_cast<std::int64_t>(config.flows)));
   service.set("pool_switches", json::Value(static_cast<std::int64_t>(
                                    config.pool_switches)));
-  service.set("alternate_directions",
-              json::Value(config.alternate_directions));
   service.set("rate_per_sec", json::Value(config.arrival_rate_per_sec));
   if (!config.trace.empty()) {
     json::Array trace;

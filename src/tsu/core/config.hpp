@@ -11,15 +11,14 @@
 //                 "processing_us": 10, "batch_replies": false },
 //   "use_barriers": true,
 //   "max_in_flight": 1,
-//   "batch_mode": "off" | "instant" | "window" | "adaptive",
+//   "batch_mode": "off" | "adaptive",
 //   "batch_window_ms": 0.5, "batch_bytes": 16384,
-//   "admission": "blind" | "conflict_aware" | "serialize",
-//   "admission_release": "request" | "round",
+//   "admission": "blind" | "conflict_aware",
 //   "shards": 1, "partition": "hash" | "block" | "greedy_cut",
 //   "exec": "sequential" | "parallel", "threads": 0,
 //   "flow": 1, "priority": 100, "interval_ms": 0,
 //   "liveness_timeout_ms": 0, "failure_response": "wait" | "rollback",
-//   "retry_backoff_ms": 0, "resubmit": true,
+//   "resubmit": true,
 //   "faults":   { "events": [ { "kind": "crash" | "link_down" | "blackhole",
 //                 "at_ms": 8, "node": 3, "down_ms": 5, "lose_state": true,
 //                 "frames": 2 }, ... ] }   (or the bare events array),
@@ -38,8 +37,7 @@
 // at the top level and adds one "service" object carrying the open-loop
 // knobs (core/service.hpp):
 //   "service": {
-//     "flows": 8, "pool_switches": 48, "alternate_directions": true,
-//     "rate_per_sec": 2000,
+//     "flows": 8, "pool_switches": 48, "rate_per_sec": 2000,
 //     "trace_us": [100, 250, ...], "trace_cycle": true,
 //     "horizon_ms": 0, "target": 0,
 //     "max_pending": 1024, "submit_depth": 0,

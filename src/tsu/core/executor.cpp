@@ -306,10 +306,17 @@ struct RunTiming {
   double wall_ms = 0;
 };
 
+// The simulated time no run steps past. Every delay saturates at
+// sim::kMaxDuration, so an event that fires by this limit schedules at most
+// 2^62 ns later and the 64-bit clock cannot wrap.
+constexpr sim::SimTime kRunLimit = 2 * sim::kMaxDuration;
+
 // Steps the harness until every queue drains, sequentially or in parallel
-// epochs per controller_config.exec.
-RunTiming run_harness(Harness& harness, const ExecutorConfig& config,
-                      const controller::ControllerConfig& controller_config) {
+// epochs per controller_config.exec. A run with events still pending at
+// kRunLimit is an error.
+Result<RunTiming> run_harness(
+    Harness& harness, const ExecutorConfig& config,
+    const controller::ControllerConfig& controller_config) {
   const bool parallel = controller_config.exec == sim::ExecMode::kParallel;
   RunTiming timing;
   // An epoch dispatches exactly shard_count tasks, so more lanes than
@@ -324,13 +331,17 @@ RunTiming run_harness(Harness& harness, const ExecutorConfig& config,
   const auto wall_start = std::chrono::steady_clock::now();
   if (parallel) {
     sim::ThreadPool pool(timing.threads);
-    harness.sim.run_parallel(pool, cross_shard_lookahead(config));
+    harness.sim.run_parallel(pool, cross_shard_lookahead(config), kRunLimit);
   } else {
-    harness.sim.run();
+    harness.sim.run(kRunLimit);
   }
   timing.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - wall_start)
                        .count();
+  if (harness.sim.pending() != 0)
+    return make_error(Errc::kOutOfRange,
+                      "simulation reached the 2^63 ns clock limit with work "
+                      "outstanding");
   return timing;
 }
 
@@ -555,7 +566,9 @@ Result<MultiFlowExecutionResult> execute_multiflow(
     });
   }
 
-  const RunTiming timing = run_harness(harness, config, controller_config);
+  const Result<RunTiming> run = run_harness(harness, config, controller_config);
+  if (!run.ok()) return run.error();
+  const RunTiming& timing = run.value();
 
   if (!harness.ctrl->idle() || done_metrics.size() != request_count)
     return make_error(Errc::kFailedPrecondition,
@@ -653,6 +666,9 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   if (config.pool_switches < kMinPoolSwitches)
     return make_error(Errc::kInvalidArgument,
                       "pool_switches must be at least 6");
+  if (config.snapshot_window > kMaxSnapshotWindow)
+    return make_error(Errc::kOutOfRange,
+                      "snapshot_window must be at most 65536");
   if (config.classes.empty() || config.classes.size() > 256)
     return make_error(Errc::kInvalidArgument,
                       "priority class count must be in [1, 256]");
@@ -685,10 +701,10 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
           : topo::ArrivalProcess::poisson(config.arrival_rate_per_sec);
 
   // Template pool: forward (old -> new) schedules, plus the reverse
-  // direction planned once up front when alternation is on. Submission
-  // flips per template, and same-template requests share a rule footprint,
-  // so admission serializes them in arrival order - the data plane always
-  // transitions from the state the submitted direction assumes.
+  // direction planned once up front. Submission flips per template, and
+  // same-template requests share a rule footprint, so admission serializes
+  // them in arrival order - the data plane always transitions from the
+  // state the submitted direction assumes.
   Result<topo::PlannedPoolWorkload> pool_result =
       topo::planned_pool_workload(config.flows, config.pool_switches);
   if (!pool_result.ok()) return pool_result.error();
@@ -696,18 +712,16 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
 
   std::vector<update::Instance> rev_instances;
   std::vector<update::Schedule> rev_schedules;
-  if (config.alternate_directions) {
-    rev_instances.reserve(pool.instances.size());
-    rev_schedules.reserve(pool.instances.size());
-    for (const update::Instance& inst : pool.instances) {
-      Result<update::Instance> rev = update::Instance::make(
-          inst.new_path(), inst.old_path(), inst.waypoint());
-      if (!rev.ok()) return rev.error();
-      Result<update::Schedule> sched = update::plan_peacock(rev.value());
-      if (!sched.ok()) return sched.error();
-      rev_instances.push_back(std::move(rev).value());
-      rev_schedules.push_back(std::move(sched).value());
-    }
+  rev_instances.reserve(pool.instances.size());
+  rev_schedules.reserve(pool.instances.size());
+  for (const update::Instance& inst : pool.instances) {
+    Result<update::Instance> rev = update::Instance::make(
+        inst.new_path(), inst.old_path(), inst.waypoint());
+    if (!rev.ok()) return rev.error();
+    Result<update::Schedule> sched = update::plan_peacock(rev.value());
+    if (!sched.ok()) return sched.error();
+    rev_instances.push_back(std::move(rev).value());
+    rev_schedules.push_back(std::move(sched).value());
   }
 
   Harness harness(pool.instance_ptrs, exec, exec.controller);
@@ -813,7 +827,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     const PendingRequest p = pending[cls].front();
     pending[cls].pop_front();
     --pending_total;
-    const bool reverse = config.alternate_directions && (flip[p.tmpl] & 1);
+    const bool reverse = (flip[p.tmpl] & 1) != 0;
     ++flip[p.tmpl];
     // Warm path: reuse the compiled plan - no request materialization, no
     // re-encoding; the controller patches xids into the cached frames.
@@ -874,8 +888,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
             ++stats.throttled;
             ++stats.by_class[c].throttled;
             const sim::Duration wait =
-                static_cast<sim::Duration>((1 - tokens[c]) * 1e9 /
-                                           cls.rate_limit_per_sec) +
+                sim::from_ns((1 - tokens[c]) * 1e9 / cls.rate_limit_per_sec) +
                 1;
             if (!want_timer || wait < timer_delay) {
               want_timer = true;
@@ -1018,7 +1031,9 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     if (source) source->start();
   schedule_next_arrival();
 
-  const RunTiming timing = run_harness(harness, exec, exec.controller);
+  const Result<RunTiming> run = run_harness(harness, exec, exec.controller);
+  if (!run.ok()) return run.error();
+  const RunTiming& timing = run.value();
 
   if (!harness.ctrl->idle() || stats.submitted != stats.completed ||
       pending_total != 0)
@@ -1046,7 +1061,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   result.wall_ms = timing.wall_ms;
   result.frames_sent = harness.total_frames();
   for (std::size_t s = 0; s < harness.ctrl->shard_count(); ++s)
-    result.retired_xids += harness.ctrl->shard(s).engine().retired_xids();
+    result.retired_xids += harness.ctrl->shard(s).retired_xids();
   stats.plan_compiles = plan_cache.compiles();
   stats.plan_hits = plan_cache.hits();
   stats.plan_invalidations = plan_cache.invalidations();

@@ -57,6 +57,8 @@ struct ServiceClassConfig {
 
 // The fewest pool switches: one block of topo::pool_workload.
 inline constexpr std::size_t kMinPoolSwitches = 6;
+// The largest snapshot ring: execute_service reserves it up front.
+inline constexpr std::size_t kMaxSnapshotWindow = 65536;
 
 struct ServiceConfig {
   // Control-plane wiring (channel, switch, controller, traffic, seed). The
@@ -66,13 +68,11 @@ struct ServiceConfig {
 
   // Update-template pool: `flows` two-path instances over `pool_switches`
   // (at least kMinPoolSwitches) switches (topo::pool_workload). Each
-  // arrival picks a template uniformly; when alternate_directions,
-  // consecutive submissions of one template flip between old->new and
-  // new->old so the data plane always transitions from its actual current
-  // state.
+  // arrival picks a template uniformly, and consecutive submissions of one
+  // template flip between old->new and new->old so the data plane always
+  // transitions from its actual current state.
   std::size_t flows = 8;
   std::size_t pool_switches = 48;
-  bool alternate_directions = true;
 
   // Arrival process: a non-empty trace wins, else Poisson at arrival_rate.
   double arrival_rate_per_sec = 2000;
@@ -104,8 +104,8 @@ struct ServiceConfig {
 
   // Live stats: every `snapshot_interval` of sim time (0 = off) a
   // ServiceSnapshot is appended to a bounded ring of `snapshot_window`
-  // entries and handed to `on_snapshot` (if set) - the feed behind
-  // sim_cli --serve and the REST stats document.
+  // (at most kMaxSnapshotWindow) entries and handed to `on_snapshot` (if
+  // set) - the feed behind sim_cli --serve and the REST stats document.
   sim::Duration snapshot_interval = 0;
   std::size_t snapshot_window = 64;
   std::function<void(const struct ServiceSnapshot&)> on_snapshot;

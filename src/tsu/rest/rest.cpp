@@ -163,98 +163,6 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
       message.interval_ms = value.as_double();
       if (message.interval_ms < 0)
         return make_error(Errc::kOutOfRange, "'interval' must be >= 0");
-    } else if (key == "admission") {
-      if (!value.is_string())
-        return make_error(Errc::kParseError, "'admission' must be a string");
-      const std::optional<controller::AdmissionPolicy> policy =
-          controller::admission_policy_from_string(value.as_string());
-      if (!policy.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown admission policy '" + value.as_string() +
-                              "' (blind | conflict_aware | serialize)");
-      message.admission = *policy;
-    } else if (key == "admission_release") {
-      if (!value.is_string())
-        return make_error(Errc::kParseError,
-                          "'admission_release' must be a string");
-      const std::optional<controller::AdmissionRelease> release =
-          controller::admission_release_from_string(value.as_string());
-      if (!release.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown admission release '" + value.as_string() +
-                              "' (request | round)");
-      message.admission_release = *release;
-    } else if (key == "shards") {
-      const Result<std::int64_t> n = value.int_in(
-          key, 1, static_cast<std::int64_t>(proto::kMaxXidShards));
-      if (!n.ok()) return n.error();
-      message.shards = static_cast<std::size_t>(n.value());
-    } else if (key == "partition") {
-      if (!value.is_string())
-        return make_error(Errc::kParseError, "'partition' must be a string");
-      const std::optional<topo::PartitionScheme> scheme =
-          topo::partition_scheme_from_string(value.as_string());
-      if (!scheme.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown partition scheme '" + value.as_string() +
-                              "' (hash | block | greedy_cut)");
-      message.partition = *scheme;
-    } else if (key == "exec") {
-      if (!value.is_string())
-        return make_error(Errc::kParseError, "'exec' must be a string");
-      const std::optional<sim::ExecMode> mode =
-          sim::exec_mode_from_string(value.as_string());
-      if (!mode.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown exec mode '" + value.as_string() +
-                              "' (sequential | parallel)");
-      message.exec = *mode;
-    } else if (key == "threads") {
-      const Result<std::int64_t> n = value.int_in(key, 0, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      message.threads = static_cast<std::size_t>(n.value());
-    } else if (key == "liveness_timeout_ms") {
-      if (!value.is_number() || value.as_double() < 0)
-        return make_error(Errc::kOutOfRange,
-                          "'liveness_timeout_ms' must be >= 0");
-      message.liveness_timeout_ms = value.as_double();
-    } else if (key == "failure_response") {
-      if (!value.is_string())
-        return make_error(Errc::kParseError,
-                          "'failure_response' must be a string");
-      const std::optional<controller::FailureResponse> response =
-          controller::failure_response_from_string(value.as_string());
-      if (!response.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown failure response '" + value.as_string() +
-                              "' (wait | rollback)");
-      message.failure_response = *response;
-    } else if (key == "priority_class") {
-      const Result<std::int64_t> n = value.int_in(key, 0, 255);
-      if (!n.ok()) return n.error();
-      message.priority_class = static_cast<std::uint32_t>(n.value());
-    } else if (key == "max_in_flight") {
-      const Result<std::int64_t> n = value.int_in(key, 1, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      message.max_in_flight = static_cast<std::size_t>(n.value());
-    } else if (key == "batch_mode") {
-      if (!value.is_string())
-        return make_error(Errc::kParseError, "'batch_mode' must be a string");
-      const std::optional<controller::BatchMode> mode =
-          controller::batch_mode_from_string(value.as_string());
-      if (!mode.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown batch mode '" + value.as_string() +
-                              "' (off | instant | window | adaptive)");
-      message.batch_mode = *mode;
-    } else if (key == "batch_window_ms") {
-      if (!value.is_number() || value.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'batch_window_ms' must be >= 0");
-      message.batch_window_ms = value.as_double();
-    } else if (key == "batch_bytes") {
-      const Result<std::int64_t> n = value.int_in(key, 1, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      message.batch_bytes = static_cast<std::size_t>(n.value());
     } else {
       Result<proto::FlowModCommand> command = command_for_key(key);
       if (!command.ok()) return command.error();
@@ -288,41 +196,6 @@ std::string to_json(const RestUpdateMessage& message) {
   if (message.waypoint.has_value())
     root.set("wp", json::Value(static_cast<std::int64_t>(*message.waypoint)));
   root.set("interval", json::Value(message.interval_ms));
-  if (message.admission.has_value())
-    root.set("admission",
-             json::Value(controller::to_string(*message.admission)));
-  if (message.admission_release.has_value())
-    root.set("admission_release",
-             json::Value(controller::to_string(*message.admission_release)));
-  if (message.shards.has_value())
-    root.set("shards",
-             json::Value(static_cast<std::int64_t>(*message.shards)));
-  if (message.partition.has_value())
-    root.set("partition", json::Value(topo::to_string(*message.partition)));
-  if (message.exec.has_value())
-    root.set("exec", json::Value(sim::to_string(*message.exec)));
-  if (message.threads.has_value())
-    root.set("threads",
-             json::Value(static_cast<std::int64_t>(*message.threads)));
-  if (message.liveness_timeout_ms.has_value())
-    root.set("liveness_timeout_ms", json::Value(*message.liveness_timeout_ms));
-  if (message.failure_response.has_value())
-    root.set("failure_response",
-             json::Value(controller::to_string(*message.failure_response)));
-  if (message.priority_class.has_value())
-    root.set("priority_class",
-             json::Value(static_cast<std::int64_t>(*message.priority_class)));
-  if (message.max_in_flight.has_value())
-    root.set("max_in_flight",
-             json::Value(static_cast<std::int64_t>(*message.max_in_flight)));
-  if (message.batch_mode.has_value())
-    root.set("batch_mode",
-             json::Value(controller::to_string(*message.batch_mode)));
-  if (message.batch_window_ms.has_value())
-    root.set("batch_window_ms", json::Value(*message.batch_window_ms));
-  if (message.batch_bytes.has_value())
-    root.set("batch_bytes",
-             json::Value(static_cast<std::int64_t>(*message.batch_bytes)));
 
   json::Array add, modify, del;
   for (const FlowModSpec& spec : message.flow_mods) {
@@ -413,28 +286,6 @@ Result<update::Instance> to_instance(const RestUpdateMessage& message,
 
   return update::Instance::make(std::move(old_path).value(),
                                 std::move(new_path).value(), waypoint);
-}
-
-void apply_controller_overrides(const RestUpdateMessage& message,
-                                controller::ControllerConfig& config) {
-  if (message.admission.has_value()) config.admission = *message.admission;
-  if (message.admission_release.has_value())
-    config.admission_release = *message.admission_release;
-  if (message.shards.has_value()) config.shards = *message.shards;
-  if (message.partition.has_value()) config.partition = *message.partition;
-  if (message.exec.has_value()) config.exec = *message.exec;
-  if (message.threads.has_value()) config.threads = *message.threads;
-  if (message.max_in_flight.has_value())
-    config.max_in_flight = *message.max_in_flight;
-  if (message.batch_mode.has_value()) config.batch_mode = *message.batch_mode;
-  if (message.batch_window_ms.has_value())
-    config.batch_window = sim::from_ms(*message.batch_window_ms);
-  if (message.batch_bytes.has_value())
-    config.batch_bytes = *message.batch_bytes;
-  if (message.liveness_timeout_ms.has_value())
-    config.liveness_timeout = sim::from_ms(*message.liveness_timeout_ms);
-  if (message.failure_response.has_value())
-    config.failure_response = *message.failure_response;
 }
 
 }  // namespace tsu::rest

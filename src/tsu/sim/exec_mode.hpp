@@ -1,6 +1,7 @@
 // How a ShardedSim (sim/sharded.hpp) steps its shards. Split out so
-// configuration layers (controller config, REST, JSON) can name the enum
-// without pulling in the sharded stepper and its threading headers.
+// configuration layers (controller config, config JSON, sim_cli) can name
+// the enum without pulling in the sharded stepper and its threading
+// headers.
 #pragma once
 
 #include <cstdint>

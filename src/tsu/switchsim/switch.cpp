@@ -109,8 +109,7 @@ void SimSwitch::send_to_controller(proto::Message message) {
     return;
   }
   // Same-instant coalescing towards the controller: collect until the
-  // zero-delay flush (armed by the completion event), mirroring the
-  // controller's kInstant outbox.
+  // zero-delay flush (armed by the completion event).
   reply_outbox_.push_back(std::move(message));
 }
 

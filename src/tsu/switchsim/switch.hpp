@@ -15,9 +15,9 @@
 // coalesce too. Replies produced within one simulation instant (barrier
 // replies, echoes - a burst of batched barriers completes several at once)
 // collect in a reply outbox flushed by a zero-delay event as one
-// proto::Batch frame towards the owning controller shard, mirroring the
-// controller's kInstant outbox. Off by default: reply timing is unchanged
-// unless asked for.
+// proto::Batch frame towards the owning controller shard, the way an idle
+// controller's adaptive outbox flushes. Off by default: reply timing is
+// unchanged unless asked for.
 #pragma once
 
 #include <cstdint>

@@ -103,6 +103,24 @@ TEST(ChannelTest, LossSurfacesAsRetransmitDelay) {
     EXPECT_GE(at, sim::milliseconds(1));
 }
 
+TEST(ChannelTest, RepeatedLossSaturatesAtTheMaximumDelay) {
+  // Maximal retransmit timeouts: the summed delay of a frame lost several
+  // times stays at sim::kMaxDuration instead of growing past it (and
+  // wrapping the 64-bit clock).
+  Fixture f;
+  ChannelConfig config;
+  config.latency = sim::LatencyModel::constant(sim::milliseconds(1));
+  config.loss_probability = 0.9;
+  config.retransmit_timeout = sim::kMaxDuration;
+  ControlChannel channel = f.make(config, 7);
+  for (Xid xid = 0; xid < 20; ++xid) channel.send(proto::make_hello(xid));
+  f.sim.run();
+  ASSERT_EQ(f.received.size(), 20u);
+  EXPECT_GT(channel.retransmissions(), 20u);
+  for (const auto& [at, message] : f.received)
+    EXPECT_LE(at, sim::kMaxDuration);
+}
+
 TEST(ChannelTest, CountsFramesAndBytes) {
   Fixture f;
   ControlChannel channel = f.make(ChannelConfig{});

@@ -177,7 +177,7 @@ TEST(ConcurrentControllerTest, BatchingCoalescesCrossFlowFrames) {
   ControllerConfig serial_config;
   serial_config.max_in_flight = 4;
   ControllerConfig batched_config = serial_config;
-  batched_config.batch_mode = BatchMode::kInstant;
+  batched_config.batch_mode = BatchMode::kAdaptive;
 
   const auto run = [](TestBed& bed) {
     for (FlowId flow = 1; flow <= 4; ++flow) {
@@ -230,7 +230,7 @@ TEST(ConcurrentControllerTest, BatchingAloneHelpsSingleFlowRounds) {
   // Even one update benefits: a round's FlowMod + barrier to the same
   // switch share a frame.
   ControllerConfig batched_config;
-  batched_config.batch_mode = BatchMode::kInstant;
+  batched_config.batch_mode = BatchMode::kAdaptive;
   TestBed plain;
   plain.add_switch(1);
   TestBed batched{batched_config};

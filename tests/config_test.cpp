@@ -2,9 +2,12 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "tsu/core/config.hpp"
+#include "tsu/core/planner.hpp"
 #include "tsu/topo/arrivals.hpp"
+#include "tsu/topo/instances.hpp"
 
 namespace tsu::core {
 namespace {
@@ -107,11 +110,29 @@ TEST(ConfigTest, UnknownFieldsRejected) {
 TEST(ConfigTest, RetiredKnobsAreUnknownFields) {
   for (const char* doc :
        {R"({"batch_frames": true})", R"({"speculate": true})",
-        R"({"steal": true})", R"({"plan_cache": "on"})"}) {
+        R"({"steal": true})", R"({"plan_cache": "on"})",
+        R"({"admission_release": "round"})", R"({"retry_backoff_ms": 5})"}) {
     const Result<ExecutorConfig> parsed = parse(doc);
     ASSERT_FALSE(parsed.ok()) << doc;
     EXPECT_NE(parsed.error().message.find("unknown config field"),
               std::string::npos)
+        << parsed.error().to_string();
+  }
+  const Result<ServiceConfig> service = service_config_from_json(
+      std::string_view(R"({"service": {"alternate_directions": false}})"));
+  ASSERT_FALSE(service.ok());
+  EXPECT_NE(service.error().message.find("unknown service field"),
+            std::string::npos)
+      << service.error().to_string();
+  // Retired values of surviving knobs: the error names what is left.
+  const std::pair<const char*, const char*> values[] = {
+      {R"({"batch_mode": "instant"})", "(off | adaptive)"},
+      {R"({"batch_mode": "window"})", "(off | adaptive)"},
+      {R"({"admission": "serialize"})", "(blind | conflict_aware)"}};
+  for (const auto& [doc, names] : values) {
+    const Result<ExecutorConfig> parsed = parse(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_NE(parsed.error().message.find(names), std::string::npos)
         << parsed.error().to_string();
   }
 }
@@ -119,6 +140,7 @@ TEST(ConfigTest, RetiredKnobsAreUnknownFields) {
 TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"seed": -1})").ok());
   EXPECT_FALSE(parse(R"({"channel": {"loss": 1.5}})").ok());
+  EXPECT_FALSE(parse(R"({"channel": {"loss": 1}})").ok());
   EXPECT_FALSE(parse(R"({"priority": 70000})").ok());
   EXPECT_FALSE(parse(R"({"interval_ms": -2})").ok());
   EXPECT_FALSE(parse(R"({"traffic": {"ttl": 0}})").ok());
@@ -128,7 +150,6 @@ TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"batch_window_ms": -0.5})").ok());
   EXPECT_FALSE(parse(R"({"batch_bytes": 0})").ok());
   EXPECT_FALSE(parse(R"({"admission": "optimistic"})").ok());
-  EXPECT_FALSE(parse(R"({"admission_release": "eventually"})").ok());
   EXPECT_FALSE(parse(R"({"shards": 0})").ok());
   EXPECT_FALSE(parse(R"({"shards": 257})").ok());
   EXPECT_FALSE(parse(R"({"partition": "modulo"})").ok());
@@ -177,37 +198,48 @@ TEST(ConfigTest, ServicePoolNeedsOneBlockOfSwitches) {
   EXPECT_EQ(block.value().pool_switches, 6u);
 }
 
+TEST(ConfigTest, SnapshotWindowIsBounded) {
+  // 2^53 once parsed, and execute_service's up-front reservation of the
+  // snapshot ring then threw std::bad_alloc.
+  const Result<ServiceConfig> huge =
+      service_config_from_json(std::string_view(
+          R"({"service": {"snapshot_interval_ms": 1,
+                          "snapshot_window": 9007199254740992,
+                          "target": 10}})"));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.error().code, Errc::kOutOfRange);
+  const Result<ServiceConfig> edge = service_config_from_json(
+      std::string_view(R"({"service": {"snapshot_window": 65536}})"));
+  ASSERT_TRUE(edge.ok()) << edge.error().to_string();
+  EXPECT_EQ(edge.value().snapshot_window, kMaxSnapshotWindow);
+}
+
 TEST(ConfigTest, ShardingKnobsParse) {
   const Result<ExecutorConfig> parsed = parse(
       R"({"shards": 8, "partition": "block",
-          "admission_release": "round",
           "switch": {"batch_replies": true}})");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().controller.shards, 8u);
   EXPECT_EQ(parsed.value().controller.partition,
             topo::PartitionScheme::kBlock);
-  EXPECT_EQ(parsed.value().controller.admission_release,
-            controller::AdmissionRelease::kRound);
   EXPECT_TRUE(parsed.value().switch_config.batch_replies);
 
-  // Defaults: the single controller, per-request release, plain replies.
+  // Defaults: the single controller, plain replies.
   const Result<ExecutorConfig> defaults = parse("{}");
   ASSERT_TRUE(defaults.ok());
   EXPECT_EQ(defaults.value().controller.shards, 1u);
-  EXPECT_EQ(defaults.value().controller.admission_release,
-            controller::AdmissionRelease::kRequest);
   EXPECT_FALSE(defaults.value().switch_config.batch_replies);
 }
 
 TEST(ConfigTest, ControllerKnobsParse) {
   const Result<ExecutorConfig> parsed = parse(
       R"({"max_in_flight": 64,
-          "batch_mode": "window", "batch_window_ms": 0.25,
+          "batch_mode": "adaptive", "batch_window_ms": 0.25,
           "batch_bytes": 8192, "admission": "conflict_aware"})");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().controller.max_in_flight, 64u);
   EXPECT_EQ(parsed.value().controller.batch_mode,
-            controller::BatchMode::kWindow);
+            controller::BatchMode::kAdaptive);
   EXPECT_EQ(parsed.value().controller.batch_window, sim::microseconds(250));
   EXPECT_EQ(parsed.value().controller.batch_bytes, 8192u);
   EXPECT_EQ(parsed.value().controller.admission,
@@ -226,8 +258,7 @@ TEST(ConfigTest, RoundTripThroughJson) {
   config.controller.batch_mode = controller::BatchMode::kAdaptive;
   config.controller.batch_window = sim::microseconds(750);
   config.controller.batch_bytes = 4096;
-  config.controller.admission = controller::AdmissionPolicy::kSerialize;
-  config.controller.admission_release = controller::AdmissionRelease::kRound;
+  config.controller.admission = controller::AdmissionPolicy::kConflictAware;
   config.controller.shards = 4;
   config.controller.partition = topo::PartitionScheme::kBlock;
   config.switch_config.batch_replies = true;
@@ -249,9 +280,8 @@ TEST(ConfigTest, RoundTripThroughJson) {
   EXPECT_EQ(c.controller.batch_mode, controller::BatchMode::kAdaptive);
   EXPECT_EQ(c.controller.batch_window, sim::microseconds(750));
   EXPECT_EQ(c.controller.batch_bytes, 4096u);
-  EXPECT_EQ(c.controller.admission, controller::AdmissionPolicy::kSerialize);
-  EXPECT_EQ(c.controller.admission_release,
-            controller::AdmissionRelease::kRound);
+  EXPECT_EQ(c.controller.admission,
+            controller::AdmissionPolicy::kConflictAware);
   EXPECT_EQ(c.controller.shards, 4u);
   EXPECT_EQ(c.controller.partition, topo::PartitionScheme::kBlock);
   EXPECT_TRUE(c.switch_config.batch_replies);
@@ -294,6 +324,28 @@ TEST(ConfigTest, OutOfRangeDurationsSaturate) {
                    1e9 / static_cast<double>(sim::kMaxDuration));
   Rng rng(1);
   EXPECT_LE(arrivals.next_gap(rng), sim::kMaxDuration);
+}
+
+// Saturated durations are 2^62 ns each, and four of them in sequence once
+// wrapped the 64-bit clock and aborted the process. The run stops at the
+// 2^63 ns limit and returns an error instead.
+TEST(ConfigTest, SaturatedDurationsEndTheRunWithAnError) {
+  const topo::Fig1 fig = topo::fig1();
+  const update::Schedule schedule =
+      plan(fig.instance, Algorithm::kWayUp).value().schedule;
+  for (const char* doc :
+       {R"({"interval_ms": 1e300, "traffic": {"enabled": false}})",
+        R"({"channel": {"latency": {"kind": "constant", "ms": 1e300}},
+            "traffic": {"enabled": false}})",
+        R"({"channel": {"loss": 0.5, "retransmit_timeout_ms": 1e300},
+            "traffic": {"enabled": false}})"}) {
+    const Result<ExecutorConfig> config = parse(doc);
+    ASSERT_TRUE(config.ok()) << config.error().to_string();
+    const Result<MultiFlowExecutionResult> run =
+        execute_multiflow({&fig.instance}, {&schedule}, config.value());
+    ASSERT_FALSE(run.ok()) << doc;
+    EXPECT_EQ(run.error().code, Errc::kOutOfRange) << run.error().to_string();
+  }
 }
 
 }  // namespace

@@ -37,7 +37,7 @@ Result<core::MultiFlowExecutionResult> run_once(std::uint64_t seed) {
   core::ExecutorConfig config;
   config.seed = seed;
   config.controller.max_in_flight = 6;
-  config.controller.batch_mode = controller::BatchMode::kInstant;
+  config.controller.batch_mode = controller::BatchMode::kAdaptive;
   return core::execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
 }
 

@@ -18,7 +18,7 @@ TEST(MultiFlowExecutionTest, SustainsSixtyFourConcurrentUpdates) {
   const Workload w = disjoint_workload(64);
   ExecutorConfig config;
   config.controller.max_in_flight = 64;
-  config.controller.batch_mode = controller::BatchMode::kInstant;
+  config.controller.batch_mode = controller::BatchMode::kAdaptive;
   const Result<MultiFlowExecutionResult> run =
       execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
   ASSERT_TRUE(run.ok()) << run.error().to_string();
@@ -61,7 +61,7 @@ TEST(MultiFlowExecutionTest, BatchedMatchesSerialViolationsWithFewerFrames) {
   ExecutorConfig serial_config;  // K = 1, no batching
   ExecutorConfig batched_config;
   batched_config.controller.max_in_flight = 8;
-  batched_config.controller.batch_mode = controller::BatchMode::kInstant;
+  batched_config.controller.batch_mode = controller::BatchMode::kAdaptive;
   const Result<MultiFlowExecutionResult> serial =
       execute_multiflow(w.instance_ptrs, w.schedule_ptrs, serial_config);
   const Result<MultiFlowExecutionResult> batched =

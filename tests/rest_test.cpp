@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "tsu/rest/rest.hpp"
 #include "tsu/topo/generators.hpp"
@@ -63,129 +64,26 @@ TEST(RestParseTest, WaypointAndBodyOptional) {
   EXPECT_DOUBLE_EQ(parsed.value().interval_ms, 0.0);
 }
 
-TEST(RestParseTest, ControllerKnobsParsedAndApplied) {
-  const Result<RestUpdateMessage> parsed = parse_update_message(
-      R"({"oldpath": [1, 2], "newpath": [1, 2],
-          "admission": "conflict_aware", "max_in_flight": 16})");
-  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_EQ(parsed.value().admission,
-            controller::AdmissionPolicy::kConflictAware);
-  EXPECT_EQ(parsed.value().max_in_flight, 16u);
-
-  controller::ControllerConfig config;
-  apply_controller_overrides(parsed.value(), config);
-  EXPECT_EQ(config.admission, controller::AdmissionPolicy::kConflictAware);
-  EXPECT_EQ(config.max_in_flight, 16u);
-
-  // Absent knobs leave the config alone.
-  const Result<RestUpdateMessage> plain =
-      parse_update_message(R"({"oldpath": [1, 2], "newpath": [1, 2]})");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain.value().admission.has_value());
-  controller::ControllerConfig untouched;
-  untouched.max_in_flight = 4;
-  apply_controller_overrides(plain.value(), untouched);
-  EXPECT_EQ(untouched.max_in_flight, 4u);
-  EXPECT_EQ(untouched.admission, controller::AdmissionPolicy::kBlind);
-}
-
-TEST(RestParseTest, BatchingKnobsParsedAndApplied) {
-  const Result<RestUpdateMessage> parsed = parse_update_message(
-      R"({"oldpath": [1, 2], "newpath": [1, 2],
-          "batch_mode": "adaptive", "batch_window_ms": 0.25,
-          "batch_bytes": 4096})");
-  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_EQ(parsed.value().batch_mode, controller::BatchMode::kAdaptive);
-  EXPECT_DOUBLE_EQ(*parsed.value().batch_window_ms, 0.25);
-  EXPECT_EQ(parsed.value().batch_bytes, 4096u);
-
-  controller::ControllerConfig config;
-  apply_controller_overrides(parsed.value(), config);
-  EXPECT_EQ(config.batch_mode, controller::BatchMode::kAdaptive);
-  EXPECT_EQ(config.batch_window, sim::microseconds(250));
-  EXPECT_EQ(config.batch_bytes, 4096u);
-
-  // An explicit "off" header overrides a server-side batching mode.
-  const Result<RestUpdateMessage> off = parse_update_message(
-      R"({"oldpath": [1, 2], "newpath": [1, 2], "batch_mode": "off"})");
-  ASSERT_TRUE(off.ok());
-  controller::ControllerConfig instant;
-  instant.batch_mode = controller::BatchMode::kInstant;
-  apply_controller_overrides(off.value(), instant);
-  EXPECT_EQ(instant.batch_mode, controller::BatchMode::kOff);
-}
-
-TEST(RestParseTest, RejectsBadControllerKnobs) {
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1],
-                       "admission": "optimistic"})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1], "max_in_flight": 0})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1],
-                       "batch_mode": "eager"})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1],
-                       "batch_window_ms": -1})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1], "batch_bytes": 0})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1], "shards": 0})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1], "shards": 300})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1],
-                       "partition": "modulo"})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1],
-                       "admission_release": "never"})")
-                   .ok());
-}
-
-TEST(RestParseTest, ShardingKnobsParsedAndApplied) {
-  const Result<RestUpdateMessage> parsed = parse_update_message(
-      R"({"oldpath": [1, 2], "newpath": [1, 2],
-          "shards": 4, "partition": "block",
-          "admission_release": "round"})");
-  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_EQ(parsed.value().shards, 4u);
-  EXPECT_EQ(parsed.value().partition, topo::PartitionScheme::kBlock);
-  EXPECT_EQ(parsed.value().admission_release,
-            controller::AdmissionRelease::kRound);
-
-  controller::ControllerConfig config;
-  apply_controller_overrides(parsed.value(), config);
-  EXPECT_EQ(config.shards, 4u);
-  EXPECT_EQ(config.partition, topo::PartitionScheme::kBlock);
-  EXPECT_EQ(config.admission_release, controller::AdmissionRelease::kRound);
-
-  // Absent sharding knobs leave the server's configuration alone.
-  const Result<RestUpdateMessage> plain =
-      parse_update_message(R"({"oldpath": [1, 2], "newpath": [1, 2]})");
-  ASSERT_TRUE(plain.ok());
-  controller::ControllerConfig untouched;
-  untouched.shards = 2;
-  apply_controller_overrides(plain.value(), untouched);
-  EXPECT_EQ(untouched.shards, 2u);
-  EXPECT_EQ(untouched.admission_release,
-            controller::AdmissionRelease::kRequest);
-}
-
 TEST(RestParseTest, RetiredKnobsAreUnknownKeys) {
-  for (const char* knob :
-       {"batch_frames", "speculate", "steal", "plan_cache"}) {
-    const Result<RestUpdateMessage> parsed = parse_update_message(
-        std::string(R"({"oldpath": [1], "newpath": [1], ")") + knob +
-        R"(": true})");
-    ASSERT_FALSE(parsed.ok()) << knob;
+  // A message carries the paper's fields only; the controller knobs live in
+  // the run's config document (core/config.hpp).
+  const std::pair<const char*, const char*> knobs[] = {
+      {"batch_frames", "true"},         {"speculate", "true"},
+      {"steal", "true"},                {"plan_cache", "\"on\""},
+      {"admission", "\"blind\""},       {"admission_release", "\"round\""},
+      {"max_in_flight", "16"},          {"batch_mode", "\"adaptive\""},
+      {"batch_window_ms", "0.25"},      {"batch_bytes", "4096"},
+      {"shards", "4"},                  {"partition", "\"block\""},
+      {"exec", "\"parallel\""},         {"threads", "2"},
+      {"liveness_timeout_ms", "20"},    {"failure_response", "\"rollback\""},
+      {"priority_class", "1"},
+  };
+  for (const auto& [key, value] : knobs) {
+    const std::string body =
+        std::string(R"({"oldpath": [1], "newpath": [1], ")") + key + "\": " +
+        value + "}";
+    const Result<RestUpdateMessage> parsed = parse_update_message(body);
+    ASSERT_FALSE(parsed.ok()) << body;
     EXPECT_NE(parsed.error().message.find("unknown body key"),
               std::string::npos)
         << parsed.error().to_string();
@@ -253,10 +151,6 @@ TEST(RestParseTest, NonIntegralAndHugeIntegersAreErrors) {
     Errc code;
   } cases[] = {
       {R"({"oldpath": [1, 2.5], "newpath": [1, 2]})", Errc::kParseError},
-      {R"({"oldpath": [1, 2], "newpath": [1, 2], "shards": 1e300})",
-       Errc::kOutOfRange},
-      {R"({"oldpath": [1, 2], "newpath": [1, 2], "priority_class": 0.5})",
-       Errc::kParseError},
       {R"({"oldpath": [1, 2], "newpath": [1, 2], "add": [{"dpid": 1.5}]})",
        Errc::kParseError},
       {R"({"oldpath": [1, 2], "newpath": [1, 2],
@@ -308,32 +202,6 @@ TEST(RestRoundTripTest, ToJsonParsesBack) {
     EXPECT_EQ(second.value().flow_mods[i].mod.action,
               first.value().flow_mods[i].mod.action);
   }
-}
-
-TEST(RestRoundTripTest, ControllerKnobsSurviveRoundTrip) {
-  RestUpdateMessage message;
-  message.old_path = {1, 2};
-  message.new_path = {1, 2};
-  message.admission = controller::AdmissionPolicy::kSerialize;
-  message.max_in_flight = 8;
-  message.batch_mode = controller::BatchMode::kWindow;
-  message.batch_window_ms = 0.5;
-  message.batch_bytes = 2048;
-  message.shards = 4;
-  message.partition = topo::PartitionScheme::kHash;
-  message.admission_release = controller::AdmissionRelease::kRound;
-  const Result<RestUpdateMessage> back =
-      parse_update_message(to_json(message));
-  ASSERT_TRUE(back.ok()) << to_json(message);
-  EXPECT_EQ(back.value().admission, controller::AdmissionPolicy::kSerialize);
-  EXPECT_EQ(back.value().max_in_flight, 8u);
-  EXPECT_EQ(back.value().batch_mode, controller::BatchMode::kWindow);
-  EXPECT_DOUBLE_EQ(*back.value().batch_window_ms, 0.5);
-  EXPECT_EQ(back.value().batch_bytes, 2048u);
-  EXPECT_EQ(back.value().shards, 4u);
-  EXPECT_EQ(back.value().partition, topo::PartitionScheme::kHash);
-  EXPECT_EQ(back.value().admission_release,
-            controller::AdmissionRelease::kRound);
 }
 
 TEST(RestToInstanceTest, MapsDatapathsToNodes) {

@@ -264,6 +264,21 @@ TEST(ServiceTest, RejectsUnboundedConfigs) {
   config = small_service();
   config.classes.clear();
   EXPECT_FALSE(execute_service(config).ok());
+  // A huge snapshot ring once threw std::bad_alloc from its up-front
+  // reservation.
+  config = small_service();
+  config.snapshot_interval = sim::milliseconds(1);
+  config.snapshot_window = kMaxSnapshotWindow + 1;
+  EXPECT_FALSE(execute_service(config).ok());
+  // A class rate below about 5.4e-11/s once cast an out-of-range
+  // token-bucket wait to a Duration, and the run never returned. Its wait
+  // now saturates, and the run stops at the clock limit.
+  config = small_service();
+  config.classes = {ServiceClassConfig{1e-300, 1, 1}};
+  config.target_completions = 10;
+  const Result<ServiceResult> slow = execute_service(config);
+  ASSERT_FALSE(slow.ok());
+  EXPECT_EQ(slow.error().code, Errc::kOutOfRange) << slow.error().to_string();
 }
 
 TEST(ServiceTest, RejectsPoolsSmallerThanOneBlock) {

@@ -2,7 +2,7 @@
 // equivalence, and cross-shard liveness.
 //
 // Equivalence: whatever the shard count, partition scheme, admission
-// policy, release granularity or batch mode, a run must install exactly
+// policy or batch mode, a run must install exactly
 // the same final forwarding state as the single controller, complete every
 // update, and report the same per-flow safety-oracle outcome (zero
 // violations everywhere) - sharding may only change frame interleavings
@@ -140,13 +140,12 @@ TEST(ShardEquivalenceTest, ShardCountsMatchSingleControllerAcross100Seeds) {
 
     ExecutorConfig config = fast_config(seed);
     config.controller.admission =
-        static_cast<controller::AdmissionPolicy>(rng.index(3));
-    config.controller.admission_release =
-        rng.index(2) == 0 ? controller::AdmissionRelease::kRequest
-                          : controller::AdmissionRelease::kRound;
+        rng.index(2) == 0 ? controller::AdmissionPolicy::kBlind
+                          : controller::AdmissionPolicy::kConflictAware;
     config.controller.max_in_flight = 1 + rng.index(flows);
-    config.controller.batch_mode =
-        static_cast<controller::BatchMode>(rng.index(4));
+    config.controller.batch_mode = rng.index(2) == 0
+                                       ? controller::BatchMode::kOff
+                                       : controller::BatchMode::kAdaptive;
     config.controller.batch_window = sim::microseconds(50 + rng.index(950));
     config.switch_config.batch_replies = rng.index(2) == 1;
     // Hash scatters a flow's block of switches across shards (the
@@ -446,7 +445,7 @@ TEST(ShardEquivalenceTest, ParallelUnderChaosStaysSafeAndBitIdentical) {
 
 TEST(ShardEquivalenceTest, CrossShardFlowLivenessSweep500Seeds) {
   // Flows spanning shard boundaries under tight per-shard capacity: 500
-  // seeds, every admission policy and release granularity, shards 2..5.
+  // seeds, both admission policies and batch modes, shards 2..5.
   // run_engine fails ("simulation drained before all updates completed")
   // on any deadlock, so completion is the liveness proof.
   std::size_t cross_updates_seen = 0;
@@ -463,15 +462,14 @@ TEST(ShardEquivalenceTest, CrossShardFlowLivenessSweep500Seeds) {
     config.controller.shards = 2 + rng.index(4);          // 2..5
     config.controller.partition = topo::PartitionScheme::kHash;
     config.controller.admission =
-        static_cast<controller::AdmissionPolicy>(rng.index(3));
-    config.controller.admission_release =
-        rng.index(2) == 0 ? controller::AdmissionRelease::kRequest
-                          : controller::AdmissionRelease::kRound;
+        rng.index(2) == 0 ? controller::AdmissionPolicy::kBlind
+                          : controller::AdmissionPolicy::kConflictAware;
     // Tight capacity is the deadlock bait: cross-shard updates must
     // acquire a slot on EVERY participating shard.
     config.controller.max_in_flight = 1 + rng.index(3);
-    config.controller.batch_mode =
-        static_cast<controller::BatchMode>(rng.index(4));
+    config.controller.batch_mode = rng.index(2) == 0
+                                       ? controller::BatchMode::kOff
+                                       : controller::BatchMode::kAdaptive;
     config.switch_config.batch_replies = rng.index(2) == 1;
     // Half the sweep runs the parallel stepper: cross-shard liveness must
     // not depend on the execution mode either.

@@ -150,7 +150,7 @@ TEST(EventQueueTest, CompactionBoundsHeapUnderCancelChurn) {
 }
 
 TEST(EventQueueTest, FlushTimerCancelChurnStaysBoundedAmidLiveEvents) {
-  // The controller's windowed outbox arms one cancellable flush timer per
+  // The controller's adaptive outbox arms one cancellable flush timer per
   // switch fill and cancels it whenever the byte budget ships the outbox
   // first - so under budget-heavy batching churn nearly every timer dies
   // cancelled while channel-delivery events stay live and keep firing.

@@ -58,7 +58,7 @@ ServiceConfig soak_config(std::uint64_t target) {
   config.max_pending = 512;
   config.target_completions = target;
   config.tune = [](controller::ShardCoordinator& coord) {
-    coord.shard(0).engine().exhaust_xid_space_for_test(kFreshXidsBeforeWrap);
+    coord.shard(0).exhaust_xid_space_for_test(kFreshXidsBeforeWrap);
   };
   return config;
 }
