@@ -281,7 +281,9 @@ int main(int argc, char** argv) {
       const char* v = next();
       char* endp = nullptr;
       const double rate = v != nullptr ? std::strtod(v, &endp) : -1;
-      if (v == nullptr || endp == v || rate <= 0) return usage(), 1;
+      if (v == nullptr || endp == v || !(rate > 0) ||
+          rate > core::kMaxArrivalRate)
+        return usage(), 1;
       rate_flag = rate;
     } else if (arg == "--duration-ms") {
       const char* v = next();

@@ -53,23 +53,28 @@ Result<sim::LatencyModel> latency_from_json(const json::Value& value) {
       return make_error(Errc::kInvalidArgument, "uniform: hi_ms < lo_ms");
     return sim::LatencyModel::uniform(ms(lo.value()), ms(hi.value()));
   }
+  // The checks below run on the converted nanoseconds: a positive amount
+  // can still truncate to 0 ns, and two distinct huge ones can saturate to
+  // the same sim::kMaxDuration.
   if (name == "exponential") {
     Result<double> mean = number_field(obj, "mean_ms", 0);
     if (!mean.ok()) return mean.error();
-    if (mean.value() <= 0)
+    const sim::Duration mean_ns = ms(mean.value());
+    if (mean_ns == 0)
       return make_error(Errc::kInvalidArgument,
-                        "exponential: mean_ms must be > 0");
-    return sim::LatencyModel::exponential(ms(mean.value()));
+                        "exponential: mean_ms must be at least 1 ns");
+    return sim::LatencyModel::exponential(mean_ns);
   }
   if (name == "lognormal") {
     Result<double> median = number_field(obj, "median_ms", 0);
     if (!median.ok()) return median.error();
     Result<double> sigma = number_field(obj, "sigma", 0);
     if (!sigma.ok()) return sigma.error();
-    if (median.value() <= 0)
+    const sim::Duration median_ns = ms(median.value());
+    if (median_ns == 0)
       return make_error(Errc::kInvalidArgument,
-                        "lognormal: median_ms must be > 0");
-    return sim::LatencyModel::lognormal(ms(median.value()), sigma.value());
+                        "lognormal: median_ms must be at least 1 ns");
+    return sim::LatencyModel::lognormal(median_ns, sigma.value());
   }
   if (name == "pareto") {
     Result<double> lo = number_field(obj, "lo_ms", 0);
@@ -78,10 +83,12 @@ Result<sim::LatencyModel> latency_from_json(const json::Value& value) {
     if (!hi.ok()) return hi.error();
     Result<double> alpha = number_field(obj, "alpha", 0);
     if (!alpha.ok()) return alpha.error();
-    if (lo.value() <= 0 || hi.value() <= lo.value() || alpha.value() <= 0)
-      return make_error(Errc::kInvalidArgument, "pareto: bad parameters");
-    return sim::LatencyModel::pareto(ms(lo.value()), ms(hi.value()),
-                                     alpha.value());
+    const sim::Duration lo_ns = ms(lo.value());
+    const sim::Duration hi_ns = ms(hi.value());
+    if (lo_ns == 0 || hi_ns <= lo_ns || alpha.value() <= 0)
+      return make_error(Errc::kInvalidArgument,
+                        "pareto: need 1 ns <= lo < hi and alpha > 0");
+    return sim::LatencyModel::pareto(lo_ns, hi_ns, alpha.value());
   }
   return make_error(Errc::kParseError,
                     "unknown latency kind '" + name + "'");
@@ -446,8 +453,10 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
       if (!n.ok()) return n.error();
       config.pool_switches = static_cast<std::size_t>(n.value());
     } else if (key == "rate_per_sec") {
-      if (!field.is_number() || field.as_double() <= 0)
-        return make_error(Errc::kOutOfRange, "'rate_per_sec' must be > 0");
+      if (!field.is_number() || field.as_double() <= 0 ||
+          field.as_double() > kMaxArrivalRate)
+        return make_error(Errc::kOutOfRange,
+                          "'rate_per_sec' must be in (0, 1e9]");
       config.arrival_rate_per_sec = field.as_double();
     } else if (key == "trace_us") {
       if (!field.is_array())

@@ -402,6 +402,17 @@ Result<std::vector<controller::UpdateRequest>> make_requests(
   return requests;
 }
 
+// The executor fields both entry points check before wiring a harness.
+Status check_executor_config(const ExecutorConfig& config) {
+  if (config.controller.shards > proto::kMaxXidShards)
+    return make_error(Errc::kOutOfRange, "shards must be in [1, 256]");
+  // Probes injected 0 ns apart never let the clock advance.
+  if (config.with_traffic && config.traffic_interarrival.mean() < 1)
+    return make_error(Errc::kInvalidArgument,
+                      "traffic interarrival mean must be at least 1 ns");
+  return Status::ok_status();
+}
+
 }  // namespace
 
 Result<MultiFlowExecutionResult> execute_multiflow(
@@ -412,8 +423,8 @@ Result<MultiFlowExecutionResult> execute_multiflow(
   if (instances.size() != schedules.size() || instances.empty())
     return make_error(Errc::kInvalidArgument,
                       "need matching, non-empty instance/schedule lists");
-  if (config.controller.shards > proto::kMaxXidShards)
-    return make_error(Errc::kOutOfRange, "shards must be in [1, 256]");
+  if (const Status valid = check_executor_config(config); !valid.ok())
+    return valid.error();
   std::vector<std::size_t> request_of;
   Result<std::vector<controller::UpdateRequest>> built =
       make_requests(instances, schedules, groups, config, request_of);
@@ -683,11 +694,14 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   if (config.trace.empty() && !(config.arrival_rate_per_sec > 0))
     return make_error(Errc::kInvalidArgument,
                       "arrival rate must be positive");
+  if (config.trace.empty() && config.arrival_rate_per_sec > kMaxArrivalRate)
+    return make_error(Errc::kOutOfRange,
+                      "arrival rate must be at most 1e9 per second");
   if (!exec.faults.empty())
     return make_error(Errc::kInvalidArgument,
                       "fault injection is not supported in service mode");
-  if (exec.controller.shards > proto::kMaxXidShards)
-    return make_error(Errc::kOutOfRange, "shards must be in [1, 256]");
+  if (const Status valid = check_executor_config(exec); !valid.ok())
+    return valid.error();
   double total_weight = 0;
   for (const ServiceClassConfig& cls : config.classes)
     total_weight += std::max(0.0, cls.weight);

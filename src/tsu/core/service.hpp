@@ -59,6 +59,9 @@ struct ServiceClassConfig {
 inline constexpr std::size_t kMinPoolSwitches = 6;
 // The largest snapshot ring: execute_service reserves it up front.
 inline constexpr std::size_t kMaxSnapshotWindow = 65536;
+// The highest arrival rate, requests/second: a mean gap of 1 ns. A faster
+// rate's mean gap rounds to 0 ns.
+inline constexpr double kMaxArrivalRate = 1e9;
 
 struct ServiceConfig {
   // Control-plane wiring (channel, switch, controller, traffic, seed). The

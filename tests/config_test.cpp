@@ -93,6 +93,14 @@ TEST(ConfigTest, LatencyRejectsBadInput) {
            R"({"kind": "uniform", "lo_ms": 5, "hi_ms": 1})", // inverted
            R"({"kind": "exponential", "mean_ms": 0})",       // zero mean
            R"({"kind": "pareto", "lo_ms": 0, "hi_ms": 1, "alpha": 1})",
+           // Positive in ms, but 0 ns or an empty range after conversion:
+           // each once aborted the process.
+           R"({"kind": "exponential", "mean_ms": 1e-9})",
+           R"({"kind": "lognormal", "median_ms": 1e-9, "sigma": 0.5})",
+           R"({"kind": "pareto", "lo_ms": 1, "hi_ms": 1.0000000001,
+               "alpha": 1})",
+           R"({"kind": "pareto", "lo_ms": 1e300, "hi_ms": 2e300,
+               "alpha": 1})",
        }) {
     const Result<json::Value> doc = json::parse(text);
     ASSERT_TRUE(doc.ok()) << text;
@@ -324,6 +332,30 @@ TEST(ConfigTest, OutOfRangeDurationsSaturate) {
                    1e9 / static_cast<double>(sim::kMaxDuration));
   Rng rng(1);
   EXPECT_LE(arrivals.next_gap(rng), sim::kMaxDuration);
+}
+
+// Probes injected 0 ns apart never let the clock advance; the event queue
+// once grew until memory ran out.
+TEST(ConfigTest, ZeroTrafficInterarrivalIsRejected) {
+  const Result<ExecutorConfig> config =
+      parse(R"({"traffic": {"interarrival": {"kind": "constant", "ms": 0}}})");
+  ASSERT_TRUE(config.ok()) << config.error().to_string();
+  const topo::Fig1 fig = topo::fig1();
+  const update::Schedule schedule =
+      plan(fig.instance, Algorithm::kWayUp).value().schedule;
+  const Result<MultiFlowExecutionResult> closed =
+      execute_multiflow({&fig.instance}, {&schedule}, config.value());
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.error().code, Errc::kInvalidArgument)
+      << closed.error().to_string();
+
+  ServiceConfig service;
+  service.exec = config.value();
+  service.target_completions = 10;
+  const Result<ServiceResult> open = execute_service(service);
+  ASSERT_FALSE(open.ok());
+  EXPECT_EQ(open.error().code, Errc::kInvalidArgument)
+      << open.error().to_string();
 }
 
 // Saturated durations are 2^62 ns each, and four of them in sequence once

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "tsu/core/service.hpp"
@@ -261,6 +262,16 @@ TEST(ServiceTest, RejectsUnboundedConfigs) {
   config = small_service();
   config.max_pending = 0;
   EXPECT_FALSE(execute_service(config).ok());
+  // A rate above 1e9/s has a mean gap under 1 ns, which once rounded to 0
+  // and aborted the process.
+  for (const double rate : {2e9, std::numeric_limits<double>::infinity()}) {
+    config = small_service();
+    config.arrival_rate_per_sec = rate;
+    const Result<ServiceResult> fast = execute_service(config);
+    ASSERT_FALSE(fast.ok()) << rate;
+    EXPECT_EQ(fast.error().code, Errc::kOutOfRange)
+        << fast.error().to_string();
+  }
   config = small_service();
   config.classes.clear();
   EXPECT_FALSE(execute_service(config).ok());
