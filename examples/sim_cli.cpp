@@ -19,7 +19,7 @@
 //
 //   $ ./build/sim_cli --serve --rate 5000 --duration-ms 2000
 //   $ ./build/sim_cli --serve --target 100000 --max-pending 256
-//         --classes 2 --config service.json
+//         --config service.json
 //
 // Workloads: fig1 | reversal:<n> | random:<seed>
 #include <cstdio>
@@ -54,7 +54,7 @@ void usage() {
                "               [--faults FILE.json] [--liveness-ms MS]\n"
                "               [--failure-response wait|rollback]\n"
                "               [--serve] [--rate R] [--duration-ms MS]\n"
-               "               [--target N] [--max-pending N] [--classes N]\n"
+               "               [--target N] [--max-pending N]\n"
                "  algorithms: oneshot twophase wayup peacock slf-greedy "
                "secure optimal\n"
                "  workloads : fig1 | reversal:<n> | random:<seed>\n"
@@ -79,14 +79,13 @@ void usage() {
                "  the run; --liveness-ms sets the controller's detection\n"
                "  timeout and --failure-response picks retry vs rollback\n"
                "  --serve runs the open-loop service: Poisson arrivals at\n"
-               "  --rate req/s over --flows templates on --switches pool\n"
-               "  switches until --duration-ms of sim time or --target\n"
-               "  accepted requests (one is required); arrivals beyond the\n"
-               "  --max-pending backlog are shed; --classes N splits\n"
-               "  arrivals over N priority classes (0 served first); live\n"
-               "  snapshots and the final stats print as JSON, and a\n"
-               "  --config file may carry a \"service\" block for the\n"
-               "  full schema (traces, rate limits, snapshot cadence)\n");
+               "  --rate req/s (at most 1e9) over --flows templates on\n"
+               "  --switches pool switches until --duration-ms of sim time\n"
+               "  or --target accepted requests (one is required), served\n"
+               "  in arrival order; arrivals beyond the --max-pending\n"
+               "  backlog are shed; live snapshots and the final stats\n"
+               "  print as JSON, and a --config file may carry a\n"
+               "  \"service\" block for the full schema (snapshot cadence)\n");
 }
 
 // Multi-flow mode: N peacock-planned flows over a shared switch pool,
@@ -241,7 +240,6 @@ int main(int argc, char** argv) {
   std::optional<double> duration_ms_flag;
   std::optional<std::uint64_t> target_flag;
   std::optional<std::size_t> max_pending_flag;
-  std::optional<std::size_t> classes_flag;
   // The config file is parsed after the loop: --serve selects the service
   // document parser (which accepts the "service" block).
   std::optional<std::string> config_text;
@@ -301,11 +299,6 @@ int main(int argc, char** argv) {
       const auto n = v != nullptr ? parse_int(v) : std::nullopt;
       if (!n.has_value() || *n < 1) return usage(), 1;
       max_pending_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--classes") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 1 || *n > 256) return usage(), 1;
-      classes_flag = static_cast<std::size_t>(*n);
     } else if (arg == "--admission") {
       const char* v = next();
       const auto policy = v != nullptr
@@ -465,8 +458,6 @@ int main(int argc, char** argv) {
       service.horizon = sim::from_ms(*duration_ms_flag);
     if (target_flag.has_value()) service.target_completions = *target_flag;
     if (max_pending_flag.has_value()) service.max_pending = *max_pending_flag;
-    if (classes_flag.has_value())
-      service.classes.assign(*classes_flag, core::ServiceClassConfig{});
     return run_service(std::move(service));
   }
 

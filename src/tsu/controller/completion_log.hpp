@@ -40,13 +40,10 @@ struct RoundMetrics {
 struct UpdateMetrics {
   std::string name;
   FlowId flow = 0;
-  // Admission ordering class (0 = highest priority; see
-  // UpdateRequest::priority_class).
-  std::uint8_t priority_class = 0;
   // When the request entered the serving system. For closed-loop
   // submissions this equals `submitted`; the open-loop service mode stamps
   // the arrival instant so `admission_wait()` covers time spent in the
-  // pending queue and rate limiter too.
+  // pending queue too.
   sim::SimTime enqueued = 0;
   sim::SimTime submitted = 0;
   sim::SimTime started = 0;

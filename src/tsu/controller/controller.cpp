@@ -109,7 +109,6 @@ Controller::PendingUpdate Controller::admit(UpdateRequest request) {
   pending.id = update_counter_++;
   pending.metrics.name = request.name;
   pending.metrics.flow = request.flow;
-  pending.metrics.priority_class = request.priority_class;
   pending.metrics.submitted = sim_.now();
   pending.metrics.enqueued = request.enqueued.value_or(sim_.now());
   // Register in the conflict DAG before anything can start: a later
@@ -129,7 +128,6 @@ void Controller::submit(UpdateRequest request) {
 }
 
 void Controller::submit_plan(std::shared_ptr<const CompiledPlan> plan,
-                             std::uint8_t priority_class,
                              std::optional<sim::SimTime> enqueued) {
   TSU_ASSERT_MSG(plan != nullptr, "null compiled plan");
   // A plan-backed pending entry owns no heap state (the plan carries the
@@ -137,13 +135,10 @@ void Controller::submit_plan(std::shared_ptr<const CompiledPlan> plan,
   queue_.emplace_back();
   PendingUpdate& pending = queue_.back();
   pending.id = update_counter_++;
-  // The empty request doubles as the per-submission parameter stash: the
-  // start scan reads priority_class off it, and a rollback resubmission
-  // reads both back when re-materializing the request.
-  pending.request.priority_class = priority_class;
+  // The empty request doubles as the arrival stash: a rollback
+  // resubmission reads it back when re-materializing the request.
   pending.request.enqueued = enqueued;
   pending.metrics.flow = plan->request.flow;
-  pending.metrics.priority_class = priority_class;
   pending.metrics.submitted = sim_.now();
   pending.metrics.enqueued = enqueued.value_or(sim_.now());
   // metrics.name is deferred to start_pending (copied from the plan into
@@ -162,29 +157,16 @@ void Controller::maybe_start_next_request() {
   // blocked requests are skipped, not waited on, so a conflicting head
   // never holds back independent work behind it. Held coordinated
   // sub-requests are also skipped: they start only when the coordinator
-  // has every participating shard ready. Among the admissible entries the
-  // strictly lowest priority class starts first; ties keep arrival order,
-  // so all-default classes reproduce the pre-priority start order exactly.
-  // The scan restarts after each start because start_round can
-  // synchronously finish a degenerate update and re-enter here,
-  // invalidating any held iterator.
-  bool started = true;
-  while (started && active_.size() < config_.max_in_flight) {
-    started = false;
-    auto best = queue_.end();
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->held) continue;
-      if (best != queue_.end() &&
-          it->request.priority_class >= best->request.priority_class)
-        continue;
-      if (!admission_.admissible(it->id)) continue;
-      best = it;
-      if (best->request.priority_class == 0) break;
-    }
-    if (best != queue_.end()) {
-      start_pending(best);
-      started = true;
-    }
+  // has every participating shard ready. The scan restarts after each
+  // start because start_round can synchronously finish a degenerate update
+  // and re-enter here, invalidating any held iterator.
+  while (active_.size() < config_.max_in_flight) {
+    const auto next =
+        std::find_if(queue_.begin(), queue_.end(), [this](const auto& p) {
+          return !p.held && admission_.admissible(p.id);
+        });
+    if (next == queue_.end()) return;
+    start_pending(next);
   }
 }
 
@@ -891,10 +873,9 @@ void Controller::begin_rollback(UpdateId id) {
   ctx.original = id;
   if (aborted.plan != nullptr) {
     // Materialize the canonical request for the resubmission; the
-    // per-submission class/arrival live on the (otherwise empty) stash
-    // request, exactly as submit() would have carried them.
+    // per-submission arrival lives on the (otherwise empty) stash request,
+    // exactly as submit() would have carried it.
     ctx.request = aborted.plan->request;
-    ctx.request.priority_class = aborted.request.priority_class;
     ctx.request.enqueued = aborted.request.enqueued;
   } else {
     ctx.request = std::move(aborted.request);

@@ -202,12 +202,11 @@ class Controller {
   void submit(UpdateRequest request);
 
   // Compiled-plan submission (plan_cache.hpp): behaviour-identical to
-  // submit() of the plan's canonical request with `priority_class` and
-  // `enqueued` applied, but the hot path performs no lowering, no
-  // footprint computation and no message encoding. The plan is shared,
-  // immutable and typically reused across many submissions.
+  // submit() of the plan's canonical request with `enqueued` applied, but
+  // the hot path performs no lowering, no footprint computation and no
+  // message encoding. The plan is shared, immutable and typically reused
+  // across many submissions.
   void submit_plan(std::shared_ptr<const CompiledPlan> plan,
-                   std::uint8_t priority_class,
                    std::optional<sim::SimTime> enqueued);
 
   // Monotone counter of fault-driven resyncs that rewrote shadow-table
@@ -370,9 +369,9 @@ class Controller {
   struct PendingUpdate {
     UpdateId id = 0;
     // Plain submissions own their request here. Plan-backed submissions
-    // leave it EMPTY except priority_class and enqueued (the two
-    // per-submission parameters, stashed so the start scan and a rollback
-    // resubmission can read them back) - the plan carries the rounds.
+    // leave it EMPTY except enqueued (the per-submission arrival, stashed
+    // so a rollback resubmission can read it back) - the plan carries the
+    // rounds.
     UpdateRequest request;
     UpdateMetrics metrics;  // carries the submission timestamp
     std::shared_ptr<const CompiledPlan> plan;
@@ -386,7 +385,7 @@ class Controller {
     UpdateMetrics metrics;
     // Set for plan-backed updates; request_of() then reads the plan's
     // canonical request and `request` only carries the per-submission
-    // priority_class/enqueued stash.
+    // enqueued stash.
     std::shared_ptr<const CompiledPlan> plan;
     std::size_t next_round = 0;
     // Outstanding barriers of this update's in-flight round.

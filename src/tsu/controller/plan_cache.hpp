@@ -53,9 +53,9 @@ struct CompiledPlan {
     std::uint32_t length = 0;
   };
 
-  // The canonical request: rounds, name, flow, interval. Per-submission
-  // fields (priority_class, enqueued) are left at their defaults and
-  // carried by the submission itself.
+  // The canonical request: rounds, name, flow, interval. The
+  // per-submission arrival (enqueued) is left unset and carried by the
+  // submission itself.
   UpdateRequest request;
   // Admission footprint, identical to Footprint::of(request).
   Footprint footprint;

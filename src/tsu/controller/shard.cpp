@@ -82,7 +82,6 @@ void ShardCoordinator::submit(UpdateRequest request) {
     subs[i].name = request.name;
     subs[i].flow = request.flow;
     subs[i].interval = request.interval;
-    subs[i].priority_class = request.priority_class;
     subs[i].enqueued = request.enqueued;
     subs[i].rounds.resize(request.rounds.size());
   }
@@ -106,10 +105,9 @@ void ShardCoordinator::submit(UpdateRequest request) {
 }
 
 void ShardCoordinator::submit_plan(std::shared_ptr<const CompiledPlan> plan,
-                                   std::uint8_t priority_class,
                                    std::optional<sim::SimTime> enqueued) {
   if (shards_.size() == 1) {
-    shards_[0]->submit_plan(std::move(plan), priority_class, enqueued);
+    shards_[0]->submit_plan(std::move(plan), enqueued);
     return;
   }
   // Route by the plan's pre-deduplicated touched set - no request
@@ -127,15 +125,13 @@ void ShardCoordinator::submit_plan(std::shared_ptr<const CompiledPlan> plan,
     }
   }
   if (!cross) {
-    shards_[owner < 0 ? 0 : owner]->submit_plan(std::move(plan),
-                                                 priority_class, enqueued);
+    shards_[owner < 0 ? 0 : owner]->submit_plan(std::move(plan), enqueued);
     return;
   }
   // Cross-shard: the coordinated protocol needs per-shard sub-requests, so
   // materialize the canonical request and take the ordinary split path.
   // Identical to the uncached submission by construction.
   UpdateRequest request = plan->request;
-  request.priority_class = priority_class;
   request.enqueued = enqueued;
   submit(std::move(request));
 }

@@ -92,7 +92,6 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   // coordinated split of the plan's canonical request (cold by design -
   // the split must re-key xids and rounds per shard anyway).
   void submit_plan(std::shared_ptr<const CompiledPlan> plan,
-                   std::uint8_t priority_class,
                    std::optional<sim::SimTime> enqueued);
   // Sum of the per-shard resync generations: any shard's fault-driven
   // resync invalidates cached plans (a plan may span shards).

@@ -37,14 +37,9 @@ struct UpdateRequest {
   FlowId flow = 0;
   std::vector<std::vector<RoundOp>> rounds;
   sim::Duration interval = 0;  // pause between rounds ("interval" in REST)
-  // Admission ordering class: when several queued requests are admissible,
-  // the controller starts the strictly lowest class first (0 = highest
-  // priority); within a class, arrival order. All-default classes keep the
-  // pre-priority start order bit-identical.
-  std::uint8_t priority_class = 0;
   // Service-mode arrival hint: when the request entered the serving system
-  // (pending queue / rate limiter), possibly well before submit(). Unset
-  // means "arrived at submit time" - the closed-loop behaviour.
+  // (its pending queue), possibly well before submit(). Unset means
+  // "arrived at submit time" - the closed-loop behaviour.
   std::optional<sim::SimTime> enqueued;
 };
 

@@ -458,20 +458,6 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
         return make_error(Errc::kOutOfRange,
                           "'rate_per_sec' must be in (0, 1e9]");
       config.arrival_rate_per_sec = field.as_double();
-    } else if (key == "trace_us") {
-      if (!field.is_array())
-        return make_error(Errc::kParseError, "'trace_us' must be an array");
-      config.trace.clear();
-      for (const json::Value& gap : field.as_array()) {
-        if (!gap.is_number() || gap.as_double() < 0)
-          return make_error(Errc::kOutOfRange,
-                            "'trace_us' entries must be >= 0");
-        config.trace.push_back(sim::from_ns(gap.as_double() * 1e3));
-      }
-    } else if (key == "trace_cycle") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError, "'trace_cycle' must be a bool");
-      config.trace_cycle = field.as_bool();
     } else if (key == "horizon_ms") {
       if (!field.is_number() || field.as_double() < 0)
         return make_error(Errc::kOutOfRange, "'horizon_ms' must be >= 0");
@@ -484,36 +470,6 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
       const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
       if (!n.ok()) return n.error();
       config.max_pending = static_cast<std::size_t>(n.value());
-    } else if (key == "submit_depth") {
-      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.submit_depth = static_cast<std::size_t>(n.value());
-    } else if (key == "classes") {
-      if (!field.is_array() || field.as_array().empty())
-        return make_error(Errc::kParseError,
-                          "'classes' must be a non-empty array");
-      config.classes.clear();
-      for (const json::Value& entry : field.as_array()) {
-        if (!entry.is_object())
-          return make_error(Errc::kParseError,
-                            "each class must be an object");
-        ServiceClassConfig cls;
-        for (const auto& [ckey, cval] : entry.as_object()) {
-          if (!cval.is_number() || cval.as_double() < 0)
-            return make_error(Errc::kOutOfRange,
-                              "class field '" + ckey + "' must be >= 0");
-          if (ckey == "rate_limit_per_sec")
-            cls.rate_limit_per_sec = cval.as_double();
-          else if (ckey == "burst")
-            cls.burst = cval.as_double();
-          else if (ckey == "weight")
-            cls.weight = cval.as_double();
-          else
-            return make_error(Errc::kParseError,
-                              "unknown class field '" + ckey + "'");
-        }
-        config.classes.push_back(cls);
-      }
     } else if (key == "snapshot_interval_ms") {
       if (!field.is_number() || field.as_double() < 0)
         return make_error(Errc::kOutOfRange,
@@ -541,29 +497,11 @@ json::Value service_config_to_json(const ServiceConfig& config) {
   service.set("pool_switches", json::Value(static_cast<std::int64_t>(
                                    config.pool_switches)));
   service.set("rate_per_sec", json::Value(config.arrival_rate_per_sec));
-  if (!config.trace.empty()) {
-    json::Array trace;
-    for (const sim::Duration gap : config.trace)
-      trace.emplace_back(static_cast<double>(gap) / 1e3);
-    service.set("trace_us", json::Value(std::move(trace)));
-    service.set("trace_cycle", json::Value(config.trace_cycle));
-  }
   service.set("horizon_ms", json::Value(sim::to_ms(config.horizon)));
   service.set("target", json::Value(static_cast<std::int64_t>(
                             config.target_completions)));
   service.set("max_pending", json::Value(static_cast<std::int64_t>(
                                  config.max_pending)));
-  service.set("submit_depth", json::Value(static_cast<std::int64_t>(
-                                  config.submit_depth)));
-  json::Array classes;
-  for (const ServiceClassConfig& cls : config.classes) {
-    json::Object entry;
-    entry.set("rate_limit_per_sec", json::Value(cls.rate_limit_per_sec));
-    entry.set("burst", json::Value(cls.burst));
-    entry.set("weight", json::Value(cls.weight));
-    classes.push_back(json::Value(std::move(entry)));
-  }
-  service.set("classes", json::Value(std::move(classes)));
   service.set("snapshot_interval_ms",
               json::Value(sim::to_ms(config.snapshot_interval)));
   service.set("snapshot_window", json::Value(static_cast<std::int64_t>(

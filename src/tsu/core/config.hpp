@@ -38,12 +38,12 @@
 // knobs (core/service.hpp):
 //   "service": {
 //     "flows": 8, "pool_switches": 48, "rate_per_sec": 2000,
-//     "trace_us": [100, 250, ...], "trace_cycle": true,
-//     "horizon_ms": 0, "target": 0,
-//     "max_pending": 1024, "submit_depth": 0,
-//     "classes": [ { "rate_limit_per_sec": 0, "burst": 1, "weight": 1 } ],
+//     "horizon_ms": 0, "target": 0, "max_pending": 1024,
 //     "snapshot_interval_ms": 0, "snapshot_window": 64
 //   }
+// "rate_per_sec" is in (0, 1e9]. Latency models are checked after
+// conversion to nanoseconds: an exponential mean or lognormal median of at
+// least 1 ns, and a pareto with 1 ns <= lo < hi.
 #pragma once
 
 #include <string_view>

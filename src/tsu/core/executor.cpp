@@ -18,6 +18,7 @@
 #include "tsu/update/schedulers.hpp"
 #include "tsu/util/arena.hpp"
 #include "tsu/util/log.hpp"
+#include "tsu/util/ring.hpp"
 
 namespace tsu::core {
 
@@ -680,39 +681,26 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   if (config.snapshot_window > kMaxSnapshotWindow)
     return make_error(Errc::kOutOfRange,
                       "snapshot_window must be at most 65536");
-  if (config.classes.empty() || config.classes.size() > 256)
-    return make_error(Errc::kInvalidArgument,
-                      "priority class count must be in [1, 256]");
   if (config.max_pending == 0)
     return make_error(Errc::kInvalidArgument,
                       "max_pending must be at least 1");
-  const bool bounded_trace = !config.trace.empty() && !config.trace_cycle;
-  if (config.horizon == 0 && config.target_completions == 0 && !bounded_trace)
+  if (config.horizon == 0 && config.target_completions == 0)
     return make_error(Errc::kInvalidArgument,
-                      "service needs a horizon, a completion target, or a "
-                      "non-cycling trace - arrivals would never stop");
-  if (config.trace.empty() && !(config.arrival_rate_per_sec > 0))
-    return make_error(Errc::kInvalidArgument,
-                      "arrival rate must be positive");
-  if (config.trace.empty() && config.arrival_rate_per_sec > kMaxArrivalRate)
+                      "service needs a horizon or a completion target - "
+                      "arrivals would never stop");
+  if (!(config.arrival_rate_per_sec > 0 &&
+        config.arrival_rate_per_sec <= kMaxArrivalRate))
     return make_error(Errc::kOutOfRange,
-                      "arrival rate must be at most 1e9 per second");
+                      "arrival rate must be in (0, 1e9] per second");
   if (!exec.faults.empty())
     return make_error(Errc::kInvalidArgument,
                       "fault injection is not supported in service mode");
   if (const Status valid = check_executor_config(exec); !valid.ok())
     return valid.error();
-  double total_weight = 0;
-  for (const ServiceClassConfig& cls : config.classes)
-    total_weight += std::max(0.0, cls.weight);
-  if (!(total_weight > 0))
-    return make_error(Errc::kInvalidArgument,
-                      "class weights must sum to a positive value");
 
-  topo::ArrivalProcess arrivals =
-      !config.trace.empty()
-          ? topo::ArrivalProcess::trace(config.trace, config.trace_cycle)
-          : topo::ArrivalProcess::poisson(config.arrival_rate_per_sec);
+  // Poisson arrivals: the rate bound keeps the mean gap at 1 ns or more.
+  const sim::LatencyModel arrival_gap = sim::LatencyModel::exponential(
+      sim::from_ns(1e9 / config.arrival_rate_per_sec));
 
   // Template pool: forward (old -> new) schedules, plus the reverse
   // direction planned once up front. Submission flips per template, and
@@ -750,52 +738,14 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   // streams match a run with different service parameters.
   Rng service_rng = harness.rng.fork();
 
-  const std::size_t class_count = config.classes.size();
   struct PendingRequest {
     std::size_t tmpl = 0;
     sim::SimTime arrived = 0;
   };
-  // Per-class FIFO as a flat ring rather than std::deque: libstdc++'s deque
-  // allocates a fresh ~512-byte chunk every ~32 pushes even at constant
-  // depth, which would show up as steady-state allocations on the
-  // submission path. Capacity starts at min(max_pending, 1024) - since
-  // per-class depth is bounded by the shared max_pending admission check,
-  // the default configuration never grows after construction.
-  struct PendingRing {
-    std::vector<PendingRequest> slots;
-    std::size_t head = 0;
-    std::size_t count = 0;
-
-    bool empty() const noexcept { return count == 0; }
-    const PendingRequest& front() const noexcept { return slots[head]; }
-    void pop_front() noexcept {
-      head = head + 1 == slots.size() ? 0 : head + 1;
-      --count;
-    }
-    void push_back(const PendingRequest& r) {
-      if (count == slots.size()) grow();
-      std::size_t tail = head + count;
-      if (tail >= slots.size()) tail -= slots.size();
-      slots[tail] = r;
-      ++count;
-    }
-    void grow() {
-      std::vector<PendingRequest> next(std::max<std::size_t>(
-          std::size_t{8}, slots.size() * 2));
-      for (std::size_t i = 0; i < count; ++i)
-        next[i] = slots[(head + i) % (slots.empty() ? 1 : slots.size())];
-      slots = std::move(next);
-      head = 0;
-    }
-  };
-  std::vector<PendingRing> pending(class_count);
-  for (PendingRing& ring : pending)
-    ring.slots.resize(std::min<std::size_t>(config.max_pending, 1024));
-  std::size_t pending_total = 0;
-  std::vector<double> tokens(class_count);
-  std::vector<sim::SimTime> refilled(class_count, 0);
-  for (std::size_t c = 0; c < class_count; ++c)
-    tokens[c] = std::max(1.0, config.classes[c].burst);
+  // The pending FIFO starts at min(max_pending, 1024) slots, so the
+  // default configuration's submission path never allocates for it.
+  util::FlatRing<PendingRequest> pending;
+  pending.reserve(std::min<std::size_t>(config.max_pending, 1024));
   std::vector<std::uint64_t> flip(config.flows, 0);
 
   // Compiled-plan cache (controller/plan_cache.hpp), keyed by
@@ -808,45 +758,32 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   controller::PlanCache plan_cache;
 
   ServiceStats stats;
-  stats.by_class.resize(class_count);
   sim::SimTime last_completion = 0;
   bool arrivals_done = false;
-  bool pump_timer = false;
   bool pumping = false;
 
-  std::size_t depth_limit = config.submit_depth;
-  if (depth_limit == 0) {
-    const std::size_t mif =
-        exec.controller.max_in_flight == 0 ? 1 : exec.controller.max_in_flight;
-    depth_limit = mif > (std::size_t{1} << 20)
-                      ? (std::size_t{1} << 20)
-                      : 2 * mif * harness.sim.shard_count();
-  }
+  // How many requests may sit in the controller (queued + active) before
+  // the pump holds the rest in the pending queue: deep enough to keep
+  // every in-flight slot of every shard fed.
+  const std::size_t mif =
+      exec.controller.max_in_flight == 0 ? 1 : exec.controller.max_in_flight;
+  const std::size_t depth_limit = mif > (std::size_t{1} << 20)
+                                      ? (std::size_t{1} << 20)
+                                      : 2 * mif * harness.sim.shard_count();
 
   const auto controller_depth = [&]() {
     return harness.ctrl->queued() + harness.ctrl->in_flight();
   };
 
-  const auto pick_class = [&]() -> std::uint8_t {
-    if (class_count == 1) return 0;
-    double r = service_rng.uniform01() * total_weight;
-    for (std::size_t c = 0; c < class_count; ++c) {
-      r -= std::max(0.0, config.classes[c].weight);
-      if (r < 0) return static_cast<std::uint8_t>(c);
-    }
-    return static_cast<std::uint8_t>(class_count - 1);
-  };
-
-  const auto submit_one = [&](std::size_t cls) {
-    const PendingRequest p = pending[cls].front();
-    pending[cls].pop_front();
-    --pending_total;
+  const auto submit_head = [&]() {
+    const PendingRequest p = pending.front();
+    pending.pop_front();
     const bool reverse = (flip[p.tmpl] & 1) != 0;
     ++flip[p.tmpl];
     // Warm path: reuse the compiled plan - no request materialization, no
     // re-encoding; the controller patches xids into the cached frames.
     // Cold path: build the template's canonical request (the per-submission
-    // class and arrival travel with submit_plan) and compile it once.
+    // arrival travels with submit_plan) and compile it once.
     const std::uint64_t key = 2 * p.tmpl + (reverse ? 1 : 0);
     const std::uint64_t generation = harness.ctrl->resync_generation();
     std::shared_ptr<const controller::CompiledPlan> plan =
@@ -860,66 +797,19 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       plan = controller::compile_plan(std::move(req), generation);
       plan_cache.store(key, plan);
     }
-    harness.ctrl->submit_plan(std::move(plan), static_cast<std::uint8_t>(cls),
-                              p.arrived);
+    harness.ctrl->submit_plan(std::move(plan), p.arrived);
     ++stats.submitted;
-    ++stats.by_class[cls].submitted;
   };
 
-  // Releases pending requests into the controller: strict priority (class
-  // 0 first, FIFO within a class) up to depth_limit, honouring each
-  // class's token bucket. A throttled class defers its head-of-line
-  // request and the scan moves on, so rate-limited high-priority traffic
-  // never starves unlimited lower classes.
-  std::function<void()> pump_fn;
-  const auto schedule_pump = [&](sim::Duration delay) {
-    if (pump_timer) return;
-    pump_timer = true;
-    harness.sim.schedule_on(0, delay, [&]() {
-      pump_timer = false;
-      pump_fn();
-    });
-  };
-  pump_fn = [&]() {
+  // Releases the pending queue's head into the controller while it holds
+  // fewer than depth_limit requests.
+  const auto pump = [&]() {
     if (pumping) return;  // submit can complete and re-enter synchronously
     pumping = true;
-    const sim::SimTime now = harness.sim.now();
-    bool want_timer = false;
-    sim::Duration timer_delay = 0;
-    bool progress = true;
-    while (progress && pending_total > 0 && controller_depth() < depth_limit) {
-      progress = false;
-      for (std::size_t c = 0; c < class_count; ++c) {
-        if (pending[c].empty()) continue;
-        const ServiceClassConfig& cls = config.classes[c];
-        if (cls.rate_limit_per_sec > 0) {
-          const double cap = std::max(1.0, cls.burst);
-          tokens[c] = std::min(
-              cap, tokens[c] + static_cast<double>(now - refilled[c]) *
-                                   cls.rate_limit_per_sec / 1e9);
-          refilled[c] = now;
-          if (tokens[c] < 1) {
-            ++stats.throttled;
-            ++stats.by_class[c].throttled;
-            const sim::Duration wait =
-                sim::from_ns((1 - tokens[c]) * 1e9 / cls.rate_limit_per_sec) +
-                1;
-            if (!want_timer || wait < timer_delay) {
-              want_timer = true;
-              timer_delay = wait;
-            }
-            continue;
-          }
-          tokens[c] -= 1;
-        }
-        submit_one(c);
-        progress = true;
-        break;  // restart from class 0: strict priority
-      }
-    }
+    while (!pending.empty() && controller_depth() < depth_limit)
+      submit_head();
     stats.peak_controller_depth =
         std::max(stats.peak_controller_depth, controller_depth());
-    if (want_timer && pending_total > 0) schedule_pump(timer_delay);
     pumping = false;
   };
 
@@ -927,7 +817,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   // in-flight packets a drain window; with traffic off the event queue
   // simply empties.
   const auto maybe_finish = [&]() {
-    if (!arrivals_done || pending_total != 0 ||
+    if (!arrivals_done || !pending.empty() ||
         stats.submitted != stats.completed)
       return;
     for (auto& source : sources)
@@ -945,11 +835,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       finish_arrivals();
       return;
     }
-    if (arrivals.exhausted()) {
-      finish_arrivals();
-      return;
-    }
-    const sim::Duration gap = arrivals.next_gap(service_rng);
+    const sim::Duration gap = arrival_gap.sample(service_rng);
     if (config.horizon != 0 && harness.sim.now() + gap > config.horizon) {
       finish_arrivals();
       return;
@@ -957,23 +843,18 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     harness.sim.schedule_on(0, gap, [&]() { arrival_fn(); });
   };
   arrival_fn = [&]() {
-    const std::uint8_t cls = pick_class();
     ++stats.arrivals;
-    ++stats.by_class[cls].arrivals;
-    if (pending_total >= config.max_pending) {
+    if (pending.size() >= config.max_pending) {
       // Load shedding: a full pending queue rejects, never buffers - the
       // bound that keeps overload memory flat.
       ++stats.rejected;
-      ++stats.by_class[cls].rejected;
     } else {
-      pending[cls].push_back(
+      pending.push_back(
           PendingRequest{service_rng.index(config.flows), harness.sim.now()});
-      ++pending_total;
       ++stats.accepted;
-      ++stats.by_class[cls].accepted;
-      stats.peak_pending = std::max(stats.peak_pending, pending_total);
+      stats.peak_pending = std::max(stats.peak_pending, pending.size());
     }
-    pump_fn();
+    pump();
     schedule_next_arrival();
   };
 
@@ -981,10 +862,8 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       [&](const controller::UpdateMetrics& metrics) {
         ++stats.completed;
         if (metrics.aborted) ++stats.aborted;
-        if (metrics.priority_class < class_count)
-          ++stats.by_class[metrics.priority_class].completed;
         last_completion = std::max(last_completion, metrics.finished);
-        pump_fn();
+        pump();
         maybe_finish();
       });
 
@@ -1005,7 +884,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       s.rejected = stats.rejected;
       s.submitted = stats.submitted;
       s.completed = stats.completed;
-      s.pending = pending_total;
+      s.pending = pending.size();
       s.controller_depth = controller_depth();
       s.steady_state_entries = harness.ctrl->steady_state_entries();
       s.plan_compiles = plan_cache.compiles();
@@ -1030,7 +909,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
         snap_next = (snap_next + 1) % config.snapshot_window;
       }
       if (config.on_snapshot) config.on_snapshot(s);
-      if (!(arrivals_done && pending_total == 0 &&
+      if (!(arrivals_done && pending.empty() &&
             stats.submitted == stats.completed))
         harness.sim.schedule_on(0, config.snapshot_interval,
                                 [&]() { snapshot_fn(); });
@@ -1050,7 +929,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   const RunTiming& timing = run.value();
 
   if (!harness.ctrl->idle() || stats.submitted != stats.completed ||
-      pending_total != 0)
+      !pending.empty())
     return make_error(Errc::kFailedPrecondition,
                       "service drained with work outstanding");
 

@@ -1,23 +1,23 @@
 // Always-on open-loop service mode: instead of submitting a fixed workload
 // and draining (the closed loop execute_multiflow runs), the
 // service executor keeps a pool of update templates and injects requests
-// into the running control plane at times drawn from an arrival process
-// (topo/arrivals.hpp) - Poisson or trace-driven - independent of how fast
-// the engine completes them. That makes the questions the closed loop
-// cannot ask observable: what saturates first, how deep the backlog grows,
-// what gets rejected, and whether memory stays flat while cumulative work
-// grows without bound.
+// into the running control plane at Poisson arrival times, independent of
+// how fast the engine completes them. That makes the questions the closed
+// loop cannot ask observable: what saturates first, how deep the backlog
+// grows, what gets rejected, and whether memory stays flat while
+// cumulative work grows without bound.
 //
 // Admission pipeline (all sim-time, fully deterministic under one seed):
 //
-//   arrival ──> pending queue ──> per-class token bucket ──> submit
-//               (bounded:          (rate_limit_per_sec,       (controller
-//                overflow =         deferred = throttled)      admission DAG,
-//                rejected)                                     max_in_flight)
+//   arrival ──> pending queue ──> submit
+//               (bounded FIFO:    (controller admission DAG,
+//                overflow =        max_in_flight; the first
+//                rejected)         admissible request starts)
 //
-// Requests carry a priority class (0 = highest): the pending queue releases
-// strictly-lowest-class first (FIFO within a class), and the controller's
-// own start scan honours the same order among admissible queued requests.
+// The pending queue releases its head while the controller holds fewer
+// than 2 x max_in_flight x shards requests (queued + active), and the
+// controller starts the first admissible queued request in arrival order
+// - the paper's one REST message queue.
 //
 // Bounded-memory contract: the service loop holds no per-request state
 // beyond the bounded pending queue and the controller's own in-flight maps;
@@ -34,7 +34,6 @@
 #include "tsu/core/executor.hpp"
 #include "tsu/dataplane/monitor.hpp"
 #include "tsu/sim/time.hpp"
-#include "tsu/topo/arrivals.hpp"
 #include "tsu/util/status.hpp"
 
 namespace tsu::controller {
@@ -42,18 +41,6 @@ class ShardCoordinator;
 }
 
 namespace tsu::core {
-
-// One admission priority class. Class index = priority (0 served first).
-struct ServiceClassConfig {
-  // Token-bucket release rate for this class, requests/second; 0 = no
-  // limit. A throttled class defers its head-of-line request (counted in
-  // ServiceStats::throttled) without blocking lower-priority classes.
-  double rate_limit_per_sec = 0;
-  // Token-bucket burst capacity (whole requests).
-  double burst = 1;
-  // Relative share of arrivals labelled with this class.
-  double weight = 1;
-};
 
 // The fewest pool switches: one block of topo::pool_workload.
 inline constexpr std::size_t kMinPoolSwitches = 6;
@@ -77,10 +64,9 @@ struct ServiceConfig {
   std::size_t flows = 8;
   std::size_t pool_switches = 48;
 
-  // Arrival process: a non-empty trace wins, else Poisson at arrival_rate.
+  // Poisson arrivals: exponential gaps with mean 1e9 / rate ns. At most
+  // kMaxArrivalRate.
   double arrival_rate_per_sec = 2000;
-  std::vector<sim::Duration> trace;  // interarrival gaps (ns)
-  bool trace_cycle = true;
 
   // Stop admitting arrivals at sim-time `horizon` (0 = none), or once
   // `target_completions` requests have been ACCEPTED into the pending
@@ -93,17 +79,6 @@ struct ServiceConfig {
   // shedding), not buffered - the invariant that makes steady-state memory
   // independent of overload duration.
   std::size_t max_pending = 1024;
-
-  // Priority classes; index = class = UpdateRequest::priority_class.
-  // Default: one unlimited class 0 (plain FIFO open loop).
-  std::vector<ServiceClassConfig> classes = {ServiceClassConfig{}};
-
-  // How many requests may sit in the controller (queued + active) before
-  // the release loop holds the rest in the pending queue. 0 = 2 x
-  // max_in_flight x shards - deep enough to keep every slot fed, shallow
-  // enough that priority reordering happens in the pending queue where it
-  // is cheap.
-  std::size_t submit_depth = 0;
 
   // Live stats: every `snapshot_interval` of sim time (0 = off) a
   // ServiceSnapshot is appended to a bounded ring of `snapshot_window`
@@ -119,25 +94,14 @@ struct ServiceConfig {
   std::function<void(controller::ShardCoordinator&)> tune;
 };
 
-// Per-class streaming counters.
-struct ServiceClassStats {
+// Streaming service counters - O(1) memory regardless of run length.
+struct ServiceStats {
   std::uint64_t arrivals = 0;
   std::uint64_t accepted = 0;   // entered the pending queue
   std::uint64_t rejected = 0;   // pending queue full
   std::uint64_t submitted = 0;  // released to the controller
   std::uint64_t completed = 0;
-  std::uint64_t throttled = 0;  // head-of-line deferrals by the bucket
-};
-
-// Streaming service counters - O(classes) memory regardless of run length.
-struct ServiceStats {
-  std::uint64_t arrivals = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
   std::uint64_t aborted = 0;
-  std::uint64_t throttled = 0;
   std::size_t peak_pending = 0;
   std::size_t peak_controller_depth = 0;  // queued + active high-water
   // Compiled-plan cache counters: compiles = cache misses that built a
@@ -147,7 +111,6 @@ struct ServiceStats {
   std::uint64_t plan_compiles = 0;
   std::uint64_t plan_hits = 0;
   std::uint64_t plan_invalidations = 0;
-  std::vector<ServiceClassStats> by_class;
 };
 
 // One live snapshot of the serving system (all cumulative unless noted).
@@ -202,8 +165,8 @@ struct ServiceResult {
   }
 };
 
-// Runs the open-loop service until arrivals stop (horizon / target /
-// exhausted trace) and the system drains. Deterministic per seed.
+// Runs the open-loop service until arrivals stop (horizon / target) and
+// the system drains. Deterministic per seed.
 Result<ServiceResult> execute_service(const ServiceConfig& config);
 
 }  // namespace tsu::core

@@ -10,17 +10,6 @@ json::Value count(std::uint64_t n) {
   return json::Value(static_cast<std::int64_t>(n));
 }
 
-json::Value class_stats(const core::ServiceClassStats& stats) {
-  json::Object obj;
-  obj.set("arrivals", count(stats.arrivals));
-  obj.set("accepted", count(stats.accepted));
-  obj.set("rejected", count(stats.rejected));
-  obj.set("submitted", count(stats.submitted));
-  obj.set("completed", count(stats.completed));
-  obj.set("throttled", count(stats.throttled));
-  return json::Value(std::move(obj));
-}
-
 }  // namespace
 
 std::string to_json(const core::ServiceSnapshot& snapshot) {
@@ -54,18 +43,12 @@ std::string to_json(const core::ServiceResult& result) {
   root.set("submitted", count(result.stats.submitted));
   root.set("completed", count(result.stats.completed));
   root.set("aborted", count(result.stats.aborted));
-  root.set("throttled", count(result.stats.throttled));
   root.set("peak_pending", count(result.stats.peak_pending));
   root.set("peak_controller_depth",
            count(result.stats.peak_controller_depth));
   root.set("plan_compiles", count(result.stats.plan_compiles));
   root.set("plan_hits", count(result.stats.plan_hits));
   root.set("plan_invalidations", count(result.stats.plan_invalidations));
-
-  json::Array classes;
-  for (const core::ServiceClassStats& stats : result.stats.by_class)
-    classes.push_back(class_stats(stats));
-  root.set("classes", json::Value(std::move(classes)));
 
   const controller::CompletionStats& done = result.completions;
   json::Object latency;

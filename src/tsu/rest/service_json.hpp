@@ -13,8 +13,8 @@ namespace tsu::rest {
 // throughput, and streaming latency quantiles.
 std::string to_json(const core::ServiceSnapshot& snapshot);
 
-// Final run document: totals, per-class breakdown, latency/wait summary,
-// drain proof (steady_state_entries_final) and sustained throughput.
+// Final run document: totals, latency/wait summary, drain proof
+// (steady_state_entries_final) and sustained throughput.
 std::string to_json(const core::ServiceResult& result);
 
 }  // namespace tsu::rest

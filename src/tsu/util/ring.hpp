@@ -7,8 +7,8 @@
 // only advances the head - the slot object stays alive, so element types
 // with internal capacity (vectors, variants of such) keep it across
 // reuse - and the backing vector grows geometrically only when depth
-// exceeds every previous high-water mark. Past that mark a
-// push/pop regime of any length performs zero allocations.
+// exceeds every previous high-water mark (or a reserve()). Past that mark
+// a push/pop regime of any length performs zero allocations.
 #pragma once
 
 #include <cstddef>
@@ -52,19 +52,25 @@ class FlatRing {
     count_ = 0;
   }
 
+  // Grows the ring to at least `slots` slots now, so that depth up to
+  // `slots` never allocates later.
+  void reserve(std::size_t slots) {
+    if (slots > slots_.size()) resize(slots);
+  }
+
  private:
   T* next_slot() {
-    if (count_ == slots_.size()) grow();
+    if (count_ == slots_.size())
+      resize(slots_.empty() ? 8 : slots_.size() * 2);
     T* slot = &slots_[(head_ + count_) % slots_.size()];
     ++count_;
     return slot;
   }
 
-  void grow() {
-    const std::size_t old_cap = slots_.size();
-    std::vector<T> bigger(old_cap == 0 ? 8 : old_cap * 2);
+  void resize(std::size_t slots) {
+    std::vector<T> bigger(slots);
     for (std::size_t i = 0; i < count_; ++i)
-      bigger[i] = std::move(slots_[(head_ + i) % old_cap]);
+      bigger[i] = std::move(slots_[(head_ + i) % slots_.size()]);
     slots_ = std::move(bigger);
     head_ = 0;
   }

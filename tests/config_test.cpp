@@ -6,7 +6,6 @@
 
 #include "tsu/core/config.hpp"
 #include "tsu/core/planner.hpp"
-#include "tsu/topo/arrivals.hpp"
 #include "tsu/topo/instances.hpp"
 
 namespace tsu::core {
@@ -126,12 +125,19 @@ TEST(ConfigTest, RetiredKnobsAreUnknownFields) {
               std::string::npos)
         << parsed.error().to_string();
   }
-  const Result<ServiceConfig> service = service_config_from_json(
-      std::string_view(R"({"service": {"alternate_directions": false}})"));
-  ASSERT_FALSE(service.ok());
-  EXPECT_NE(service.error().message.find("unknown service field"),
-            std::string::npos)
-      << service.error().to_string();
+  for (const char* doc :
+       {R"({"service": {"alternate_directions": false}})",
+        R"({"service": {"classes": [{"weight": 1}]}})",
+        R"({"service": {"trace_us": [100]}})",
+        R"({"service": {"trace_cycle": false}})",
+        R"({"service": {"submit_depth": 2}})"}) {
+    const Result<ServiceConfig> service =
+        service_config_from_json(std::string_view(doc));
+    ASSERT_FALSE(service.ok()) << doc;
+    EXPECT_NE(service.error().message.find("unknown service field"),
+              std::string::npos)
+        << service.error().to_string();
+  }
   // Retired values of surviving knobs: the error names what is left.
   const std::pair<const char*, const char*> values[] = {
       {R"({"batch_mode": "instant"})", "(off | adaptive)"},
@@ -313,25 +319,21 @@ TEST(ConfigTest, OutOfRangeDurationsSaturate) {
   EXPECT_EQ(plain.value().switch_config.barrier_processing, 2500u);
   EXPECT_EQ(plain.value().switch_config.message_processing, 1u);
 
-  const Result<ServiceConfig> trace =
-      service_config_from_json(std::string_view(
-          R"({"service": {"trace_us": [1e300, 0.5]}})"));
-  ASSERT_TRUE(trace.ok()) << trace.error().to_string();
-  ASSERT_EQ(trace.value().trace.size(), 2u);
-  EXPECT_EQ(trace.value().trace[0], sim::kMaxDuration);
-  EXPECT_EQ(trace.value().trace[1], 500u);
-
   const Result<ServiceConfig> slow =
       service_config_from_json(std::string_view(
           R"({"service": {"rate_per_sec": 1e-300}})"));
   ASSERT_TRUE(slow.ok()) << slow.error().to_string();
   // The mean gap, 1e9 / rate ns, saturates too.
-  topo::ArrivalProcess arrivals =
-      topo::ArrivalProcess::poisson(slow.value().arrival_rate_per_sec);
-  EXPECT_DOUBLE_EQ(arrivals.rate_per_sec(),
-                   1e9 / static_cast<double>(sim::kMaxDuration));
+  const sim::LatencyModel gap = sim::LatencyModel::exponential(
+      sim::from_ns(1e9 / slow.value().arrival_rate_per_sec));
+  EXPECT_DOUBLE_EQ(gap.mean(), static_cast<double>(sim::kMaxDuration));
   Rng rng(1);
-  EXPECT_LE(arrivals.next_gap(rng), sim::kMaxDuration);
+  EXPECT_LE(gap.sample(rng), sim::kMaxDuration);
+  // A rate above 1e9/s has a mean gap under 1 ns.
+  const Result<ServiceConfig> fast = service_config_from_json(
+      std::string_view(R"({"service": {"rate_per_sec": 2e9}})"));
+  ASSERT_FALSE(fast.ok());
+  EXPECT_EQ(fast.error().code, Errc::kOutOfRange);
 }
 
 // Probes injected 0 ns apart never let the clock advance; the event queue

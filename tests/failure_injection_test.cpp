@@ -434,7 +434,7 @@ TEST(FailureInjectionTest, ResyncInvalidatesCompiledPlans) {
   std::shared_ptr<const controller::CompiledPlan> plan =
       controller::compile_plan(request, gen0);
   cache.store(key, plan);
-  ctrl.submit_plan(plan, 0, std::nullopt);
+  ctrl.submit_plan(plan, std::nullopt);
   sim.run();
   ASSERT_TRUE(ctrl.idle());
   flow::Packet p;
@@ -467,7 +467,7 @@ TEST(FailureInjectionTest, ResyncInvalidatesCompiledPlans) {
   std::shared_ptr<const controller::CompiledPlan> fresh =
       controller::compile_plan(request, gen1);
   cache.store(key, fresh);
-  ctrl.submit_plan(fresh, 0, std::nullopt);
+  ctrl.submit_plan(fresh, std::nullopt);
   sim.run();
   EXPECT_TRUE(ctrl.idle());
   EXPECT_EQ(cache.lookup(key, ctrl.resync_generation()), fresh);

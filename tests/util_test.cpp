@@ -5,7 +5,11 @@
 #include <set>
 #include <vector>
 
+// alloc_hooks.hpp replaces global operator new/delete - this must be the
+// only translation unit of the binary that includes it.
+#include "tsu/util/alloc_hooks.hpp"
 #include "tsu/util/arena.hpp"
+#include "tsu/util/ring.hpp"
 #include "tsu/util/rng.hpp"
 #include "tsu/util/status.hpp"
 #include "tsu/util/strings.hpp"
@@ -316,6 +320,36 @@ TEST(SetupArenaTest, RespectsAlignment) {
   arena.make<char>('a');  // misalign the bump pointer
   Aligned* p = arena.make<Aligned>();
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
+}
+
+// -------------------------------------------------------------- FlatRing --
+
+TEST(FlatRingTest, ReservedRingWrapsWithoutAllocating) {
+  util::FlatRing<int> ring;
+  ring.reserve(4);
+  const std::uint64_t before = alloc_hooks::allocations();
+  ring.reserve(2);  // never shrinks
+  int pushed = 0;
+  int popped = 0;
+  for (int i = 0; i < 3; ++i) ring.push_back(pushed++);
+  // At depth 3 and 4 the head and tail wrap round the four slots.
+  for (int i = 0; i < 20; ++i) {
+    ring.push_back(pushed++);
+    EXPECT_EQ(ring.front(), popped++);
+    ring.pop_front();
+  }
+  ring.push_back(pushed++);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(alloc_hooks::allocations(), before);
+
+  ring.push_back(pushed++);  // past the reservation: the ring grows
+  EXPECT_GT(alloc_hooks::allocations(), before);
+  EXPECT_EQ(ring.size(), 5u);
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.front(), popped++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
 }
 
 }  // namespace
