@@ -404,7 +404,7 @@ Result<std::vector<controller::UpdateRequest>> make_requests(
 }
 
 // The executor fields both entry points check before wiring a harness.
-Status check_executor_config(const ExecutorConfig& config) {
+Status validate_executor_config(const ExecutorConfig& config) {
   if (config.controller.shards > proto::kMaxXidShards)
     return make_error(Errc::kOutOfRange, "shards must be in [1, 256]");
   // Probes injected 0 ns apart never let the clock advance.
@@ -424,7 +424,7 @@ Result<MultiFlowExecutionResult> execute_multiflow(
   if (instances.size() != schedules.size() || instances.empty())
     return make_error(Errc::kInvalidArgument,
                       "need matching, non-empty instance/schedule lists");
-  if (const Status valid = check_executor_config(config); !valid.ok())
+  if (const Status valid = validate_executor_config(config); !valid.ok())
     return valid.error();
   std::vector<std::size_t> request_of;
   Result<std::vector<controller::UpdateRequest>> built =
@@ -695,7 +695,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   if (!exec.faults.empty())
     return make_error(Errc::kInvalidArgument,
                       "fault injection is not supported in service mode");
-  if (const Status valid = check_executor_config(exec); !valid.ok())
+  if (const Status valid = validate_executor_config(exec); !valid.ok())
     return valid.error();
 
   // Poisson arrivals: the rate bound keeps the mean gap at 1 ns or more.
