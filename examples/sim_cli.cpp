@@ -22,13 +22,15 @@
 //         --config service.json
 //
 // Workloads: fig1 | reversal:<n> | random:<seed>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "tsu/core/config.hpp"
 #include "tsu/core/experiment.hpp"
@@ -38,54 +40,32 @@
 
 namespace {
 
+// The seed list and the sweep's percentile samples take 16 B per seed, so
+// the bound keeps a sweep under 16 MB.
+constexpr std::int64_t kMaxSeeds = 1'000'000;
+
 void usage() {
   std::fprintf(stderr,
                "usage: sim_cli [--algorithm NAME] [--workload SPEC]\n"
-               "               [--seeds N] [--config FILE.json]\n"
-               "               [--flows N] [--switches S]\n"
-               "               [--admission blind|conflict_aware]\n"
-               "               [--max-in-flight K]\n"
-               "               [--batch-mode off|adaptive]\n"
-               "               [--batch-window-ms MS] [--batch-bytes N]\n"
-               "               [--batch-replies]\n"
-               "               [--shards N]\n"
-               "               [--partition hash|block|greedy_cut]\n"
-               "               [--exec sequential|parallel] [--threads N]\n"
-               "               [--faults FILE.json] [--liveness-ms MS]\n"
-               "               [--failure-response wait|rollback]\n"
-               "               [--serve] [--rate R] [--duration-ms MS]\n"
-               "               [--target N] [--max-pending N]\n"
+               "               [--seeds N] [--config FILE.json] [--serve]\n"
+               "               [KNOB FLAGS]\n"
                "  algorithms: oneshot twophase wayup peacock slf-greedy "
                "secure optimal\n"
                "  workloads : fig1 | reversal:<n> | random:<seed>\n"
-               "  --flows >1 runs the concurrent multi-flow engine on a\n"
-               "  shared pool of --switches switches (default 6 per flow)\n"
-               "  --max-in-flight 1 is the paper's serializing queue\n"
-               "  --batch-mode adaptive holds a per-switch outbox to pack\n"
-               "  cross-flow frames, up to the window (or byte budget) as\n"
-               "  the queue fills and not at all when idle;\n"
-               "  --batch-replies coalesces same-instant\n"
-               "  switch->controller replies too\n"
-               "  --shards N partitions the switches across N controller\n"
-               "  shards (hash scatters NodeIds, block keeps contiguous\n"
-               "  ranges shard-local, greedy_cut packs switches that share\n"
-               "  updates onto one shard to minimize the cross-shard cut);\n"
-               "  cross-shard updates synchronize round-by-round through\n"
-               "  the shard coordinator. --exec parallel steps independent\n"
-               "  shards on --threads workers (0 = auto) between safe\n"
-               "  horizons - bit-identical results, less wall-clock\n"
-               "  --faults replays a serialized FaultSchedule (switch\n"
-               "  crashes, control-link outages, frame blackholes) against\n"
-               "  the run; --liveness-ms sets the controller's detection\n"
-               "  timeout and --failure-response picks retry vs rollback\n"
-               "  --serve runs the open-loop service: Poisson arrivals at\n"
-               "  --rate req/s (at most 1e9) over --flows templates on\n"
-               "  --switches pool switches until --duration-ms of sim time\n"
-               "  or --target accepted requests (one is required), served\n"
-               "  in arrival order; arrivals beyond the --max-pending\n"
-               "  backlog are shed; live snapshots and the final stats\n"
-               "  print as JSON, and a --config file may carry a\n"
-               "  \"service\" block for the full schema (snapshot cadence)\n");
+               "  --seeds N (1 to 1000000, default 10) sweeps the planned\n"
+               "  schedule over seeds seed .. seed + N - 1\n"
+               "  --flows above 1 runs the concurrent multi-flow engine\n"
+               "  instead: peacock-planned flows on a shared pool of\n"
+               "  --switches switches (default 6 per flow)\n"
+               "  --serve runs the open-loop service: Poisson arrivals over\n"
+               "  --flows templates until --duration-ms or --target, served\n"
+               "  in arrival order; live snapshots (every 100 ms unless\n"
+               "  snapshot_interval_ms is set) and the final stats print as\n"
+               "  JSON, and a --config file may carry a \"service\" block\n"
+               "Knob flags set the config knob in parentheses as its JSON\n"
+               "key does, with the same bound, and win over --config:\n"
+               "%s",
+               tsu::core::knob_flag_usage().c_str());
 }
 
 // Multi-flow mode: N peacock-planned flows over a shared switch pool,
@@ -174,10 +154,10 @@ int run_multiflow(std::size_t flows, std::size_t switches,
 // Serve mode: open-loop service with live JSON snapshots on stdout.
 int run_service(tsu::core::ServiceConfig config) {
   using namespace tsu;
-  std::printf("service  : %s\n",
-              json::write(core::service_config_to_json(config)).c_str());
   if (config.snapshot_interval == 0)
     config.snapshot_interval = sim::milliseconds(100);
+  std::printf("service  : %s\n",
+              json::write(core::service_config_to_json(config)).c_str());
   config.on_snapshot = [](const core::ServiceSnapshot& snapshot) {
     std::printf("snapshot : %s\n", rest::to_json(snapshot).c_str());
   };
@@ -216,33 +196,12 @@ int main(int argc, char** argv) {
   std::string algorithm_name = "wayup";
   std::string workload = "fig1";
   std::size_t seeds = 10;
-  std::size_t flows = 1;
-  std::size_t switches = 0;  // 0: sized from --flows (6 per flow)
-  core::ExecutorConfig config;
-  // Controller flags are collected separately and applied after the loop,
-  // so they win over a --config file regardless of argument order.
-  std::optional<controller::AdmissionPolicy> admission_flag;
-  std::optional<std::size_t> max_in_flight_flag;
-  std::optional<controller::BatchMode> batch_mode_flag;
-  std::optional<double> batch_window_ms_flag;
-  std::optional<std::size_t> batch_bytes_flag;
-  bool batch_replies_flag = false;
-  std::optional<std::size_t> shards_flag;
-  std::optional<topo::PartitionScheme> partition_flag;
-  std::optional<sim::ExecMode> exec_flag;
-  std::optional<std::size_t> threads_flag;
-  std::optional<sim::FaultSchedule> faults_flag;
-  std::optional<double> liveness_ms_flag;
-  std::optional<controller::FailureResponse> failure_response_flag;
   bool serve = false;
-  bool switches_set = false;
-  std::optional<double> rate_flag;
-  std::optional<double> duration_ms_flag;
-  std::optional<std::uint64_t> target_flag;
-  std::optional<std::size_t> max_pending_flag;
-  // The config file is parsed after the loop: --serve selects the service
-  // document parser (which accepts the "service" block).
+  // The config file and the knob flags apply after the loop: --serve
+  // selects the document parser, and flags win over the file whatever the
+  // argument order.
   std::optional<std::string> config_text;
+  std::vector<std::pair<std::string_view, const char*>> knob_flags;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -260,132 +219,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--seeds") {
       const char* v = next();
       const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 1) return usage(), 1;
+      if (!n.has_value() || *n < 1 || *n > kMaxSeeds) return usage(), 1;
       seeds = static_cast<std::size_t>(*n);
-    } else if (arg == "--flows") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 1) return usage(), 1;
-      flows = static_cast<std::size_t>(*n);
-    } else if (arg == "--switches") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 6) return usage(), 1;
-      switches = static_cast<std::size_t>(*n);
-      switches_set = true;
     } else if (arg == "--serve") {
       serve = true;
-    } else if (arg == "--rate") {
-      const char* v = next();
-      char* endp = nullptr;
-      const double rate = v != nullptr ? std::strtod(v, &endp) : -1;
-      if (v == nullptr || endp == v || !(rate > 0) ||
-          rate > core::kMaxArrivalRate)
-        return usage(), 1;
-      rate_flag = rate;
-    } else if (arg == "--duration-ms") {
-      const char* v = next();
-      char* endp = nullptr;
-      const double ms = v != nullptr ? std::strtod(v, &endp) : -1;
-      if (v == nullptr || endp == v || ms <= 0) return usage(), 1;
-      duration_ms_flag = ms;
-    } else if (arg == "--target") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 1) return usage(), 1;
-      target_flag = static_cast<std::uint64_t>(*n);
-    } else if (arg == "--max-pending") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 1) return usage(), 1;
-      max_pending_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--admission") {
-      const char* v = next();
-      const auto policy = v != nullptr
-                              ? controller::admission_policy_from_string(v)
-                              : std::nullopt;
-      if (!policy.has_value()) return usage(), 1;
-      admission_flag = *policy;
-    } else if (arg == "--max-in-flight") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 1) return usage(), 1;
-      max_in_flight_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--batch-mode") {
-      const char* v = next();
-      const auto mode =
-          v != nullptr ? controller::batch_mode_from_string(v) : std::nullopt;
-      if (!mode.has_value()) return usage(), 1;
-      batch_mode_flag = *mode;
-    } else if (arg == "--batch-window-ms") {
-      const char* v = next();
-      char* endp = nullptr;
-      const double ms = v != nullptr ? std::strtod(v, &endp) : -1;
-      if (v == nullptr || endp == v || ms < 0) return usage(), 1;
-      batch_window_ms_flag = ms;
-    } else if (arg == "--batch-bytes") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 1) return usage(), 1;
-      batch_bytes_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--batch-replies") {
-      batch_replies_flag = true;
-    } else if (arg == "--shards") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 1 ||
-          *n > static_cast<std::int64_t>(proto::kMaxXidShards))
-        return usage(), 1;
-      shards_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--partition") {
-      const char* v = next();
-      const auto scheme =
-          v != nullptr ? topo::partition_scheme_from_string(v) : std::nullopt;
-      if (!scheme.has_value()) return usage(), 1;
-      partition_flag = *scheme;
-    } else if (arg == "--exec") {
-      const char* v = next();
-      const auto mode =
-          v != nullptr ? sim::exec_mode_from_string(v) : std::nullopt;
-      if (!mode.has_value()) return usage(), 1;
-      exec_flag = *mode;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 0) return usage(), 1;
-      threads_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--faults") {
-      const char* v = next();
-      if (v == nullptr) return usage(), 1;
-      std::ifstream file(v);
-      if (!file) {
-        std::fprintf(stderr, "cannot open %s\n", v);
-        return 1;
-      }
-      std::ostringstream buffer;
-      buffer << file.rdbuf();
-      const std::string text = buffer.str();
-      Result<sim::FaultSchedule> schedule =
-          sim::FaultSchedule::from_json(std::string_view(text));
-      if (!schedule.ok()) {
-        std::fprintf(stderr, "bad fault schedule: %s\n",
-                     schedule.error().to_string().c_str());
-        return 1;
-      }
-      faults_flag = std::move(schedule).value();
-    } else if (arg == "--liveness-ms") {
-      const char* v = next();
-      char* endp = nullptr;
-      const double ms = v != nullptr ? std::strtod(v, &endp) : -1;
-      if (v == nullptr || endp == v || ms < 0) return usage(), 1;
-      liveness_ms_flag = ms;
-    } else if (arg == "--failure-response") {
-      const char* v = next();
-      const auto response =
-          v != nullptr ? controller::failure_response_from_string(v)
-                       : std::nullopt;
-      if (!response.has_value()) return usage(), 1;
-      failure_response_flag = *response;
     } else if (arg == "--config") {
       const char* v = next();
       if (v == nullptr) return usage(), 1;
@@ -398,72 +235,63 @@ int main(int argc, char** argv) {
       buffer << file.rdbuf();
       config_text = buffer.str();
     } else {
-      usage();
-      return arg == "--help" ? 0 : 1;
+      const std::vector<core::Knob>& knobs = core::knobs();
+      const auto knob = std::find_if(
+          knobs.begin(), knobs.end(), [&](const core::Knob& k) {
+            return k.flag != nullptr && arg == k.flag;
+          });
+      if (knob == knobs.end()) {
+        usage();
+        return arg == "--help" ? 0 : 1;
+      }
+      // A bool knob's flag stands alone and sets true.
+      const char* v = knob->unit == core::Knob::Unit::kBool ? "true" : next();
+      if (v == nullptr) return usage(), 1;
+      knob_flags.emplace_back(arg, v);
     }
   }
 
   core::ServiceConfig service;
   if (config_text.has_value()) {
+    const std::string_view text(*config_text);
+    Status parsed;
     if (serve) {
-      Result<core::ServiceConfig> parsed =
-          core::service_config_from_json(std::string_view(*config_text));
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad config: %s\n",
-                     parsed.error().to_string().c_str());
-        return 1;
-      }
-      service = std::move(parsed).value();
-      config = service.exec;
+      Result<core::ServiceConfig> doc = core::service_config_from_json(text);
+      if (doc.ok()) service = std::move(doc).value();
+      else parsed = doc.error();
     } else {
-      Result<core::ExecutorConfig> parsed =
-          core::config_from_json(std::string_view(*config_text));
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "bad config: %s\n",
-                     parsed.error().to_string().c_str());
-        return 1;
-      }
-      config = parsed.value();
+      Result<core::ExecutorConfig> doc = core::config_from_json(text);
+      if (doc.ok()) service.exec = std::move(doc).value();
+      else parsed = doc.error();
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "bad config: %s\n",
+                   parsed.error().to_string().c_str());
+      return 1;
+    }
+  }
+  if (!serve) {
+    // Without --serve, --flows counts closed-loop flows (one: the seed
+    // sweep below) and --switches sizes their pool (0: 6 per flow).
+    service.flows = 1;
+    service.pool_switches = 0;
+  }
+  for (const auto& [flag, value] : knob_flags) {
+    if (const Status set = core::set_knob_flag(service, flag, value);
+        !set.ok()) {
+      std::fprintf(stderr, "bad %s: %s\n", std::string(flag).c_str(),
+                   set.error().to_string().c_str());
+      return 1;
     }
   }
 
-  if (admission_flag.has_value())
-    config.controller.admission = *admission_flag;
-  if (max_in_flight_flag.has_value())
-    config.controller.max_in_flight = *max_in_flight_flag;
-  if (batch_mode_flag.has_value())
-    config.controller.batch_mode = *batch_mode_flag;
-  if (batch_window_ms_flag.has_value())
-    config.controller.batch_window = sim::from_ms(*batch_window_ms_flag);
-  if (batch_bytes_flag.has_value())
-    config.controller.batch_bytes = *batch_bytes_flag;
-  if (batch_replies_flag) config.switch_config.batch_replies = true;
-  if (shards_flag.has_value()) config.controller.shards = *shards_flag;
-  if (partition_flag.has_value())
-    config.controller.partition = *partition_flag;
-  if (exec_flag.has_value()) config.controller.exec = *exec_flag;
-  if (threads_flag.has_value()) config.controller.threads = *threads_flag;
-  if (faults_flag.has_value()) config.faults = std::move(*faults_flag);
-  if (liveness_ms_flag.has_value())
-    config.controller.liveness_timeout = sim::from_ms(*liveness_ms_flag);
-  if (failure_response_flag.has_value())
-    config.controller.failure_response = *failure_response_flag;
-
-  if (serve) {
-    service.exec = config;
-    if (flows > 1) service.flows = flows;
-    if (switches_set) service.pool_switches = switches;
-    if (rate_flag.has_value()) service.arrival_rate_per_sec = *rate_flag;
-    if (duration_ms_flag.has_value())
-      service.horizon = sim::from_ms(*duration_ms_flag);
-    if (target_flag.has_value()) service.target_completions = *target_flag;
-    if (max_pending_flag.has_value()) service.max_pending = *max_pending_flag;
-    return run_service(std::move(service));
-  }
-
-  if (flows > 1) {
-    if (switches == 0) switches = flows * 6;
-    return run_multiflow(flows, switches, config);
+  if (serve) return run_service(std::move(service));
+  const core::ExecutorConfig& config = service.exec;
+  if (service.flows > 1) {
+    return run_multiflow(service.flows,
+                         service.pool_switches != 0 ? service.pool_switches
+                                                    : service.flows * 6,
+                         config);
   }
 
   const auto algorithm = core::algorithm_from_string(algorithm_name);

@@ -14,13 +14,6 @@ const char* to_string(AdmissionPolicy policy) noexcept {
   return "?";
 }
 
-std::optional<AdmissionPolicy> admission_policy_from_string(
-    std::string_view name) noexcept {
-  if (name == "blind") return AdmissionPolicy::kBlind;
-  if (name == "conflict_aware") return AdmissionPolicy::kConflictAware;
-  return std::nullopt;
-}
-
 Footprint Footprint::of(const UpdateRequest& request) {
   Footprint footprint;
   for (const std::vector<RoundOp>& round : request.rounds)

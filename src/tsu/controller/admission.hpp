@@ -25,8 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -42,8 +40,6 @@ enum class AdmissionPolicy : std::uint8_t {
 };
 
 const char* to_string(AdmissionPolicy policy) noexcept;
-std::optional<AdmissionPolicy> admission_policy_from_string(
-    std::string_view name) noexcept;
 
 // One rule a request touches: a switch's table slot filtered by a match.
 struct RuleRef {

@@ -39,25 +39,12 @@ const char* to_string(BatchMode mode) noexcept {
   return "?";
 }
 
-std::optional<BatchMode> batch_mode_from_string(std::string_view name) {
-  if (name == "off") return BatchMode::kOff;
-  if (name == "adaptive") return BatchMode::kAdaptive;
-  return std::nullopt;
-}
-
 const char* to_string(FailureResponse response) noexcept {
   switch (response) {
     case FailureResponse::kWait: return "wait";
     case FailureResponse::kRollback: return "rollback";
   }
   return "?";
-}
-
-std::optional<FailureResponse> failure_response_from_string(
-    std::string_view name) noexcept {
-  if (name == "wait") return FailureResponse::kWait;
-  if (name == "rollback") return FailureResponse::kRollback;
-  return std::nullopt;
 }
 
 void Controller::attach_switch(NodeId node, SendFn send) {

@@ -77,7 +77,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -101,7 +100,6 @@ enum class BatchMode : std::uint8_t {
 };
 
 const char* to_string(BatchMode mode) noexcept;
-std::optional<BatchMode> batch_mode_from_string(std::string_view name);
 
 // What a liveness timeout does to the update stalled on a silent switch:
 //   kWait      keep the update alive and re-drive the switch (periodic
@@ -122,8 +120,6 @@ enum class FailureResponse : std::uint8_t {
 };
 
 const char* to_string(FailureResponse response) noexcept;
-std::optional<FailureResponse> failure_response_from_string(
-    std::string_view name) noexcept;
 
 struct ControllerConfig {
   bool use_barriers = true;

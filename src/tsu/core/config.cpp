@@ -1,5 +1,11 @@
 #include "tsu/core/config.hpp"
 
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <type_traits>
+#include <utility>
+
 namespace tsu::core {
 
 namespace {
@@ -18,12 +24,6 @@ Result<double> number_field(const json::Object& obj, const char* key,
     return make_error(Errc::kOutOfRange,
                       std::string("field '") + key + "' below minimum");
   return v;
-}
-
-Result<double> optional_number(const json::Object& obj, const char* key,
-                               double fallback, double minimum) {
-  if (obj.find(key) == nullptr) return fallback;
-  return number_field(obj, key, minimum);
 }
 
 sim::Duration ms(double value) { return sim::from_ms(value); }
@@ -94,225 +94,6 @@ Result<sim::LatencyModel> latency_from_json(const json::Value& value) {
                     "unknown latency kind '" + name + "'");
 }
 
-Result<ExecutorConfig> config_from_json(std::string_view text) {
-  Result<json::Value> doc = json::parse(text);
-  if (!doc.ok()) return doc.error();
-  return config_from_json(doc.value());
-}
-
-Result<ExecutorConfig> config_from_json(const json::Value& value) {
-  if (!value.is_object())
-    return make_error(Errc::kParseError, "config must be an object");
-  ExecutorConfig config;
-
-  for (const auto& [key, field] : value.as_object()) {
-    if (key == "seed") {
-      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.seed = static_cast<std::uint64_t>(n.value());
-    } else if (key == "channel") {
-      if (!field.is_object())
-        return make_error(Errc::kParseError, "'channel' must be an object");
-      const json::Object& chan = field.as_object();
-      for (const auto& [ckey, cval] : chan) {
-        if (ckey == "latency") {
-          Result<sim::LatencyModel> model = latency_from_json(cval);
-          if (!model.ok()) return model.error();
-          config.channel.latency = model.value();
-        } else if (ckey == "loss") {
-          // A loss of 1 would retransmit every frame forever.
-          if (!cval.is_number() || cval.as_double() < 0 ||
-              cval.as_double() >= 1)
-            return make_error(Errc::kOutOfRange, "'loss' must be in [0,1)");
-          config.channel.loss_probability = cval.as_double();
-        } else if (ckey == "retransmit_timeout_ms") {
-          Result<double> v =
-              number_field(chan, "retransmit_timeout_ms", 0);
-          if (!v.ok()) return v.error();
-          config.channel.retransmit_timeout = ms(v.value());
-        } else {
-          return make_error(Errc::kParseError,
-                            "unknown channel field '" + ckey + "'");
-        }
-      }
-    } else if (key == "switch") {
-      if (!field.is_object())
-        return make_error(Errc::kParseError, "'switch' must be an object");
-      const json::Object& sw = field.as_object();
-      for (const auto& [skey, sval] : sw) {
-        if (skey == "install") {
-          Result<sim::LatencyModel> model = latency_from_json(sval);
-          if (!model.ok()) return model.error();
-          config.switch_config.install_latency = model.value();
-        } else if (skey == "barrier_us") {
-          Result<double> v = number_field(sw, "barrier_us", 0);
-          if (!v.ok()) return v.error();
-          config.switch_config.barrier_processing =
-              sim::from_ns(v.value() * 1e3);
-        } else if (skey == "processing_us") {
-          Result<double> v = number_field(sw, "processing_us", 0);
-          if (!v.ok()) return v.error();
-          config.switch_config.message_processing =
-              sim::from_ns(v.value() * 1e3);
-        } else if (skey == "batch_replies") {
-          if (!sval.is_bool())
-            return make_error(Errc::kParseError,
-                              "'batch_replies' must be a bool");
-          config.switch_config.batch_replies = sval.as_bool();
-        } else {
-          return make_error(Errc::kParseError,
-                            "unknown switch field '" + skey + "'");
-        }
-      }
-    } else if (key == "use_barriers") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError, "'use_barriers' must be a bool");
-      config.controller.use_barriers = field.as_bool();
-    } else if (key == "max_in_flight") {
-      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.controller.max_in_flight = static_cast<std::size_t>(n.value());
-    } else if (key == "batch_mode") {
-      if (!field.is_string())
-        return make_error(Errc::kParseError, "'batch_mode' must be a string");
-      const std::optional<controller::BatchMode> mode =
-          controller::batch_mode_from_string(field.as_string());
-      if (!mode.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown batch mode '" + field.as_string() +
-                              "' (off | adaptive)");
-      config.controller.batch_mode = *mode;
-    } else if (key == "batch_window_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'batch_window_ms' must be >= 0");
-      config.controller.batch_window = ms(field.as_double());
-    } else if (key == "batch_bytes") {
-      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.controller.batch_bytes = static_cast<std::size_t>(n.value());
-    } else if (key == "admission") {
-      if (!field.is_string())
-        return make_error(Errc::kParseError, "'admission' must be a string");
-      const std::optional<controller::AdmissionPolicy> policy =
-          controller::admission_policy_from_string(field.as_string());
-      if (!policy.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown admission policy '" + field.as_string() +
-                              "' (blind | conflict_aware)");
-      config.controller.admission = *policy;
-    } else if (key == "shards") {
-      const Result<std::int64_t> n = field.int_in(
-          key, 1, static_cast<std::int64_t>(proto::kMaxXidShards));
-      if (!n.ok()) return n.error();
-      config.controller.shards = static_cast<std::size_t>(n.value());
-    } else if (key == "partition") {
-      if (!field.is_string())
-        return make_error(Errc::kParseError, "'partition' must be a string");
-      const std::optional<topo::PartitionScheme> scheme =
-          topo::partition_scheme_from_string(field.as_string());
-      if (!scheme.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown partition scheme '" + field.as_string() +
-                              "' (hash | block | greedy_cut)");
-      config.controller.partition = *scheme;
-    } else if (key == "exec") {
-      if (!field.is_string())
-        return make_error(Errc::kParseError, "'exec' must be a string");
-      const std::optional<sim::ExecMode> mode =
-          sim::exec_mode_from_string(field.as_string());
-      if (!mode.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown exec mode '" + field.as_string() +
-                              "' (sequential | parallel)");
-      config.controller.exec = *mode;
-    } else if (key == "threads") {
-      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.controller.threads = static_cast<std::size_t>(n.value());
-    } else if (key == "flow") {
-      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.flow = static_cast<FlowId>(n.value());
-    } else if (key == "priority") {
-      const Result<std::int64_t> n = field.int_in(key, 0, 0xffff);
-      if (!n.ok()) return n.error();
-      config.priority = static_cast<std::uint16_t>(n.value());
-    } else if (key == "interval_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'interval_ms' must be >= 0");
-      config.interval = ms(field.as_double());
-    } else if (key == "faults") {
-      Result<sim::FaultSchedule> schedule = sim::FaultSchedule::from_json(field);
-      if (!schedule.ok()) return schedule.error();
-      config.faults = std::move(schedule.value());
-    } else if (key == "liveness_timeout_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange,
-                          "'liveness_timeout_ms' must be >= 0");
-      config.controller.liveness_timeout = ms(field.as_double());
-    } else if (key == "failure_response") {
-      if (!field.is_string())
-        return make_error(Errc::kParseError,
-                          "'failure_response' must be a string");
-      const std::optional<controller::FailureResponse> response =
-          controller::failure_response_from_string(field.as_string());
-      if (!response.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown failure response '" + field.as_string() +
-                              "' (wait | rollback)");
-      config.controller.failure_response = *response;
-    } else if (key == "resubmit") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError, "'resubmit' must be a bool");
-      config.controller.resubmit_after_rollback = field.as_bool();
-    } else if (key == "traffic") {
-      if (!field.is_object())
-        return make_error(Errc::kParseError, "'traffic' must be an object");
-      const json::Object& traffic = field.as_object();
-      for (const auto& [tkey, tval] : traffic) {
-        if (tkey == "enabled") {
-          if (!tval.is_bool())
-            return make_error(Errc::kParseError, "'enabled' must be a bool");
-          config.with_traffic = tval.as_bool();
-        } else if (tkey == "interarrival") {
-          Result<sim::LatencyModel> model = latency_from_json(tval);
-          if (!model.ok()) return model.error();
-          config.traffic_interarrival = model.value();
-        } else if (tkey == "link") {
-          Result<sim::LatencyModel> model = latency_from_json(tval);
-          if (!model.ok()) return model.error();
-          config.link_latency = model.value();
-        } else if (tkey == "ttl") {
-          const Result<std::int64_t> ttl = tval.int_in(tkey, 1, 1024);
-          if (!ttl.ok()) return ttl.error();
-          config.ttl = static_cast<int>(ttl.value());
-        } else if (tkey == "warmup_ms") {
-          Result<double> v = optional_number(traffic, "warmup_ms", 5, 0);
-          if (!v.ok()) return v.error();
-          config.warmup = ms(v.value());
-        } else if (tkey == "drain_ms") {
-          Result<double> v = optional_number(traffic, "drain_ms", 20, 0);
-          if (!v.ok()) return v.error();
-          config.drain = ms(v.value());
-        } else {
-          return make_error(Errc::kParseError,
-                            "unknown traffic field '" + tkey + "'");
-        }
-      }
-    } else if (key == "service") {
-      // The open-loop block belongs to the service document; rejecting it
-      // here with a pointer beats the generic unknown-key error.
-      return make_error(Errc::kParseError,
-                        "'service' requires the service entry point "
-                        "(service_config_from_json)");
-    } else {
-      return make_error(Errc::kParseError,
-                        "unknown config field '" + key + "'");
-    }
-  }
-  return config;
-}
-
 namespace {
 
 json::Value latency_to_json(const sim::LatencyModel& model) {
@@ -346,70 +127,346 @@ json::Value latency_to_json(const sim::LatencyModel& model) {
   return json::Value(std::move(obj));
 }
 
+using Block = Knob::Block;
+using Unit = Knob::Unit;
+
+constexpr double kMaxInt = static_cast<double>(json::kMaxExactInt);
+// A number knob with no upper bound takes any finite value.
+constexpr double kNoMax = std::numeric_limits<double>::max();
+
+// The knob list: every config knob, declared once, in the order the
+// renderers write them. Parsing, rendering, the unknown-key errors and
+// sim_cli's knob flags all walk it; the defaults are the structs'
+// initializers. `Service` is ServiceConfig, const or not.
+template <typename Service, typename Visit>
+void visit_knobs(Service& config, Visit&& visit) {
+  using enum Knob::Block;
+  using enum Knob::Unit;
+  auto& exec = config.exec;
+  auto& sw = exec.switch_config;
+  auto& ctl = exec.controller;
+  visit({.key = "seed", .unit = kCount, .hi = kMaxInt}, exec.seed);
+  visit({.key = "latency", .block = kChannel, .unit = kLatency},
+        exec.channel.latency);
+  // A loss of 1 would retransmit every frame forever, so the bound is the
+  // largest double below 1.
+  visit({.key = "loss", .block = kChannel, .unit = kFraction,
+         .hi = 1 - std::numeric_limits<double>::epsilon() / 2},
+        exec.channel.loss_probability);
+  visit({.key = "retransmit_timeout_ms", .block = kChannel, .unit = kMs,
+         .hi = kNoMax},
+        exec.channel.retransmit_timeout);
+  visit({.key = "install", .block = kSwitch, .unit = kLatency},
+        sw.install_latency);
+  visit({.key = "barrier_us", .block = kSwitch, .unit = kUs, .hi = kNoMax},
+        sw.barrier_processing);
+  visit({.key = "processing_us", .block = kSwitch, .unit = kUs, .hi = kNoMax},
+        sw.message_processing);
+  visit({.key = "batch_replies", .block = kSwitch, .unit = kBool,
+         .flag = "--batch-replies",
+         .doc = "coalesce same-instant switch->controller replies"},
+        sw.batch_replies);
+  visit({.key = "use_barriers", .unit = kBool}, ctl.use_barriers);
+  visit({.key = "max_in_flight", .unit = kCount, .lo = 1, .hi = kMaxInt,
+         .flag = "--max-in-flight",
+         .doc = "updates in flight per shard; 1 is the paper's queue"},
+        ctl.max_in_flight);
+  visit({.key = "batch_mode", .unit = kEnum, .flag = "--batch-mode",
+         .doc = "adaptive packs cross-flow frames, holding longer as the "
+                "queue fills"},
+        ctl.batch_mode);
+  visit({.key = "batch_window_ms", .unit = kMs, .hi = kNoMax,
+         .flag = "--batch-window-ms", .doc = "the longest adaptive hold"},
+        ctl.batch_window);
+  visit({.key = "batch_bytes", .unit = kCount, .lo = 1, .hi = kMaxInt,
+         .flag = "--batch-bytes",
+         .doc = "encoded bytes that flush an adaptive outbox"},
+        ctl.batch_bytes);
+  visit({.key = "admission", .unit = kEnum, .flag = "--admission",
+         .doc = "conflict_aware admits past blocked heads by rule conflicts"},
+        ctl.admission);
+  // A shard index must fit the xid's shard field.
+  visit({.key = "shards", .unit = kCount, .lo = 1, .hi = proto::kMaxXidShards,
+         .flag = "--shards",
+         .doc = "controller shards; cross-shard rounds sync through a "
+                "coordinator"},
+        ctl.shards);
+  visit({.key = "partition", .unit = kEnum, .flag = "--partition",
+         .doc = "switch-to-shard map; greedy_cut minimizes the cross-shard "
+                "cut"},
+        ctl.partition);
+  visit({.key = "exec", .unit = kEnum, .flag = "--exec",
+         .doc = "parallel steps shards on threads, bit-identical results"},
+        ctl.exec);
+  visit({.key = "threads", .unit = kCount, .hi = kMaxInt, .flag = "--threads",
+         .doc = "parallel workers (0: min(shards, hardware threads))"},
+        ctl.threads);
+  visit({.key = "flow", .unit = kCount, .hi = kMaxInt}, exec.flow);
+  visit({.key = "priority", .unit = kCount, .hi = 0xffff}, exec.priority);
+  visit({.key = "interval_ms", .unit = kMs, .hi = kNoMax}, exec.interval);
+  visit({.key = "liveness_timeout_ms", .unit = kMs, .hi = kNoMax,
+         .flag = "--liveness-ms", .doc = "fault-detection timeout (0: off)"},
+        ctl.liveness_timeout);
+  visit({.key = "failure_response", .unit = kEnum,
+         .flag = "--failure-response",
+         .doc = "on a liveness timeout, retry or roll the update back"},
+        ctl.failure_response);
+  visit({.key = "resubmit", .unit = kBool}, ctl.resubmit_after_rollback);
+  visit({.key = "faults", .unit = kFaults, .flag = "--faults",
+         .doc = "replay switch crashes, link outages and frame blackholes"},
+        exec.faults);
+  visit({.key = "enabled", .block = kTraffic, .unit = kBool},
+        exec.with_traffic);
+  visit({.key = "interarrival", .block = kTraffic, .unit = kLatency},
+        exec.traffic_interarrival);
+  visit({.key = "link", .block = kTraffic, .unit = kLatency},
+        exec.link_latency);
+  visit({.key = "ttl", .block = kTraffic, .unit = kCount, .lo = 1, .hi = 1024},
+        exec.ttl);
+  visit({.key = "warmup_ms", .block = kTraffic, .unit = kMs, .hi = kNoMax},
+        exec.warmup);
+  visit({.key = "drain_ms", .block = kTraffic, .unit = kMs, .hi = kNoMax},
+        exec.drain);
+  // Template i spans node ids up to 6i + 5 at 16 B each per direction
+  // (topo::pool_workload, update::Instance), so 4096 templates hold at most
+  // 1.5 GiB.
+  visit({.key = "flows", .block = kService, .unit = kCount, .lo = 1,
+         .hi = 4096, .flag = "--flows",
+         .doc = "service templates, or multi-flow engine flows if above 1"},
+        config.flows);
+  // Node ids run below pool_switches and must fit the 32-bit NodeId below
+  // kInvalidNode.
+  visit({.key = "pool_switches", .block = kService, .unit = kCount,
+         .lo = kMinPoolSwitches, .hi = kInvalidNode, .flag = "--switches",
+         .doc = "switches the templates share (multi-flow: 6 per flow)"},
+        config.pool_switches);
+  visit({.key = "rate_per_sec", .block = kService, .unit = kRate,
+         .lo = std::numeric_limits<double>::denorm_min(),
+         .hi = kMaxArrivalRate, .flag = "--rate",
+         .doc = "Poisson arrivals per second"},
+        config.arrival_rate_per_sec);
+  visit({.key = "horizon_ms", .block = kService, .unit = kMs, .hi = kNoMax,
+         .flag = "--duration-ms", .doc = "stop arrivals at this sim time "
+                                         "(0: none)"},
+        config.horizon);
+  visit({.key = "target", .block = kService, .unit = kCount, .hi = kMaxInt,
+         .flag = "--target",
+         .doc = "stop arrivals once this many are accepted (0: none)"},
+        config.target_completions);
+  visit({.key = "max_pending", .block = kService, .unit = kCount, .lo = 1,
+         .hi = kMaxInt, .flag = "--max-pending",
+         .doc = "pending backlog; arrivals beyond it are shed"},
+        config.max_pending);
+  visit({.key = "snapshot_interval_ms", .block = kService, .unit = kMs,
+         .hi = kNoMax},
+        config.snapshot_interval);
+  visit({.key = "snapshot_window", .block = kService, .unit = kCount,
+         .lo = 1, .hi = kMaxSnapshotWindow},
+        config.snapshot_window);
+}
+
+std::string range_text(const Knob& knob) {
+  const std::string lo = json::write(json::Value(knob.lo));
+  if (knob.hi == kNoMax) return ">= " + lo;
+  return "in [" + lo + ", " + json::write(json::Value(knob.hi)) + "]";
+}
+
+// An enum knob's names are its to_string's, in value order; to_string
+// answers "?" past the last value.
+template <typename E>
+const char* enum_name(unsigned value) {
+  const char* name = to_string(static_cast<E>(value));
+  return std::string_view(name) == "?" ? nullptr : name;
+}
+
+template <typename E>
+std::string enum_names(std::string_view separator) {
+  std::string names;
+  for (unsigned i = 0; enum_name<E>(i) != nullptr; ++i)
+    names.append(i == 0 ? "" : separator).append(enum_name<E>(i));
+  return names;
+}
+
+Error wrong_type(const Knob& knob, const char* type) {
+  return make_error(Errc::kParseError,
+                    std::string("'") + knob.key + "' must be " + type);
+}
+
+// Sets `field` from the knob's JSON value.
+template <typename T>
+Status read_knob(const Knob& knob, const json::Value& value, T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!value.is_bool()) return wrong_type(knob, "a bool");
+    field = value.as_bool();
+  } else if constexpr (std::is_enum_v<T>) {
+    if (!value.is_string()) return wrong_type(knob, "a string");
+    for (unsigned i = 0; enum_name<T>(i) != nullptr; ++i) {
+      if (value.as_string() == enum_name<T>(i)) {
+        field = static_cast<T>(i);
+        return Status{};
+      }
+    }
+    return make_error(Errc::kParseError,
+                      std::string("unknown ") + knob.key + " '" +
+                          value.as_string() + "' (" + enum_names<T>(" | ") +
+                          ")");
+  } else if constexpr (std::is_same_v<T, sim::LatencyModel>) {
+    Result<sim::LatencyModel> model = latency_from_json(value);
+    if (!model.ok()) return model.error();
+    field = model.value();
+  } else if constexpr (std::is_same_v<T, sim::FaultSchedule>) {
+    Result<sim::FaultSchedule> schedule = sim::FaultSchedule::from_json(value);
+    if (!schedule.ok()) return schedule.error();
+    field = std::move(schedule).value();
+  } else if (knob.unit == Unit::kCount) {
+    const Result<std::int64_t> n =
+        value.int_in(knob.key, static_cast<std::int64_t>(knob.lo),
+                     static_cast<std::int64_t>(knob.hi));
+    if (!n.ok()) return n.error();
+    field = static_cast<T>(n.value());
+  } else {
+    if (!value.is_number()) return wrong_type(knob, "a number");
+    const double v = value.as_double();
+    if (!(v >= knob.lo && v <= knob.hi))
+      return make_error(Errc::kOutOfRange, std::string("'") + knob.key +
+                                               "' must be a number " +
+                                               range_text(knob));
+    if constexpr (std::is_floating_point_v<T>)
+      field = v;
+    else
+      field = knob.unit == Unit::kMs ? ms(v) : sim::from_ns(v * 1e3);
+  }
+  return Status{};
+}
+
+// The knob's JSON value; null leaves the key out.
+template <typename T>
+json::Value write_knob(const Knob& knob, const T& field) {
+  if constexpr (std::is_same_v<T, bool> || std::is_floating_point_v<T>) {
+    return json::Value(field);
+  } else if constexpr (std::is_enum_v<T>) {
+    return json::Value(to_string(field));
+  } else if constexpr (std::is_same_v<T, sim::LatencyModel>) {
+    return latency_to_json(field);
+  } else if constexpr (std::is_same_v<T, sim::FaultSchedule>) {
+    // Written only when non-empty, so fault-free configs stay byte-stable.
+    return field.empty() ? json::Value() : field.to_json();
+  } else if (knob.unit == Unit::kMs) {
+    return json::Value(sim::to_ms(field));
+  } else if (knob.unit == Unit::kUs) {
+    return json::Value(sim::to_us(field));
+  } else {
+    return json::Value(static_cast<std::int64_t>(field));
+  }
+}
+
+Status set_knob(ServiceConfig& config, Block block, std::string_view key,
+                const json::Value& value) {
+  Status status = make_error(Errc::kParseError,
+                             std::string("unknown ") + to_string(block) +
+                                 " field '" + std::string(key) + "'");
+  visit_knobs(config, [&](const Knob& knob, auto& field) {
+    if (knob.block == block && key == knob.key)
+      status = read_knob(knob, value, field);
+  });
+  return status;
+}
+
+// Reads a document onto `config`; `with_service` admits the "service"
+// block.
+Status read_document(const json::Value& doc, ServiceConfig& config,
+                     bool with_service) {
+  if (!doc.is_object())
+    return make_error(Errc::kParseError, "config must be an object");
+  for (const auto& [key, value] : doc.as_object()) {
+    Block block = Block::kTop;
+    for (const Block b : {Block::kChannel, Block::kSwitch, Block::kTraffic,
+                          Block::kService})
+      if (key == to_string(b)) block = b;
+    if (block == Block::kTop) {
+      if (Status s = set_knob(config, block, key, value); !s.ok()) return s;
+      continue;
+    }
+    // The open-loop block belongs to the service document; rejecting it
+    // here with a pointer beats the generic unknown-key error.
+    if (block == Block::kService && !with_service)
+      return make_error(Errc::kParseError,
+                        "'service' requires the service entry point "
+                        "(service_config_from_json)");
+    if (!value.is_object())
+      return make_error(Errc::kParseError,
+                        "'" + key + "' must be an object");
+    for (const auto& [inner, inner_value] : value.as_object())
+      if (Status s = set_knob(config, block, inner, inner_value); !s.ok())
+        return s;
+  }
+  return Status{};
+}
+
+json::Value write_document(const ServiceConfig& config, bool with_service) {
+  json::Object root;
+  visit_knobs(config, [&](const Knob& knob, const auto& field) {
+    if (knob.block == Block::kService && !with_service) return;
+    json::Value value = write_knob(knob, field);
+    if (value.is_null()) return;
+    json::Object* object = &root;
+    if (knob.block != Block::kTop) {
+      json::Value* block = root.find(to_string(knob.block));
+      if (block == nullptr)
+        block = &root.set(to_string(knob.block), json::Object{});
+      object = &block->as_object();
+    }
+    object->set(knob.key, std::move(value));
+  });
+  return json::Value(std::move(root));
+}
+
+// The JSON value a flag's text stands for: what the text parses as, else
+// the text as a string. A kFaults flag names a JSON file instead.
+Result<json::Value> flag_value(const Knob& knob, std::string_view text) {
+  if (knob.unit != Unit::kFaults) {
+    Result<json::Value> parsed = json::parse(text);
+    if (parsed.ok()) return parsed;
+    return json::Value(std::string(text));
+  }
+  std::ifstream file{std::string(text)};
+  if (!file)
+    return make_error(Errc::kNotFound, "cannot open " + std::string(text));
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return json::parse(buffer.str());
+}
+
 }  // namespace
 
+const char* to_string(Knob::Block block) noexcept {
+  switch (block) {
+    case Block::kTop: return "config";
+    case Block::kChannel: return "channel";
+    case Block::kSwitch: return "switch";
+    case Block::kTraffic: return "traffic";
+    case Block::kService: return "service";
+  }
+  return "?";
+}
+
+Result<ExecutorConfig> config_from_json(std::string_view text) {
+  Result<json::Value> doc = json::parse(text);
+  if (!doc.ok()) return doc.error();
+  return config_from_json(doc.value());
+}
+
+Result<ExecutorConfig> config_from_json(const json::Value& value) {
+  ServiceConfig config;
+  if (Status s = read_document(value, config, false); !s.ok())
+    return s.error();
+  return std::move(config.exec);
+}
+
 json::Value config_to_json(const ExecutorConfig& config) {
-  json::Object root;
-  root.set("seed", json::Value(static_cast<std::int64_t>(config.seed)));
-
-  json::Object channel;
-  channel.set("latency", latency_to_json(config.channel.latency));
-  channel.set("loss", json::Value(config.channel.loss_probability));
-  channel.set("retransmit_timeout_ms",
-              json::Value(sim::to_ms(config.channel.retransmit_timeout)));
-  root.set("channel", json::Value(std::move(channel)));
-
-  json::Object sw;
-  sw.set("install", latency_to_json(config.switch_config.install_latency));
-  sw.set("barrier_us",
-         json::Value(sim::to_us(config.switch_config.barrier_processing)));
-  sw.set("processing_us",
-         json::Value(sim::to_us(config.switch_config.message_processing)));
-  sw.set("batch_replies", json::Value(config.switch_config.batch_replies));
-  root.set("switch", json::Value(std::move(sw)));
-
-  root.set("use_barriers", json::Value(config.controller.use_barriers));
-  root.set("max_in_flight", json::Value(static_cast<std::int64_t>(
-                                config.controller.max_in_flight)));
-  root.set("batch_mode",
-           json::Value(controller::to_string(config.controller.batch_mode)));
-  root.set("batch_window_ms",
-           json::Value(sim::to_ms(config.controller.batch_window)));
-  root.set("batch_bytes", json::Value(static_cast<std::int64_t>(
-                              config.controller.batch_bytes)));
-  root.set("admission",
-           json::Value(controller::to_string(config.controller.admission)));
-  root.set("shards", json::Value(static_cast<std::int64_t>(
-                         config.controller.shards)));
-  root.set("partition",
-           json::Value(topo::to_string(config.controller.partition)));
-  root.set("exec", json::Value(sim::to_string(config.controller.exec)));
-  root.set("threads", json::Value(static_cast<std::int64_t>(
-                          config.controller.threads)));
-  root.set("flow", json::Value(static_cast<std::int64_t>(config.flow)));
-  root.set("priority",
-           json::Value(static_cast<std::int64_t>(config.priority)));
-  root.set("interval_ms", json::Value(sim::to_ms(config.interval)));
-
-  root.set("liveness_timeout_ms",
-           json::Value(sim::to_ms(config.controller.liveness_timeout)));
-  root.set("failure_response",
-           json::Value(
-               controller::to_string(config.controller.failure_response)));
-  root.set("resubmit", json::Value(config.controller.resubmit_after_rollback));
-  // Emitted only when non-empty, so fault-free configs stay byte-stable.
-  if (!config.faults.empty()) root.set("faults", config.faults.to_json());
-
-  json::Object traffic;
-  traffic.set("enabled", json::Value(config.with_traffic));
-  traffic.set("interarrival", latency_to_json(config.traffic_interarrival));
-  traffic.set("link", latency_to_json(config.link_latency));
-  traffic.set("ttl", json::Value(static_cast<std::int64_t>(config.ttl)));
-  traffic.set("warmup_ms", json::Value(sim::to_ms(config.warmup)));
-  traffic.set("drain_ms", json::Value(sim::to_ms(config.drain)));
-  root.set("traffic", json::Value(std::move(traffic)));
-
-  return json::Value(std::move(root));
+  ServiceConfig service;
+  service.exec = config;
+  return write_document(service, false);
 }
 
 Result<ServiceConfig> service_config_from_json(std::string_view text) {
@@ -419,95 +476,67 @@ Result<ServiceConfig> service_config_from_json(std::string_view text) {
 }
 
 Result<ServiceConfig> service_config_from_json(const json::Value& value) {
-  if (!value.is_object())
-    return make_error(Errc::kParseError, "service config must be an object");
-
-  // Split the document: the "service" block here, everything else through
-  // the executor parser (which keeps rejecting unknown keys).
-  json::Object exec_fields;
-  const json::Value* service_block = nullptr;
-  for (const auto& [key, field] : value.as_object()) {
-    if (key == "service")
-      service_block = &field;
-    else
-      exec_fields.set(key, field);
-  }
-  Result<ExecutorConfig> exec =
-      config_from_json(json::Value(std::move(exec_fields)));
-  if (!exec.ok()) return exec.error();
-
   ServiceConfig config;
-  config.exec = std::move(exec).value();
-  if (service_block == nullptr) return config;
-  if (!service_block->is_object())
-    return make_error(Errc::kParseError, "'service' must be an object");
-
-  for (const auto& [key, field] : service_block->as_object()) {
-    if (key == "flows") {
-      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.flows = static_cast<std::size_t>(n.value());
-    } else if (key == "pool_switches") {
-      const Result<std::int64_t> n = field.int_in(
-          key, static_cast<std::int64_t>(kMinPoolSwitches), json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.pool_switches = static_cast<std::size_t>(n.value());
-    } else if (key == "rate_per_sec") {
-      if (!field.is_number() || field.as_double() <= 0 ||
-          field.as_double() > kMaxArrivalRate)
-        return make_error(Errc::kOutOfRange,
-                          "'rate_per_sec' must be in (0, 1e9]");
-      config.arrival_rate_per_sec = field.as_double();
-    } else if (key == "horizon_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'horizon_ms' must be >= 0");
-      config.horizon = ms(field.as_double());
-    } else if (key == "target") {
-      const Result<std::int64_t> n = field.int_in(key, 0, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.target_completions = static_cast<std::uint64_t>(n.value());
-    } else if (key == "max_pending") {
-      const Result<std::int64_t> n = field.int_in(key, 1, json::kMaxExactInt);
-      if (!n.ok()) return n.error();
-      config.max_pending = static_cast<std::size_t>(n.value());
-    } else if (key == "snapshot_interval_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange,
-                          "'snapshot_interval_ms' must be >= 0");
-      config.snapshot_interval = ms(field.as_double());
-    } else if (key == "snapshot_window") {
-      const Result<std::int64_t> n = field.int_in(
-          key, 1, static_cast<std::int64_t>(kMaxSnapshotWindow));
-      if (!n.ok()) return n.error();
-      config.snapshot_window = static_cast<std::size_t>(n.value());
-    } else {
-      return make_error(Errc::kParseError,
-                        "unknown service field '" + key + "'");
-    }
-  }
+  if (Status s = read_document(value, config, true); !s.ok())
+    return s.error();
   return config;
 }
 
 json::Value service_config_to_json(const ServiceConfig& config) {
-  json::Value root = config_to_json(config.exec);
+  return write_document(config, true);
+}
 
-  json::Object service;
-  service.set("flows",
-              json::Value(static_cast<std::int64_t>(config.flows)));
-  service.set("pool_switches", json::Value(static_cast<std::int64_t>(
-                                   config.pool_switches)));
-  service.set("rate_per_sec", json::Value(config.arrival_rate_per_sec));
-  service.set("horizon_ms", json::Value(sim::to_ms(config.horizon)));
-  service.set("target", json::Value(static_cast<std::int64_t>(
-                            config.target_completions)));
-  service.set("max_pending", json::Value(static_cast<std::int64_t>(
-                                 config.max_pending)));
-  service.set("snapshot_interval_ms",
-              json::Value(sim::to_ms(config.snapshot_interval)));
-  service.set("snapshot_window", json::Value(static_cast<std::int64_t>(
-                                     config.snapshot_window)));
-  root.as_object().set("service", json::Value(std::move(service)));
-  return root;
+const std::vector<Knob>& knobs() {
+  static const std::vector<Knob> list = [] {
+    std::vector<Knob> all;
+    const ServiceConfig defaults;
+    visit_knobs(defaults, [&](const Knob& knob, const auto&) {
+      all.push_back(knob);
+    });
+    return all;
+  }();
+  return list;
+}
+
+Status set_knob_flag(ServiceConfig& config, std::string_view flag,
+                     std::string_view value) {
+  Status status = make_error(Errc::kNotFound,
+                             "unknown flag '" + std::string(flag) + "'");
+  visit_knobs(config, [&](const Knob& knob, auto& field) {
+    if (knob.flag == nullptr || flag != knob.flag) return;
+    const Result<json::Value> parsed = flag_value(knob, value);
+    status = parsed.ok() ? read_knob(knob, parsed.value(), field)
+                         : Status(parsed.error());
+  });
+  return status;
+}
+
+std::string knob_flag_usage() {
+  std::string out;
+  const ServiceConfig defaults;
+  visit_knobs(defaults, [&](const Knob& knob, const auto& field) {
+    using T = std::remove_cvref_t<decltype(field)>;
+    if (knob.flag == nullptr) return;
+    out.append("  ").append(knob.flag);
+    std::string values;
+    if constexpr (std::is_enum_v<T>) {
+      out.append(" ").append(enum_names<T>("|"));
+    } else if (knob.unit == Unit::kCount) {
+      out.append(" N");
+      values = ", an integer " + range_text(knob);
+    } else if (knob.unit == Unit::kFaults) {
+      out.append(" FILE.json");
+    } else if (knob.unit != Unit::kBool) {
+      out.append(" X");
+      values = ", a number " + range_text(knob);
+    }
+    out.append("  (");
+    if (knob.block != Block::kTop)
+      out.append(to_string(knob.block)).append(".");
+    out.append(knob.key).append(values).append(")\n      ");
+    out.append(knob.doc).append("\n");
+  });
+  return out;
 }
 
 }  // namespace tsu::core

@@ -2,51 +2,19 @@
 // models inside it) from a config document, so deployments and experiment
 // sweeps can be described as data instead of code.
 //
-// Schema (all fields optional; unknown keys are rejected):
-// {
-//   "seed": 1,
-//   "channel":  { "latency": <latency>, "loss": 0.01,
-//                 "retransmit_timeout_ms": 50 },
-//   "switch":   { "install": <latency>, "barrier_us": 100,
-//                 "processing_us": 10, "batch_replies": false },
-//   "use_barriers": true,
-//   "max_in_flight": 1,
-//   "batch_mode": "off" | "adaptive",
-//   "batch_window_ms": 0.5, "batch_bytes": 16384,
-//   "admission": "blind" | "conflict_aware",
-//   "shards": 1, "partition": "hash" | "block" | "greedy_cut",
-//   "exec": "sequential" | "parallel", "threads": 0,
-//   "flow": 1, "priority": 100, "interval_ms": 0,
-//   "liveness_timeout_ms": 0, "failure_response": "wait" | "rollback",
-//   "resubmit": true,
-//   "faults":   { "events": [ { "kind": "crash" | "link_down" | "blackhole",
-//                 "at_ms": 8, "node": 3, "down_ms": 5, "lose_state": true,
-//                 "frames": 2 }, ... ] }   (or the bare events array),
-//   "traffic":  { "enabled": true, "interarrival": <latency>,
-//                 "link": <latency>, "ttl": 64,
-//                 "warmup_ms": 5, "drain_ms": 20 }
-// }
-// <latency> is one of:
-//   { "kind": "constant",    "ms": 1.0 }
-//   { "kind": "uniform",     "lo_ms": 0.1, "hi_ms": 8.0 }
-//   { "kind": "exponential", "mean_ms": 1.0 }
-//   { "kind": "lognormal",   "median_ms": 1.0, "sigma": 0.5 }
-//   { "kind": "pareto",      "lo_ms": 0.5, "hi_ms": 50.0, "alpha": 1.3 }
-//
-// A service document (service_config_from_json) reuses the executor schema
-// at the top level and adds one "service" object carrying the open-loop
-// knobs (core/service.hpp):
-//   "service": {
-//     "flows": 8, "pool_switches": 48, "rate_per_sec": 2000,
-//     "horizon_ms": 0, "target": 0, "max_pending": 1024,
-//     "snapshot_interval_ms": 0, "snapshot_window": 64
-//   }
-// "rate_per_sec" is in (0, 1e9]. Latency models are checked after
-// conversion to nanoseconds: an exponential mean or lognormal median of at
-// least 1 ns, and a pareto with 1 ns <= lo < hi.
+// The schema is the knob list in config.cpp (visit_knobs): each knob's key,
+// block, unit, bound and sim_cli flag, declared once. Every field is
+// optional and unknown keys are rejected. A value of the wrong JSON type,
+// or a name an enum knob does not know, is a kParseError; a number outside
+// its knob's bound is a kOutOfRange. Durations are written in ms (µs for
+// the "_us" keys) and held in nanoseconds, saturating at
+// sim::kMaxDuration.
 #pragma once
 
+#include <cstdint>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "tsu/core/executor.hpp"
 #include "tsu/core/service.hpp"
@@ -55,7 +23,14 @@
 
 namespace tsu::core {
 
-// Parses a latency model from its JSON description.
+// Parses a latency model from its JSON description, one of:
+//   { "kind": "constant",    "ms": 1.0 }
+//   { "kind": "uniform",     "lo_ms": 0.1, "hi_ms": 8.0 }
+//   { "kind": "exponential", "mean_ms": 1.0 }
+//   { "kind": "lognormal",   "median_ms": 1.0, "sigma": 0.5 }
+//   { "kind": "pareto",      "lo_ms": 0.5, "hi_ms": 50.0, "alpha": 1.3 }
+// checked after conversion to nanoseconds: an exponential mean or lognormal
+// median of at least 1 ns, and a pareto with 1 ns <= lo < hi.
 Result<sim::LatencyModel> latency_from_json(const json::Value& value);
 
 // Parses a full executor configuration; fields not present keep the
@@ -66,13 +41,50 @@ Result<ExecutorConfig> config_from_json(const json::Value& value);
 // Round-trip support: renders a config back to JSON (compact).
 json::Value config_to_json(const ExecutorConfig& config);
 
-// Parses a service document: executor fields at the top level plus the
-// optional "service" block above. Fields not present keep ServiceConfig
-// defaults; unknown keys (either level) are rejected.
+// Parses a service document: executor fields at the top level plus an
+// optional "service" block of ServiceConfig's own knobs. Fields not present
+// keep ServiceConfig defaults.
 Result<ServiceConfig> service_config_from_json(std::string_view text);
 Result<ServiceConfig> service_config_from_json(const json::Value& value);
 
 // Renders the service document (executor fields + "service" block).
 json::Value service_config_to_json(const ServiceConfig& config);
+
+// One entry of the knob list, without the field it sets.
+struct Knob {
+  // Where the key sits: the top level or one block object.
+  enum class Block : std::uint8_t {
+    kTop, kChannel, kSwitch, kTraffic, kService,
+  };
+  // How the JSON value reads. kMs and kUs amounts become nanoseconds.
+  enum class Unit : std::uint8_t {
+    kBool, kCount, kMs, kUs, kFraction, kRate, kEnum, kLatency, kFaults,
+  };
+
+  const char* key = nullptr;
+  Block block = Block::kTop;
+  Unit unit = Unit::kCount;
+  // Inclusive bounds of a count or number knob.
+  double lo = 0;
+  double hi = 0;
+  const char* flag = nullptr;  // sim_cli's flag, if the knob has one
+  const char* doc = nullptr;   // what the flag sets, for sim_cli --help
+};
+
+// The block's key in a document ("config" for the top level).
+const char* to_string(Knob::Block block) noexcept;
+
+// Every knob, in the order the renderers write them.
+const std::vector<Knob>& knobs();
+
+// Sets the knob behind a sim_cli flag as {"key": VALUE} in a document
+// would, through the same check. `value` reads as JSON, or as a string when
+// it is not JSON; a kFaults flag names a JSON file, and a kBool flag stands
+// alone (pass "true").
+Status set_knob_flag(ServiceConfig& config, std::string_view flag,
+                     std::string_view value);
+
+// sim_cli --help's lines for the knob flags: flag, knob, bound and doc.
+std::string knob_flag_usage();
 
 }  // namespace tsu::core

@@ -10,10 +10,4 @@ const char* to_string(ExecMode mode) noexcept {
   return "?";
 }
 
-std::optional<ExecMode> exec_mode_from_string(std::string_view name) noexcept {
-  if (name == "sequential") return ExecMode::kSequential;
-  if (name == "parallel") return ExecMode::kParallel;
-  return std::nullopt;
-}
-
 }  // namespace tsu::sim

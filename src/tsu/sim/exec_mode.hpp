@@ -5,8 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace tsu::sim {
 
@@ -16,6 +14,5 @@ enum class ExecMode : std::uint8_t {
 };
 
 const char* to_string(ExecMode mode) noexcept;
-std::optional<ExecMode> exec_mode_from_string(std::string_view name) noexcept;
 
 }  // namespace tsu::sim

@@ -35,14 +35,6 @@ const char* to_string(PartitionScheme scheme) noexcept {
   return "?";
 }
 
-std::optional<PartitionScheme> partition_scheme_from_string(
-    std::string_view name) noexcept {
-  if (name == "hash") return PartitionScheme::kHash;
-  if (name == "block") return PartitionScheme::kBlock;
-  if (name == "greedy_cut") return PartitionScheme::kGreedyCut;
-  return std::nullopt;
-}
-
 SwitchPartition::SwitchPartition(std::size_t shards, PartitionScheme scheme,
                                  std::size_t node_count)
     : shards_(shards == 0 ? 1 : shards),

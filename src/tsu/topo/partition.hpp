@@ -21,8 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "tsu/util/ids.hpp"
@@ -36,8 +34,6 @@ enum class PartitionScheme : std::uint8_t {
 };
 
 const char* to_string(PartitionScheme scheme) noexcept;
-std::optional<PartitionScheme> partition_scheme_from_string(
-    std::string_view name) noexcept;
 
 // One weighted edge of the workload's switch co-occurrence graph: `weight`
 // updates touch both `a` and `b`.

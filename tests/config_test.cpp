@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "tsu/core/config.hpp"
 #include "tsu/core/planner.hpp"
@@ -380,6 +384,178 @@ TEST(ConfigTest, SaturatedDurationsEndTheRunWithAnError) {
     ASSERT_FALSE(run.ok()) << doc;
     EXPECT_EQ(run.error().code, Errc::kOutOfRange) << run.error().to_string();
   }
+}
+
+// A document that sets one knob: {"key": value}, inside its block.
+json::Value knob_document(const Knob& knob, json::Value value) {
+  json::Object inner;
+  inner.set(knob.key, std::move(value));
+  if (knob.block == Knob::Block::kTop) return json::Value(std::move(inner));
+  json::Object outer;
+  outer.set(to_string(knob.block), json::Value(std::move(inner)));
+  return json::Value(std::move(outer));
+}
+
+bool has_bound(const Knob& knob) {
+  switch (knob.unit) {
+    case Knob::Unit::kCount:
+    case Knob::Unit::kMs:
+    case Knob::Unit::kUs:
+    case Knob::Unit::kFraction:
+    case Knob::Unit::kRate: return true;
+    default: return false;
+  }
+}
+
+std::string render(const ServiceConfig& config) {
+  return json::write(service_config_to_json(config));
+}
+
+Result<ServiceConfig> parse_knob(const Knob& knob, json::Value value) {
+  return service_config_from_json(knob_document(knob, std::move(value)));
+}
+
+// Walks the knob list: every knob's default, lower and upper bound survive
+// render -> parse unchanged, one step past a bound is kOutOfRange, a wrong
+// JSON type is kParseError, and a knob's sim_cli flag reads a value as the
+// document does.
+TEST(ConfigTest, EveryKnobRoundTripsAndChecksItsBound) {
+  const json::Value defaults = service_config_to_json(ServiceConfig{});
+  const json::Value schedule =
+      json::parse(R"({"events": [{"kind": "crash", "at_ms": 8, "node": 3,
+                                  "down_ms": 5, "lose_state": true}]})")
+          .value();
+  ASSERT_EQ(knobs().size(), 39u);
+  for (const Knob& knob : knobs()) {
+    SCOPED_TRACE(knob.key);
+    const json::Object& block =
+        knob.block == Knob::Block::kTop
+            ? defaults.as_object()
+            : defaults.as_object().find(to_string(knob.block))->as_object();
+    // An empty fault schedule is left out of the document.
+    std::vector<json::Value> values;
+    if (knob.unit == Knob::Unit::kFaults) {
+      EXPECT_EQ(block.find(knob.key), nullptr);
+      values.push_back(schedule);
+    } else {
+      ASSERT_NE(block.find(knob.key), nullptr);
+      values.push_back(*block.find(knob.key));
+    }
+    if (has_bound(knob)) {
+      values.push_back(json::Value(knob.lo));
+      values.push_back(json::Value(knob.hi));
+    }
+
+    for (const json::Value& value : values) {
+      SCOPED_TRACE(json::write(value));
+      const Result<ServiceConfig> parsed = parse_knob(knob, value);
+      ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+      const std::string rendered = render(parsed.value());
+      const Result<ServiceConfig> reparsed =
+          service_config_from_json(std::string_view(rendered));
+      ASSERT_TRUE(reparsed.ok()) << reparsed.error().to_string();
+      EXPECT_EQ(render(reparsed.value()), rendered);
+      if (knob.block != Knob::Block::kService) {
+        const Result<ExecutorConfig> exec =
+            config_from_json(knob_document(knob, value));
+        ASSERT_TRUE(exec.ok()) << exec.error().to_string();
+        EXPECT_EQ(json::write(config_to_json(exec.value())),
+                  json::write(config_to_json(parsed.value().exec)));
+      }
+
+      if (knob.flag == nullptr) continue;
+      std::string text = value.is_string() ? value.as_string()
+                                           : json::write(value);
+      if (knob.unit == Knob::Unit::kFaults) {
+        const std::string path = testing::TempDir() + "knob_faults.json";
+        std::ofstream(path) << text;
+        text = path;
+      }
+      ServiceConfig flagged;
+      const Status set = set_knob_flag(flagged, knob.flag, text);
+      ASSERT_TRUE(set.ok()) << set.error().to_string();
+      EXPECT_EQ(render(flagged), render(parsed.value()));
+    }
+
+    if (has_bound(knob)) {
+      const bool count = knob.unit == Knob::Unit::kCount;
+      const double inf = std::numeric_limits<double>::infinity();
+      const double below = count ? knob.lo - 1 : std::nextafter(knob.lo, -inf);
+      const double above =
+          count && knob.hi < static_cast<double>(json::kMaxExactInt)
+              ? knob.hi + 1
+              : std::nextafter(knob.hi, inf);
+      for (const double outside : {below, above}) {
+        const Result<ServiceConfig> parsed =
+            parse_knob(knob, json::Value(outside));
+        ASSERT_FALSE(parsed.ok()) << outside;
+        EXPECT_EQ(parsed.error().code, Errc::kOutOfRange)
+            << parsed.error().to_string();
+      }
+    }
+
+    const Result<ServiceConfig> wrong = parse_knob(
+        knob, knob.unit == Knob::Unit::kBool ? json::Value("true")
+                                             : json::Value(true));
+    ASSERT_FALSE(wrong.ok());
+    EXPECT_EQ(wrong.error().code, Errc::kParseError)
+        << wrong.error().to_string();
+
+    // The key means nothing outside its own block.
+    Knob elsewhere = knob;
+    elsewhere.block = knob.block == Knob::Block::kTop ? Knob::Block::kTraffic
+                                                      : Knob::Block::kTop;
+    const Result<ServiceConfig> misplaced = parse_knob(elsewhere, values[0]);
+    ASSERT_FALSE(misplaced.ok());
+    EXPECT_NE(misplaced.error().message.find("unknown"), std::string::npos)
+        << misplaced.error().to_string();
+    if (knob.flag != nullptr) {
+      EXPECT_NE(knob.doc, nullptr);
+    }
+  }
+}
+
+// strtod reads "nan", and NaN passes a `< 0` check: sim_cli once took
+// these flags as 0 (no hold window, fault detection off, no horizon). JSON
+// cannot carry NaN, so a flag value of "nan" is not a number.
+TEST(ConfigTest, NanAndInfFlagValuesAreErrors) {
+  for (const char* flag : {"--batch-window-ms", "--liveness-ms",
+                           "--duration-ms", "--rate", "--flows"}) {
+    for (const char* text : {"nan", "inf", "-nan"}) {
+      ServiceConfig config;
+      const Status set = set_knob_flag(config, flag, text);
+      ASSERT_FALSE(set.ok()) << flag << " " << text;
+      EXPECT_EQ(set.error().code, Errc::kParseError)
+          << set.error().to_string();
+      EXPECT_EQ(render(config), render(ServiceConfig{}));
+    }
+  }
+  ServiceConfig config;
+  EXPECT_EQ(set_knob_flag(config, "--no-such-flag", "1").error().code,
+            Errc::kNotFound);
+}
+
+// --flows 1 sets one template (sim_cli once passed --flows on only above
+// 1), and the template count and pool size have upper bounds: 2^53
+// templates once threw std::bad_alloc.
+TEST(ConfigTest, PoolKnobsAreBounded) {
+  ServiceConfig config;
+  ASSERT_TRUE(set_knob_flag(config, "--flows", "1").ok());
+  EXPECT_EQ(config.flows, 1u);
+  for (const char* doc :
+       {R"({"service": {"flows": 9007199254740992, "target": 1}})",
+        R"({"service": {"flows": 4097}})",
+        R"({"service": {"pool_switches": 4294967296}})"}) {
+    const Result<ServiceConfig> parsed =
+        service_config_from_json(std::string_view(doc));
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.error().code, Errc::kOutOfRange)
+        << parsed.error().to_string();
+  }
+  EXPECT_EQ(set_knob_flag(config, "--flows", "9223372036854775807")
+                .error()
+                .code,
+            Errc::kOutOfRange);
 }
 
 }  // namespace
