@@ -418,13 +418,14 @@ Result<ServiceConfig> parse_knob(const Knob& knob, json::Value value) {
 // Walks the knob list: every knob's default, lower and upper bound survive
 // render -> parse unchanged, one step past a bound is kOutOfRange, a wrong
 // JSON type is kParseError, and a knob's sim_cli flag reads a value as the
-// document does.
+// document does and has a --help line.
 TEST(ConfigTest, EveryKnobRoundTripsAndChecksItsBound) {
   const json::Value defaults = service_config_to_json(ServiceConfig{});
   const json::Value schedule =
       json::parse(R"({"events": [{"kind": "crash", "at_ms": 8, "node": 3,
                                   "down_ms": 5, "lose_state": true}]})")
           .value();
+  const std::string usage = knob_flag_usage();
   ASSERT_EQ(knobs().size(), 39u);
   for (const Knob& knob : knobs()) {
     SCOPED_TRACE(knob.key);
@@ -511,6 +512,8 @@ TEST(ConfigTest, EveryKnobRoundTripsAndChecksItsBound) {
         << misplaced.error().to_string();
     if (knob.flag != nullptr) {
       EXPECT_NE(knob.doc, nullptr);
+      EXPECT_NE(usage.find(std::string(knob.flag) + " "), std::string::npos);
+      EXPECT_NE(usage.find(knob.key), std::string::npos);
     }
   }
 }
