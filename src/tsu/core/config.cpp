@@ -1,5 +1,6 @@
 #include "tsu/core/config.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -265,10 +266,22 @@ void visit_knobs(Service& config, Visit&& visit) {
         config.snapshot_window);
 }
 
+// An inclusive bound, or its outer neighbour as an open end where that
+// reads shorter: a lower bound of 5e-324 prints as "(0", and kNoMax as
+// "inf)".
+std::string bound_text(double bound, bool lower) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double outer = std::nextafter(bound, lower ? -inf : inf);
+  const std::string closed = json::write(json::Value(bound));
+  const std::string open = json::write(json::Value(outer));
+  if (open.size() < closed.size()) return lower ? "(" + open : open + ")";
+  return lower ? "[" + closed : closed + "]";
+}
+
 std::string range_text(const Knob& knob) {
-  const std::string lo = json::write(json::Value(knob.lo));
-  if (knob.hi == kNoMax) return ">= " + lo;
-  return "in [" + lo + ", " + json::write(json::Value(knob.hi)) + "]";
+  const std::string lo = bound_text(knob.lo, true);
+  const std::string hi = bound_text(knob.hi, false);
+  return "in " + lo + ", " + hi;
 }
 
 // An enum knob's names are its to_string's, in value order; to_string
