@@ -621,7 +621,7 @@ Result<MultiFlowExecutionResult> execute_multiflow(
   }
   result.aggregate = monitors.aggregate();
   result.frames_sent = harness.total_frames();
-  result.control_bytes = harness.total_bytes();
+  result.bytes_sent = harness.total_bytes();
   result.messages_sent = harness.total_messages();
   result.max_in_flight_observed = harness.ctrl->max_in_flight_observed();
   result.conflict_edges = harness.ctrl->conflict_edges();

@@ -121,7 +121,7 @@ struct MultiFlowExecutionResult {
   std::vector<ExecutionResult> flows;     // indexed like the input lists
   dataplane::MonitorReport aggregate;     // outcome counts over all flows
   std::size_t frames_sent = 0;            // control-channel frames, total
-  std::size_t control_bytes = 0;
+  std::size_t bytes_sent = 0;
   std::size_t messages_sent = 0;          // logical messages (>= frames)
   std::size_t max_in_flight_observed = 0;
   // Admission stats (see controller/admission.hpp): dependency edges the

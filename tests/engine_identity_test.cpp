@@ -80,7 +80,7 @@ void mix_multiflow(Digest& d, const MultiFlowExecutionResult& result) {
   }
   mix_report(d, result.aggregate);
   d.mix(result.frames_sent);
-  d.mix(result.control_bytes);
+  d.mix(result.bytes_sent);
   d.mix(result.messages_sent);
   d.mix(result.final_state_digest);
   d.mix(result.makespan);
@@ -234,7 +234,7 @@ TEST(EngineIdentityTest, EntryPointRunsAreBitIdentical) {
     mix_policy(d, result.update, result.traffic);
     d.mix(result.packets_injected);
     d.mix(run.value().frames_sent);
-    d.mix(run.value().control_bytes);
+    d.mix(run.value().bytes_sent);
   }
 
   // The paper's serializing queue over a 16-flow pool: one request at a
@@ -254,7 +254,7 @@ TEST(EngineIdentityTest, EntryPointRunsAreBitIdentical) {
       d.mix(flow.packets_injected);
     }
     d.mix(run.value().frames_sent);
-    d.mix(run.value().control_bytes);
+    d.mix(run.value().bytes_sent);
   }
 
   // Three policies merged into one request.

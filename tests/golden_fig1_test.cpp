@@ -47,7 +47,7 @@ TEST(GoldenDeterminismTest, SameSeedSameMultiFlowMetrics) {
   ASSERT_TRUE(a.ok()) << a.error().to_string();
   ASSERT_TRUE(b.ok()) << b.error().to_string();
   EXPECT_EQ(a.value().frames_sent, b.value().frames_sent);
-  EXPECT_EQ(a.value().control_bytes, b.value().control_bytes);
+  EXPECT_EQ(a.value().bytes_sent, b.value().bytes_sent);
   EXPECT_EQ(a.value().messages_sent, b.value().messages_sent);
   EXPECT_EQ(a.value().makespan, b.value().makespan);
   EXPECT_EQ(a.value().aggregate.total, b.value().aggregate.total);

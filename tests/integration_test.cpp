@@ -91,7 +91,7 @@ TEST(IntegrationTest, UpdateMetricsAreConsistent) {
   EXPECT_EQ(r.update.flow_mods_sent, 11u);  // 8 touched + 3 cleanup
   EXPECT_GT(r.update.barriers_sent, 0u);
   EXPECT_GT(result.value().frames_sent, 0u);
-  EXPECT_GT(result.value().control_bytes, 0u);
+  EXPECT_GT(result.value().bytes_sent, 0u);
   EXPECT_GT(r.update_ms(), 0.0);
 }
 

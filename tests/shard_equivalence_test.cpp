@@ -61,7 +61,7 @@ void expect_parallel_bit_identical(const MultiFlowExecutionResult& sequential,
       << "seed " << seed << " shards " << shards;
   EXPECT_EQ(parallel.frames_sent, sequential.frames_sent)
       << "seed " << seed << " shards " << shards;
-  EXPECT_EQ(parallel.control_bytes, sequential.control_bytes)
+  EXPECT_EQ(parallel.bytes_sent, sequential.bytes_sent)
       << "seed " << seed << " shards " << shards;
   EXPECT_EQ(parallel.messages_sent, sequential.messages_sent)
       << "seed " << seed << " shards " << shards;
