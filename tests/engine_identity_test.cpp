@@ -30,8 +30,16 @@
 // merged multi-policy request and a mix of merged and independent groups.
 // Its constant was recorded when each shape still had its own entry point;
 // execute_multiflow must reproduce all four.
+//
+// A third digest pins every engine counter - batching, admission, fault
+// recovery, the cross-shard protocol, the channels - of the 64-flow pool on
+// 1 and 4 shards, clean and under a seeded fault schedule with each failure
+// response, plus every service and snapshot counter of one open-loop run.
+// A counter summed where it should take the max (or the reverse) when the
+// shards' counters fold together changes it.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +54,7 @@ namespace {
 
 constexpr std::uint64_t kExpectedDigest = 0x47f650b67483ac45ULL;
 constexpr std::uint64_t kExpectedEntryPointDigest = 0x8290ce736e3feec6ULL;
+constexpr std::uint64_t kExpectedCounterDigest = 0xc11707c172f65547ULL;
 
 class Digest {
  public:
@@ -298,6 +307,168 @@ TEST(EngineIdentityTest, EntryPointRunsAreBitIdentical) {
   }
 
   EXPECT_EQ(d.value(), kExpectedEntryPointDigest)
+      << "digest 0x" << std::hex << d.value();
+}
+
+// Every engine counter of a closed-loop run, in declaration order. wall_ms
+// and threads are wall-clock facts of the host, not of the simulation.
+void mix_counters(Digest& d, const MultiFlowExecutionResult& result) {
+  d.mix(result.frames_sent);
+  d.mix(result.bytes_sent);
+  d.mix(result.messages_sent);
+  d.mix(result.max_in_flight_observed);
+  d.mix(result.conflict_edges);
+  d.mix(result.blocked_submissions);
+  const auto& batching = result.batching;
+  d.mix(batching.batches_sent);
+  d.mix(batching.messages_coalesced);
+  d.mix(batching.timer_flushes);
+  d.mix(batching.budget_flushes);
+  d.mix(batching.flush_timers_cancelled);
+  d.mix(static_cast<std::uint64_t>(batching.max_hold));
+  const auto& sharding = result.sharding;
+  d.mix(sharding.shards);
+  d.mix(static_cast<std::uint64_t>(sharding.exec));
+  d.mix(sharding.cross_shard_updates);
+  d.mix(sharding.rounds_synced);
+  d.mix(static_cast<std::uint64_t>(sharding.sync_overhead));
+  d.mix(sharding.parallel_epochs);
+  d.mix(sharding.horizon_stalls);
+  d.mix(sharding.overflow_posts);
+  d.mix(sharding.events_per_shard.size());
+  for (const std::size_t events : sharding.events_per_shard) d.mix(events);
+  d.mix(sharding.partition_cut_weight);
+  const sim::FaultStats& faults = result.faults;
+  d.mix(faults.crashes);
+  d.mix(faults.link_downs);
+  d.mix(faults.blackholes);
+  d.mix(faults.frames_lost);
+  d.mix(faults.timeouts);
+  d.mix(faults.resyncs);
+  d.mix(faults.resync_frames);
+  d.mix(faults.rollbacks);
+  d.mix(faults.retries);
+  d.mix(faults.resubmissions);
+  d.mix(faults.recovery_ms.size());
+  for (const double ms : faults.recovery_ms)
+    d.mix(std::bit_cast<std::uint64_t>(ms));
+  d.mix(result.final_state_digest);
+  d.mix(result.makespan);
+}
+
+void mix_service_stats(Digest& d, const ServiceStats& stats) {
+  d.mix(stats.arrivals);
+  d.mix(stats.accepted);
+  d.mix(stats.rejected);
+  d.mix(stats.submitted);
+  d.mix(stats.completed);
+  d.mix(stats.aborted);
+  d.mix(stats.peak_pending);
+  d.mix(stats.peak_controller_depth);
+  d.mix(stats.plan_compiles);
+  d.mix(stats.plan_hits);
+  d.mix(stats.plan_invalidations);
+}
+
+void mix_snapshot(Digest& d, const ServiceSnapshot& s) {
+  d.mix(s.at);
+  d.mix(s.arrivals);
+  d.mix(s.accepted);
+  d.mix(s.rejected);
+  d.mix(s.submitted);
+  d.mix(s.completed);
+  d.mix(s.pending);
+  d.mix(s.controller_depth);
+  d.mix(s.steady_state_entries);
+  d.mix(s.plan_compiles);
+  d.mix(s.plan_hits);
+  d.mix(s.plan_invalidations);
+  d.mix(std::bit_cast<std::uint64_t>(s.window_throughput_per_sec));
+  d.mix(std::bit_cast<std::uint64_t>(s.p50_duration_ms));
+  d.mix(std::bit_cast<std::uint64_t>(s.p99_duration_ms));
+  d.mix(std::bit_cast<std::uint64_t>(s.p50_wait_ms));
+  d.mix(std::bit_cast<std::uint64_t>(s.p99_wait_ms));
+}
+
+TEST(EngineIdentityTest, CountersAreBitIdentical) {
+  Digest d;
+  const topo::PlannedPoolWorkload w =
+      topo::planned_pool_workload(64, 24).value();
+  sim::ChaosOptions chaos;
+  chaos.node_count = 24;
+  chaos.start_ms = 1.5;
+  chaos.horizon_ms = 6;
+  chaos.crashes = 1;
+  chaos.link_downs = 1;
+  chaos.blackholes = 1;
+  chaos.min_down_ms = 0.5;
+  chaos.max_down_ms = 2.5;
+
+  // Clean, then faulted under each failure response, on 1 and 4 greedy-cut
+  // shards. The greedy cut keeps every pool update on one shard, so a hash
+  // partition adds the cross-shard round protocol.
+  struct Sharding {
+    std::size_t shards;
+    topo::PartitionScheme partition;
+  };
+  std::size_t recovered = 0;
+  std::size_t synced = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const Sharding sharding :
+         {Sharding{1, topo::PartitionScheme::kGreedyCut},
+          Sharding{4, topo::PartitionScheme::kGreedyCut},
+          Sharding{4, topo::PartitionScheme::kHash}}) {
+      for (int variant = 0; variant < 3; ++variant) {
+        ExecutorConfig config = pool_config(seed);
+        config.controller.shards = sharding.shards;
+        config.controller.partition = sharding.partition;
+        if (variant > 0) {
+          config.controller.liveness_timeout = sim::milliseconds(20);
+          config.controller.failure_response =
+              variant == 1 ? controller::FailureResponse::kWait
+                           : controller::FailureResponse::kRollback;
+          config.faults = sim::FaultSchedule::random(seed, chaos);
+        }
+        const Result<MultiFlowExecutionResult> run =
+            execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
+        ASSERT_TRUE(run.ok())
+            << "seed " << seed << ", " << sharding.shards << " shards, "
+            << topo::to_string(sharding.partition) << ", variant " << variant
+            << ": " << run.error().to_string();
+        mix_counters(d, run.value());
+        recovered += run.value().faults.resyncs;
+        synced += run.value().sharding.rounds_synced;
+      }
+    }
+  }
+  EXPECT_GT(recovered, 0u) << "no faulted run exercised recovery";
+  EXPECT_GT(synced, 0u) << "no sharded run synced a cross-shard round";
+
+  ServiceConfig config;
+  config.exec.seed = 5;
+  config.flows = 16;
+  config.pool_switches = 48;
+  config.exec.controller.max_in_flight = 16;
+  config.exec.controller.batch_mode = controller::BatchMode::kAdaptive;
+  config.exec.controller.liveness_timeout = sim::milliseconds(20);
+  config.arrival_rate_per_sec = 4000;
+  config.max_pending = 8;
+  config.target_completions = 300;
+  config.snapshot_interval = sim::milliseconds(5);
+  const Result<ServiceResult> run = execute_service(config);
+  ASSERT_TRUE(run.ok()) << run.error().to_string();
+  const ServiceResult& result = run.value();
+  EXPECT_GT(result.stats.rejected, 0u) << "the service run never shed load";
+  mix_service_stats(d, result.stats);
+  d.mix(result.frames_sent);
+  d.mix(result.retired_xids);
+  d.mix(result.steady_state_entries_final);
+  d.mix(result.sim_duration);
+  d.mix(result.snapshots.size());
+  for (const ServiceSnapshot& snapshot : result.snapshots)
+    mix_snapshot(d, snapshot);
+
+  EXPECT_EQ(d.value(), kExpectedCounterDigest)
       << "digest 0x" << std::hex << d.value();
 }
 
