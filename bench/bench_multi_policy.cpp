@@ -932,20 +932,7 @@ bool run(const char* json_path) {
         faults_failed = true;
         continue;
       }
-      const sim::FaultStats& faults = run.value().faults;
-      merged.crashes += faults.crashes;
-      merged.link_downs += faults.link_downs;
-      merged.blackholes += faults.blackholes;
-      merged.frames_lost += faults.frames_lost;
-      merged.timeouts += faults.timeouts;
-      merged.resyncs += faults.resyncs;
-      merged.resync_frames += faults.resync_frames;
-      merged.rollbacks += faults.rollbacks;
-      merged.retries += faults.retries;
-      merged.resubmissions += faults.resubmissions;
-      merged.recovery_ms.insert(merged.recovery_ms.end(),
-                                faults.recovery_ms.begin(),
-                                faults.recovery_ms.end());
+      merged.merge(run.value().faults);
       makespan_sum_ms += run.value().makespan_ms();
       ++runs;
     }

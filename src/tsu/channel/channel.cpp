@@ -24,7 +24,7 @@ bool ControlChannel::faulted_drop(std::span<const std::byte> frame) {
     if (pending_drops_ == 0)
       drop_until_barrier_ = !proto::frame_carries_barrier(frame);
   }
-  ++frames_dropped_;
+  ++stats_.frames_dropped;
   return true;
 }
 
@@ -53,9 +53,9 @@ void ControlChannel::transmit(std::vector<std::byte>&& frame) {
     release_frame(std::move(frame));
     return;
   }
-  ++frames_sent_;
-  bytes_sent_ += frame.size();
-  messages_sent_ += proto::frame_messages(frame);
+  ++stats_.frames_sent;
+  stats_.bytes_sent += frame.size();
+  stats_.messages_sent += proto::frame_messages(frame);
 
   sim::Duration latency = config_.latency.sample(rng_);
   while (config_.loss_probability > 0 &&
@@ -63,7 +63,7 @@ void ControlChannel::transmit(std::vector<std::byte>&& frame) {
     // TCP recovers the loss; the receiver just sees it late. Saturating
     // keeps a run of huge timeouts within a single delay's bound.
     latency = std::min(latency + config_.retransmit_timeout, sim::kMaxDuration);
-    ++retransmissions_;
+    ++stats_.retransmissions;
   }
 
   // In-order (TCP) delivery: never overtake the previous frame.
@@ -77,7 +77,7 @@ void ControlChannel::transmit(std::vector<std::byte>&& frame) {
         if (epoch != epoch_) {
           // The link went down while this frame was in flight: lost with
           // the session (fault injection; epochs never move otherwise).
-          ++frames_dropped_;
+          ++stats_.frames_dropped;
           release_frame(std::move(frame));
           return;
         }

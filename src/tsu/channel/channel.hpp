@@ -37,6 +37,26 @@ struct ChannelConfig {
   sim::Duration retransmit_timeout = sim::milliseconds(50);
 };
 
+// What one channel direction carried. A Batch frame counts its contained
+// messages in messages_sent, so messages_sent - frames_sent is the
+// coalescing saving; frames_dropped counts frames lost to outages and
+// blackholes.
+struct ChannelStats {
+  std::size_t frames_sent = 0;
+  std::size_t bytes_sent = 0;
+  std::size_t messages_sent = 0;
+  std::size_t retransmissions = 0;
+  std::size_t frames_dropped = 0;
+
+  void merge(const ChannelStats& other) noexcept {
+    frames_sent += other.frames_sent;
+    bytes_sent += other.bytes_sent;
+    messages_sent += other.messages_sent;
+    retransmissions += other.retransmissions;
+    frames_dropped += other.frames_dropped;
+  }
+};
+
 class ControlChannel {
  public:
   using DeliverFn = std::function<void(const proto::Message&)>;
@@ -85,24 +105,18 @@ class ControlChannel {
   // does. A later barrier delivered after a silently lost FlowMod would
   // otherwise fence the loss and hide it from liveness detection forever.
   void drop_next(std::size_t frames) noexcept { pending_drops_ += frames; }
-  // Frames lost to outages and blackholes.
-  std::size_t frames_dropped() const noexcept { return frames_dropped_; }
 
-  std::size_t frames_sent() const noexcept { return frames_sent_; }
-  std::size_t bytes_sent() const noexcept { return bytes_sent_; }
-  std::size_t retransmissions() const noexcept { return retransmissions_; }
-  // Logical messages carried; a batch frame counts its contained messages,
-  // so messages_sent() - frames_sent() is the coalescing saving.
-  std::size_t messages_sent() const noexcept { return messages_sent_; }
+  const ChannelStats& stats() const noexcept { return stats_; }
 
  private:
   // Fault gate: returns true when the frame was consumed by an outage or
-  // blackhole window (counted in frames_dropped_). Blackhole windows only
-  // close on a frame that carries a barrier request, read off the header.
+  // blackhole window (counted in stats_.frames_dropped). Blackhole windows
+  // only close on a frame that carries a barrier request, read off the
+  // header.
   bool faulted_drop(std::span<const std::byte> frame);
   // Shared back half of send()/send_encoded(), given the encoded frame:
   // the fault gate (a dropped frame's buffer goes back to the pool), the
-  // counters (messages read off the header), one latency sample (plus
+  // stats (messages read off the header), one latency sample (plus
   // loss retransmits) and the FIFO-clamped delivery event that decodes
   // and hands the message to the receiver.
   void transmit(std::vector<std::byte>&& frame);
@@ -134,12 +148,8 @@ class ControlChannel {
   std::uint64_t epoch_ = 0;
   std::size_t pending_drops_ = 0;
   bool drop_until_barrier_ = false;
-  std::size_t frames_dropped_ = 0;
 
-  std::size_t frames_sent_ = 0;
-  std::size_t bytes_sent_ = 0;
-  std::size_t retransmissions_ = 0;
-  std::size_t messages_sent_ = 0;
+  ChannelStats stats_;
 
   std::vector<std::vector<std::byte>> frame_pool_;
 };

@@ -170,7 +170,8 @@ void Controller::start_pending(std::vector<PendingUpdate>::iterator it) {
   active.coordinated = it->held;
   active.token = it->token;
   queue_.erase(it);
-  max_in_flight_observed_ = std::max(max_in_flight_observed_, active_.size());
+  stats_.max_in_flight_observed =
+      std::max(stats_.max_in_flight_observed, active_.size());
   start_round(id);
 }
 
@@ -281,7 +282,7 @@ void Controller::enqueue(NodeId node, Outbox& box, std::size_t offset,
   // window...
   if (box.frames.size() >= config_.batch_bytes ||
       box.entries.size() >= proto::kMaxBatchMessages) {
-    ++budget_flushes_;
+    ++stats_.batching.budget_flushes;
     flush_switch(node, box);
     return;
   }
@@ -297,7 +298,7 @@ void Controller::enqueue(NodeId node, Outbox& box, std::size_t offset,
         [this, node]() {
           Outbox& armed = outbox_.at(node);
           armed.timer_armed = false;
-          ++timer_flushes_;
+          ++stats_.batching.timer_flushes;
           flush_switch(node, armed);
         },
         sim::EventScope::kLocal);
@@ -308,13 +309,14 @@ void Controller::flush_switch(NodeId node, Outbox& box) {
   if (box.timer_armed) {
     box.timer_armed = false;
     sim_.cancel(box.timer);
-    ++flush_timers_cancelled_;
+    ++stats_.batching.flush_timers_cancelled;
   }
 
   const std::vector<OutboxEntry>& entries = box.entries;
   const sim::SimTime now = sim_.now();
+  sim::Duration& max_hold = stats_.batching.max_hold;
   for (const OutboxEntry& entry : entries)
-    max_hold_ = std::max(max_hold_, now - entry.enqueued);
+    max_hold = std::max(max_hold, now - entry.enqueued);
 
   const SendFn& send = link(node);
   const std::span<const std::byte> frames(box.frames);
@@ -335,8 +337,8 @@ void Controller::flush_switch(NodeId node, Outbox& box) {
     if (end - begin == 1) {
       send(chunk, entries[begin].xid);
     } else {
-      messages_coalesced_ += end - begin;
-      ++batches_sent_;
+      stats_.batching.messages_coalesced += end - begin;
+      ++stats_.batching.batches_sent;
       const Xid xid = next_xid();
       proto::encode_batch_into(xid, end - begin, chunk, frame_scratch_);
       send(frame_scratch_, xid);
@@ -633,7 +635,7 @@ void Controller::on_liveness_timeout(Xid xid) {
   const auto resync_it = resync_waiting_.find(xid);
   if (resync_it != resync_waiting_.end()) {
     const NodeId node = resync_it->second;
-    ++timeouts_;
+    ++stats_.faults.timeouts;
     barrier_seq_.erase(xid);
     resync_waiting_.erase(resync_it);
     handle_reconnect(node, false);
@@ -643,7 +645,7 @@ void Controller::on_liveness_timeout(Xid xid) {
   if (it == waiting_.end()) return;  // fenced in time; stale timer
   const UpdateId id = it->second.first;
   const NodeId node = it->second.second;
-  ++timeouts_;
+  ++stats_.faults.timeouts;
   const ActiveUpdate& update = active_.at(id);
   if (config_.failure_response == FailureResponse::kRollback &&
       !update.coordinated && !update.system) {
@@ -678,7 +680,7 @@ void Controller::retry_update_switch(UpdateId id, NodeId node) {
     }
   }
   if (!outstanding) return;  // the reply beat the retry; nothing to re-drive
-  ++retries_;
+  ++stats_.faults.retries;
   // Re-send everything this update has sent to `node` so far. FIFO
   // delivery plus OpenFlow's replace-on-identical-match semantics make the
   // replay safe whatever prefix survived: it lands the switch in exactly
@@ -788,7 +790,7 @@ void Controller::handle_reconnect(NodeId from, bool has_state) {
       ++mods;
     }
   }
-  resync_frames_ += mods;
+  stats_.faults.resync_frames += mods;
   // Fence the resync: its barrier reply proves the switch holds the shadow
   // image, and only then does it return to service and get its stalled
   // rounds replayed.
@@ -805,7 +807,7 @@ void Controller::finish_resync(NodeId node, Xid xid) {
   disarm_liveness(xid);
   retire_xid(xid);
   full_resync_.erase(node);
-  ++resyncs_;
+  ++stats_.faults.resyncs;
   if (on_switch_resynced_) on_switch_resynced_(node);
   // Revive every update stalled on this switch: replay its mods and a
   // fresh barrier now that the switch provably holds the shadow image.
@@ -834,7 +836,7 @@ void Controller::begin_rollback(UpdateId id) {
       ++w;
     }
   }
-  ++rollbacks_;
+  ++stats_.faults.rollbacks;
 
   // Unwind: replay the undos of every round that sent anything, newest
   // first, each inverse round barrier-fenced, so the unwind walks back
@@ -891,7 +893,7 @@ void Controller::finish_rollback(UpdateId id) {
   // whole unwind; only now may conflicting requests start.
   admission_.release(ctx.original);
   if (config_.resubmit_after_rollback) {
-    ++resubmissions_;
+    ++stats_.faults.resubmissions;
     // A fresh attempt one liveness timeout later (giving the failed switch
     // time to come back); it re-enters admission as a new arrival.
     sim_.schedule(config_.liveness_timeout,

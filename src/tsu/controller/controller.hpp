@@ -84,6 +84,7 @@
 #include "tsu/controller/admission.hpp"
 #include "tsu/controller/completion_log.hpp"
 #include "tsu/controller/plan_cache.hpp"
+#include "tsu/controller/stats.hpp"
 #include "tsu/controller/update_request.hpp"
 #include "tsu/proto/messages.hpp"
 #include "tsu/sim/exec_mode.hpp"
@@ -217,38 +218,17 @@ class Controller {
   bool idle() const noexcept { return active_.empty() && queue_.empty(); }
   std::size_t queued() const noexcept { return queue_.size(); }
   std::size_t in_flight() const noexcept { return active_.size(); }
-  // High-water mark of concurrently active updates over the run.
-  std::size_t max_in_flight_observed() const noexcept {
-    return max_in_flight_observed_;
-  }
-  // Messages that shared a Batch frame with at least one other message.
-  std::size_t messages_coalesced() const noexcept {
-    return messages_coalesced_;
-  }
-  std::size_t batches_sent() const noexcept { return batches_sent_; }
-
-  // Outbox observability (kAdaptive): flush counts by trigger,
-  // flush timers cancelled by an earlier byte-budget flush, and the
-  // longest any message sat in an outbox past readiness. The latency
-  // regression suite pins max_hold() <= batch_window.
-  std::size_t timer_flushes() const noexcept { return timer_flushes_; }
-  std::size_t budget_flushes() const noexcept { return budget_flushes_; }
-  std::size_t flush_timers_cancelled() const noexcept {
-    return flush_timers_cancelled_;
-  }
-  sim::Duration max_hold() const noexcept { return max_hold_; }
-
-  // Admission stats: dependency edges the conflict DAG created and
-  // requests that entered the queue blocked on a conflict.
-  std::uint64_t conflict_edges() const noexcept {
-    return admission_.conflict_edges();
-  }
-  std::uint64_t blocked_submissions() const noexcept {
-    return admission_.blocked_submissions();
-  }
   // Pending requests currently blocked on an in-flight or earlier pending
   // conflict (a subset of queued()).
   std::size_t blocked() const noexcept { return admission_.blocked(); }
+
+  // This engine's counters (stats.hpp), with the admission queue's read in.
+  ControllerStats stats() const {
+    ControllerStats stats = stats_;
+    stats.conflict_edges = admission_.conflict_edges();
+    stats.blocked_submissions = admission_.blocked_submissions();
+    return stats;
+  }
 
   // The recent-completion window, in completion order (identical to
   // submission order when max_in_flight == 1) until the ring wraps at
@@ -306,15 +286,6 @@ class Controller {
   void set_on_switch_resynced(std::function<void(NodeId)> fn) {
     on_switch_resynced_ = std::move(fn);
   }
-  // Fault-handling counters: liveness timeouts fired, resyncs completed,
-  // resync FlowMods pushed, rollbacks begun, per-switch barrier retries,
-  // and rolled-back requests resubmitted.
-  std::size_t timeouts() const noexcept { return timeouts_; }
-  std::size_t resyncs() const noexcept { return resyncs_; }
-  std::size_t resync_frames() const noexcept { return resync_frames_; }
-  std::size_t rollbacks() const noexcept { return rollbacks_; }
-  std::size_t retries() const noexcept { return retries_; }
-  std::size_t resubmissions() const noexcept { return resubmissions_; }
 
   // --- sharded operation (driven by the ShardCoordinator; shard.hpp) ----
   // A cross-shard update runs as per-shard sub-requests whose rounds
@@ -556,13 +527,7 @@ class Controller {
   // completions can cancel instead of leaving a stale timer to no-op.
   std::unordered_map<Xid, sim::EventId> liveness_timers_;
   UpdateId update_counter_ = 1;
-  std::size_t max_in_flight_observed_ = 0;
-  std::size_t messages_coalesced_ = 0;
-  std::size_t batches_sent_ = 0;
-  std::size_t timer_flushes_ = 0;
-  std::size_t budget_flushes_ = 0;
-  std::size_t flush_timers_cancelled_ = 0;
-  sim::Duration max_hold_ = 0;
+  ControllerStats stats_;
 
   // One pending frame of a per-switch outbox: where it sits in the
   // outbox's byte buffer, its xid, and its readiness instant (for the
@@ -616,12 +581,6 @@ class Controller {
   // plan compiled earlier may describe a world the switches no longer
   // hold. See resync_generation().
   std::uint64_t resync_generation_ = 0;
-  std::size_t timeouts_ = 0;
-  std::size_t resyncs_ = 0;
-  std::size_t resync_frames_ = 0;
-  std::size_t rollbacks_ = 0;
-  std::size_t retries_ = 0;
-  std::size_t resubmissions_ = 0;
 };
 
 }  // namespace tsu::controller

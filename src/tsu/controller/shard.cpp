@@ -75,7 +75,7 @@ void ShardCoordinator::submit(UpdateRequest request) {
   CrossUpdate cross;
   cross.shards = parts;
   cross.total_rounds = request.rounds.size();
-  ++cross_shard_updates_;
+  ++sharding_.cross_shard_updates;
 
   std::vector<UpdateRequest> subs(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -183,8 +183,8 @@ void ShardCoordinator::on_round_done(std::uint8_t, std::uint64_t token,
   // then release the next round's barriers everywhere. The release loop
   // can recurse (empty rounds confirm synchronously) and even retire the
   // whole update, so nothing touches `cross` after the copies below.
-  sync_overhead_ += sim_.now() - cross.first_confirm;
-  ++rounds_synced_;
+  sharding_.sync_overhead += sim_.now() - cross.first_confirm;
+  ++sharding_.rounds_synced;
   const std::size_t next = round + 1;
   if (next >= cross.total_rounds) return;  // final round: shards self-finish
   cross.confirm_round = next;
@@ -242,84 +242,27 @@ bool ShardCoordinator::idle() const noexcept {
 }
 
 std::size_t ShardCoordinator::queued() const noexcept {
-  return sum_over_shards([](const Controller& c) { return c.queued(); });
+  std::size_t total = 0;
+  for (const auto& shard : shards_) total += shard->queued();
+  return total;
 }
 
 std::size_t ShardCoordinator::in_flight() const noexcept {
-  return sum_over_shards([](const Controller& c) { return c.in_flight(); });
+  std::size_t total = 0;
+  for (const auto& shard : shards_) total += shard->in_flight();
+  return total;
 }
 
-std::size_t ShardCoordinator::max_in_flight_observed() const noexcept {
-  return max_over_shards(
-      [](const Controller& c) { return c.max_in_flight_observed(); });
-}
-
-std::size_t ShardCoordinator::messages_coalesced() const noexcept {
-  return sum_over_shards(
-      [](const Controller& c) { return c.messages_coalesced(); });
-}
-
-std::size_t ShardCoordinator::batches_sent() const noexcept {
-  return sum_over_shards([](const Controller& c) { return c.batches_sent(); });
-}
-
-std::size_t ShardCoordinator::timer_flushes() const noexcept {
-  return sum_over_shards(
-      [](const Controller& c) { return c.timer_flushes(); });
-}
-
-std::size_t ShardCoordinator::budget_flushes() const noexcept {
-  return sum_over_shards(
-      [](const Controller& c) { return c.budget_flushes(); });
-}
-
-std::size_t ShardCoordinator::flush_timers_cancelled() const noexcept {
-  return sum_over_shards(
-      [](const Controller& c) { return c.flush_timers_cancelled(); });
-}
-
-sim::Duration ShardCoordinator::max_hold() const noexcept {
-  return max_over_shards([](const Controller& c) { return c.max_hold(); });
-}
-
-std::uint64_t ShardCoordinator::conflict_edges() const noexcept {
-  return sum_over_shards(
-      [](const Controller& c) { return c.conflict_edges(); });
-}
-
-std::uint64_t ShardCoordinator::blocked_submissions() const noexcept {
-  return sum_over_shards(
-      [](const Controller& c) { return c.blocked_submissions(); });
-}
-
-std::size_t ShardCoordinator::blocked() const noexcept {
-  return sum_over_shards([](const Controller& c) { return c.blocked(); });
-}
-
-std::size_t ShardCoordinator::timeouts() const noexcept {
-  return sum_over_shards([](const Controller& c) { return c.timeouts(); });
-}
-
-std::size_t ShardCoordinator::resyncs() const noexcept {
-  return sum_over_shards([](const Controller& c) { return c.resyncs(); });
-}
-
-std::size_t ShardCoordinator::resync_frames() const noexcept {
-  return sum_over_shards(
-      [](const Controller& c) { return c.resync_frames(); });
-}
-
-std::size_t ShardCoordinator::rollbacks() const noexcept {
-  return sum_over_shards([](const Controller& c) { return c.rollbacks(); });
-}
-
-std::size_t ShardCoordinator::retries() const noexcept {
-  return sum_over_shards([](const Controller& c) { return c.retries(); });
-}
-
-std::size_t ShardCoordinator::resubmissions() const noexcept {
-  return sum_over_shards(
-      [](const Controller& c) { return c.resubmissions(); });
+ControllerStats ShardCoordinator::stats() const {
+  ControllerStats total;
+  for (const auto& shard : shards_) total.merge(shard->stats());
+  total.sharding = sharding_;
+  total.sharding.shards = shards_.size();
+  total.sharding.parallel_epochs = sim_.parallel_epochs();
+  total.sharding.horizon_stalls = sim_.horizon_stalls();
+  total.sharding.overflow_posts = sim_.overflow_posts();
+  total.sharding.events_per_shard = sim_.events_per_shard();
+  return total;
 }
 
 }  // namespace tsu::controller

@@ -39,7 +39,6 @@
 // reply is detectable on sight.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -64,9 +63,6 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
   Controller& shard(std::size_t i) { return *shards_[i]; }
-  const topo::SwitchPartition& partition() const noexcept {
-    return partition_;
-  }
   std::size_t shard_of(NodeId node) const noexcept {
     return partition_.shard_of(node);
   }
@@ -107,12 +103,8 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   // Sum of per-shard in-flight counts (a cross-shard update counts once
   // per shard it is active on).
   std::size_t in_flight() const noexcept;
-  // The recent-completion window - shard-local and cross-shard requests in
-  // completion order until the ring wraps (see Controller::completed()).
-  const std::vector<UpdateMetrics>& completed() const noexcept {
-    return completed_.recent();
-  }
-  // Streaming lifetime aggregation + the recent ring.
+  // Streaming lifetime aggregation + the recent ring: shard-local and
+  // cross-shard requests in completion order.
   const CompletionLog& completions() const noexcept { return completed_; }
   void set_on_update_done(std::function<void(const UpdateMetrics&)> fn) {
     on_update_done_ = std::move(fn);
@@ -128,36 +120,10 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
     return total;
   }
 
-  // Aggregated engine stats (sums over shards; max_hold is the max, and
-  // max_in_flight_observed is the busiest shard's high-water mark).
-  std::size_t max_in_flight_observed() const noexcept;
-  std::size_t messages_coalesced() const noexcept;
-  std::size_t batches_sent() const noexcept;
-  std::size_t timer_flushes() const noexcept;
-  std::size_t budget_flushes() const noexcept;
-  std::size_t flush_timers_cancelled() const noexcept;
-  sim::Duration max_hold() const noexcept;
-  std::uint64_t conflict_edges() const noexcept;
-  std::uint64_t blocked_submissions() const noexcept;
-  std::size_t blocked() const noexcept;
-
-  // Fault-handling counters, summed over the shards (controller.hpp).
-  std::size_t timeouts() const noexcept;
-  std::size_t resyncs() const noexcept;
-  std::size_t resync_frames() const noexcept;
-  std::size_t rollbacks() const noexcept;
-  std::size_t retries() const noexcept;
-  std::size_t resubmissions() const noexcept;
-
-  // Cross-shard protocol observability: updates that spanned shards,
-  // rounds whose confirmations were merged, and the summed sync spread
-  // (last shard's confirmation minus the first's, per merged round) - the
-  // price of the two-phase round barrier.
-  std::size_t cross_shard_updates() const noexcept {
-    return cross_shard_updates_;
-  }
-  std::size_t rounds_synced() const noexcept { return rounds_synced_; }
-  sim::Duration sync_overhead() const noexcept { return sync_overhead_; }
+  // The shards' counters folded by ControllerStats::merge, with this
+  // coordinator's cross-shard protocol counters and its clock's stepping
+  // counters as `sharding` (stats.hpp).
+  ControllerStats stats() const;
 
   // Controller::CoordinationHooks
   void on_round_done(std::uint8_t shard, std::uint64_t token,
@@ -167,22 +133,6 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   void on_progress(std::uint8_t shard) override;
 
  private:
-  // Aggregation helpers over the per-shard engines: counters sum,
-  // high-water marks take the max.
-  template <class Get>
-  auto sum_over_shards(Get get) const {
-    decltype(get(*shards_.front())) total{};
-    for (const auto& shard : shards_) total += get(*shard);
-    return total;
-  }
-  template <class Get>
-  auto max_over_shards(Get get) const {
-    decltype(get(*shards_.front())) most{};
-    for (const auto& shard : shards_)
-      most = std::max(most, get(*shard));
-    return most;
-  }
-
   struct CrossUpdate {
     std::vector<std::uint8_t> shards;  // participating, ascending
     std::size_t total_rounds = 0;
@@ -204,9 +154,8 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   std::function<void(const UpdateMetrics&)> on_update_done_;
   std::uint64_t next_token_ = 1;
   bool starting_ = false;  // re-entrancy guard for try_start_cross
-  std::size_t cross_shard_updates_ = 0;
-  std::size_t rounds_synced_ = 0;
-  sim::Duration sync_overhead_ = 0;
+  // The cross-shard protocol counters; stats() adds the rest.
+  ShardStats sharding_;
 };
 
 }  // namespace tsu::controller

@@ -179,28 +179,14 @@ struct Harness {
     }
   }
 
-  std::size_t total_frames() const {
-    std::size_t frames = 0;
-    for (const auto& duplex : channels)
-      frames += duplex->to_switch.frames_sent() +
-                duplex->to_controller.frames_sent();
-    return frames;
-  }
-
-  std::size_t total_bytes() const {
-    std::size_t bytes = 0;
-    for (const auto& duplex : channels)
-      bytes += duplex->to_switch.bytes_sent() +
-               duplex->to_controller.bytes_sent();
-    return bytes;
-  }
-
-  std::size_t total_messages() const {
-    std::size_t messages = 0;
-    for (const auto& duplex : channels)
-      messages += duplex->to_switch.messages_sent() +
-                  duplex->to_controller.messages_sent();
-    return messages;
+  // Every control channel's stats, both directions, folded.
+  channel::ChannelStats channel_stats() const {
+    channel::ChannelStats total;
+    for (const channel::DuplexChannel* duplex : channels) {
+      total.merge(duplex->to_switch.stats());
+      total.merge(duplex->to_controller.stats());
+    }
+    return total;
   }
 };
 
@@ -450,8 +436,10 @@ Result<MultiFlowExecutionResult> execute_multiflow(
   // link outage does the same to the channels only; a blackhole silently
   // eats the next frames towards the switch. Every fault schedules its own
   // recovery, so runs always drain. An empty schedule adds NO events and
-  // keeps every digest bit-identical.
-  sim::FaultStats fault_stats;
+  // keeps every digest bit-identical. `injected` counts the faults, the
+  // frames they cost and each outage's recovery time; the result merges it
+  // into the controller's recovery counters.
+  sim::FaultStats injected;
   std::vector<sim::SimTime> down_at(harness.switches.size(), 0);
   // uint8_t, not bool: neighbouring vector<bool> bits share a byte, which
   // TSan would flag if fault handlers ever ran on different shards' lanes.
@@ -468,7 +456,7 @@ Result<MultiFlowExecutionResult> execute_multiflow(
       harness.switches[node]->set_serving(true);
       if (is_down[node]) {
         is_down[node] = false;
-        fault_stats.recovery_ms.push_back(
+        injected.recovery_ms.push_back(
             sim::to_ms(harness.sim_of(node).now() - down_at[node]));
       }
     });
@@ -479,7 +467,7 @@ Result<MultiFlowExecutionResult> execute_multiflow(
       switch (e.kind) {
         case sim::FaultKind::kSwitchCrash:
           harness.sim.schedule_on(shard, e.at, [&, duplex, sw, e]() {
-            ++fault_stats.crashes;
+            ++injected.crashes;
             down_at[e.node] = harness.sim_of(e.node).now();
             is_down[e.node] = true;
             duplex->to_switch.set_down(true);
@@ -495,7 +483,7 @@ Result<MultiFlowExecutionResult> execute_multiflow(
           break;
         case sim::FaultKind::kLinkDown:
           harness.sim.schedule_on(shard, e.at, [&, duplex, e]() {
-            ++fault_stats.link_downs;
+            ++injected.link_downs;
             down_at[e.node] = harness.sim_of(e.node).now();
             is_down[e.node] = true;
             duplex->to_switch.set_down(true);
@@ -513,7 +501,7 @@ Result<MultiFlowExecutionResult> execute_multiflow(
           break;
         case sim::FaultKind::kBlackhole:
           harness.sim.schedule_on(shard, e.at, [&, duplex, e]() {
-            ++fault_stats.blackholes;
+            ++injected.blackholes;
             duplex->to_switch.drop_next(e.frames);
           });
           break;
@@ -606,6 +594,8 @@ Result<MultiFlowExecutionResult> execute_multiflow(
   }
 
   MultiFlowExecutionResult result;
+  static_cast<controller::ControllerStats&>(result) = harness.ctrl->stats();
+  static_cast<channel::ChannelStats&>(result) = harness.channel_stats();
   result.flows.resize(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
     ExecutionResult& flow = result.flows[i];
@@ -620,44 +610,16 @@ Result<MultiFlowExecutionResult> execute_multiflow(
       flow.packets_injected = sources[i]->injected();
   }
   result.aggregate = monitors.aggregate();
-  result.frames_sent = harness.total_frames();
-  result.bytes_sent = harness.total_bytes();
-  result.messages_sent = harness.total_messages();
-  result.max_in_flight_observed = harness.ctrl->max_in_flight_observed();
-  result.conflict_edges = harness.ctrl->conflict_edges();
-  result.blocked_submissions = harness.ctrl->blocked_submissions();
-  result.batching.batches_sent = harness.ctrl->batches_sent();
-  result.batching.messages_coalesced = harness.ctrl->messages_coalesced();
-  result.batching.timer_flushes = harness.ctrl->timer_flushes();
-  result.batching.budget_flushes = harness.ctrl->budget_flushes();
-  result.batching.flush_timers_cancelled =
-      harness.ctrl->flush_timers_cancelled();
-  result.batching.max_hold = harness.ctrl->max_hold();
-  result.sharding.shards = harness.ctrl->shard_count();
   result.sharding.exec = controller_config.exec;
   result.sharding.threads = timing.threads;
-  result.sharding.cross_shard_updates = harness.ctrl->cross_shard_updates();
-  result.sharding.rounds_synced = harness.ctrl->rounds_synced();
-  result.sharding.sync_overhead = harness.ctrl->sync_overhead();
-  result.sharding.parallel_epochs = harness.sim.parallel_epochs();
-  result.sharding.horizon_stalls = harness.sim.horizon_stalls();
-  result.sharding.overflow_posts = harness.sim.overflow_posts();
-  result.sharding.events_per_shard = harness.sim.events_per_shard();
   result.sharding.partition_cut_weight =
       harness.partition.cut_weight(harness.affinity);
   result.sharding.wall_ms = timing.wall_ms;
-  result.faults = std::move(fault_stats);
-  result.faults.timeouts = harness.ctrl->timeouts();
-  result.faults.resyncs = harness.ctrl->resyncs();
-  result.faults.resync_frames = harness.ctrl->resync_frames();
-  result.faults.rollbacks = harness.ctrl->rollbacks();
-  result.faults.retries = harness.ctrl->retries();
-  result.faults.resubmissions = harness.ctrl->resubmissions();
-  for (const auto& duplex : harness.channels)
-    result.faults.frames_lost += duplex->to_switch.frames_dropped() +
-                                 duplex->to_controller.frames_dropped();
+  // Frames lost to faults: on the channels, and in crashed switches.
+  injected.frames_lost = result.frames_dropped;
   for (const switchsim::SimSwitch* sw : harness.switches)
-    if (sw != nullptr) result.faults.frames_lost += sw->frames_dropped();
+    if (sw != nullptr) injected.frames_lost += sw->frames_dropped();
+  result.faults.merge(injected);
   result.final_state_digest = final_state_digest(harness);
   result.initial_state_digest = initial_digest;
   result.makespan = last_finish - first_start;
@@ -774,6 +736,15 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   const auto controller_depth = [&]() {
     return harness.ctrl->queued() + harness.ctrl->in_flight();
   };
+  // The service counters with the plan cache's read in, as snapshots and
+  // the result report them.
+  const auto current_stats = [&]() {
+    ServiceStats now = stats;
+    now.plan_compiles = plan_cache.compiles();
+    now.plan_hits = plan_cache.hits();
+    now.plan_invalidations = plan_cache.invalidations();
+    return now;
+  };
 
   const auto submit_head = [&]() {
     const PendingRequest p = pending.front();
@@ -878,18 +849,11 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     snap_ring.reserve(config.snapshot_window);
     snapshot_fn = [&]() {
       ServiceSnapshot s;
+      static_cast<ServiceStats&>(s) = current_stats();
       s.at = harness.sim.now();
-      s.arrivals = stats.arrivals;
-      s.accepted = stats.accepted;
-      s.rejected = stats.rejected;
-      s.submitted = stats.submitted;
-      s.completed = stats.completed;
       s.pending = pending.size();
       s.controller_depth = controller_depth();
       s.steady_state_entries = harness.ctrl->steady_state_entries();
-      s.plan_compiles = plan_cache.compiles();
-      s.plan_hits = plan_cache.hits();
-      s.plan_invalidations = plan_cache.invalidations();
       s.window_throughput_per_sec =
           static_cast<double>(stats.completed - snap_prev_completed) * 1e9 /
           static_cast<double>(config.snapshot_interval);
@@ -934,6 +898,8 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
                       "service drained with work outstanding");
 
   ServiceResult result;
+  result.stats = current_stats();
+  static_cast<channel::ChannelStats&>(result) = harness.channel_stats();
   const controller::CompletionLog& log = harness.ctrl->completions();
   result.completions = log.stats();
   if (!log.recent().empty()) {
@@ -952,13 +918,8 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   result.final_state_digest = final_state_digest(harness);
   result.sim_duration = last_completion;
   result.wall_ms = timing.wall_ms;
-  result.frames_sent = harness.total_frames();
   for (std::size_t s = 0; s < harness.ctrl->shard_count(); ++s)
     result.retired_xids += harness.ctrl->shard(s).retired_xids();
-  stats.plan_compiles = plan_cache.compiles();
-  stats.plan_hits = plan_cache.hits();
-  stats.plan_invalidations = plan_cache.invalidations();
-  result.stats = std::move(stats);
   return result;
 }
 

@@ -70,70 +70,14 @@ struct ExecutionResult {
   double update_ms() const noexcept { return sim::to_ms(update.duration()); }
 };
 
-// Batching observability of one engine run (see controller::BatchMode):
-// frames actually batched, what triggered the flushes, and the longest any
-// message was held in an outbox past readiness (bounded by batch_window).
-struct BatchingStats {
-  std::size_t batches_sent = 0;
-  std::size_t messages_coalesced = 0;
-  std::size_t timer_flushes = 0;
-  std::size_t budget_flushes = 0;
-  std::size_t flush_timers_cancelled = 0;
-  sim::Duration max_hold = 0;
-
-  double max_hold_ms() const noexcept { return sim::to_ms(max_hold); }
-};
-
-// Sharding observability of one engine run (see controller/shard.hpp and
-// sim/sharded.hpp): how many updates spanned shards, what the two-phase
-// round barrier cost - the summed spread between the first and last shard
-// confirming each cross-shard round - and how the stepping engine ran:
-// epochs that stepped shards concurrently, sequential fallback steps at
-// collapsed horizons, per-shard event counts (identical across reruns of a
-// seed; the parallel determinism test pins this), the workload cut the
-// partition paid, and the wall-clock cost of the run loop (steady-clock;
-// the simulation itself never reads wall time).
-struct ShardStats {
-  std::size_t shards = 1;
-  sim::ExecMode exec = sim::ExecMode::kSequential;
-  std::size_t threads = 1;  // pool lanes actually used (1 when sequential)
-  std::size_t cross_shard_updates = 0;
-  std::size_t rounds_synced = 0;
-  sim::Duration sync_overhead = 0;
-  std::size_t parallel_epochs = 0;
-  std::size_t horizon_stalls = 0;
-  // Cross-shard mailbox posts that found their SPSC ring full and took the
-  // locked overflow path (sim/sharded.hpp) - 0 on a well-sized steady
-  // state.
-  std::size_t overflow_posts = 0;
-  std::vector<std::size_t> events_per_shard;
-  // Affinity weight of the workload's switch co-occurrence graph crossing
-  // shards under the chosen partition (topo::SwitchPartition::cut_weight).
-  std::size_t partition_cut_weight = 0;
-  double wall_ms = 0;
-
-  double sync_overhead_ms() const noexcept {
-    return sim::to_ms(sync_overhead);
-  }
-};
-
-struct MultiFlowExecutionResult {
+// The run's counters are its two bases, each folded across the engine: the
+// coordinator's ControllerStats (controller/stats.hpp; `faults` also holds
+// what the executor injected) and the ChannelStats of every control
+// channel, both directions.
+struct MultiFlowExecutionResult : controller::ControllerStats,
+                                  channel::ChannelStats {
   std::vector<ExecutionResult> flows;     // indexed like the input lists
   dataplane::MonitorReport aggregate;     // outcome counts over all flows
-  std::size_t frames_sent = 0;            // control-channel frames, total
-  std::size_t bytes_sent = 0;
-  std::size_t messages_sent = 0;          // logical messages (>= frames)
-  std::size_t max_in_flight_observed = 0;
-  // Admission stats (see controller/admission.hpp): dependency edges the
-  // conflict DAG created, and requests that had to wait on a conflict.
-  std::uint64_t conflict_edges = 0;
-  std::uint64_t blocked_submissions = 0;
-  BatchingStats batching;
-  ShardStats sharding;
-  // Fault-injection observability (empty unless config.faults is set):
-  // injected fault counts, frames lost to them, and the controller's
-  // detection/recovery counters (sim/faults.hpp).
-  sim::FaultStats faults;
   // Order-insensitive digest of every switch's final flow tables; two runs
   // installed the same forwarding state iff their digests match (the
   // batched-vs-unbatched equivalence oracle, and the sharded-vs-single

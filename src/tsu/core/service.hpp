@@ -113,21 +113,13 @@ struct ServiceStats {
   std::uint64_t plan_invalidations = 0;
 };
 
-// One live snapshot of the serving system (all cumulative unless noted).
-struct ServiceSnapshot {
+// One live snapshot of the serving system: the service counters so far
+// (its ServiceStats base) and the state at `at`.
+struct ServiceSnapshot : ServiceStats {
   sim::SimTime at = 0;
-  std::uint64_t arrivals = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
   std::size_t pending = 0;            // service pending queue, now
   std::size_t controller_depth = 0;   // controller queued + active, now
   std::size_t steady_state_entries = 0;
-  // Plan-cache counters, cumulative (see ServiceStats).
-  std::uint64_t plan_compiles = 0;
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_invalidations = 0;
   double window_throughput_per_sec = 0;  // completions since last snapshot
   // Cumulative latency quantiles from the streaming histograms.
   double p50_duration_ms = 0;
@@ -136,7 +128,8 @@ struct ServiceSnapshot {
   double p99_wait_ms = 0;
 };
 
-struct ServiceResult {
+// The run's ChannelStats base folds every control channel, both directions.
+struct ServiceResult : channel::ChannelStats {
   ServiceStats stats;
   // Lifetime aggregation of every completion (count, aborted, streaming
   // mean/stddev and log-histogram quantiles of duration and admission
@@ -150,9 +143,10 @@ struct ServiceResult {
   // healthy run ends at 0.
   std::size_t steady_state_entries_final = 0;
   std::uint64_t final_state_digest = 0;
-  sim::Duration sim_duration = 0;  // first arrival -> last completion
+  // Sim time of the last completion, from 0 (so it includes the first
+  // arrival's gap); sustained_per_sec divides by it.
+  sim::Duration sim_duration = 0;
   double wall_ms = 0;
-  std::size_t frames_sent = 0;
   // Xid sequence numbers sitting in the per-shard recycle free lists after
   // the drain - nonzero proves updates retired and released their xids.
   std::size_t retired_xids = 0;

@@ -10,22 +10,30 @@ json::Value count(std::uint64_t n) {
   return json::Value(static_cast<std::int64_t>(n));
 }
 
+// The ServiceStats keys, the same in both documents.
+void set_stats(json::Object& root, const core::ServiceStats& stats) {
+  root.set("arrivals", count(stats.arrivals));
+  root.set("accepted", count(stats.accepted));
+  root.set("rejected", count(stats.rejected));
+  root.set("submitted", count(stats.submitted));
+  root.set("completed", count(stats.completed));
+  root.set("aborted", count(stats.aborted));
+  root.set("peak_pending", count(stats.peak_pending));
+  root.set("peak_controller_depth", count(stats.peak_controller_depth));
+  root.set("plan_compiles", count(stats.plan_compiles));
+  root.set("plan_hits", count(stats.plan_hits));
+  root.set("plan_invalidations", count(stats.plan_invalidations));
+}
+
 }  // namespace
 
 std::string to_json(const core::ServiceSnapshot& snapshot) {
   json::Object root;
   root.set("at_ms", json::Value(static_cast<double>(snapshot.at) / 1e6));
-  root.set("arrivals", count(snapshot.arrivals));
-  root.set("accepted", count(snapshot.accepted));
-  root.set("rejected", count(snapshot.rejected));
-  root.set("submitted", count(snapshot.submitted));
-  root.set("completed", count(snapshot.completed));
+  set_stats(root, snapshot);
   root.set("pending", count(snapshot.pending));
   root.set("controller_depth", count(snapshot.controller_depth));
   root.set("steady_state_entries", count(snapshot.steady_state_entries));
-  root.set("plan_compiles", count(snapshot.plan_compiles));
-  root.set("plan_hits", count(snapshot.plan_hits));
-  root.set("plan_invalidations", count(snapshot.plan_invalidations));
   root.set("window_throughput_per_sec",
            json::Value(snapshot.window_throughput_per_sec));
   root.set("p50_duration_ms", json::Value(snapshot.p50_duration_ms));
@@ -37,18 +45,7 @@ std::string to_json(const core::ServiceSnapshot& snapshot) {
 
 std::string to_json(const core::ServiceResult& result) {
   json::Object root;
-  root.set("arrivals", count(result.stats.arrivals));
-  root.set("accepted", count(result.stats.accepted));
-  root.set("rejected", count(result.stats.rejected));
-  root.set("submitted", count(result.stats.submitted));
-  root.set("completed", count(result.stats.completed));
-  root.set("aborted", count(result.stats.aborted));
-  root.set("peak_pending", count(result.stats.peak_pending));
-  root.set("peak_controller_depth",
-           count(result.stats.peak_controller_depth));
-  root.set("plan_compiles", count(result.stats.plan_compiles));
-  root.set("plan_hits", count(result.stats.plan_hits));
-  root.set("plan_invalidations", count(result.stats.plan_invalidations));
+  set_stats(root, result.stats);
 
   const controller::CompletionStats& done = result.completions;
   json::Object latency;

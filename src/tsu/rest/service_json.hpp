@@ -9,8 +9,9 @@
 
 namespace tsu::rest {
 
-// One live snapshot: cumulative counters, instantaneous depths, window
-// throughput, and streaming latency quantiles.
+// One live snapshot: the ServiceStats counters so far (the same keys as
+// the final document's), instantaneous depths, window throughput, and
+// streaming latency quantiles.
 std::string to_json(const core::ServiceSnapshot& snapshot);
 
 // Final run document: totals, latency/wait summary, drain proof

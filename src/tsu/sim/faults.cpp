@@ -234,4 +234,19 @@ FaultSchedule FaultSchedule::random(std::uint64_t seed,
 double FaultStats::recovery_p50_ms() const { return percentile(recovery_ms, 0.5); }
 double FaultStats::recovery_p99_ms() const { return percentile(recovery_ms, 0.99); }
 
+void FaultStats::merge(const FaultStats& other) {
+  crashes += other.crashes;
+  link_downs += other.link_downs;
+  blackholes += other.blackholes;
+  frames_lost += other.frames_lost;
+  timeouts += other.timeouts;
+  resyncs += other.resyncs;
+  resync_frames += other.resync_frames;
+  rollbacks += other.rollbacks;
+  retries += other.retries;
+  resubmissions += other.resubmissions;
+  recovery_ms.insert(recovery_ms.end(), other.recovery_ms.begin(),
+                     other.recovery_ms.end());
+}
+
 }  // namespace tsu::sim

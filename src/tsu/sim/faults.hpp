@@ -104,9 +104,11 @@ class FaultSchedule {
   std::vector<FaultEvent> events_;
 };
 
-// Fault-path observability for one engine run, aggregated across shards by
-// the executor and surfaced through MultiFlow/Mixed results and the bench
-// JSON. All zero on the fault-free path.
+// Fault-path observability for one engine run: the controller counts
+// detection and recovery (controller/stats.hpp), the executor what it
+// injected and lost and when each outage recovered. Surfaced through the
+// closed-loop result, sim_cli and the bench JSON. All zero on the
+// fault-free path.
 struct FaultStats {
   std::size_t crashes = 0;         // injected switch crashes
   std::size_t link_downs = 0;      // injected control-link outages
@@ -125,6 +127,8 @@ struct FaultStats {
   }
   double recovery_p50_ms() const;
   double recovery_p99_ms() const;
+  // Sums every count and appends the other run's recoveries.
+  void merge(const FaultStats& other);
 };
 
 }  // namespace tsu::sim

@@ -357,8 +357,8 @@ TEST(ConflictAwareControllerTest, SameFlowUpdatesSerializeAcrossConflict) {
   // ...and their order is arrival order, so the final state is b's.
   // The disjoint request ran concurrently with a.
   EXPECT_LT(by_name.at("c")->started, by_name.at("a")->finished);
-  EXPECT_EQ(bed.ctrl.conflict_edges(), 1u);
-  EXPECT_EQ(bed.ctrl.blocked_submissions(), 1u);
+  EXPECT_EQ(bed.ctrl.stats().conflict_edges, 1u);
+  EXPECT_EQ(bed.ctrl.stats().blocked_submissions, 1u);
 
   // Switch 2 saw both of flow 1's writes in request order: b's rule
   // (round 1 on switch 2 forwards to 9) wins over a's earlier write.
@@ -387,10 +387,10 @@ TEST(ConflictAwareControllerTest, BlindRacesWhereConflictAwareWaits) {
     const UpdateMetrics& second = bed.ctrl.completed()[1];
     if (policy == AdmissionPolicy::kBlind) {
       // Both in flight at once: the race exists.
-      EXPECT_EQ(bed.ctrl.max_in_flight_observed(), 2u);
+      EXPECT_EQ(bed.ctrl.stats().max_in_flight_observed, 2u);
       EXPECT_LT(second.started, first.finished);
     } else {
-      EXPECT_EQ(bed.ctrl.max_in_flight_observed(), 1u);
+      EXPECT_EQ(bed.ctrl.stats().max_in_flight_observed, 1u);
       EXPECT_GE(second.started, first.finished);
     }
   }
@@ -417,7 +417,7 @@ TEST(ConflictAwareControllerTest, DifferentTablesAreDisjointStateAndRunConcurren
   bed.ctrl.submit(t0);
   bed.ctrl.submit(t1);
   EXPECT_EQ(bed.ctrl.in_flight(), 2u);  // no conflict edge
-  EXPECT_EQ(bed.ctrl.conflict_edges(), 0u);
+  EXPECT_EQ(bed.ctrl.stats().conflict_edges, 0u);
   bed.sim.run();
   ASSERT_EQ(bed.ctrl.completed().size(), 2u);
   flow::Packet p;

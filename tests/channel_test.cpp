@@ -98,7 +98,7 @@ TEST(ChannelTest, LossSurfacesAsRetransmitDelay) {
   for (Xid xid = 0; xid < 20; ++xid) channel.send(proto::make_hello(xid));
   f.sim.run();
   ASSERT_EQ(f.received.size(), 20u);
-  EXPECT_GT(channel.retransmissions(), 0u);
+  EXPECT_GT(channel.stats().retransmissions, 0u);
   for (const auto& [at, message] : f.received)
     EXPECT_GE(at, sim::milliseconds(1));
 }
@@ -116,7 +116,7 @@ TEST(ChannelTest, RepeatedLossSaturatesAtTheMaximumDelay) {
   for (Xid xid = 0; xid < 20; ++xid) channel.send(proto::make_hello(xid));
   f.sim.run();
   ASSERT_EQ(f.received.size(), 20u);
-  EXPECT_GT(channel.retransmissions(), 20u);
+  EXPECT_GT(channel.stats().retransmissions, 20u);
   for (const auto& [at, message] : f.received)
     EXPECT_LE(at, sim::kMaxDuration);
 }
@@ -127,8 +127,8 @@ TEST(ChannelTest, CountsFramesAndBytes) {
   channel.send(proto::make_hello(1));
   channel.send(proto::make_barrier_request(2));
   f.sim.run();
-  EXPECT_EQ(channel.frames_sent(), 2u);
-  EXPECT_EQ(channel.bytes_sent(), 16u);  // two 8-byte header-only frames
+  EXPECT_EQ(channel.stats().frames_sent, 2u);
+  EXPECT_EQ(channel.stats().bytes_sent, 16u);  // two 8-byte header-only frames
 }
 
 proto::Message flow_mod(Xid xid) {
@@ -147,9 +147,9 @@ TEST(ChannelTest, EncodedBatchCountsItsElements) {
       0, {flow_mod(1), flow_mod(2), proto::make_barrier_request(3)}));
   channel.send_encoded(frame, 9);
   f.sim.run();
-  EXPECT_EQ(channel.frames_sent(), 1u);
-  EXPECT_EQ(channel.messages_sent(), 3u);
-  EXPECT_EQ(channel.bytes_sent(), frame.size());
+  EXPECT_EQ(channel.stats().frames_sent, 1u);
+  EXPECT_EQ(channel.stats().messages_sent, 3u);
+  EXPECT_EQ(channel.stats().bytes_sent, frame.size());
   ASSERT_EQ(f.received.size(), 1u);
   EXPECT_EQ(f.received[0].second.xid, 9u);
   EXPECT_EQ(std::get<proto::Batch>(f.received[0].second.body).messages.size(),
@@ -177,8 +177,8 @@ TEST(ChannelTest, BlackholeWindowClosesOnlyOnABatchCarryingABarrier) {
     send(proto::make_batch(10,
                            {flow_mod(11), proto::make_barrier_request(12)}));
     f.sim.run();
-    EXPECT_EQ(channel.frames_dropped(), 3u) << "encoded " << encoded;
-    EXPECT_EQ(channel.frames_sent(), 1u) << "encoded " << encoded;
+    EXPECT_EQ(channel.stats().frames_dropped, 3u) << "encoded " << encoded;
+    EXPECT_EQ(channel.stats().frames_sent, 1u) << "encoded " << encoded;
     ASSERT_EQ(f.received.size(), 1u) << "encoded " << encoded;
     EXPECT_EQ(f.received[0].second.xid, 10u) << "encoded " << encoded;
   }

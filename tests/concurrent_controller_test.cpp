@@ -55,8 +55,8 @@ struct TestBed {
   std::size_t total_frames() const {
     std::size_t frames = 0;
     for (const auto& duplex : channels)
-      frames += duplex->to_switch.frames_sent() +
-                duplex->to_controller.frames_sent();
+      frames += duplex->to_switch.stats().frames_sent +
+                duplex->to_controller.stats().frames_sent;
     return frames;
   }
 };
@@ -91,7 +91,7 @@ TEST(ConcurrentControllerTest, TwoUpdatesOverlapWithK2) {
   EXPECT_EQ(bed.ctrl.in_flight(), 2u);
   bed.sim.run();
   ASSERT_EQ(bed.ctrl.completed().size(), 2u);
-  EXPECT_EQ(bed.ctrl.max_in_flight_observed(), 2u);
+  EXPECT_EQ(bed.ctrl.stats().max_in_flight_observed, 2u);
   const UpdateMetrics& m1 = bed.ctrl.completed()[0];
   const UpdateMetrics& m2 = bed.ctrl.completed()[1];
   // Concurrent, not serialized: the later-finishing update started before
@@ -120,7 +120,7 @@ TEST(ConcurrentControllerTest, KOneStillSerializes) {
   ASSERT_EQ(bed.ctrl.completed().size(), 2u);
   EXPECT_GE(bed.ctrl.completed()[1].started,
             bed.ctrl.completed()[0].finished);
-  EXPECT_EQ(bed.ctrl.max_in_flight_observed(), 1u);
+  EXPECT_EQ(bed.ctrl.stats().max_in_flight_observed, 1u);
 }
 
 TEST(ConcurrentControllerTest, AdmitsFromQueueAsSlotsFree) {
@@ -139,7 +139,7 @@ TEST(ConcurrentControllerTest, AdmitsFromQueueAsSlotsFree) {
   bed.sim.run();
   EXPECT_TRUE(bed.ctrl.idle());
   EXPECT_EQ(bed.ctrl.completed().size(), 4u);
-  EXPECT_EQ(bed.ctrl.max_in_flight_observed(), 2u);
+  EXPECT_EQ(bed.ctrl.stats().max_in_flight_observed, 2u);
 }
 
 TEST(ConcurrentControllerTest, PerFlowRoundsTrackedIndependently) {
@@ -213,8 +213,8 @@ TEST(ConcurrentControllerTest, BatchingCoalescesCrossFlowFrames) {
   }
   // ...but strictly fewer frames on the wire.
   EXPECT_LT(batched.total_frames(), plain.total_frames());
-  EXPECT_GT(batched.ctrl.batches_sent(), 0u);
-  EXPECT_GT(batched.ctrl.messages_coalesced(), 0u);
+  EXPECT_GT(batched.ctrl.stats().batching.batches_sent, 0u);
+  EXPECT_GT(batched.ctrl.stats().batching.messages_coalesced, 0u);
   // Every flow's rules landed in both modes.
   for (FlowId flow = 1; flow <= 4; ++flow) {
     flow::Packet p;

@@ -304,7 +304,8 @@ TEST(ControllerTest, XidWrapRecyclesRetiredSequences) {
     EXPECT_FALSE(m.aborted);
     EXPECT_EQ(m.flow_mods_sent, 2u);
   }
-  EXPECT_EQ(bed.ctrl.retries(), 0u);  // recycled xids routed every reply
+  // Recycled xids routed every reply.
+  EXPECT_EQ(bed.ctrl.stats().faults.retries, 0u);
   // 8 updates x (2 flowmods + 2 barriers + batch frames) far exceeds the
   // 16 fresh values left, so the free list both filled and drained.
   EXPECT_GT(bed.ctrl.retired_xids(), 0u);
@@ -340,7 +341,7 @@ TEST(ControllerTest, XidWrapKeepsTimedOutXidsUnrecycled) {
   bed.sim.run();
   ASSERT_EQ(bed.ctrl.completed().size(), 1u);
   EXPECT_FALSE(bed.ctrl.completed()[0].aborted);
-  EXPECT_GE(bed.ctrl.retries(), 1u);
+  EXPECT_GE(bed.ctrl.stats().faults.retries, 1u);
 
   // Post-crash, post-wrap steady state still works off the free list.
   for (int i = 0; i < 4; ++i) {
@@ -353,10 +354,11 @@ TEST(ControllerTest, XidWrapKeepsTimedOutXidsUnrecycled) {
   bed.sim.run();
   EXPECT_TRUE(bed.ctrl.idle());
   ASSERT_EQ(bed.ctrl.completed().size(), 5u);
-  const std::size_t crash_retries = bed.ctrl.retries();
+  const std::size_t crash_retries = bed.ctrl.stats().faults.retries;
   for (std::size_t i = 1; i < 5; ++i)
     EXPECT_FALSE(bed.ctrl.completed()[i].aborted);
-  EXPECT_EQ(bed.ctrl.retries(), crash_retries);  // no new retries post-wrap
+  // No new retries post-wrap.
+  EXPECT_EQ(bed.ctrl.stats().faults.retries, crash_retries);
 }
 
 TEST(CompletionLogTest, StreamsAggregatesAndKeepsBoundedRing) {
@@ -447,7 +449,7 @@ TEST(ControllerTest, SteadyStateEntriesFlatAcrossCrashRecovery) {
   bed.sim.run();
   EXPECT_TRUE(bed.ctrl.idle());
   ASSERT_EQ(bed.ctrl.completed().size(), 1u);
-  EXPECT_GE(bed.ctrl.retries(), 1u);
+  EXPECT_GE(bed.ctrl.stats().faults.retries, 1u);
   EXPECT_EQ(bed.ctrl.steady_state_entries(), 0u);
 }
 

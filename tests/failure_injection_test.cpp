@@ -454,7 +454,7 @@ TEST(FailureInjectionTest, ResyncInvalidatesCompiledPlans) {
   sim.run();
   const std::uint64_t gen1 = ctrl.resync_generation();
   EXPECT_GT(gen1, gen0);
-  EXPECT_GE(ctrl.resyncs(), 1u);
+  EXPECT_GE(ctrl.stats().faults.resyncs, 1u);
   EXPECT_TRUE(switches[1]->table().lookup(p).has_value());
 
   // The stale plan is discarded, not served.
