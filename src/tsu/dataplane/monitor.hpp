@@ -107,7 +107,6 @@ class MultiFlowMonitor {
   const std::map<FlowId, ConsistencyMonitor>& flows() const noexcept {
     return flows_;
   }
-  std::size_t flow_count() const noexcept { return flows_.size(); }
 
   // Outcome counts summed across every flow.
   MonitorReport aggregate() const;

@@ -21,8 +21,6 @@ void SimSwitch::receive(const proto::Message& message) {
     // whole group paid only one channel frame.
     ++batches_received_;
     const proto::Batch& batch = std::get<proto::Batch>(message.body);
-    batched_messages_received_ += batch.messages.size();
-    largest_batch_ = std::max(largest_batch_, batch.messages.size());
     for (const proto::Message& m : batch.messages) inbox_.push_back(m);
   } else {
     inbox_.push_back(message);
@@ -161,7 +159,6 @@ void SimSwitch::apply_flow_mod(const proto::FlowMod& mod) {
 }
 
 void SimSwitch::crash(bool lose_state) {
-  ++crashes_;
   ++epoch_;  // orphan any in-flight completion event
   up_ = false;
   serving_ = false;

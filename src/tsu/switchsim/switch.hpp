@@ -120,19 +120,12 @@ class SimSwitch {
   bool up() const noexcept { return up_; }
   bool serving() const noexcept { return serving_; }
   void set_serving(bool serving) noexcept { serving_ = serving; }
-  std::size_t crashes() const noexcept { return crashes_; }
   // Control frames dropped because they arrived while the switch was down.
   std::size_t frames_dropped() const noexcept { return frames_dropped_; }
 
   std::size_t flow_mods_applied() const noexcept { return flow_mods_applied_; }
   std::size_t barriers_replied() const noexcept { return barriers_replied_; }
   std::size_t batches_received() const noexcept { return batches_received_; }
-  // Batch expansion: logical messages unpacked from batch frames, and the
-  // largest single batch seen (how hard the outbox actually packed).
-  std::size_t batched_messages_received() const noexcept {
-    return batched_messages_received_;
-  }
-  std::size_t largest_batch() const noexcept { return largest_batch_; }
   // Reply direction of the batch-expansion stats: Batch frames this switch
   // shipped towards the controller and the replies they carried.
   std::size_t reply_batches_sent() const noexcept {
@@ -175,7 +168,6 @@ class SimSwitch {
   bool up_ = true;
   bool serving_ = true;
   std::uint64_t epoch_ = 0;
-  std::size_t crashes_ = 0;
   std::size_t frames_dropped_ = 0;
 
   // Reply outbox (batch_replies): same-instant replies awaiting the
@@ -191,8 +183,6 @@ class SimSwitch {
   std::size_t flow_mods_applied_ = 0;
   std::size_t barriers_replied_ = 0;
   std::size_t batches_received_ = 0;
-  std::size_t batched_messages_received_ = 0;
-  std::size_t largest_batch_ = 0;
   std::size_t reply_batches_sent_ = 0;
   std::size_t batched_replies_sent_ = 0;
   stats::Summary install_times_;  // ns
