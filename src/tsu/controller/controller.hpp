@@ -224,10 +224,10 @@ class Controller {
 
   // This engine's counters (stats.hpp), with the admission queue's read in.
   ControllerStats stats() const {
-    ControllerStats stats = stats_;
-    stats.conflict_edges = admission_.conflict_edges();
-    stats.blocked_submissions = admission_.blocked_submissions();
-    return stats;
+    ControllerStats taken = stats_;
+    taken.conflict_edges = admission_.conflict_edges();
+    taken.blocked_submissions = admission_.blocked_submissions();
+    return taken;
   }
 
   // The recent-completion window, in completion order (identical to
