@@ -126,8 +126,8 @@ class SimSwitch {
   std::size_t flow_mods_applied() const noexcept { return flow_mods_applied_; }
   std::size_t barriers_replied() const noexcept { return barriers_replied_; }
   std::size_t batches_received() const noexcept { return batches_received_; }
-  // Reply direction of the batch-expansion stats: Batch frames this switch
-  // shipped towards the controller and the replies they carried.
+  // Reply batching: Batch frames this switch shipped towards the
+  // controller and the replies they carried.
   std::size_t reply_batches_sent() const noexcept {
     return reply_batches_sent_;
   }
