@@ -5,7 +5,10 @@
 
 #include "tsu/dataplane/monitor.hpp"
 #include "tsu/dataplane/traffic.hpp"
+#include "tsu/proto/messages.hpp"
+#include "tsu/sim/sharded.hpp"
 #include "tsu/topo/instances.hpp"
+#include "tsu/topo/partition.hpp"
 
 namespace tsu::dataplane {
 namespace {
@@ -170,6 +173,75 @@ TEST(TrafficTest, RulesChangingMidFlightAffectPackets) {
   EXPECT_GT(monitor.report().blackholed, 0u);
   EXPECT_EQ(monitor.report().delivered + monitor.report().blackholed,
             monitor.report().total);
+}
+
+// ------------------------------------------------- same-instant ordering --
+
+// One probe down the chain 0->1->2->3 with 20 us links, injected at t = 0,
+// reaches switch 3 at 60 us. A modify-to-drop FlowMod for its flow is
+// handed to switch 3 at 60 us minus the install time, so the rule changes
+// at 60 us too. Hop by hop, the probe's last hop is queued at 40 us, when
+// it reaches switch 2: an install that started before then lands first and
+// drops the probe, one that started after lands second and lets it through.
+PacketOutcome same_instant_outcome(sim::Duration install, bool sharded) {
+  sim::Simulator lone;
+  sim::ShardedSim group(1);
+  const topo::SwitchPartition partition;
+  sim::Simulator& simulator = sharded ? group.shard(0) : lone;
+
+  switchsim::SwitchConfig sw_config;
+  sw_config.install_latency = sim::LatencyModel::constant(install);
+  std::vector<std::unique_ptr<switchsim::SimSwitch>> storage;
+  std::vector<switchsim::SimSwitch*> switches(4, nullptr);
+  for (NodeId v = 0; v < 4; ++v) {
+    storage.push_back(std::make_unique<switchsim::SimSwitch>(
+        simulator, v, v, sw_config, Rng(v + 1)));
+    switches[v] = storage.back().get();
+    switches[v]->table().add(flow::FlowRule{
+        flow::Match::exact_flow(1),
+        v == 3 ? flow::Action::deliver() : flow::Action::forward(v + 1), 100,
+        0});
+  }
+
+  TrafficConfig config = config_for(0, 3, std::nullopt, 1);
+  config.link_latency = sim::LatencyModel::constant(sim::microseconds(20));
+  ConsistencyMonitor monitor;
+  std::unique_ptr<TrafficSource> source =
+      sharded ? std::make_unique<TrafficSource>(group, partition, switches,
+                                                config, Rng(9), monitor)
+              : std::make_unique<TrafficSource>(simulator, switches, config,
+                                                Rng(9), monitor);
+
+  proto::FlowMod drop;
+  drop.command = proto::FlowModCommand::kModify;
+  drop.match = flow::Match::exact_flow(1);
+  drop.action = flow::Action::drop();
+  simulator.schedule_at(sim::microseconds(60) - install, [&]() {
+    switches[3]->receive(proto::make_flow_mod(1, drop));
+  });
+  source->start();
+  if (sharded)
+    group.run();
+  else
+    simulator.run();
+
+  const MonitorReport& report = monitor.report();
+  EXPECT_EQ(report.total, 1u);
+  EXPECT_EQ(switches[3]->flow_mods_applied(), 1u);
+  return report.blackholed == 1 ? PacketOutcome::kBlackholed
+                                : PacketOutcome::kDelivered;
+}
+
+TEST(TrafficTest, SameInstantRuleChangeKeepsHopByHopOrder) {
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "1-shard ShardedSim" : "Simulator");
+    EXPECT_EQ(same_instant_outcome(sim::microseconds(50), sharded),
+              PacketOutcome::kBlackholed);
+    EXPECT_EQ(same_instant_outcome(sim::microseconds(30), sharded),
+              PacketOutcome::kBlackholed);
+    EXPECT_EQ(same_instant_outcome(sim::microseconds(10), sharded),
+              PacketOutcome::kDelivered);
+  }
 }
 
 // ---------------------------------------------------------------- monitor --

@@ -13,10 +13,14 @@
 //     cancels a timer per switch per round.
 //
 // Per flow the digest covers the update's start and finish sim times,
-// frames, bytes, the final-state digest, the packet oracle's verdict counts
-// and the per-shard event counts. The constant was recorded before the
-// event queue gained its constant-delay lanes; any change to the order in
-// which the engine fires events changes the digest.
+// frames, bytes, the final-state digest and the packet oracle's verdict
+// counts: what the runs produce. How the engine stepped to get there - the
+// per-shard event counts, parallel epochs, horizon stalls and overflow
+// posts - goes into a separate stepping digest, so a change that only
+// removes events (a probe walking several hops inside one event) moves the
+// stepping constant and leaves the outcome constant alone. Both were first
+// recorded as one digest, before the event queue gained its constant-delay
+// lanes.
 //
 // The service section runs 8 templates on 32 switches, so templates 5-7
 // share the paths of templates 0-2. The constant was once recorded while
@@ -24,6 +28,9 @@
 // plans (and flow ids) of 0-2. It was re-recorded when the cache key
 // became the template index: 0x0633bd99aeba40a7 became 0x47f650b67483ac45,
 // the value the old engine gave with that section's plan cache turned off.
+// Moving the stepping counters out then split 0x47f650b67483ac45 into the
+// outcome digest 0x832b9e28a6e57937 and the stepping digest
+// 0x59c8d90ca110f4b7, on the same engine.
 //
 // A second digest pins the closed-loop call shapes on top of the engine:
 // one update on Figure 1, a serializing queue (max_in_flight = 1), one
@@ -36,7 +43,8 @@
 // 1 and 4 shards, clean and under a seeded fault schedule with each failure
 // response, plus every service and snapshot counter of one open-loop run.
 // A counter summed where it should take the max (or the reverse) when the
-// shards' counters fold together changes it.
+// shards' counters fold together changes it. Its stepping counters go into
+// a stepping digest of their own, as above.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -52,9 +60,11 @@
 namespace tsu::core {
 namespace {
 
-constexpr std::uint64_t kExpectedDigest = 0x47f650b67483ac45ULL;
+constexpr std::uint64_t kExpectedDigest = 0x832b9e28a6e57937ULL;
+constexpr std::uint64_t kExpectedSteppingDigest = 0x59c8d90ca110f4b7ULL;
 constexpr std::uint64_t kExpectedEntryPointDigest = 0x8290ce736e3feec6ULL;
-constexpr std::uint64_t kExpectedCounterDigest = 0xc11707c172f65547ULL;
+constexpr std::uint64_t kExpectedCounterDigest = 0x6c114b0e978e4b8eULL;
+constexpr std::uint64_t kExpectedCounterSteppingDigest = 0x4ee5cf4742e9bdd0ULL;
 
 class Digest {
  public:
@@ -95,9 +105,16 @@ void mix_multiflow(Digest& d, const MultiFlowExecutionResult& result) {
   d.mix(result.makespan);
   d.mix(result.batching.timer_flushes);
   d.mix(result.batching.flush_timers_cancelled);
-  d.mix(result.sharding.events_per_shard.size());
-  for (const std::size_t events : result.sharding.events_per_shard)
-    d.mix(events);
+}
+
+// How the engine stepped a run: events per shard and the parallel
+// stepper's epochs, stalls and overflow posts.
+void mix_stepping(Digest& d, const controller::ShardStats& sharding) {
+  d.mix(sharding.parallel_epochs);
+  d.mix(sharding.horizon_stalls);
+  d.mix(sharding.overflow_posts);
+  d.mix(sharding.events_per_shard.size());
+  for (const std::size_t events : sharding.events_per_shard) d.mix(events);
 }
 
 ExecutorConfig pool_config(std::uint64_t seed) {
@@ -123,6 +140,7 @@ ExecutorConfig pool_config(std::uint64_t seed) {
 
 TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
   Digest d;
+  Digest stepping;
   const topo::PlannedPoolWorkload w =
       topo::planned_pool_workload(64, 24).value();
 
@@ -133,6 +151,7 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
     ASSERT_TRUE(single.ok()) << "seed " << seed << ": "
                              << single.error().to_string();
     mix_multiflow(d, single.value());
+    mix_stepping(stepping, single.value().sharding);
 
     config.controller.shards = 4;
     config.controller.exec = sim::ExecMode::kParallel;
@@ -145,6 +164,7 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
               single.value().final_state_digest)
         << "seed " << seed;
     mix_multiflow(d, sharded.value());
+    mix_stepping(stepping, sharded.value().sharding);
   }
 
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -192,6 +212,7 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
     EXPECT_GT(result.faults.timeouts + result.faults.resyncs, 0u)
         << "the fault run never exercised recovery";
     mix_multiflow(d, result);
+    mix_stepping(stepping, result.sharding);
     d.mix(result.faults.frames_lost);
     d.mix(result.faults.timeouts);
     d.mix(result.faults.resyncs);
@@ -200,6 +221,8 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
   }
 
   EXPECT_EQ(d.value(), kExpectedDigest) << "digest 0x" << std::hex << d.value();
+  EXPECT_EQ(stepping.value(), kExpectedSteppingDigest)
+      << "stepping digest 0x" << std::hex << stepping.value();
 }
 
 // One policy's outcome: the update that carried it and its probe verdicts.
@@ -310,8 +333,9 @@ TEST(EngineIdentityTest, EntryPointRunsAreBitIdentical) {
       << "digest 0x" << std::hex << d.value();
 }
 
-// Every engine counter of a closed-loop run, in declaration order. wall_ms
-// and threads are wall-clock facts of the host, not of the simulation.
+// Every engine counter of a closed-loop run, in declaration order, except
+// the stepping counters (mix_stepping). wall_ms and threads are wall-clock
+// facts of the host, not of the simulation.
 void mix_counters(Digest& d, const MultiFlowExecutionResult& result) {
   d.mix(result.frames_sent);
   d.mix(result.bytes_sent);
@@ -332,11 +356,6 @@ void mix_counters(Digest& d, const MultiFlowExecutionResult& result) {
   d.mix(sharding.cross_shard_updates);
   d.mix(sharding.rounds_synced);
   d.mix(static_cast<std::uint64_t>(sharding.sync_overhead));
-  d.mix(sharding.parallel_epochs);
-  d.mix(sharding.horizon_stalls);
-  d.mix(sharding.overflow_posts);
-  d.mix(sharding.events_per_shard.size());
-  for (const std::size_t events : sharding.events_per_shard) d.mix(events);
   d.mix(sharding.partition_cut_weight);
   const sim::FaultStats& faults = result.faults;
   d.mix(faults.crashes);
@@ -392,6 +411,7 @@ void mix_snapshot(Digest& d, const ServiceSnapshot& s) {
 
 TEST(EngineIdentityTest, CountersAreBitIdentical) {
   Digest d;
+  Digest stepping;
   const topo::PlannedPoolWorkload w =
       topo::planned_pool_workload(64, 24).value();
   sim::ChaosOptions chaos;
@@ -436,6 +456,7 @@ TEST(EngineIdentityTest, CountersAreBitIdentical) {
             << topo::to_string(sharding.partition) << ", variant " << variant
             << ": " << run.error().to_string();
         mix_counters(d, run.value());
+        mix_stepping(stepping, run.value().sharding);
         recovered += run.value().faults.resyncs;
         synced += run.value().sharding.rounds_synced;
       }
@@ -470,6 +491,8 @@ TEST(EngineIdentityTest, CountersAreBitIdentical) {
 
   EXPECT_EQ(d.value(), kExpectedCounterDigest)
       << "digest 0x" << std::hex << d.value();
+  EXPECT_EQ(stepping.value(), kExpectedCounterSteppingDigest)
+      << "stepping digest 0x" << std::hex << stepping.value();
 }
 
 }  // namespace
