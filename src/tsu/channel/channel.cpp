@@ -71,9 +71,11 @@ void ControlChannel::transmit(std::vector<std::byte>&& frame) {
   if (deliver_at < last_delivery_) deliver_at = last_delivery_;
   last_delivery_ = deliver_at;
 
+  ++in_flight_;
   sim_.schedule_at(
       deliver_at,
       [this, frame = std::move(frame), epoch = epoch_]() mutable {
+        --in_flight_;
         if (epoch != epoch_) {
           // The link went down while this frame was in flight: lost with
           // the session (fault injection; epochs never move otherwise).

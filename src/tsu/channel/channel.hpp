@@ -108,6 +108,15 @@ class ControlChannel {
 
   const ChannelStats& stats() const noexcept { return stats_; }
 
+  // Frames sent and not yet at their delivery event, lost ones included
+  // until that event drops them. With none in flight, nothing sent from now
+  // on arrives before now + min_delay(); the receiving switch bounds its
+  // next table change on that (switchsim/switch.hpp).
+  std::size_t in_flight() const noexcept { return in_flight_; }
+  sim::Duration min_delay() const noexcept {
+    return config_.latency.min_delay();
+  }
+
  private:
   // Fault gate: returns true when the frame was consumed by an outage or
   // blackhole window (counted in stats_.frames_dropped). Blackhole windows
@@ -140,6 +149,7 @@ class ControlChannel {
   DeliverFn receiver_;
   sim::EventScope delivery_scope_ = sim::EventScope::kShared;
   sim::SimTime last_delivery_ = 0;
+  std::size_t in_flight_ = 0;
 
   // Fault state: down flag, link-session epoch (bumped on every up/down
   // transition; deliveries from an older epoch are dropped), and the

@@ -157,6 +157,7 @@ struct Harness {
     sw_ptr->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
+    sw_ptr->attach_channels(duplex_ptr->to_switch, duplex_ptr->to_controller);
     ctrl->attach_switch(
         node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
           duplex_ptr->to_switch.send_encoded(frame, xid);
@@ -466,6 +467,7 @@ Result<MultiFlowExecutionResult> execute_multiflow(
       switchsim::SimSwitch* sw = harness.switches[e.node];
       switch (e.kind) {
         case sim::FaultKind::kSwitchCrash:
+          sw->expect_crash(e.at);
           harness.sim.schedule_on(shard, e.at, [&, duplex, sw, e]() {
             ++injected.crashes;
             down_at[e.node] = harness.sim_of(e.node).now();

@@ -1,5 +1,7 @@
 #include "tsu/dataplane/traffic.hpp"
 
+#include <optional>
+
 #include "tsu/util/log.hpp"
 
 namespace tsu::dataplane {
@@ -39,6 +41,14 @@ sim::Simulator& TrafficSource::sim_of(NodeId node) {
 }
 
 void TrafficSource::start() {
+  // The late band keeps a queued hop's order against same-instant rule
+  // changes only if every change lands more than one link after the event
+  // that queued it (see the file comment).
+  const sim::Duration link_max = config_.link_latency.max_delay();
+  late_band_ = true;
+  for (const switchsim::SimSwitch* sw : switches_)
+    if (sw != nullptr && sw->change_lead() <= link_max) late_band_ = false;
+
   // kLocal: injection reads source-local state and starts the packet on
   // the ingress switch, which lives on this very shard.
   home_sim_->schedule_at(config_.start, [this]() { inject(); },
@@ -58,16 +68,75 @@ void TrafficSource::inject() {
   live.visited.reset(switches_.size());
   ++injected_;
   in_flight_.fetch_add(1, std::memory_order_relaxed);
-  hop(std::move(live), config_.ingress);
+  walk(std::move(live), config_.ingress);
 
   home_sim_->schedule(config_.interarrival.sample(rng_),
                       [this]() { inject(); }, sim::EventScope::kLocal);
 }
 
-void TrafficSource::hop(LivePacket live, NodeId at) {
-  TSU_ASSERT(at < switches_.size() && switches_[at] != nullptr);
+void TrafficSource::walk(LivePacket live, NodeId at) {
   sim::Simulator& here = sim_of(at);
+  const std::size_t shard = shard_of(at);
+  const sim::SimTime now = here.now();
+  NodeId next = kInvalidNode;
+  sim::Duration latency = 0;
+  if (!visit(live, at, now, next, latency)) return;
 
+  // The packet on its first link, kept once the walk goes past it so a
+  // native-band walk can rewind there.
+  const NodeId first_next = next;
+  const sim::SimTime first_arrival = now + latency;
+  std::optional<LivePacket> first;
+  sim::SimTime t = now;
+  while (true) {
+    const sim::SimTime arrival = t + latency;
+    const std::size_t next_shard = shard_of(next);
+    if (next_shard != shard) {
+      // Cross-shard hand-off: into the owner's mailbox, never into its
+      // queue mid-step (see sim/sharded.hpp).
+      group_->post(next_shard, shard, arrival, resume(std::move(live), next));
+      return;
+    }
+    // Strictly before: a change at exactly `arrival` may sort before the
+    // hop.
+    if (arrival >= switches_[next]->stable_until()) break;
+    if (!late_band_ && !first.has_value()) first.emplace(live);
+    t = arrival;
+    if (!visit(live, next, t, next, latency)) return;
+  }
+
+  // The bound stopped the walk at `next`.
+  if (late_band_) {
+    const sim::SimTime arrival = t + latency;
+    if (group_ == nullptr)
+      here.schedule_late(arrival, resume(std::move(live), next),
+                         sim::EventScope::kLocal);
+    else
+      group_->post(shard, shard, arrival, resume(std::move(live), next));
+    return;
+  }
+  // Native band: only the first hop is queued where hop-by-hop forwarding
+  // would queue it. kLocal: the hop reads only tables this shard owns.
+  here.schedule(first_arrival - now,
+                resume(first.has_value() ? std::move(*first) : std::move(live),
+                       first_next),
+                sim::EventScope::kLocal);
+}
+
+sim::EventFn TrafficSource::resume(LivePacket live, NodeId at) {
+  auto hop = [this, live = std::move(live), at]() mutable {
+    walk(std::move(live), at);
+  };
+  // The resumed walk is THE hot-path event: it must stay within the event
+  // fabric's inline buffer or every queued hop allocates again.
+  static_assert(sim::EventFn::fits_inline<decltype(hop)>(),
+                "hop closure outgrew the inline event buffer");
+  return hop;
+}
+
+bool TrafficSource::visit(LivePacket& live, NodeId at, sim::SimTime t,
+                          NodeId& next, sim::Duration& latency) {
+  TSU_ASSERT(at < switches_.size() && switches_[at] != nullptr);
   if (config_.waypoint.has_value() && at == *config_.waypoint)
     live.crossed_waypoint = true;
 
@@ -75,73 +144,54 @@ void TrafficSource::hop(LivePacket live, NodeId at) {
   // it to service; traffic hitting it is outage loss, kept apart from the
   // consistency verdicts (fault injection only; always serving otherwise).
   if (!switches_[at]->serving()) {
-    finish(live, PacketOutcome::kFaultDropped, here.now());
-    return;
+    finish(PacketOutcome::kFaultDropped, t);
+    return false;
   }
 
-  // Look up the live flow table *now*; the rule may have changed since the
-  // previous hop - that is the whole point of the experiment.
+  // Look up the live flow table as it stands at `t`; the rule may have
+  // changed since the previous hop - that is the whole point of the
+  // experiment.
   const std::optional<flow::FlowRule> rule =
       switches_[at]->table().lookup(live.packet);
   if (!rule.has_value() || rule->action.kind == flow::ActionKind::kDrop) {
-    finish(live, PacketOutcome::kBlackholed, here.now());
-    return;
+    finish(PacketOutcome::kBlackholed, t);
+    return false;
   }
   if (rule->action.kind == flow::ActionKind::kDeliver) {
     if (at == config_.egress) {
       const bool needs_waypoint = config_.waypoint.has_value();
-      finish(live,
-             needs_waypoint && !live.crossed_waypoint
+      finish(needs_waypoint && !live.crossed_waypoint
                  ? PacketOutcome::kBypassedWaypoint
                  : PacketOutcome::kDelivered,
-             here.now());
+             t);
     } else {
       // Delivered to the wrong host: treat as a drop.
-      finish(live, PacketOutcome::kBlackholed, here.now());
+      finish(PacketOutcome::kBlackholed, t);
     }
-    return;
+    return false;
   }
 
   // Forwarding.
   if (live.visited.test(at)) {
-    finish(live, PacketOutcome::kLooped, here.now());
-    return;
+    finish(PacketOutcome::kLooped, t);
+    return false;
   }
   live.visited.set(at);
   if (--live.packet.ttl <= 0) {
-    finish(live, PacketOutcome::kTtlExpired, here.now());
-    return;
+    finish(PacketOutcome::kTtlExpired, t);
+    return false;
   }
-  const NodeId next = rule->action.port;
+  next = rule->action.port;
   if (next >= switches_.size() || switches_[next] == nullptr) {
-    finish(live, PacketOutcome::kBlackholed, here.now());
-    return;
+    finish(PacketOutcome::kBlackholed, t);
+    return false;
   }
   live.packet.in_port = at;
-  const sim::Duration latency = config_.link_latency.sample(live.rng);
-  const std::size_t here_shard = shard_of(at);
-  const std::size_t next_shard = shard_of(next);
-  auto next_hop = [this, live = std::move(live), next]() mutable {
-    hop(std::move(live), next);
-  };
-  // The hop closure is THE hot-path event: it must stay within the event
-  // fabric's inline buffer or every forwarded packet allocates again.
-  static_assert(sim::EventFn::fits_inline<decltype(next_hop)>(),
-                "hop closure outgrew the inline event buffer");
-  if (group_ == nullptr || next_shard == here_shard) {
-    // kLocal: the hop reads only `next`'s tables, owned by this shard.
-    here.schedule(latency, std::move(next_hop), sim::EventScope::kLocal);
-  } else {
-    // Cross-shard hand-off: into the owner's mailbox, never into its
-    // queue mid-step (see sim/sharded.hpp).
-    group_->post(next_shard, here_shard, here.now() + latency,
-                 std::move(next_hop));
-  }
+  latency = config_.link_latency.sample(live.rng);
+  return true;
 }
 
-void TrafficSource::finish(const LivePacket& live, PacketOutcome outcome,
-                           sim::SimTime at) {
-  (void)live;
+void TrafficSource::finish(PacketOutcome outcome, sim::SimTime at) {
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   monitor_.record(at, outcome);
 }

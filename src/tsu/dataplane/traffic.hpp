@@ -128,9 +128,17 @@ class TrafficSource {
   std::size_t shard_of(NodeId node) const noexcept;
 
   void inject();
-  // Runs on the queue of `at`'s owning shard.
-  void hop(LivePacket live, NodeId at);
-  void finish(const LivePacket& live, PacketOutcome outcome, sim::SimTime at);
+  // The packet reaches `at` now, in an event on the queue of `at`'s owning
+  // shard, and walks on from there (see the file comment).
+  void walk(LivePacket live, NodeId at);
+  // The packet reaches `at` at time `t`: records its outcome and returns
+  // false when it ends there, else returns true with the next switch and
+  // the link latency towards it.
+  bool visit(LivePacket& live, NodeId at, sim::SimTime t, NodeId& next,
+             sim::Duration& latency);
+  // The event that resumes the walk when the packet reaches `at`.
+  sim::EventFn resume(LivePacket live, NodeId at);
+  void finish(PacketOutcome outcome, sim::SimTime at);
 
   sim::Simulator* home_sim_;                       // ingress shard's queue
   sim::ShardedSim* group_ = nullptr;               // null when unsharded
@@ -139,6 +147,9 @@ class TrafficSource {
   TrafficConfig config_;
   Rng rng_;
   ConsistencyMonitor& monitor_;
+  // Whether a walk the bound stops queues its hop in the late band (true)
+  // or rewinds to its first hop; set by start() from the switches.
+  bool late_band_ = false;
   std::size_t injected_ = 0;
   // Decremented by whichever shard finishes the packet.
   std::atomic<std::size_t> in_flight_{0};

@@ -44,6 +44,22 @@ Duration LatencyModel::min_delay() const noexcept {
   return 0;
 }
 
+Duration LatencyModel::max_delay() const noexcept {
+  switch (kind) {
+    case LatencyKind::kConstant:
+      return from_ns(a);
+    case LatencyKind::kUniform:
+    case LatencyKind::kPareto:
+      // Both draw below `b` in exact arithmetic; rounding can land a hair
+      // above it, and the truncating conversion keeps that within ceil(b).
+      return from_ns(std::ceil(b));
+    case LatencyKind::kExponential:
+    case LatencyKind::kLognormal:
+      return kMaxDuration;
+  }
+  return kMaxDuration;
+}
+
 double LatencyModel::mean() const {
   switch (kind) {
     case LatencyKind::kConstant: return a;

@@ -43,6 +43,12 @@ struct LatencyModel {
   // below kinds. The parallel sharded engine derives its cross-shard
   // lookahead from this (sim/sharded.hpp).
   Duration min_delay() const noexcept;
+  // A guaranteed upper bound on sample(): the value for kConstant, the
+  // distribution's upper edge rounded up to whole nanoseconds for
+  // kUniform/kPareto, and kMaxDuration for the unbounded-above kinds. The
+  // data-plane walk compares it against the control plane's min_delay()s
+  // (dataplane/traffic.hpp).
+  Duration max_delay() const noexcept;
   std::string to_string() const;
 
   static LatencyModel constant(Duration value);

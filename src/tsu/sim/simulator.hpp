@@ -63,6 +63,17 @@ class Simulator {
     return queue_.push(at, std::move(fn), scope, EventQueue::Band::kRemote,
                        posted_at, remote_seq);
   }
+  // A lone simulator's own remote-band event: at equal timestamps it sorts
+  // after every natively scheduled one, and among its kind by (now, call
+  // order) - the key a 1-shard ShardedSim gives a self-post, so both fire
+  // the same schedule. A shard of a group posts through ShardedSim::post,
+  // whose keys also name the poster.
+  EventId schedule_late(SimTime at, EventFn fn,
+                        EventScope scope = EventScope::kShared) {
+    TSU_ASSERT_MSG(shared_now_ == nullptr,
+                   "a shard schedules late events through ShardedSim::post");
+    return push_remote(at, std::move(fn), scope, *now_, late_seq_++);
+  }
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   // Runs until the queue drains or `until` is reached (events at exactly
@@ -110,6 +121,8 @@ class Simulator {
   // The group clock this shard rejoins after a run_epoch (null for a
   // self-clocked simulator, which never runs epochs).
   SimTime* shared_now_ = nullptr;
+  // schedule_late's call order.
+  std::uint64_t late_seq_ = 0;
 };
 
 }  // namespace tsu::sim

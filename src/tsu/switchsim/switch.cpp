@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 
 #include "tsu/proto/apply.hpp"
 #include "tsu/util/log.hpp"
@@ -36,12 +37,14 @@ void SimSwitch::start_next() {
   inbox_.pop_front();
 
   sim::Duration processing = config_.message_processing;
-  if (message.type() == proto::MsgType::kFlowMod) {
+  installing_ = message.type() == proto::MsgType::kFlowMod;
+  if (installing_) {
     processing = config_.install_latency.sample(rng_);
     install_times_.add(static_cast<double>(processing));
   } else if (message.type() == proto::MsgType::kBarrierRequest) {
     processing = config_.barrier_processing;
   }
+  busy_until_ = sim_.now() + processing;
 
   // kLocal: a switch only touches its own tables and its own channel, all
   // of which live on this switch's shard (see sim/event_queue.hpp).
@@ -63,6 +66,36 @@ void SimSwitch::start_next() {
   static_assert(sim::EventFn::fits_inline<decltype(completion)>(),
                 "switch completion closure outgrew the inline event buffer");
   sim_.schedule(processing, std::move(completion), sim::EventScope::kLocal);
+}
+
+namespace {
+
+sim::SimTime later(sim::SimTime at, sim::Duration delay) noexcept {
+  const sim::SimTime never = std::numeric_limits<sim::SimTime>::max();
+  return delay > never - at ? never : at + delay;
+}
+
+}  // namespace
+
+void SimSwitch::expect_crash(sim::SimTime at) {
+  crashes_.insert(std::upper_bound(crashes_.begin(), crashes_.end(), at),
+                  at);
+}
+
+sim::SimTime SimSwitch::stable_until() const noexcept {
+  const sim::SimTime now = sim_.now();
+  if (!up_ || !serving_) return now;
+  sim::SimTime until;
+  if (busy_) {
+    until = installing_ ? busy_until_ : later(busy_until_, install_min_);
+  } else {
+    const bool quiet = inbound_ != nullptr && inbound_->in_flight() == 0;
+    until = later(quiet ? later(now, inbound_->min_delay()) : now,
+                  install_min_);
+  }
+  const auto crash = std::lower_bound(crashes_.begin(), crashes_.end(), now);
+  if (crash != crashes_.end()) until = std::min(until, *crash);
+  return until;
 }
 
 void SimSwitch::complete(const proto::Message& message) {

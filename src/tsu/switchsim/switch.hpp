@@ -11,6 +11,16 @@
 // The flow table mutates at the *completion* instant of each FlowMod, so
 // the data plane observes rule changes with realistic skew.
 //
+// INVARIANT: a switch's tables change only when a FlowMod completes, when
+// the switch crashes, or through table() before the run starts. It stops
+// serving only by a crash and serves again only when the controller
+// confirms a resync, which a barrier reply over its outbound channel
+// triggers. Nothing else writes table() or calls set_serving() while a run
+// steps. The data-plane walk rests on this (dataplane/traffic.hpp): it
+// forwards a probe through a switch inline, without an event of its own,
+// whenever the probe arrives before stable_until(), and it orders the hops
+// it does queue by change_lead().
+//
 // Reply batching (`batch_replies`): the switch->controller direction can
 // coalesce too. Replies produced within one simulation instant (barrier
 // replies, echoes - a burst of batched barriers completes several at once)
@@ -20,11 +30,13 @@
 // unchanged unless asked for.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <vector>
 
+#include "tsu/channel/channel.hpp"
 #include "tsu/flow/table.hpp"
 #include "tsu/proto/messages.hpp"
 #include "tsu/sim/distributions.hpp"
@@ -53,7 +65,7 @@ class SimSwitch {
   SimSwitch(sim::Simulator& simulator, NodeId node, DatapathId dpid,
             SwitchConfig config, Rng rng)
       : sim_(simulator), node_(node), dpid_(dpid), config_(config),
-        rng_(rng) {}
+        rng_(rng), install_min_(config_.install_latency.min_delay()) {}
 
   NodeId node() const noexcept { return node_; }
   DatapathId dpid() const noexcept { return dpid_; }
@@ -100,6 +112,36 @@ class SimSwitch {
 
   // True when no message is being processed and the inbox is empty.
   bool quiescent() const noexcept { return !busy_ && inbox_.empty(); }
+
+  // --- the bound the data-plane walk reads (see the file comment) -------
+  // The control channels that deliver this switch's messages and carry its
+  // replies. The executor attaches both; a bare switch has none, and then
+  // any instant may hand it a message.
+  void attach_channels(const channel::ControlChannel& inbound,
+                       const channel::ControlChannel& outbound) noexcept {
+    inbound_ = &inbound;
+    outbound_ = &outbound;
+  }
+  // Fault injection announces each crash it has scheduled for this switch.
+  void expect_crash(sim::SimTime at);
+  // The earliest instant, judged now, at which the tables or the serving
+  // state could change. That is now for a switch that is down or not
+  // serving; otherwise the earliest of the scheduled crashes, the
+  // completion of a FlowMod in progress, and the earliest start of the
+  // next message plus the least install time. The next message starts when
+  // the one in progress ends, or, on an idle switch, now if frames are in
+  // flight towards it and now plus its inbound channel's min_delay() if
+  // none are.
+  sim::SimTime stable_until() const noexcept;
+  // The least time between the event that queues a change here and the
+  // change: a FlowMod's completion is queued when its install starts, and
+  // a resync's return to service when the switch's barrier reply leaves on
+  // the outbound channel. Crashes are queued before the run starts.
+  sim::Duration change_lead() const noexcept {
+    return outbound_ == nullptr
+               ? install_min_
+               : std::min(install_min_, outbound_->min_delay());
+  }
 
   // --- fault injection (sim/faults.hpp; inert unless driven) -----------
   // The switch process dies: control messages in the inbox are lost, the
@@ -161,6 +203,17 @@ class SimSwitch {
   // push (util/ring.hpp).
   util::FlatRing<proto::Message> inbox_;
   bool busy_ = false;
+  // The message in progress ends at busy_until_; installing_ when it is a
+  // FlowMod, whose table change lands right then.
+  sim::SimTime busy_until_ = 0;
+  bool installing_ = false;
+
+  // What stable_until() reads besides the state above: the least install
+  // time, the attached channels and the scheduled crash instants, sorted.
+  sim::Duration install_min_;
+  const channel::ControlChannel* inbound_ = nullptr;
+  const channel::ControlChannel* outbound_ = nullptr;
+  std::vector<sim::SimTime> crashes_;
 
   // Fault state. `epoch_` fences in-flight completion events across a
   // crash: a completion scheduled before the crash sees a stale epoch and
