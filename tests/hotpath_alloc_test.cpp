@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -164,13 +165,21 @@ TEST(HotPathAllocTest, ChannelRoundTripAllocatesNothingOnceWarm) {
 }
 
 TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
-  // A packet forwarding down a 4-switch chain: every hop is a pooled
-  // event whose closure (LivePacket included) must stay inline, every
-  // table lookup pure value work. The monitor's bucket width is huge so
-  // its timeline never grows mid-run; the measurement window is bracketed
-  // by two probe events inside the simulation itself.
+  // A packet forwarding down a 4-switch chain walks inline wherever no
+  // rule change can reach it first, and every hop it does queue is a
+  // pooled event whose closure (LivePacket included) must stay inline.
+  // A constant 50 us install time is what lets a 10 us hop walk at all.
+  // Switch 2 is handed a FlowMod 40 us before each injection, so its
+  // install completes 10 us after it: each packet walks inline to switch
+  // 1, stops at switch 2 and queues a late-band hop there, then walks on
+  // inline to delivery - table lookups and the FlowMod pure value work.
+  // The monitor's bucket width is huge so its timeline never grows mid-run;
+  // the measurement window is bracketed by two probe events inside the
+  // simulation itself.
   sim::Simulator sim;
   switchsim::SwitchConfig sw_config;
+  sw_config.install_latency =
+      sim::LatencyModel::constant(sim::microseconds(50));
   std::vector<std::unique_ptr<switchsim::SimSwitch>> storage;
   std::vector<switchsim::SimSwitch*> switches(4, nullptr);
   for (NodeId v = 0; v < 4; ++v) {
@@ -197,16 +206,35 @@ TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
   config.stop = sim::milliseconds(50);
   dataplane::TrafficSource source(sim, switches, config, Rng(9), monitor);
 
+  // Re-adds switch 2's own rule once per injection, 40 us ahead of it.
+  proto::FlowMod same;
+  same.match = flow::Match::exact_flow(1);
+  same.action = flow::Action::forward(3);
+  const proto::Message reinstall = proto::make_flow_mod(1, same);
+  std::function<void()> hand_over = [&]() {
+    switches[2]->receive(reinstall);
+    if (sim.now() + sim::milliseconds(1) < config.stop)
+      sim.schedule(sim::milliseconds(1), [&]() { hand_over(); });
+  };
+  sim.schedule_at(sim::milliseconds(1) - sim::microseconds(40),
+                  [&]() { hand_over(); });
+
   std::uint64_t window_start = 0;
   std::uint64_t window_end = 0;
   // 10ms of traffic warms the arena and the monitor; 10..45ms is measured.
   sim.schedule_at(sim::milliseconds(10), [&]() { window_start = allocs(); });
   sim.schedule_at(sim::milliseconds(45), [&]() { window_end = allocs(); });
   source.start();
-  sim.run();
+  const std::size_t events = sim.run();
 
   EXPECT_EQ(source.in_flight(), 0u);
-  EXPECT_GE(monitor.report().delivered, 45u);
+  EXPECT_EQ(monitor.report().delivered, 50u);
+  EXPECT_EQ(switches[2]->flow_mods_applied(), 50u);
+  // 51 injection events (the last one finds the stop time), one late-band
+  // hop for each packet but the first, which meets no install, a hand-over
+  // and a completion per FlowMod, and the two window probes. Hop by hop,
+  // every packet would queue three hops of its own.
+  EXPECT_EQ(events, 51u + 49u + 50u * 2 + 2);
   EXPECT_EQ(window_end - window_start, 0u)
       << "packet injection/hops hit the allocator mid-run";
 }
