@@ -722,7 +722,6 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   controller::PlanCache plan_cache;
 
   ServiceStats stats;
-  sim::SimTime last_completion = 0;
   bool arrivals_done = false;
   bool pumping = false;
 
@@ -738,10 +737,15 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   const auto controller_depth = [&]() {
     return harness.ctrl->queued() + harness.ctrl->in_flight();
   };
-  // The service counters with the plan cache's read in, as snapshots and
-  // the result report them.
+  // The coordinator's completion log counts every completion before the
+  // done callback below fires; the service reads its counts from there.
+  const controller::CompletionStats& done = harness.ctrl->completions().stats();
+  // The service counters with the completion log's and the plan cache's
+  // read in, as snapshots and the result report them.
   const auto current_stats = [&]() {
     ServiceStats now = stats;
+    now.completed = done.count;
+    now.aborted = done.aborted;
     now.plan_compiles = plan_cache.compiles();
     now.plan_hits = plan_cache.hits();
     now.plan_invalidations = plan_cache.invalidations();
@@ -790,8 +794,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   // in-flight packets a drain window; with traffic off the event queue
   // simply empties.
   const auto maybe_finish = [&]() {
-    if (!arrivals_done || !pending.empty() ||
-        stats.submitted != stats.completed)
+    if (!arrivals_done || !pending.empty() || stats.submitted != done.count)
       return;
     for (auto& source : sources)
       if (source) source->set_stop(harness.sim.now() + exec.drain);
@@ -831,14 +834,10 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
     schedule_next_arrival();
   };
 
-  harness.ctrl->set_on_update_done(
-      [&](const controller::UpdateMetrics& metrics) {
-        ++stats.completed;
-        if (metrics.aborted) ++stats.aborted;
-        last_completion = std::max(last_completion, metrics.finished);
-        pump();
-        maybe_finish();
-      });
+  harness.ctrl->set_on_update_done([&](const controller::UpdateMetrics&) {
+    pump();
+    maybe_finish();
+  });
 
   // Live snapshot feed: a bounded ring of the last snapshot_window
   // snapshots; the event stops rescheduling itself once the run is done,
@@ -857,16 +856,14 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       s.controller_depth = controller_depth();
       s.steady_state_entries = harness.ctrl->steady_state_entries();
       s.window_throughput_per_sec =
-          static_cast<double>(stats.completed - snap_prev_completed) * 1e9 /
+          static_cast<double>(done.count - snap_prev_completed) * 1e9 /
           static_cast<double>(config.snapshot_interval);
-      snap_prev_completed = stats.completed;
-      const controller::CompletionStats& cs =
-          harness.ctrl->completions().stats();
-      if (cs.count > 0) {
-        s.p50_duration_ms = cs.duration_ns.quantile(0.5) / 1e6;
-        s.p99_duration_ms = cs.duration_ns.quantile(0.99) / 1e6;
-        s.p50_wait_ms = cs.wait_ns.quantile(0.5) / 1e6;
-        s.p99_wait_ms = cs.wait_ns.quantile(0.99) / 1e6;
+      snap_prev_completed = done.count;
+      if (done.count > 0) {
+        s.p50_duration_ms = done.duration_ns.quantile(0.5) / 1e6;
+        s.p99_duration_ms = done.duration_ns.quantile(0.99) / 1e6;
+        s.p50_wait_ms = done.wait_ns.quantile(0.5) / 1e6;
+        s.p99_wait_ms = done.wait_ns.quantile(0.99) / 1e6;
       }
       if (snap_ring.size() < config.snapshot_window) {
         snap_ring.push_back(s);
@@ -876,7 +873,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       }
       if (config.on_snapshot) config.on_snapshot(s);
       if (!(arrivals_done && pending.empty() &&
-            stats.submitted == stats.completed))
+            stats.submitted == done.count))
         harness.sim.schedule_on(0, config.snapshot_interval,
                                 [&]() { snapshot_fn(); });
     };
@@ -894,7 +891,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   if (!run.ok()) return run.error();
   const RunTiming& timing = run.value();
 
-  if (!harness.ctrl->idle() || stats.submitted != stats.completed ||
+  if (!harness.ctrl->idle() || stats.submitted != done.count ||
       !pending.empty())
     return make_error(Errc::kFailedPrecondition,
                       "service drained with work outstanding");
@@ -903,7 +900,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   result.stats = current_stats();
   static_cast<channel::ChannelStats&>(result) = harness.channel_stats();
   const controller::CompletionLog& log = harness.ctrl->completions();
-  result.completions = log.stats();
+  result.completions = done;
   if (!log.recent().empty()) {
     result.recent.reserve(log.recent().size());
     for (std::size_t i = log.recent().size(); i-- > 0;)
@@ -918,7 +915,7 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   }
   result.steady_state_entries_final = harness.ctrl->steady_state_entries();
   result.final_state_digest = final_state_digest(harness);
-  result.sim_duration = last_completion;
+  result.sim_duration = done.last_finished;
   result.wall_ms = timing.wall_ms;
   for (std::size_t s = 0; s < harness.ctrl->shard_count(); ++s)
     result.retired_xids += harness.ctrl->shard(s).retired_xids();

@@ -100,6 +100,9 @@ struct ServiceStats {
   std::uint64_t accepted = 0;   // entered the pending queue
   std::uint64_t rejected = 0;   // pending queue full
   std::uint64_t submitted = 0;  // released to the controller
+  // Read from the coordinator's completion log (CompletionStats count and
+  // aborted), which records every completion: the service keeps no second
+  // count.
   std::uint64_t completed = 0;
   std::uint64_t aborted = 0;
   std::size_t peak_pending = 0;
