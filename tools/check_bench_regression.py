@@ -28,15 +28,18 @@ The "hotpath" object:
                                  creeping back into the hot path trips
                                  the gate exactly.
 
-The "parallel" array (entries matched by shards/partition/exec/opt; only
-exec = "parallel" entries carry the gated key):
+The "parallel" array (entries matched by shards/partition/exec; only
+exec = "parallel" entries are gated):
 
-  * serial_fraction              horizon stalls over total events - the
-                                 fraction of the parallel run spent
-                                 single-stepping at a sync point instead
-                                 of running epochs. Deterministic per
-                                 seed, so it gates at the ns tolerance
-                                 against creeping re-serialization.
+  * horizon_stalls               sequential fallback steps at a collapsed
+                                 horizon. Exact per seed, so it fails on
+                                 ANY increase over the baseline - creeping
+                                 re-serialization shows up here. The stall
+                                 share serial_fraction (stalls over events)
+                                 is printed beside it but not gated: a
+                                 change that removes events which never
+                                 stall raises the share while the stalls
+                                 stay put.
 
 The "open_loop" array (entries matched by "label"):
 
@@ -78,6 +81,7 @@ NS_KEY = "ns_per_event"
 ALLOC_KEY = "steady_allocs"
 THROUGHPUT_KEY = "sustained_per_sec"
 LEFTOVER_KEY = "steady_state_entries_final"
+STALLS_KEY = "horizon_stalls"
 SERIAL_KEY = "serial_fraction"
 RATIO_KEY = "warm_cold_ratio"
 DEFAULT_TOLERANCE = 0.10
@@ -168,8 +172,8 @@ def parallel_label(entry):
             f"{entry.get('exec')}")
 
 
-def check_parallel(name, base_doc, fresh_doc, tolerance):
-    """Gates serial_fraction on the parallel-exec entries."""
+def check_parallel(name, base_doc, fresh_doc):
+    """Gates horizon_stalls on the parallel-exec entries."""
     failures = []
     base_entries = base_doc.get("parallel")
     if not isinstance(base_entries, list):
@@ -185,9 +189,14 @@ def check_parallel(name, base_doc, fresh_doc, tolerance):
         return {
             parallel_label(e): e
             for e in entries
-            if isinstance(e, dict) and isinstance(e.get(SERIAL_KEY),
-                                                  (int, float))
+            if isinstance(e, dict) and e.get("exec") == "parallel"
+            and isinstance(e.get(STALLS_KEY), int)
         }
+
+    def share(entry):
+        fraction = entry.get(SERIAL_KEY)
+        return (f"{fraction:.4f}" if isinstance(fraction, (int, float))
+                else "n/a")
 
     base_map, fresh_map = gated(base_entries), gated(fresh_entries)
     for label in sorted(set(base_map) | set(fresh_map)):
@@ -202,19 +211,15 @@ def check_parallel(name, base_doc, fresh_doc, tolerance):
                 f"{name}/parallel/{label}: present in baseline but missing "
                 "from the fresh run")
             continue
-        base_sf, fresh_sf = base[SERIAL_KEY], fresh[SERIAL_KEY]
-        # The fraction is deterministic per seed; the tolerance only
-        # absorbs float formatting, not runner noise. A zero baseline
-        # (fully stall-free) must stay zero.
-        limit = base_sf * (1.0 + tolerance) + 1e-9
-        verdict = "ok" if fresh_sf <= limit else "REGRESSION"
-        print(f"  {name}/parallel/{label}: serial fraction {fresh_sf:.4f} "
-              f"vs baseline {base_sf:.4f} (tolerance +{tolerance:.0%}) "
-              f"{verdict}")
+        base_stalls, fresh_stalls = base[STALLS_KEY], fresh[STALLS_KEY]
+        verdict = "ok" if fresh_stalls <= base_stalls else "REGRESSION"
+        print(f"  {name}/parallel/{label}: {fresh_stalls} horizon stalls vs "
+              f"baseline {base_stalls} (serial fraction {share(fresh)} vs "
+              f"{share(base)}) {verdict}")
         if verdict != "ok":
             failures.append(
-                f"{name}/parallel/{label}: serial fraction regressed "
-                f"{base_sf:.4f} -> {fresh_sf:.4f} (the parallel stepper is "
+                f"{name}/parallel/{label}: horizon stalls rose "
+                f"{base_stalls} -> {fresh_stalls} (the parallel stepper is "
                 "re-serializing)")
     return failures
 
@@ -340,7 +345,7 @@ def main(argv):
         name, base_doc = baseline_section_for(baseline, bench_id, fresh_path)
         print(f"{name} ({fresh_path}):")
         failures.extend(check_document(name, base_doc, fresh_doc, tolerance))
-        failures.extend(check_parallel(name, base_doc, fresh_doc, tolerance))
+        failures.extend(check_parallel(name, base_doc, fresh_doc))
         failures.extend(
             check_open_loop(name, base_doc, fresh_doc, tolerance))
         failures.extend(check_submission_path(name, base_doc, fresh_doc))
