@@ -4,16 +4,47 @@
 // show up exactly as they would in the Mininet demo: loops, drops, and
 // packets that slip past the waypoint.
 //
+// THE WALK. A hop needs an event of its own only when a rule at its switch
+// could change before the packet gets there. So the event that injects or
+// resumes a packet forwards it on, hop by hop inside the same call, for as
+// long as the next switch is on the same shard and the packet reaches it
+// strictly before that switch's stable_until() (switchsim/switch.hpp): the
+// earliest instant its tables or serving state could change, judged now
+// from its install in progress, the frames in flight towards it, its least
+// install time and its scheduled crashes. Each outcome is recorded at the
+// packet's own arrival time; the monitor keys everything by that time, so
+// the early record changes nothing. This is conservative lookahead
+// (Chandy and Misra) applied per packet. One event is queued only where
+// the bound or a shard boundary stops the walk:
+//
+//   late band  When every switch's change_lead() - its least install time
+//              and its reply channel's min_delay() - exceeds the link
+//              latency's max_delay(), the stopped hop is queued in the
+//              remote band, which sorts after every native event of its
+//              instant. Hop by hop, the hop would have been queued one link
+//              earlier; every rule change or resync landing at its instant
+//              was queued before that, and so ran before it either way.
+//   rewind     Otherwise the stopped hop cannot be queued now without
+//              sorting before same-instant changes queued later. The packet
+//              rewinds to its first hop, which is queued natively exactly
+//              where hop-by-hop forwarding would queue it. A walk that ends
+//              inside the bound still needs no event.
+//
+// Cross-shard hand-offs stay posts in the remote band, as they always
+// were, so every packet verdict is bit-identical to hop-by-hop forwarding;
+// only the event counts fall.
+//
 // SHARDED OPERATION. When constructed over a ShardedSim + SwitchPartition,
-// every hop event executes on the event queue of the shard OWNING the
-// switch it reads, so a hop only ever touches shard-local flow tables - the
-// invariant that lets parallel epochs run hops concurrently. A hop whose
-// next switch lives on a foreign shard hands the packet off through the
-// group's per-shard mailbox (ShardedSim::post) instead of scheduling into
-// the foreign queue directly. Each packet carries its own forked Rng for
-// link-latency sampling: samples then depend only on the packet's own hop
-// sequence, never on how concurrently-flying packets interleave, which
-// keeps parallel runs bit-identical to sequential ones.
+// every queued hop executes on the event queue of the shard OWNING the
+// switch it reads, so a walk only ever touches shard-local flow tables -
+// the invariant that lets parallel epochs run walks concurrently. A walk
+// whose next switch lives on a foreign shard hands the packet off through
+// the group's per-shard mailbox (ShardedSim::post) instead of scheduling
+// into the foreign queue directly. Each packet carries its own forked Rng
+// for link-latency sampling: samples then depend only on the packet's own
+// hop sequence, never on how concurrently-flying packets interleave or on
+// where its walks stop, which keeps parallel runs bit-identical to
+// sequential ones.
 #pragma once
 
 #include <array>
