@@ -90,8 +90,7 @@ sim::SimTime SimSwitch::stable_until() const noexcept {
     until = installing_ ? busy_until_ : later(busy_until_, install_min_);
   } else {
     const bool quiet = inbound_ != nullptr && inbound_->in_flight() == 0;
-    until = later(quiet ? later(now, inbound_->min_delay()) : now,
-                  install_min_);
+    until = later(quiet ? later(now, inbound_min_) : now, install_min_);
   }
   const auto crash = std::lower_bound(crashes_.begin(), crashes_.end(), now);
   if (crash != crashes_.end()) until = std::min(until, *crash);

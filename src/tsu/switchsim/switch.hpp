@@ -120,7 +120,8 @@ class SimSwitch {
   void attach_channels(const channel::ControlChannel& inbound,
                        const channel::ControlChannel& outbound) noexcept {
     inbound_ = &inbound;
-    outbound_ = &outbound;
+    inbound_min_ = inbound.min_delay();
+    change_lead_ = std::min(install_min_, outbound.min_delay());
   }
   // Fault injection announces each crash it has scheduled for this switch.
   void expect_crash(sim::SimTime at);
@@ -137,11 +138,7 @@ class SimSwitch {
   // change: a FlowMod's completion is queued when its install starts, and
   // a resync's return to service when the switch's barrier reply leaves on
   // the outbound channel. Crashes are queued before the run starts.
-  sim::Duration change_lead() const noexcept {
-    return outbound_ == nullptr
-               ? install_min_
-               : std::min(install_min_, outbound_->min_delay());
-  }
+  sim::Duration change_lead() const noexcept { return change_lead_; }
 
   // --- fault injection (sim/faults.hpp; inert unless driven) -----------
   // The switch process dies: control messages in the inbox are lost, the
@@ -208,11 +205,13 @@ class SimSwitch {
   sim::SimTime busy_until_ = 0;
   bool installing_ = false;
 
-  // What stable_until() reads besides the state above: the least install
-  // time, the attached channels and the scheduled crash instants, sorted.
+  // What stable_until() and change_lead() read besides the state above:
+  // the least install time, the inbound channel and its least latency, the
+  // lead the channels allow, and the scheduled crash instants, sorted.
   sim::Duration install_min_;
   const channel::ControlChannel* inbound_ = nullptr;
-  const channel::ControlChannel* outbound_ = nullptr;
+  sim::Duration inbound_min_ = 0;
+  sim::Duration change_lead_ = install_min_;
   std::vector<sim::SimTime> crashes_;
 
   // Fault state. `epoch_` fences in-flight completion events across a
