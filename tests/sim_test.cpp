@@ -548,6 +548,7 @@ TEST(LatencyModelTest, ConstantAlwaysSame) {
   const LatencyModel m = LatencyModel::constant(milliseconds(2));
   for (int i = 0; i < 10; ++i) EXPECT_EQ(m.sample(rng), milliseconds(2));
   EXPECT_DOUBLE_EQ(m.mean(), 2e6);
+  EXPECT_EQ(m.max_delay(), milliseconds(2));
 }
 
 TEST(LatencyModelTest, UniformWithinBounds) {
@@ -560,6 +561,7 @@ TEST(LatencyModelTest, UniformWithinBounds) {
     EXPECT_LT(d, microseconds(200));
   }
   EXPECT_DOUBLE_EQ(m.mean(), 150e3);
+  EXPECT_EQ(m.max_delay(), microseconds(200));
 }
 
 TEST(LatencyModelTest, ExponentialMeanApproximation) {
@@ -569,6 +571,7 @@ TEST(LatencyModelTest, ExponentialMeanApproximation) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += static_cast<double>(m.sample(rng));
   EXPECT_NEAR(sum / n, 1e6, 5e4);
+  EXPECT_EQ(m.max_delay(), kMaxDuration);
 }
 
 TEST(LatencyModelTest, LognormalMedianApproximation) {
@@ -579,6 +582,7 @@ TEST(LatencyModelTest, LognormalMedianApproximation) {
     samples.push_back(static_cast<double>(m.sample(rng)));
   std::nth_element(samples.begin(), samples.begin() + 5000, samples.end());
   EXPECT_NEAR(samples[5000], 1e6, 1e5);
+  EXPECT_EQ(m.max_delay(), kMaxDuration);
 }
 
 TEST(LatencyModelTest, ParetoBounded) {
@@ -590,6 +594,7 @@ TEST(LatencyModelTest, ParetoBounded) {
     EXPECT_GE(d, microseconds(100));
     EXPECT_LT(d, milliseconds(100));
   }
+  EXPECT_EQ(m.max_delay(), milliseconds(100));
 }
 
 TEST(LatencyModelTest, ToStringMentionsKind) {

@@ -227,6 +227,62 @@ TEST(SwitchTest, ReplyBatchingSendsLoneRepliesPlain) {
   EXPECT_EQ(sw.batched_replies_sent(), 0u);
 }
 
+TEST(SwitchTest, StableUntilBoundsTheNextTableChange) {
+  // fast_config installs in 1 ms and answers a barrier in 100 us.
+  sim::Simulator sim;
+  SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
+  // A bare switch may be handed a message at any instant.
+  EXPECT_EQ(sw.change_lead(), sim::milliseconds(1));
+  EXPECT_EQ(sw.stable_until(), sim::milliseconds(1));
+
+  // With channels attached and none in flight, no message starts before
+  // one least channel latency from now.
+  channel::ChannelConfig link;
+  link.latency = sim::LatencyModel::uniform(sim::microseconds(80),
+                                            sim::microseconds(120));
+  channel::ControlChannel inbound(sim, link, Rng(2));
+  channel::ControlChannel outbound(sim, link, Rng(3));
+  inbound.set_receiver([&sw](const proto::Message& m) { sw.receive(m); });
+  outbound.set_receiver([](const proto::Message&) {});
+  sw.attach_channels(inbound, outbound);
+  EXPECT_EQ(sw.change_lead(), sim::microseconds(80));
+  EXPECT_EQ(sw.stable_until(), sim::microseconds(80) + sim::milliseconds(1));
+
+  // A frame in flight may start the moment it lands.
+  inbound.send(add_rule(1, 5, 2));
+  EXPECT_EQ(inbound.in_flight(), 1u);
+  EXPECT_EQ(sw.stable_until(), sim::milliseconds(1));
+  ASSERT_TRUE(sim.step());
+  const sim::SimTime start = sim.now();
+  EXPECT_EQ(inbound.in_flight(), 0u);
+  // Installing: the table changes when the install completes.
+  EXPECT_EQ(sw.stable_until(), start + sim::milliseconds(1));
+  // A scheduled crash before that comes first, a later one does not.
+  sw.expect_crash(start + sim::milliseconds(5));
+  sw.expect_crash(start + sim::microseconds(300));
+  EXPECT_EQ(sw.stable_until(), start + sim::microseconds(300));
+  // A switch out of service may return to it at any instant.
+  sw.set_serving(false);
+  EXPECT_EQ(sw.stable_until(), start);
+  sw.set_serving(true);
+
+  sim.run();
+  EXPECT_EQ(sim.now(), start + sim::milliseconds(1));
+  EXPECT_EQ(sw.table().size(), 1u);
+  // Busy with a barrier: the next install starts when the barrier ends.
+  sw.receive(proto::make_barrier_request(2));
+  EXPECT_EQ(sw.stable_until(),
+            sim.now() + sim::microseconds(100) + sim::milliseconds(1));
+  sim.run();
+  // Idle again: the crash at +300 us has passed, and the one at +5 ms
+  // bounds only once it is nearer than a channel latency and an install.
+  EXPECT_EQ(sw.stable_until(),
+            sim.now() + sim::microseconds(80) + sim::milliseconds(1));
+  sim.schedule_at(start + sim::microseconds(4500), []() {});
+  sim.run();
+  EXPECT_EQ(sw.stable_until(), start + sim::milliseconds(5));
+}
+
 TEST(SwitchTest, QuiescentReflectsPendingWork) {
   sim::Simulator sim;
   SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
