@@ -7,6 +7,7 @@
 #include "tsu/dataplane/traffic.hpp"
 #include "tsu/proto/messages.hpp"
 #include "tsu/sim/sharded.hpp"
+#include "tsu/sim/thread_pool.hpp"
 #include "tsu/topo/instances.hpp"
 #include "tsu/topo/partition.hpp"
 
@@ -242,6 +243,105 @@ TEST(TrafficTest, SameInstantRuleChangeKeepsHopByHopOrder) {
     EXPECT_EQ(same_instant_outcome(sim::microseconds(10), sharded),
               PacketOutcome::kDelivered);
   }
+}
+
+// ------------------------------------------------------ cross-shard walk --
+
+// What a probe run leaves behind: every report count, the timeline bucket
+// by bucket, and the events each shard fired.
+struct ChainRun {
+  std::vector<std::size_t> verdicts;
+  std::vector<std::size_t> events_per_shard;
+  std::size_t injected = 0;
+};
+
+// Probes down the chain 0->1->2->3 (waypoint 2, 10 us links, one packet
+// every 50 us for 6 ms) while FlowMods with a constant 50 us install
+// reroute it: switch 2 drops from 1.5 ms, loops back to 1 from 2.5 ms and
+// forwards again from 3.5 ms; switch 1 skips the waypoint from 4.5 ms.
+// A kBlock partition of the 4 switches into 2 shards puts 0 and 1 on
+// shard 0 and 2 and 3 on shard 1, so every packet crosses a shard
+// boundary, and the looped ones cross it back.
+ChainRun cross_shard_chain_run(std::size_t shards, bool parallel) {
+  constexpr sim::Duration kInstall = sim::microseconds(50);
+  constexpr sim::Duration kLink = sim::microseconds(10);
+  sim::ShardedSim group(shards);
+  const topo::SwitchPartition partition(shards, topo::PartitionScheme::kBlock,
+                                        4);
+  switchsim::SwitchConfig sw_config;
+  sw_config.install_latency = sim::LatencyModel::constant(kInstall);
+  std::vector<std::unique_ptr<switchsim::SimSwitch>> storage;
+  std::vector<switchsim::SimSwitch*> switches(4, nullptr);
+  for (NodeId v = 0; v < 4; ++v) {
+    storage.push_back(std::make_unique<switchsim::SimSwitch>(
+        group.shard(partition.shard_of(v)), v, v, sw_config, Rng(v + 1)));
+    switches[v] = storage.back().get();
+    switches[v]->table().add(flow::FlowRule{
+        flow::Match::exact_flow(1),
+        v == 3 ? flow::Action::deliver() : flow::Action::forward(v + 1), 100,
+        0});
+  }
+  // Each FlowMod is handed to its switch on the switch's own shard, so its
+  // rule changes at `at`.
+  auto reroute = [&](NodeId at_switch, sim::SimTime at, flow::Action action) {
+    proto::FlowMod mod;
+    mod.command = proto::FlowModCommand::kModify;
+    mod.match = flow::Match::exact_flow(1);
+    mod.action = action;
+    group.schedule_on(partition.shard_of(at_switch), at - kInstall,
+                      [sw = switches[at_switch], mod]() {
+                        sw->receive(proto::make_flow_mod(1, mod));
+                      });
+  };
+  reroute(2, sim::microseconds(1500), flow::Action::drop());
+  reroute(2, sim::microseconds(2500), flow::Action::forward(1));
+  reroute(2, sim::microseconds(3500), flow::Action::forward(3));
+  reroute(1, sim::microseconds(4500), flow::Action::forward(3));
+
+  TrafficConfig config = config_for(0, 3, NodeId{2}, sim::milliseconds(6));
+  config.interarrival = sim::LatencyModel::constant(sim::microseconds(50));
+  config.link_latency = sim::LatencyModel::constant(kLink);
+  ConsistencyMonitor monitor(sim::milliseconds(1));
+  TrafficSource source(group, partition, switches, config, Rng(9), monitor);
+  source.start();
+  if (parallel) {
+    sim::ThreadPool pool(2);
+    group.run_parallel(pool, kLink);
+    EXPECT_GT(group.parallel_epochs(), 0u);
+  } else {
+    group.run();
+  }
+
+  const MonitorReport& report = monitor.report();
+  ChainRun run;
+  run.verdicts = {report.total,      report.delivered,   report.bypassed,
+                  report.looped,     report.blackholed,  report.ttl_expired,
+                  report.fault_dropped};
+  for (const ConsistencyMonitor::Bucket& bucket : monitor.timeline())
+    run.verdicts.insert(run.verdicts.end(),
+                        {bucket.delivered, bucket.bypassed, bucket.looped,
+                         bucket.blackholed});
+  run.events_per_shard = group.events_per_shard();
+  run.injected = source.injected();
+  return run;
+}
+
+TEST(TrafficTest, CrossShardWalkMatchesOneShard) {
+  const ChainRun one = cross_shard_chain_run(1, false);
+  const ChainRun two = cross_shard_chain_run(2, false);
+  const ChainRun two_parallel = cross_shard_chain_run(2, true);
+  // 120 packets; the reroutes produce every verdict the chain can show.
+  ASSERT_EQ(one.injected, 120u);
+  EXPECT_EQ(one.verdicts[0], one.injected);
+  for (std::size_t i = 1; i <= 4; ++i)
+    EXPECT_GT(one.verdicts[i], 0u) << "verdict " << i;
+  EXPECT_EQ(two.injected, one.injected);
+  EXPECT_EQ(two.verdicts, one.verdicts);
+  EXPECT_EQ(two_parallel.injected, one.injected);
+  EXPECT_EQ(two_parallel.verdicts, one.verdicts);
+  ASSERT_EQ(two.events_per_shard.size(), 2u);
+  EXPECT_GT(two.events_per_shard[1], 0u);
+  EXPECT_EQ(two_parallel.events_per_shard, two.events_per_shard);
 }
 
 // ---------------------------------------------------------------- monitor --

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -492,6 +493,70 @@ TEST(ShardedSimTest, IdleSiblingEchoKeepsShardZeroInTimeOrder) {
   EXPECT_TRUE(std::is_sorted(parallel.begin(), parallel.end()))
       << "shard 0 executed an echoed hand-off below its own frontier";
   EXPECT_EQ(parallel, sequential);
+}
+
+TEST(ShardedSimTest, CrossShardBurstDrainsInSequentialOrder) {
+  // Both shards run two burst events (at 5 and 6) in one parallel epoch.
+  // Each burst hands 150 events to the sibling and 20 to its own shard, so
+  // each poster makes 300 cross-shard posts before the epoch joins - far
+  // more than a small fixed-depth buffer holds. Every post lands on one of
+  // seven instants, so deliveries from both posters tie at each of them.
+  // Each fired event logs (shard, time, tag) into its own shard's log; the
+  // parallel stepper must reproduce the sequential merger's logs exactly.
+  constexpr Duration kLookahead = 100;
+  constexpr std::size_t kCross = 150;
+  constexpr std::size_t kSelf = 20;
+  using Entry = std::tuple<std::size_t, SimTime, std::size_t>;
+  using Logs = std::array<std::vector<Entry>, 2>;
+  auto run_one = [](bool parallel) {
+    ShardedSim group(2);
+    Logs logs;
+    // The tag sorts like the remote-band key among same-instant deliveries
+    // to one target: post time (the burst round), then poster, then the
+    // poster's own post order.
+    auto burst = [&](std::size_t shard, std::size_t round) {
+      logs[shard].emplace_back(shard, group.shard(shard).now(), 0);
+      for (std::size_t i = 0; i < kCross + kSelf; ++i) {
+        const std::size_t target = i < kCross ? 1 - shard : shard;
+        const std::size_t tag = 1 + round * 10000 + shard * 1000 + i;
+        group.post(target, shard, kLookahead + 10 + i % 7,
+                   [&logs, &group, target, tag]() {
+                     logs[target].emplace_back(
+                         target, group.shard(target).now(), tag);
+                   });
+      }
+    };
+    for (std::size_t round = 0; round < 2; ++round)
+      for (std::size_t shard = 0; shard < 2; ++shard)
+        group.schedule_on(
+            shard, 5 + round, [&burst, shard, round]() { burst(shard, round); },
+            EventScope::kLocal);
+    if (parallel) {
+      ThreadPool pool(2);
+      group.run_parallel(pool, kLookahead);
+      EXPECT_GT(group.parallel_epochs(), 0u);
+    } else {
+      group.run();
+    }
+    return logs;
+  };
+  const Logs sequential = run_one(false);
+  const Logs parallel = run_one(true);
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    SCOPED_TRACE(shard);
+    const std::vector<Entry>& log = sequential[shard];
+    // Two bursts, then the sibling's 300 hand-offs and 40 of its own.
+    ASSERT_EQ(log.size(), 2 + 2 * kCross + 2 * kSelf);
+    EXPECT_TRUE(std::is_sorted(log.begin() + 2, log.end(),
+                               [](const Entry& a, const Entry& b) {
+                                 return std::tie(std::get<1>(a),
+                                                 std::get<2>(a)) <
+                                        std::tie(std::get<1>(b),
+                                                 std::get<2>(b));
+                               }))
+        << "same-instant deliveries left the (post time, poster, seq) order";
+    EXPECT_EQ(parallel[shard], log);
+  }
 }
 
 // ------------------------------------------------------------- time utils --
