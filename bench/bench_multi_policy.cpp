@@ -88,8 +88,8 @@ struct Ticker {
   }
 };
 
-// A packet-like hand-off bouncing between two shards through the SPSC
-// mailbox rings.
+// A packet-like hand-off bouncing between two shards through their
+// outboxes.
 struct Bouncer {
   sim::ShardedSim* group = nullptr;
   std::uint64_t remaining = 0;
@@ -106,14 +106,14 @@ struct Bouncer {
 };
 
 // Steady-state cost of a parallel epoch: two shards of self-perpetuating
-// local chains plus a cross-shard bounce stream through the SPSC rings,
-// warmed once (pool lanes, epoch scratch, event arenas, ring first-touch)
+// local chains plus a cross-shard bounce stream through the outboxes,
+// warmed once (pool lanes, epoch scratch, event arenas, outbox capacity)
 // and then measured - wall ns/event and allocations in the window. The
 // *_steady_allocs figure is expected to be zero (the hard gate is
 // tests/hotpath_alloc_test.cpp; the JSON baseline keeps CI honest).
 json::Object hotpath_bench() {
   constexpr std::uint64_t kTicks = 200000;    // per shard
-  constexpr std::uint64_t kBounces = 20000;   // cross-shard ring posts
+  constexpr std::uint64_t kBounces = 20000;   // cross-shard posts
   const std::uint64_t setup_begin = alloc_hooks::allocations();
   sim::ShardedSim group(2);
   sim::ThreadPool thread_pool(2);
@@ -132,7 +132,7 @@ json::Object hotpath_bench() {
   kick();
   group.run_parallel(thread_pool, lookahead);  // warmup run pays first-touch
   // Everything before this line is setup: construction, pool lanes, event
-  // arenas, ring first-touch. The watermark splits the allocation count
+  // arenas, outbox capacity. The watermark splits the allocation count
   // into a paid-once setup figure and the (zero) steady-state figure.
   alloc_hooks::mark_setup_complete();
   const std::uint64_t setup_allocs =
@@ -155,16 +155,13 @@ json::Object hotpath_bench() {
       static_cast<double>(events);
 
   std::printf("\nparallel-epoch hotpath (2 shards, %llu local events + %llu "
-              "ring posts):\n  %s ns/event, %llu allocations in the "
+              "cross-shard posts):\n  %s ns/event, %llu allocations in the "
               "measurement window (%llu during setup)\n",
               static_cast<unsigned long long>(2 * kTicks),
               static_cast<unsigned long long>(kBounces),
               bench::fmt(ns_per_event).c_str(),
               static_cast<unsigned long long>(steady_allocs),
               static_cast<unsigned long long>(setup_allocs));
-  if (group.overflow_posts() != 0)
-    std::fprintf(stderr, "bounce stream overflowed the SPSC rings - the "
-                         "measurement includes mutex fallbacks\n");
 
   json::Object hotpath;
   json::Object entry;
@@ -176,8 +173,6 @@ json::Object hotpath_bench() {
   // the alloc_hooks watermark separates from the steady state.
   entry.set("setup_allocs",
             json::Value(static_cast<std::int64_t>(setup_allocs)));
-  entry.set("ring_overflows",
-            json::Value(static_cast<std::int64_t>(group.overflow_posts())));
   hotpath.set("parallel_epoch", json::Value(std::move(entry)));
   return hotpath;
 }
@@ -838,12 +833,8 @@ bool run(const char* json_path) {
                                       result.sharding.horizon_stalls)));
       // The gated serial-health figures are parallel-only: a sequential
       // merge has no waves, so stalls are structurally zero there.
-      if (parallel) {
+      if (parallel)
         entry.set("serial_fraction", json::Value(serial_fraction));
-        entry.set("overflow_posts",
-                  json::Value(static_cast<std::int64_t>(
-                      result.sharding.overflow_posts)));
-      }
       entry.set("partition_cut_weight",
                 json::Value(static_cast<std::int64_t>(
                     result.sharding.partition_cut_weight)));

@@ -127,10 +127,10 @@ int run_multiflow(std::size_t flows, std::size_t switches,
                 result.sharding.partition_cut_weight);
     if (result.sharding.exec == sim::ExecMode::kParallel)
       std::printf("parallel : %zu epochs, %zu horizon stalls, %zu threads, "
-                  "%zu overflow posts, %.1f ms wall\n",
+                  "%.1f ms wall\n",
                   result.sharding.parallel_epochs,
                   result.sharding.horizon_stalls, result.sharding.threads,
-                  result.sharding.overflow_posts, result.sharding.wall_ms);
+                  result.sharding.wall_ms);
   }
   std::printf("traffic  : %zu packets, %zu bypassed, %zu looped, "
               "%zu blackholed\n",

@@ -260,7 +260,6 @@ ControllerStats ShardCoordinator::stats() const {
   total.sharding.shards = shards_.size();
   total.sharding.parallel_epochs = sim_.parallel_epochs();
   total.sharding.horizon_stalls = sim_.horizon_stalls();
-  total.sharding.overflow_posts = sim_.overflow_posts();
   total.sharding.events_per_shard = sim_.events_per_shard();
   return total;
 }

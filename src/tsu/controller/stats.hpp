@@ -47,12 +47,12 @@ struct BatchingStats {
 // spread (last shard's confirmation minus the first's, per merged round) -
 // the price of the two-phase round barrier. It reads how its sharded clock
 // stepped when the stats are taken: epochs that stepped shards
-// concurrently, sequential fallback steps at collapsed horizons, mailbox
-// posts that found their SPSC ring full, and per-shard event counts
-// (identical across reruns of a seed). The executor adds what only the run
-// knows: its exec mode and pool lanes, the affinity weight the partition
-// cuts (topo::SwitchPartition::cut_weight) and the run loop's wall-clock
-// cost (steady clock; the simulation itself never reads wall time).
+// concurrently, sequential fallback steps at collapsed horizons and
+// per-shard event counts (identical across reruns of a seed). The executor
+// adds what only the run knows: its exec mode and pool lanes, the affinity
+// weight the partition cuts (topo::SwitchPartition::cut_weight) and the
+// run loop's wall-clock cost (steady clock; the simulation itself never
+// reads wall time).
 struct ShardStats {
   std::size_t shards = 1;
   sim::ExecMode exec = sim::ExecMode::kSequential;
@@ -62,7 +62,7 @@ struct ShardStats {
   sim::Duration sync_overhead = 0;
   std::size_t parallel_epochs = 0;
   std::size_t horizon_stalls = 0;
-  std::size_t overflow_posts = 0;
+  std::size_t overflow_posts = 0;  // nothing sets it: always 0
   std::vector<std::size_t> events_per_shard;
   std::size_t partition_cut_weight = 0;
   double wall_ms = 0;

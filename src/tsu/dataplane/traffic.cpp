@@ -6,38 +6,19 @@
 
 namespace tsu::dataplane {
 
-TrafficSource::TrafficSource(sim::Simulator& simulator,
-                             std::vector<switchsim::SimSwitch*> switches,
-                             TrafficConfig config, Rng rng,
-                             ConsistencyMonitor& monitor)
-    : home_sim_(&simulator), switches_(std::move(switches)), config_(config),
-      rng_(rng), monitor_(monitor) {
-  TSU_ASSERT(config_.ingress < switches_.size() &&
-             switches_[config_.ingress] != nullptr);
-  TSU_ASSERT(config_.egress < switches_.size() &&
-             switches_[config_.egress] != nullptr);
-}
-
 TrafficSource::TrafficSource(sim::ShardedSim& group,
                              const topo::SwitchPartition& partition,
                              std::vector<switchsim::SimSwitch*> switches,
                              TrafficConfig config, Rng rng,
                              ConsistencyMonitor& monitor)
-    : home_sim_(&group.shard(partition.shard_of(config.ingress))),
-      group_(&group), partition_(&partition), switches_(std::move(switches)),
-      config_(config), rng_(rng), monitor_(monitor) {
+    : group_(group), partition_(partition),
+      home_(group.shard(partition.shard_of(config.ingress))),
+      switches_(std::move(switches)), config_(config), rng_(rng),
+      monitor_(monitor) {
   TSU_ASSERT(config_.ingress < switches_.size() &&
              switches_[config_.ingress] != nullptr);
   TSU_ASSERT(config_.egress < switches_.size() &&
              switches_[config_.egress] != nullptr);
-}
-
-std::size_t TrafficSource::shard_of(NodeId node) const noexcept {
-  return partition_ == nullptr ? 0 : partition_->shard_of(node);
-}
-
-sim::Simulator& TrafficSource::sim_of(NodeId node) {
-  return group_ == nullptr ? *home_sim_ : group_->shard(shard_of(node));
 }
 
 void TrafficSource::start() {
@@ -51,12 +32,12 @@ void TrafficSource::start() {
 
   // kLocal: injection reads source-local state and starts the packet on
   // the ingress switch, which lives on this very shard.
-  home_sim_->schedule_at(config_.start, [this]() { inject(); },
-                         sim::EventScope::kLocal);
+  home_.schedule_at(config_.start, [this]() { inject(); },
+                    sim::EventScope::kLocal);
 }
 
 void TrafficSource::inject() {
-  if (home_sim_->now() >= config_.stop) return;
+  if (home_.now() >= config_.stop) return;
 
   // Fork in injection order: the packet's latency stream is deterministic
   // however its hops later interleave with other packets'.
@@ -67,16 +48,15 @@ void TrafficSource::inject() {
   live.packet.ttl = config_.ttl;
   live.visited.reset(switches_.size());
   ++injected_;
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
   walk(std::move(live), config_.ingress);
 
-  home_sim_->schedule(config_.interarrival.sample(rng_),
-                      [this]() { inject(); }, sim::EventScope::kLocal);
+  home_.schedule(config_.interarrival.sample(rng_), [this]() { inject(); },
+                 sim::EventScope::kLocal);
 }
 
 void TrafficSource::walk(LivePacket live, NodeId at) {
-  sim::Simulator& here = sim_of(at);
-  const std::size_t shard = shard_of(at);
+  const std::size_t shard = partition_.shard_of(at);
+  sim::Simulator& here = group_.shard(shard);
   const sim::SimTime now = here.now();
   NodeId next = kInvalidNode;
   sim::Duration latency = 0;
@@ -90,11 +70,11 @@ void TrafficSource::walk(LivePacket live, NodeId at) {
   sim::SimTime t = now;
   while (true) {
     const sim::SimTime arrival = t + latency;
-    const std::size_t next_shard = shard_of(next);
+    const std::size_t next_shard = partition_.shard_of(next);
     if (next_shard != shard) {
-      // Cross-shard hand-off: into the owner's mailbox, never into its
-      // queue mid-step (see sim/sharded.hpp).
-      group_->post(next_shard, shard, arrival, resume(std::move(live), next));
+      // Cross-shard hand-off: a post, never a push into the owner's queue
+      // mid-step (see sim/sharded.hpp).
+      group_.post(next_shard, shard, arrival, resume(std::move(live), next));
       return;
     }
     // Strictly before: a change at exactly `arrival` may sort before the
@@ -107,12 +87,7 @@ void TrafficSource::walk(LivePacket live, NodeId at) {
 
   // The bound stopped the walk at `next`.
   if (late_band_) {
-    const sim::SimTime arrival = t + latency;
-    if (group_ == nullptr)
-      here.schedule_late(arrival, resume(std::move(live), next),
-                         sim::EventScope::kLocal);
-    else
-      group_->post(shard, shard, arrival, resume(std::move(live), next));
+    group_.post(shard, shard, t + latency, resume(std::move(live), next));
     return;
   }
   // Native band: only the first hop is queued where hop-by-hop forwarding
@@ -144,7 +119,7 @@ bool TrafficSource::visit(LivePacket& live, NodeId at, sim::SimTime t,
   // it to service; traffic hitting it is outage loss, kept apart from the
   // consistency verdicts (fault injection only; always serving otherwise).
   if (!switches_[at]->serving()) {
-    finish(PacketOutcome::kFaultDropped, t);
+    monitor_.record(t, PacketOutcome::kFaultDropped);
     return false;
   }
 
@@ -154,46 +129,40 @@ bool TrafficSource::visit(LivePacket& live, NodeId at, sim::SimTime t,
   const std::optional<flow::FlowRule> rule =
       switches_[at]->table().lookup(live.packet);
   if (!rule.has_value() || rule->action.kind == flow::ActionKind::kDrop) {
-    finish(PacketOutcome::kBlackholed, t);
+    monitor_.record(t, PacketOutcome::kBlackholed);
     return false;
   }
   if (rule->action.kind == flow::ActionKind::kDeliver) {
     if (at == config_.egress) {
       const bool needs_waypoint = config_.waypoint.has_value();
-      finish(needs_waypoint && !live.crossed_waypoint
-                 ? PacketOutcome::kBypassedWaypoint
-                 : PacketOutcome::kDelivered,
-             t);
+      monitor_.record(t, needs_waypoint && !live.crossed_waypoint
+                             ? PacketOutcome::kBypassedWaypoint
+                             : PacketOutcome::kDelivered);
     } else {
       // Delivered to the wrong host: treat as a drop.
-      finish(PacketOutcome::kBlackholed, t);
+      monitor_.record(t, PacketOutcome::kBlackholed);
     }
     return false;
   }
 
   // Forwarding.
   if (live.visited.test(at)) {
-    finish(PacketOutcome::kLooped, t);
+    monitor_.record(t, PacketOutcome::kLooped);
     return false;
   }
   live.visited.set(at);
   if (--live.packet.ttl <= 0) {
-    finish(PacketOutcome::kTtlExpired, t);
+    monitor_.record(t, PacketOutcome::kTtlExpired);
     return false;
   }
   next = rule->action.port;
   if (next >= switches_.size() || switches_[next] == nullptr) {
-    finish(PacketOutcome::kBlackholed, t);
+    monitor_.record(t, PacketOutcome::kBlackholed);
     return false;
   }
   live.packet.in_port = at;
   latency = config_.link_latency.sample(live.rng);
   return true;
-}
-
-void TrafficSource::finish(PacketOutcome outcome, sim::SimTime at) {
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  monitor_.record(at, outcome);
 }
 
 }  // namespace tsu::dataplane

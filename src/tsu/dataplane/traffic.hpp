@@ -34,21 +34,22 @@
 // were, so every packet verdict is bit-identical to hop-by-hop forwarding;
 // only the event counts fall.
 //
-// SHARDED OPERATION. When constructed over a ShardedSim + SwitchPartition,
-// every queued hop executes on the event queue of the shard OWNING the
+// SHARDED OPERATION. A source runs on a ShardedSim + SwitchPartition; a
+// single-queue experiment is a 1-shard group with the default partition.
+// Every queued hop executes on the event queue of the shard OWNING the
 // switch it reads, so a walk only ever touches shard-local flow tables -
-// the invariant that lets parallel epochs run walks concurrently. A walk
-// whose next switch lives on a foreign shard hands the packet off through
-// the group's per-shard mailbox (ShardedSim::post) instead of scheduling
-// into the foreign queue directly. Each packet carries its own forked Rng
-// for link-latency sampling: samples then depend only on the packet's own
-// hop sequence, never on how concurrently-flying packets interleave or on
+// the invariant that lets parallel epochs run walks concurrently. Every
+// hop that leaves its event for the remote band goes through
+// ShardedSim::post: a walk whose next switch lives on a foreign shard
+// hands the packet off to that shard, and a late-band hop is a self-post
+// to its own shard. Each packet carries its own forked Rng for
+// link-latency sampling: samples then depend only on the packet's own hop
+// sequence, never on how concurrently-flying packets interleave or on
 // where its walks stop, which keeps parallel runs bit-identical to
 // sequential ones.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -57,7 +58,6 @@
 #include "tsu/flow/match.hpp"
 #include "tsu/sim/distributions.hpp"
 #include "tsu/sim/sharded.hpp"
-#include "tsu/sim/simulator.hpp"
 #include "tsu/switchsim/switch.hpp"
 #include "tsu/topo/partition.hpp"
 #include "tsu/util/ids.hpp"
@@ -81,28 +81,22 @@ struct TrafficConfig {
 
 class TrafficSource {
  public:
-  // Single-queue operation: everything runs on `simulator`.
-  // `switches` is indexed by NodeId; entries may be null for non-switch ids.
-  TrafficSource(sim::Simulator& simulator,
-                std::vector<switchsim::SimSwitch*> switches,
-                TrafficConfig config, Rng rng, ConsistencyMonitor& monitor);
-
-  // Sharded operation (see the file comment): injection lives on the
-  // ingress switch's shard; hops follow the packet across shard queues.
-  // `partition` must outlive the source.
+  // Injection lives on the ingress switch's shard; hops follow the packet
+  // across shard queues (see the file comment). `switches` is indexed by
+  // NodeId; entries may be null for non-switch ids. `partition` must
+  // outlive the source.
   TrafficSource(sim::ShardedSim& group, const topo::SwitchPartition& partition,
                 std::vector<switchsim::SimSwitch*> switches,
                 TrafficConfig config, Rng rng, ConsistencyMonitor& monitor);
+  // Queued events hold `this`.
+  TrafficSource(const TrafficSource&) = delete;
+  TrafficSource& operator=(const TrafficSource&) = delete;
 
   // Schedules the first injection; the source then self-perpetuates until
   // `config.stop`.
   void start();
 
   std::size_t injected() const noexcept { return injected_; }
-  // Packets still traversing the network.
-  std::size_t in_flight() const noexcept {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
 
   // Moves the injection stop time (e.g. once the update under observation
   // has completed and the drain window is known). Only safe at a sync
@@ -154,10 +148,6 @@ class TrafficSource {
     explicit LivePacket(Rng packet_rng) : rng(packet_rng) {}
   };
 
-  // The event queue owning switch `node` (home_sim_ when unsharded).
-  sim::Simulator& sim_of(NodeId node);
-  std::size_t shard_of(NodeId node) const noexcept;
-
   void inject();
   // The packet reaches `at` now, in an event on the queue of `at`'s owning
   // shard, and walks on from there (see the file comment).
@@ -169,11 +159,10 @@ class TrafficSource {
              sim::Duration& latency);
   // The event that resumes the walk when the packet reaches `at`.
   sim::EventFn resume(LivePacket live, NodeId at);
-  void finish(PacketOutcome outcome, sim::SimTime at);
 
-  sim::Simulator* home_sim_;                       // ingress shard's queue
-  sim::ShardedSim* group_ = nullptr;               // null when unsharded
-  const topo::SwitchPartition* partition_ = nullptr;
+  sim::ShardedSim& group_;
+  const topo::SwitchPartition& partition_;
+  sim::Simulator& home_;  // the ingress switch's shard
   std::vector<switchsim::SimSwitch*> switches_;
   TrafficConfig config_;
   Rng rng_;
@@ -182,8 +171,6 @@ class TrafficSource {
   // or rewinds to its first hop; set by start() from the switches.
   bool late_band_ = false;
   std::size_t injected_ = 0;
-  // Decremented by whichever shard finishes the packet.
-  std::atomic<std::size_t> in_flight_{0};
 };
 
 }  // namespace tsu::dataplane

@@ -24,72 +24,34 @@ void ShardedSim::post(std::size_t target, std::size_t poster, SimTime at,
                       EventFn fn, EventScope scope) {
   TSU_ASSERT_MSG(target < shards_.size() && poster < shards_.size(),
                  "mailbox post outside the shard group");
+  const SimTime posted_at = shards_[poster]->now();
+  const std::uint64_t seq = post_seq_[poster]++;  // poster-owned slot
   if (!buffering_ || target == poster) {
     // Sequential merger / sync point - or a mid-wave SELF-post, where the
     // poster's own worker is the only thread touching this queue: the
     // hand-off schedules straight through. The remote-band key makes the
     // resulting order a function of the post itself, so the buffered path
     // below lands identically.
-    const SimTime posted_at = shards_[poster]->now();
     shards_[target]->push_remote(at, std::move(fn), scope, posted_at,
-                                 remote_key(poster, post_seq_[poster]++));
+                                 remote_key(poster, seq));
     return;
   }
-  Post post;
-  post.at = at;
-  post.posted_at = shards_[poster]->now();
-  post.poster = poster;
-  post.seq = post_seq_[poster]++;  // poster-owned slot: no lock needed
-  post.scope = scope;
-  post.fn = std::move(fn);
-  PairBox& box = pair_box(target, poster);
-  // Mid-epoch only the worker stepping `poster` reaches this ring, and the
-  // merging thread drains it after the pool join: a true SPSC pairing.
-  if (box.ring.try_push(std::move(post))) return;
-  // Ring full: spill to the locked overflow path. Correctness is
-  // unaffected (the drain merges both sources before sorting); only this
-  // burst pays for a lock.
-  overflow_posts_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(box.overflow_mutex);
-    box.overflow.push_back(std::move(post));
-  }
-  box.has_overflow.store(true, std::memory_order_release);
+  // Mid-epoch only the worker stepping `poster` appends to this outbox,
+  // and the merging thread drains it after the pool join.
+  outboxes_[poster].push_back(
+      Post{at, posted_at, target, seq, scope, std::move(fn)});
 }
 
-void ShardedSim::drain_mailbox(std::size_t target) {
-  // Sync point: workers are quiescent (pool joined), so every ring pop and
-  // overflow read here is safely ordered after the epoch's pushes.
-  drain_scratch_.clear();
-  for (std::size_t poster = 0; poster < shards_.size(); ++poster) {
-    PairBox& box = pair_box(target, poster);
-    Post post;
-    while (box.ring.try_pop(post)) drain_scratch_.push_back(std::move(post));
-    if (box.has_overflow.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(box.overflow_mutex);
-      for (Post& spilled : box.overflow)
-        drain_scratch_.push_back(std::move(spilled));
-      box.overflow.clear();
-      box.has_overflow.store(false, std::memory_order_relaxed);
-    }
-  }
-  if (drain_scratch_.empty()) return;
+void ShardedSim::drain_outboxes() {
   // The (at, post time, poster, seq) key carried on every remote entry is
-  // what fixes the order - identical whatever wave drained the post. The
-  // sort only keeps the queue pushes in that order too (cheap, and makes
-  // drained batches humanly inspectable); correctness does not rest on it.
-  std::sort(drain_scratch_.begin(), drain_scratch_.end(),
-            [](const Post& a, const Post& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.posted_at != b.posted_at) return a.posted_at < b.posted_at;
-              if (a.poster != b.poster) return a.poster < b.poster;
-              return a.seq < b.seq;
-            });
-  for (Post& post : drain_scratch_)
-    shards_[target]->push_remote(post.at, std::move(post.fn), post.scope,
-                                 post.posted_at,
-                                 remote_key(post.poster, post.seq));
-  drain_scratch_.clear();
+  // what fixes the order, so the push order here does not matter.
+  for (std::size_t poster = 0; poster < outboxes_.size(); ++poster) {
+    for (Post& post : outboxes_[poster])
+      shards_[post.target]->push_remote(post.at, std::move(post.fn),
+                                        post.scope, post.posted_at,
+                                        remote_key(poster, post.seq));
+    outboxes_[poster].clear();
+  }
 }
 
 bool ShardedSim::step_earliest(SimTime until) {
@@ -226,7 +188,7 @@ std::size_t ShardedSim::run_parallel(ThreadPool& pool, Duration lookahead,
       }
     }
     ++parallel_epochs_;
-    for (std::size_t i = 0; i < n_shards; ++i) drain_mailbox(i);
+    drain_outboxes();
   }
   if (now_ < until && until != kMax) now_ = until;
   return processed;

@@ -38,39 +38,35 @@
 // is never tighter than that old global horizon. If no shard has work below its
 // bound the merger falls back to one sequential step (a HORIZON STALL);
 // otherwise every eligible shard runs its sub-bound events concurrently on
-// a private clock copy, the pool joins, mailboxes drain, and the global
+// a private clock copy, the pool joins, outboxes drain, and the global
 // clock advances. Every event keeps the timestamp, shard and intra-shard
 // order it has under run(), so both modes are bit-identical - the
 // equivalence suite pins this.
 //
 // MAILBOXES. Shards never schedule into a foreign shard's queue mid-step.
 // A cross-shard hand-off (today: a data-plane packet hopping to a switch
-// owned by another shard) is posted into a lock-free SPSC ring - one ring
-// per (poster, target) shard pair, so each ring has exactly one producer
-// (the worker stepping the posting shard) and one consumer (the merging
-// thread at the sync point). A full ring spills to a mutex-guarded
-// overflow vector, keeping bursts correct while the steady state never
-// takes a lock or allocates. At each sync point the target's rings and
-// overflow drain into a reusable scratch buffer, sorted into the same
-// deterministic order the sequential merger produces naturally: (delivery
-// time, post time, posting shard, per-shard post sequence). Drained
-// entries enter the target queue in the REMOTE band (event_queue.hpp), so
-// their order against same-instant native events is fixed by timestamps
-// alone and the sequential merger - which drains posts immediately -
-// produces the identical schedule.
+// owned by another shard) made inside an epoch is appended to the POSTING
+// shard's outbox, a plain vector that only the worker stepping that shard
+// writes during the epoch. After the pool join, whose mutex and condition
+// variable order every append before it, the merging thread drains the
+// outboxes in poster order. Drained entries enter their target queue in
+// the REMOTE band (event_queue.hpp) under the key (delivery time, post
+// time, posting shard, per-shard post sequence). That key is a total
+// order, so neither the append order nor the drain grouping changes what
+// fires, and the sequential merger - which delivers every post at once -
+// produces the identical schedule. A self-post, and any post outside an
+// epoch, goes straight into the target queue. Drained outboxes keep their
+// capacity, so the steady state allocates nothing.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "tsu/sim/exec_mode.hpp"
 #include "tsu/sim/simulator.hpp"
-#include "tsu/sim/spsc_ring.hpp"
 #include "tsu/sim/thread_pool.hpp"
 #include "tsu/sim/time.hpp"
 #include "tsu/util/assert.hpp"
@@ -84,9 +80,7 @@ class ShardedSim {
     shards_.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
       shards_.push_back(std::make_unique<Simulator>(&now_));
-    pair_boxes_.reserve(count * count);
-    for (std::size_t i = 0; i < count * count; ++i)
-      pair_boxes_.push_back(std::make_unique<PairBox>());
+    outboxes_.resize(count);
     post_seq_.assign(count, 0);
     events_.assign(count, 0);
   }
@@ -118,12 +112,12 @@ class ShardedSim {
   }
 
   // Cross-shard hand-off from `poster`'s execution into `target`'s queue
-  // at absolute time `at` (see the file comment). Callable from a worker
-  // thread mid-epoch; the entry becomes visible to the target at the next
-  // sync point (immediately under the sequential merger, and immediately
-  // for a SELF-post - target == poster - which only the poster's own
-  // worker can observe; the remote-band key makes the insertion instant
-  // irrelevant to ordering either way).
+  // at absolute time `at` (see the file comment). Callable from the worker
+  // stepping `poster` mid-epoch; the entry becomes visible to the target
+  // at the next sync point (immediately under the sequential merger, and
+  // immediately for a SELF-post - target == poster - which only the
+  // poster's own worker can observe; the remote-band key makes the
+  // insertion instant irrelevant to ordering either way).
   void post(std::size_t target, std::size_t poster, SimTime at, EventFn fn,
             EventScope scope = EventScope::kLocal);
 
@@ -155,70 +149,43 @@ class ShardedSim {
   const std::vector<std::size_t>& events_per_shard() const noexcept {
     return events_;
   }
-  // Posts that found their SPSC ring full and took the mutex-guarded
-  // overflow path. A persistently non-zero rate on a steady workload means
-  // kRingCapacity is undersized for it.
-  std::size_t overflow_posts() const noexcept {
-    return overflow_posts_.load(std::memory_order_relaxed);
-  }
-
-  // Ring depth per (poster, target) pair. Bursts beyond this spill to the
-  // overflow vector - correct but locked; sized so steady workloads never
-  // spill (the bench JSON tracks overflow_posts to keep this honest).
-  static constexpr std::size_t kRingCapacity = 128;
 
  private:
+  // One buffered hand-off; its poster is the outbox that holds it.
   struct Post {
     SimTime at = 0;         // absolute delivery time
     SimTime posted_at = 0;  // poster's clock when the post was made
-    std::size_t poster = 0;
+    std::size_t target = 0;
     std::uint64_t seq = 0;  // per-poster monotone sequence
     EventScope scope = EventScope::kLocal;
     EventFn fn;
   };
-  // The mailbox edge for one (poster, target) pair: a lock-free SPSC ring
-  // for the steady state, a mutex-guarded vector for overflow bursts.
-  // has_overflow lets the drain skip the lock entirely in the common case.
-  struct PairBox {
-    PairBox() : ring(kRingCapacity) {}
-    SpscRing<Post> ring;
-    std::mutex overflow_mutex;
-    std::vector<Post> overflow;
-    std::atomic<bool> has_overflow{false};
-  };
-
-  PairBox& pair_box(std::size_t target, std::size_t poster) noexcept {
-    return *pair_boxes_[target * shards_.size() + poster];
-  }
 
   // One sequential merge step: fires the earliest event across shards
   // (ties to the lowest shard index). Returns false when nothing is
   // pending at or before `until`.
   bool step_earliest(SimTime until);
-  void drain_mailbox(std::size_t target);
+  // Sync point: moves every buffered post into its target queue.
+  void drain_outboxes();
 
   SimTime now_ = 0;
   // unique_ptr: each shard's &now_ must stay valid, and Simulator is
   // intentionally non-copyable.
   std::vector<std::unique_ptr<Simulator>> shards_;
-  // Row-major [target][poster]; unique_ptr because PairBox (mutex, atomics,
-  // ring storage) is neither movable nor copyable.
-  std::vector<std::unique_ptr<PairBox>> pair_boxes_;
+  // Indexed by poster. Mid-epoch, outboxes_[p] and post_seq_[p] are
+  // written only by the worker stepping shard p.
+  std::vector<std::vector<Post>> outboxes_;
   std::vector<std::uint64_t> post_seq_;
   std::vector<std::size_t> events_;
-  // Reused across drains so sync points allocate nothing once the
-  // high-water capacity is reached.
-  std::vector<Post> drain_scratch_;
   // Per-epoch event counts and per-shard wave bounds - members so
   // run_parallel itself is allocation-free in steady state.
   std::vector<std::size_t> epoch_counts_;
   std::vector<SimTime> wave_bounds_;
-  // True while workers are inside an epoch: posts buffer in the mailbox
+  // True while workers are inside an epoch: posts buffer in the outboxes
   // instead of scheduling straight through.
   bool buffering_ = false;
   std::size_t parallel_epochs_ = 0;
   std::size_t horizon_stalls_ = 0;
-  std::atomic<std::size_t> overflow_posts_{0};
 };
 
 }  // namespace tsu::sim

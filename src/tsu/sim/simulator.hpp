@@ -48,13 +48,13 @@ class Simulator {
     TSU_ASSERT_MSG(at >= *now_, "cannot schedule into the past");
     return queue_.push(at, std::move(fn), scope);
   }
-  // A cross-shard mailbox delivery (sharded.hpp drains these): lands in the
-  // remote band, so at equal timestamps it sorts after every natively
-  // scheduled event - and among remote events by (posted_at, remote_seq) -
-  // whatever instant or batch the mailbox was drained in. A delivery below
-  // the executed frontier means the sharded engine's safe bound let this
-  // shard run past a causal dependency - fail fast instead of executing
-  // out of order (equal is fine: the remote band sorts after natives).
+  // A ShardedSim::post delivery (sharded.hpp): lands in the remote band,
+  // so at equal timestamps it sorts after every natively scheduled event -
+  // and among remote events by (posted_at, remote_seq) - whatever instant
+  // or batch the outbox was drained in. A delivery below the executed
+  // frontier means the sharded engine's safe bound let this shard run
+  // past a causal dependency - fail fast instead of executing out of order
+  // (equal is fine: the remote band sorts after natives).
   EventId push_remote(SimTime at, EventFn fn,
                       EventScope scope = EventScope::kShared,
                       SimTime posted_at = 0, std::uint64_t remote_seq = 0) {
@@ -62,17 +62,6 @@ class Simulator {
                    "remote delivery below the executed-event frontier");
     return queue_.push(at, std::move(fn), scope, EventQueue::Band::kRemote,
                        posted_at, remote_seq);
-  }
-  // A lone simulator's own remote-band event: at equal timestamps it sorts
-  // after every natively scheduled one, and among its kind by (now, call
-  // order) - the key a 1-shard ShardedSim gives a self-post, so both fire
-  // the same schedule. A shard of a group posts through ShardedSim::post,
-  // whose keys also name the poster.
-  EventId schedule_late(SimTime at, EventFn fn,
-                        EventScope scope = EventScope::kShared) {
-    TSU_ASSERT_MSG(shared_now_ == nullptr,
-                   "a shard schedules late events through ShardedSim::post");
-    return push_remote(at, std::move(fn), scope, *now_, late_seq_++);
   }
   bool cancel(EventId id) { return queue_.cancel(id); }
 
@@ -121,8 +110,6 @@ class Simulator {
   // The group clock this shard rejoins after a run_epoch (null for a
   // self-clocked simulator, which never runs epochs).
   SimTime* shared_now_ = nullptr;
-  // schedule_late's call order.
-  std::uint64_t late_seq_ = 0;
 };
 
 }  // namespace tsu::sim

@@ -14,8 +14,10 @@
 namespace tsu::dataplane {
 namespace {
 
+// A single-queue data plane: a 1-shard group with the default partition.
 struct Plane {
-  sim::Simulator sim;
+  sim::ShardedSim sim{1};
+  const topo::SwitchPartition partition;
   std::vector<std::unique_ptr<switchsim::SimSwitch>> storage;
   std::vector<switchsim::SimSwitch*> switches;
 
@@ -23,7 +25,7 @@ struct Plane {
     switchsim::SwitchConfig config;
     for (NodeId v = 0; v < nodes; ++v) {
       storage.push_back(std::make_unique<switchsim::SimSwitch>(
-          sim, v, v, config, Rng(v + 1)));
+          sim.shard(0), v, v, config, Rng(v + 1)));
       switches[v] = storage.back().get();
     }
   }
@@ -56,14 +58,14 @@ TEST(TrafficTest, DeliversAlongStablePath) {
   plane.rule(2, 1, flow::Action::forward(3));
   plane.rule(3, 1, flow::Action::deliver());
   ConsistencyMonitor monitor;
-  TrafficSource source(plane.sim, plane.switches,
+  TrafficSource source(plane.sim, plane.partition, plane.switches,
                        config_for(0, 3, std::nullopt), Rng(9), monitor);
   source.start();
   plane.sim.run();
   EXPECT_EQ(source.injected(), 10u);  // 1/ms for 10 ms, starting at t=0
   EXPECT_EQ(monitor.report().delivered, 10u);
   EXPECT_EQ(monitor.report().total, 10u);
-  EXPECT_EQ(source.in_flight(), 0u);
+  EXPECT_EQ(monitor.report().total, source.injected());
 }
 
 TEST(TrafficTest, WaypointCrossingRecognized) {
@@ -72,7 +74,7 @@ TEST(TrafficTest, WaypointCrossingRecognized) {
   plane.rule(1, 1, flow::Action::forward(2));
   plane.rule(2, 1, flow::Action::deliver());
   ConsistencyMonitor monitor;
-  TrafficSource source(plane.sim, plane.switches,
+  TrafficSource source(plane.sim, plane.partition, plane.switches,
                        config_for(0, 2, NodeId{1}), Rng(9), monitor);
   source.start();
   plane.sim.run();
@@ -86,7 +88,7 @@ TEST(TrafficTest, WaypointBypassFlagged) {
   plane.rule(0, 1, flow::Action::forward(2));
   plane.rule(2, 1, flow::Action::deliver());
   ConsistencyMonitor monitor;
-  TrafficSource source(plane.sim, plane.switches,
+  TrafficSource source(plane.sim, plane.partition, plane.switches,
                        config_for(0, 2, NodeId{1}), Rng(9), monitor);
   source.start();
   plane.sim.run();
@@ -105,7 +107,8 @@ TEST(TrafficTest, LoopDetectedOnRevisit) {
   // into the loop and must be classified as looped on the revisit of 1.
   const TrafficConfig config =
       config_for(0, 0, std::nullopt, sim::milliseconds(3));
-  TrafficSource source(plane.sim, plane.switches, config, Rng(9), monitor);
+  TrafficSource source(plane.sim, plane.partition, plane.switches, config,
+                       Rng(9), monitor);
   source.start();
   plane.sim.run();
   EXPECT_GT(monitor.report().total, 0u);
@@ -116,7 +119,7 @@ TEST(TrafficTest, BlackholeOnMissingRule) {
   Plane plane(3);
   plane.rule(0, 1, flow::Action::forward(1));  // 1 has no rule
   ConsistencyMonitor monitor;
-  TrafficSource source(plane.sim, plane.switches,
+  TrafficSource source(plane.sim, plane.partition, plane.switches,
                        config_for(0, 2, std::nullopt, sim::milliseconds(3)),
                        Rng(9), monitor);
   source.start();
@@ -128,7 +131,7 @@ TEST(TrafficTest, ExplicitDropCountsAsBlackhole) {
   Plane plane(2);
   plane.rule(0, 1, flow::Action::drop());
   ConsistencyMonitor monitor;
-  TrafficSource source(plane.sim, plane.switches,
+  TrafficSource source(plane.sim, plane.partition, plane.switches,
                        config_for(0, 1, std::nullopt, sim::milliseconds(2)),
                        Rng(9), monitor);
   source.start();
@@ -147,7 +150,8 @@ TEST(TrafficTest, TtlExpiryOnLongDetour) {
   TrafficConfig config = config_for(0, kNodes - 1, std::nullopt,
                                     sim::milliseconds(2));
   config.ttl = 10;
-  TrafficSource source(plane.sim, plane.switches, config, Rng(9), monitor);
+  TrafficSource source(plane.sim, plane.partition, plane.switches, config,
+                       Rng(9), monitor);
   source.start();
   plane.sim.run();
   EXPECT_EQ(monitor.report().ttl_expired, monitor.report().total);
@@ -163,7 +167,8 @@ TEST(TrafficTest, RulesChangingMidFlightAffectPackets) {
   TrafficConfig config = config_for(0, 3, std::nullopt,
                                     sim::milliseconds(10));
   config.link_latency = sim::LatencyModel::constant(sim::milliseconds(1));
-  TrafficSource source(plane.sim, plane.switches, config, Rng(9), monitor);
+  TrafficSource source(plane.sim, plane.partition, plane.switches, config,
+                       Rng(9), monitor);
   source.start();
   // While packets are in flight, break the path at switch 2.
   plane.sim.schedule(sim::milliseconds(5), [&plane]() {
@@ -184,11 +189,10 @@ TEST(TrafficTest, RulesChangingMidFlightAffectPackets) {
 // at 60 us too. Hop by hop, the probe's last hop is queued at 40 us, when
 // it reaches switch 2: an install that started before then lands first and
 // drops the probe, one that started after lands second and lets it through.
-PacketOutcome same_instant_outcome(sim::Duration install, bool sharded) {
-  sim::Simulator lone;
+PacketOutcome same_instant_outcome(sim::Duration install) {
   sim::ShardedSim group(1);
   const topo::SwitchPartition partition;
-  sim::Simulator& simulator = sharded ? group.shard(0) : lone;
+  sim::Simulator& simulator = group.shard(0);
 
   switchsim::SwitchConfig sw_config;
   sw_config.install_latency = sim::LatencyModel::constant(install);
@@ -207,11 +211,7 @@ PacketOutcome same_instant_outcome(sim::Duration install, bool sharded) {
   TrafficConfig config = config_for(0, 3, std::nullopt, 1);
   config.link_latency = sim::LatencyModel::constant(sim::microseconds(20));
   ConsistencyMonitor monitor;
-  std::unique_ptr<TrafficSource> source =
-      sharded ? std::make_unique<TrafficSource>(group, partition, switches,
-                                                config, Rng(9), monitor)
-              : std::make_unique<TrafficSource>(simulator, switches, config,
-                                                Rng(9), monitor);
+  TrafficSource source(group, partition, switches, config, Rng(9), monitor);
 
   proto::FlowMod drop;
   drop.command = proto::FlowModCommand::kModify;
@@ -220,11 +220,8 @@ PacketOutcome same_instant_outcome(sim::Duration install, bool sharded) {
   simulator.schedule_at(sim::microseconds(60) - install, [&]() {
     switches[3]->receive(proto::make_flow_mod(1, drop));
   });
-  source->start();
-  if (sharded)
-    group.run();
-  else
-    simulator.run();
+  source.start();
+  group.run();
 
   const MonitorReport& report = monitor.report();
   EXPECT_EQ(report.total, 1u);
@@ -234,15 +231,12 @@ PacketOutcome same_instant_outcome(sim::Duration install, bool sharded) {
 }
 
 TEST(TrafficTest, SameInstantRuleChangeKeepsHopByHopOrder) {
-  for (const bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "1-shard ShardedSim" : "Simulator");
-    EXPECT_EQ(same_instant_outcome(sim::microseconds(50), sharded),
-              PacketOutcome::kBlackholed);
-    EXPECT_EQ(same_instant_outcome(sim::microseconds(30), sharded),
-              PacketOutcome::kBlackholed);
-    EXPECT_EQ(same_instant_outcome(sim::microseconds(10), sharded),
-              PacketOutcome::kDelivered);
-  }
+  EXPECT_EQ(same_instant_outcome(sim::microseconds(50)),
+            PacketOutcome::kBlackholed);
+  EXPECT_EQ(same_instant_outcome(sim::microseconds(30)),
+            PacketOutcome::kBlackholed);
+  EXPECT_EQ(same_instant_outcome(sim::microseconds(10)),
+            PacketOutcome::kDelivered);
 }
 
 // ------------------------------------------------------ cross-shard walk --

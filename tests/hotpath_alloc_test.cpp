@@ -9,7 +9,7 @@
 //     pool" hot loop),
 //   - a full channel round-trip (pooled frame -> codec -> delivery event),
 //   - data-plane packet hops across live flow tables,
-//   - ShardedSim::run_parallel epochs with cross-shard ring posts,
+//   - ShardedSim::run_parallel epochs with cross-shard outbox posts,
 //   - transient-state verdicts (update::state_satisfies, verify::state_ok)
 //     and the exact round search's constant allocation budget.
 //
@@ -34,6 +34,7 @@
 #include "tsu/sim/thread_pool.hpp"
 #include "tsu/switchsim/switch.hpp"
 #include "tsu/topo/instances.hpp"
+#include "tsu/topo/partition.hpp"
 #include "tsu/update/oracle.hpp"
 #include "tsu/update/schedulers.hpp"
 #include "tsu/util/alloc_hooks.hpp"
@@ -175,8 +176,10 @@ TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
   // inline to delivery - table lookups and the FlowMod pure value work.
   // The monitor's bucket width is huge so its timeline never grows mid-run;
   // the measurement window is bracketed by two probe events inside the
-  // simulation itself.
-  sim::Simulator sim;
+  // simulation itself. The switches run on a 1-shard group.
+  sim::ShardedSim group(1);
+  const topo::SwitchPartition partition;
+  sim::Simulator& sim = group.shard(0);
   switchsim::SwitchConfig sw_config;
   sw_config.install_latency =
       sim::LatencyModel::constant(sim::microseconds(50));
@@ -204,7 +207,8 @@ TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
   config.interarrival = sim::LatencyModel::constant(sim::milliseconds(1));
   config.link_latency = sim::LatencyModel::constant(sim::microseconds(10));
   config.stop = sim::milliseconds(50);
-  dataplane::TrafficSource source(sim, switches, config, Rng(9), monitor);
+  dataplane::TrafficSource source(group, partition, switches, config, Rng(9),
+                                  monitor);
 
   // Re-adds switch 2's own rule once per injection, 40 us ahead of it.
   proto::FlowMod same;
@@ -225,9 +229,9 @@ TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
   sim.schedule_at(sim::milliseconds(10), [&]() { window_start = allocs(); });
   sim.schedule_at(sim::milliseconds(45), [&]() { window_end = allocs(); });
   source.start();
-  const std::size_t events = sim.run();
+  const std::size_t events = group.run();
 
-  EXPECT_EQ(source.in_flight(), 0u);
+  EXPECT_EQ(monitor.report().total, source.injected());
   EXPECT_EQ(monitor.report().delivered, 50u);
   EXPECT_EQ(switches[2]->flow_mods_applied(), 50u);
   // 51 injection events (the last one finds the stop time), one late-band
@@ -275,8 +279,8 @@ struct Ticker {
   }
 };
 
-// A packet-like hand-off bouncing between two shards through the SPSC
-// mailbox rings.
+// A packet-like hand-off bouncing between two shards through their
+// outboxes.
 struct Bouncer {
   sim::ShardedSim* group = nullptr;
   std::uint64_t remaining = 0;
@@ -294,9 +298,10 @@ struct Bouncer {
 
 TEST(HotPathAllocTest, ParallelEpochsAllocateNothingOnceWarm) {
   // run_parallel steady state: horizon computation, pool dispatch, epoch
-  // stepping, ring posts and sync-point drains - all off warm pools. The
+  // stepping, outbox posts and sync-point drains - all off warm pools. The
   // warmup run pays every first-touch allocation (pool lanes, epoch
-  // counters, drain scratch, event arenas); the measured run must be free.
+  // counters, outbox capacity, event arenas); the measured run must be
+  // free.
   sim::ShardedSim group(2);
   sim::ThreadPool pool(2);
   const sim::Duration lookahead = 10;  // lower-bounds the bounce post delay
@@ -331,8 +336,6 @@ TEST(HotPathAllocTest, ParallelEpochsAllocateNothingOnceWarm) {
   EXPECT_EQ(during, 0u) << "parallel epochs hit the allocator";
   EXPECT_EQ(tickers[0].fired, 4002u);
   EXPECT_EQ(bouncer.bounces, 1002u);
-  EXPECT_EQ(group.overflow_posts(), 0u)
-      << "the bounce stream should fit the SPSC rings";
 }
 
 TEST(HotPathAllocTest, WarmCacheSubmissionWindowAllocatesNothing) {
