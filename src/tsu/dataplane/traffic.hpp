@@ -58,6 +58,7 @@
 #include "tsu/flow/match.hpp"
 #include "tsu/sim/distributions.hpp"
 #include "tsu/sim/sharded.hpp"
+#include "tsu/sim/simulator.hpp"
 #include "tsu/switchsim/switch.hpp"
 #include "tsu/topo/partition.hpp"
 #include "tsu/util/ids.hpp"
