@@ -37,6 +37,14 @@
 // 654389 to 262721 events, and the counter test's 0x4ee5cf4742e9bdd0
 // became 0x0b83d7af18c713c3 as its runs fell from 316044 to 153463.
 //
+// The outcome digest counts each flow's probe verdicts but not when they
+// landed. A timeline digest per test pins that: every flow's timeline
+// buckets, their width and its injected packets, over the same closed-loop
+// runs (the counter test's include hash-partitioned ones, whose probe
+// paths cross shards). Both were recorded before any probe stream was
+// batched: 0x99288499e85dda7c here and 0x3c9c015ba26a7021 in the counter
+// test.
+//
 // A second digest pins the closed-loop call shapes on top of the engine:
 // one update on Figure 1, a serializing queue (max_in_flight = 1), one
 // merged multi-policy request and a mix of merged and independent groups.
@@ -70,6 +78,8 @@ constexpr std::uint64_t kExpectedSteppingDigest = 0xb423eb709056b8fdULL;
 constexpr std::uint64_t kExpectedEntryPointDigest = 0x8290ce736e3feec6ULL;
 constexpr std::uint64_t kExpectedCounterDigest = 0x6c114b0e978e4b8eULL;
 constexpr std::uint64_t kExpectedCounterSteppingDigest = 0x0b83d7af18c713c3ULL;
+constexpr std::uint64_t kExpectedTimelineDigest = 0x99288499e85dda7cULL;
+constexpr std::uint64_t kExpectedCounterTimelineDigest = 0x3c9c015ba26a7021ULL;
 
 class Digest {
  public:
@@ -112,6 +122,24 @@ void mix_multiflow(Digest& d, const MultiFlowExecutionResult& result) {
   d.mix(result.batching.flush_timers_cancelled);
 }
 
+// Where each flow's probe verdicts landed in time: every timeline bucket,
+// the bucket width and the packets injected. The outcome digests count
+// verdicts; this pins the arrival time each one was recorded at.
+void mix_timelines(Digest& d, const MultiFlowExecutionResult& result) {
+  d.mix(result.flows.size());
+  for (const ExecutionResult& flow : result.flows) {
+    d.mix(static_cast<std::uint64_t>(flow.timeline_bucket));
+    d.mix(flow.packets_injected);
+    d.mix(flow.timeline.size());
+    for (const dataplane::ConsistencyMonitor::Bucket& b : flow.timeline) {
+      d.mix(b.delivered);
+      d.mix(b.bypassed);
+      d.mix(b.looped);
+      d.mix(b.blackholed);
+    }
+  }
+}
+
 // How the engine stepped a run: events per shard and the parallel
 // stepper's epochs, stalls and overflow posts.
 void mix_stepping(Digest& d, const controller::ShardStats& sharding) {
@@ -146,6 +174,7 @@ ExecutorConfig pool_config(std::uint64_t seed) {
 TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
   Digest d;
   Digest stepping;
+  Digest timeline;
   const topo::PlannedPoolWorkload w =
       topo::planned_pool_workload(64, 24).value();
 
@@ -157,6 +186,7 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
                              << single.error().to_string();
     mix_multiflow(d, single.value());
     mix_stepping(stepping, single.value().sharding);
+    mix_timelines(timeline, single.value());
 
     config.controller.shards = 4;
     config.controller.exec = sim::ExecMode::kParallel;
@@ -170,6 +200,7 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
         << "seed " << seed;
     mix_multiflow(d, sharded.value());
     mix_stepping(stepping, sharded.value().sharding);
+    mix_timelines(timeline, sharded.value());
   }
 
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -218,6 +249,7 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
         << "the fault run never exercised recovery";
     mix_multiflow(d, result);
     mix_stepping(stepping, result.sharding);
+    mix_timelines(timeline, result);
     d.mix(result.faults.frames_lost);
     d.mix(result.faults.timeouts);
     d.mix(result.faults.resyncs);
@@ -228,6 +260,8 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
   EXPECT_EQ(d.value(), kExpectedDigest) << "digest 0x" << std::hex << d.value();
   EXPECT_EQ(stepping.value(), kExpectedSteppingDigest)
       << "stepping digest 0x" << std::hex << stepping.value();
+  EXPECT_EQ(timeline.value(), kExpectedTimelineDigest)
+      << "timeline digest 0x" << std::hex << timeline.value();
 }
 
 // One policy's outcome: the update that carried it and its probe verdicts.
@@ -417,6 +451,7 @@ void mix_snapshot(Digest& d, const ServiceSnapshot& s) {
 TEST(EngineIdentityTest, CountersAreBitIdentical) {
   Digest d;
   Digest stepping;
+  Digest timeline;
   const topo::PlannedPoolWorkload w =
       topo::planned_pool_workload(64, 24).value();
   sim::ChaosOptions chaos;
@@ -462,6 +497,7 @@ TEST(EngineIdentityTest, CountersAreBitIdentical) {
             << ": " << run.error().to_string();
         mix_counters(d, run.value());
         mix_stepping(stepping, run.value().sharding);
+        mix_timelines(timeline, run.value());
         recovered += run.value().faults.resyncs;
         synced += run.value().sharding.rounds_synced;
       }
@@ -498,6 +534,8 @@ TEST(EngineIdentityTest, CountersAreBitIdentical) {
       << "digest 0x" << std::hex << d.value();
   EXPECT_EQ(stepping.value(), kExpectedCounterSteppingDigest)
       << "stepping digest 0x" << std::hex << stepping.value();
+  EXPECT_EQ(timeline.value(), kExpectedCounterTimelineDigest)
+      << "timeline digest 0x" << std::hex << timeline.value();
 }
 
 }  // namespace
