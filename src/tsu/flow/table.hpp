@@ -47,7 +47,10 @@ class FlowTable {
   std::size_t size() const noexcept { return rules_.size(); }
   bool empty() const noexcept { return rules_.empty(); }
   const std::vector<FlowRule>& rules() const noexcept { return rules_; }
-  void clear() noexcept { rules_.clear(); }
+  void clear() noexcept {
+    rules_.clear();
+    seq_.clear();
+  }
 
   std::string to_string() const;
 

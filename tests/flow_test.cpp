@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tsu/flow/match.hpp"
 #include "tsu/flow/table.hpp"
 
@@ -196,6 +198,42 @@ TEST(FlowTableTest, ClearEmptiesTable) {
   t.add(FlowRule{Match::exact_flow(1), Action::forward(2), 100, 0});
   t.clear();
   EXPECT_TRUE(t.empty());
+}
+
+// Adds after a clear still order by priority, then specificity, then
+// insertion: the insertion sequence clears with the rules.
+TEST(FlowTableTest, AddsAfterClearKeepTheRuleOrder) {
+  FlowTable t;
+  for (FlowId flow = 1; flow <= 4; ++flow)
+    t.add(FlowRule{Match::exact_flow(flow), Action::forward(flow), 100, 0});
+  t.clear();
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_FALSE(t.lookup(packet(1)).has_value());
+
+  Match by_flow;
+  by_flow.flow = 1;
+  Match by_src;
+  by_src.src_host = 1;
+  Match both = by_flow;
+  both.src_host = 1;
+  t.add(FlowRule{by_src, Action::forward(30), 50, 0});
+  t.add(FlowRule{Match::wildcard(), Action::drop(), 10, 0});
+  t.add(FlowRule{by_flow, Action::forward(40), 50, 0});
+  t.add(FlowRule{both, Action::forward(60), 50, 0});
+  t.add(FlowRule{Match::exact_flow(2), Action::forward(70), 80, 0});
+  ASSERT_EQ(t.size(), 5u);
+  // Priority 80 first; among the 50s the two-field match, then the
+  // one-field matches in insertion order; the wildcard last.
+  const std::vector<Action> order{Action::forward(70), Action::forward(60),
+                                  Action::forward(30), Action::forward(40),
+                                  Action::drop()};
+  for (std::size_t i = 0; i < order.size(); ++i)
+    EXPECT_EQ(t.rules()[i].action, order[i]) << "rule " << i;
+  EXPECT_EQ(t.lookup(packet(1, 1))->action, Action::forward(60));
+  EXPECT_EQ(t.lookup(packet(1, 2))->action, Action::forward(40));
+  EXPECT_EQ(t.lookup(packet(3, 1))->action, Action::forward(30));
+  EXPECT_EQ(t.lookup(packet(3, 2))->action, Action::drop());
 }
 
 TEST(FlowTableTest, ToStringListsRules) {
