@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <unordered_map>
 
 #include "tsu/controller/plan_cache.hpp"
@@ -575,6 +576,17 @@ Result<MultiFlowExecutionResult> execute_multiflow(
   if (!harness.ctrl->idle() || done_metrics.size() != request_count)
     return make_error(Errc::kFailedPrecondition,
                       "simulation drained before all updates completed");
+  for (const auto& [flow, monitor] : monitors.flows()) {
+    if (!monitor.timeline_overflowed()) continue;
+    constexpr std::size_t kLimit =
+        dataplane::ConsistencyMonitor::kMaxTimelineBuckets;
+    std::ostringstream message;
+    message << "probe outcome of flow " << flow
+            << " landed past the timeline's limit of " << kLimit
+            << " buckets (" << sim::to_ms(monitor.bucket_width()) * kLimit
+            << " ms of simulated time)";
+    return make_error(Errc::kOutOfRange, message.str());
+  }
 
   // Completion order need not match submission order when updates run
   // concurrently; route metrics back to their request by key flow.

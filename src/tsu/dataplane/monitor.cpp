@@ -51,7 +51,12 @@ void ConsistencyMonitor::record(sim::SimTime at, PacketOutcome outcome) {
   // runs unbounded sim horizons where a per-bucket vector would grow
   // without limit (and at / 0 would fault).
   if (bucket_width_ == 0) return;
-  const std::size_t bucket = static_cast<std::size_t>(at / bucket_width_);
+  const sim::SimTime index = at / bucket_width_;
+  if (index >= kMaxTimelineBuckets) {
+    timeline_overflowed_ = true;
+    return;
+  }
+  const std::size_t bucket = static_cast<std::size_t>(index);
   if (bucket >= timeline_.size()) timeline_.resize(bucket + 1);
   Bucket& b = timeline_[bucket];
   switch (outcome) {

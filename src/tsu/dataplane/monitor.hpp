@@ -51,6 +51,16 @@ struct MonitorReport {
 
 class ConsistencyMonitor {
  public:
+  // The most timeline buckets one monitor holds, whatever the arrival
+  // times: 2^16 buckets of 32 B, 2 MiB per flow, which at the default 1 ms
+  // width is 65.536 s of simulated time (the longest closed-loop runs in
+  // this repository need under 2,000). A record at or past the last bucket
+  // still counts in the report but leaves the timeline alone and marks it
+  // overflowed; the executor then fails the run with an error. Sizing the
+  // timeline by arrival time alone let one late arrival (a link latency of
+  // 1e7 ms) ask for gigabytes.
+  static constexpr std::size_t kMaxTimelineBuckets = std::size_t{1} << 16;
+
   // bucket_width = 0 disables the per-bucket timeline (aggregate counts
   // only) - required for open-loop runs whose timeline would otherwise
   // grow with the sim horizon.
@@ -79,6 +89,9 @@ class ConsistencyMonitor {
   // Outcome counts per bucket_width window since t=0 (index = t / width).
   const std::vector<Bucket>& timeline() const noexcept { return timeline_; }
   sim::Duration bucket_width() const noexcept { return bucket_width_; }
+  // True once a record fell past kMaxTimelineBuckets: the timeline then
+  // misses outcomes the report counts.
+  bool timeline_overflowed() const noexcept { return timeline_overflowed_; }
 
   // Renders the per-bucket bypass/loop counts as a compact text timeline.
   std::string timeline_to_string() const;
@@ -88,6 +101,7 @@ class ConsistencyMonitor {
   std::mutex mutex_;  // guards record() against concurrent shard workers
   MonitorReport report_;
   std::vector<Bucket> timeline_;
+  bool timeline_overflowed_ = false;
 };
 
 // Per-flow consistency monitors for a concurrent multi-flow run: every

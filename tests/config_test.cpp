@@ -386,6 +386,30 @@ TEST(ConfigTest, SaturatedDurationsEndTheRunWithAnError) {
   }
 }
 
+// A probe's outcome lands in the timeline bucket of its arrival time, and
+// the timeline once grew to that bucket: a 1e7 ms link asked for gigabytes
+// and aborted the process with std::bad_alloc. The timeline now stops at
+// ConsistencyMonitor::kMaxTimelineBuckets and the run returns an error
+// that names the limit.
+TEST(ConfigTest, LateProbeArrivalsEndTheRunWithAnError) {
+  const topo::Fig1 fig = topo::fig1();
+  const update::Schedule schedule =
+      plan(fig.instance, Algorithm::kWayUp).value().schedule;
+  for (const char* doc :
+       {R"({"traffic": {"link": {"kind": "constant", "ms": 1e7}}})",
+        R"({"traffic": {"link": {"kind": "constant", "ms": 1e9}}})"}) {
+    const Result<ExecutorConfig> config = parse(doc);
+    ASSERT_TRUE(config.ok()) << config.error().to_string();
+    const Result<MultiFlowExecutionResult> run =
+        execute_multiflow({&fig.instance}, {&schedule}, config.value());
+    ASSERT_FALSE(run.ok()) << doc;
+    EXPECT_EQ(run.error().code, Errc::kOutOfRange) << run.error().to_string();
+    EXPECT_NE(run.error().to_string().find("65536 buckets"),
+              std::string::npos)
+        << run.error().to_string();
+  }
+}
+
 // A document that sets one knob: {"key": value}, inside its block.
 json::Value knob_document(const Knob& knob, json::Value value) {
   json::Object inner;

@@ -368,6 +368,24 @@ TEST(MonitorTest, TimelineBucketsByTime) {
   EXPECT_NE(monitor.timeline_to_string().find("BYPASSED"), std::string::npos);
 }
 
+TEST(MonitorTest, TimelineStopsAtItsBucketLimit) {
+  constexpr std::size_t kLimit = ConsistencyMonitor::kMaxTimelineBuckets;
+  ConsistencyMonitor monitor(sim::milliseconds(1));
+  monitor.record(sim::milliseconds(kLimit - 1), PacketOutcome::kDelivered);
+  EXPECT_FALSE(monitor.timeline_overflowed());
+  ASSERT_EQ(monitor.timeline().size(), kLimit);
+  // Arrivals past the last bucket - one a 1e9 ms link would produce - count
+  // in the report and leave the timeline as it was.
+  monitor.record(sim::milliseconds(kLimit), PacketOutcome::kDelivered);
+  monitor.record(sim::milliseconds(1'000'000'000'000ULL),
+                 PacketOutcome::kBypassedWaypoint);
+  EXPECT_TRUE(monitor.timeline_overflowed());
+  EXPECT_EQ(monitor.timeline().size(), kLimit);
+  EXPECT_EQ(monitor.timeline().back().delivered, 1u);
+  EXPECT_EQ(monitor.report().total, 3u);
+  EXPECT_EQ(monitor.report().bypassed, 1u);
+}
+
 TEST(MonitorTest, OutcomeNames) {
   EXPECT_STREQ(to_string(PacketOutcome::kBypassedWaypoint),
                "bypassed-waypoint");
