@@ -288,6 +288,18 @@ sim::Duration cross_shard_lookahead(const ExecutorConfig& config) {
   return lookahead;
 }
 
+// Promises every switch that no FlowMod installs there, and no switch
+// crashes or changes its serving state, before `until`; each switch aborts
+// the run on a change inside the promise (switchsim/switch.hpp). Probe
+// streams batch the packets whose walks end before it (FROZEN STREAMS in
+// dataplane/traffic.hpp). Only runs without fault tolerance may freeze:
+// its timers, retries, rollbacks, resubmissions and resyncs send FlowMods
+// at times no caller plans.
+void freeze(Harness& harness, sim::SimTime until) {
+  for (switchsim::SimSwitch* sw : harness.switches)
+    if (sw != nullptr) sw->freeze_until(until);
+}
+
 // How a run loop went: the pool lanes it used (1 when sequential) and its
 // wall-clock cost (steady clock; the simulation never reads wall time).
 struct RunTiming {
@@ -531,6 +543,8 @@ Result<MultiFlowExecutionResult> execute_multiflow(
   // injecting `drain` after the last update completes.
   std::vector<controller::UpdateMetrics> done_metrics;
   done_metrics.reserve(request_count);
+  const bool can_freeze =
+      config.faults.empty() && controller_config.liveness_timeout == 0;
   harness.ctrl->set_on_update_done(
       [&](const controller::UpdateMetrics& metrics) {
         done_metrics.push_back(metrics);
@@ -539,8 +553,15 @@ Result<MultiFlowExecutionResult> execute_multiflow(
         // (set_stop is monotone: injection checks the new bound.)
         for (auto& source : sources)
           if (source) source->set_stop(harness.sim.now() + config.drain);
+        // Frozen for the rest of the run (none steps past kRunLimit): a
+        // barrier reply has fenced every FlowMod of every request, and
+        // nothing else sends one.
+        if (can_freeze) freeze(harness, kRunLimit);
       });
 
+  // Frozen until the warmup ends: no request is submitted before then, so
+  // no FlowMod is in flight.
+  if (can_freeze) freeze(harness, config.warmup);
   for (auto& source : sources)
     if (source) source->start();
 
@@ -810,6 +831,11 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
       return;
     for (auto& source : sources)
       if (source) source->set_stop(harness.sim.now() + exec.drain);
+    // Frozen for the rest of the run (none steps past kRunLimit):
+    // arrivals have stopped and a barrier reply has fenced every FlowMod
+    // of every accepted request. Service mode rejects fault schedules, so
+    // only liveness timers could send more.
+    if (exec.controller.liveness_timeout == 0) freeze(harness, kRunLimit);
   };
   const auto finish_arrivals = [&]() {
     arrivals_done = true;

@@ -1,5 +1,7 @@
 #include "tsu/dataplane/traffic.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "tsu/util/log.hpp"
@@ -25,10 +27,10 @@ void TrafficSource::start() {
   // The late band keeps a queued hop's order against same-instant rule
   // changes only if every change lands more than one link after the event
   // that queued it (see the file comment).
-  const sim::Duration link_max = config_.link_latency.max_delay();
+  link_max_ = config_.link_latency.max_delay();
   late_band_ = true;
   for (const switchsim::SimSwitch* sw : switches_)
-    if (sw != nullptr && sw->change_lead() <= link_max) late_band_ = false;
+    if (sw != nullptr && sw->change_lead() <= link_max_) late_band_ = false;
 
   // kLocal: injection reads source-local state and starts the packet on
   // the ingress switch, which lives on this very shard.
@@ -37,7 +39,8 @@ void TrafficSource::start() {
 }
 
 void TrafficSource::inject() {
-  if (home_.now() >= config_.stop) return;
+  const sim::SimTime now = home_.now();
+  if (now >= config_.stop) return;
 
   // Fork in injection order: the packet's latency stream is deterministic
   // however its hops later interleave with other packets'.
@@ -48,26 +51,65 @@ void TrafficSource::inject() {
   live.packet.ttl = config_.ttl;
   live.visited.reset(switches_.size());
   ++injected_;
-  walk(std::move(live), config_.ingress);
+  Memo memo;
+  walk(std::move(live), config_.ingress, &memo);
 
-  home_.schedule(config_.interarrival.sample(rng_), [this]() { inject(); },
-                 sim::EventScope::kLocal);
+  // Inside a freeze the packets after this one share its walk (see FROZEN
+  // STREAMS); the next event injects the first packet the batch leaves.
+  const sim::Duration gap = config_.interarrival.sample(rng_);
+  const sim::SimTime next = sim::later(now, gap);
+  const sim::SimTime left = batch(memo, next);
+  if (left == next) {
+    home_.schedule(gap, [this]() { inject(); }, sim::EventScope::kLocal);
+  } else {
+    home_.schedule_at(left, [this]() { inject(); }, sim::EventScope::kLocal);
+  }
 }
 
-void TrafficSource::walk(LivePacket live, NodeId at) {
+sim::SimTime TrafficSource::batch(const Memo& memo, sim::SimTime at) {
+  // Every hop of a packet injected at `at` arrives by at + walk_max.
+  constexpr sim::Duration kNever = std::numeric_limits<sim::Duration>::max();
+  const sim::Duration walk_max =
+      memo.links != 0 && link_max_ > kNever / memo.links
+          ? kNever
+          : memo.links * link_max_;
+  while (at < config_.stop && sim::later(at, walk_max) < memo.frozen_until) {
+    Rng rng = rng_.fork();
+    sim::SimTime arrival = at;
+    for (std::uint32_t i = 0; i < memo.links; ++i)
+      arrival += config_.link_latency.sample(rng);
+    monitor_.record(arrival, memo.outcome);
+    ++injected_;
+    at = sim::later(at, config_.interarrival.sample(rng_));
+  }
+  return at;
+}
+
+void TrafficSource::walk(LivePacket live, NodeId at, Memo* memo) {
   const std::size_t shard = partition_.shard_of(at);
   sim::Simulator& here = group_.shard(shard);
   const sim::SimTime now = here.now();
+  sim::SimTime t = now;
+  // What the walk leaves in `memo` if it ends in this event.
+  std::uint32_t links = 0;
+  sim::SimTime frozen = switches_[at]->frozen_until();
+  const auto end = [&](PacketOutcome outcome) {
+    monitor_.record(t, outcome);
+    if (memo != nullptr) *memo = Memo{outcome, links, frozen};
+  };
   NodeId next = kInvalidNode;
   sim::Duration latency = 0;
-  if (!visit(live, at, now, next, latency)) return;
+  if (const std::optional<PacketOutcome> verdict =
+          visit(live, at, next, latency)) {
+    end(*verdict);
+    return;
+  }
 
   // The packet on its first link, kept once the walk goes past it so a
   // native-band walk can rewind there.
   const NodeId first_next = next;
   const sim::SimTime first_arrival = now + latency;
   std::optional<LivePacket> first;
-  sim::SimTime t = now;
   while (true) {
     const sim::SimTime arrival = t + latency;
     const std::size_t next_shard = partition_.shard_of(next);
@@ -79,10 +121,17 @@ void TrafficSource::walk(LivePacket live, NodeId at) {
     }
     // Strictly before: a change at exactly `arrival` may sort before the
     // hop.
-    if (arrival >= switches_[next]->stable_until()) break;
+    const switchsim::SimSwitch& sw = *switches_[next];
+    if (arrival >= sw.stable_until()) break;
     if (!late_band_ && !first.has_value()) first.emplace(live);
     t = arrival;
-    if (!visit(live, next, t, next, latency)) return;
+    ++links;
+    frozen = std::min(frozen, sw.frozen_until());
+    if (const std::optional<PacketOutcome> verdict =
+            visit(live, next, next, latency)) {
+      end(*verdict);
+      return;
+    }
   }
 
   // The bound stopped the walk at `next`.
@@ -109,8 +158,9 @@ sim::EventFn TrafficSource::resume(LivePacket live, NodeId at) {
   return hop;
 }
 
-bool TrafficSource::visit(LivePacket& live, NodeId at, sim::SimTime t,
-                          NodeId& next, sim::Duration& latency) {
+std::optional<PacketOutcome> TrafficSource::visit(LivePacket& live,
+                                                  NodeId at, NodeId& next,
+                                                  sim::Duration& latency) {
   TSU_ASSERT(at < switches_.size() && switches_[at] != nullptr);
   if (config_.waypoint.has_value() && at == *config_.waypoint)
     live.crossed_waypoint = true;
@@ -118,51 +168,33 @@ bool TrafficSource::visit(LivePacket& live, NodeId at, sim::SimTime t,
   // A crashed switch forwards nothing until its controller resync restores
   // it to service; traffic hitting it is outage loss, kept apart from the
   // consistency verdicts (fault injection only; always serving otherwise).
-  if (!switches_[at]->serving()) {
-    monitor_.record(t, PacketOutcome::kFaultDropped);
-    return false;
-  }
+  if (!switches_[at]->serving()) return PacketOutcome::kFaultDropped;
 
-  // Look up the live flow table as it stands at `t`; the rule may have
+  // Look up the live flow table as it stands now; the rule may have
   // changed since the previous hop - that is the whole point of the
   // experiment.
   const std::optional<flow::FlowRule> rule =
       switches_[at]->table().lookup(live.packet);
-  if (!rule.has_value() || rule->action.kind == flow::ActionKind::kDrop) {
-    monitor_.record(t, PacketOutcome::kBlackholed);
-    return false;
-  }
+  if (!rule.has_value() || rule->action.kind == flow::ActionKind::kDrop)
+    return PacketOutcome::kBlackholed;
   if (rule->action.kind == flow::ActionKind::kDeliver) {
-    if (at == config_.egress) {
-      const bool needs_waypoint = config_.waypoint.has_value();
-      monitor_.record(t, needs_waypoint && !live.crossed_waypoint
-                             ? PacketOutcome::kBypassedWaypoint
-                             : PacketOutcome::kDelivered);
-    } else {
-      // Delivered to the wrong host: treat as a drop.
-      monitor_.record(t, PacketOutcome::kBlackholed);
-    }
-    return false;
+    // Delivered to the wrong host: treat as a drop.
+    if (at != config_.egress) return PacketOutcome::kBlackholed;
+    return config_.waypoint.has_value() && !live.crossed_waypoint
+               ? PacketOutcome::kBypassedWaypoint
+               : PacketOutcome::kDelivered;
   }
 
   // Forwarding.
-  if (live.visited.test(at)) {
-    monitor_.record(t, PacketOutcome::kLooped);
-    return false;
-  }
+  if (live.visited.test(at)) return PacketOutcome::kLooped;
   live.visited.set(at);
-  if (--live.packet.ttl <= 0) {
-    monitor_.record(t, PacketOutcome::kTtlExpired);
-    return false;
-  }
+  if (--live.packet.ttl <= 0) return PacketOutcome::kTtlExpired;
   next = rule->action.port;
-  if (next >= switches_.size() || switches_[next] == nullptr) {
-    monitor_.record(t, PacketOutcome::kBlackholed);
-    return false;
-  }
+  if (next >= switches_.size() || switches_[next] == nullptr)
+    return PacketOutcome::kBlackholed;
   live.packet.in_port = at;
   latency = config_.link_latency.sample(live.rng);
-  return true;
+  return std::nullopt;
 }
 
 }  // namespace tsu::dataplane

@@ -34,6 +34,35 @@
 // were, so every packet verdict is bit-identical to hop-by-hop forwarding;
 // only the event counts fall.
 //
+// FROZEN STREAMS. The executor freezes every switch over the stretches in
+// which it sends no FlowMod (SimSwitch::freeze_until: the warmup, and the
+// drain after the last update) and the switches check the promise. Then
+// packets need no walk, and no event, of their own:
+//
+//   bound   A switch's stable_until() is at least its frozen bound, so a
+//           walk inside a freeze stops only at a shard boundary.
+//   memo    The inject event walks its packet as above. When that walk
+//           ends inside the event, on the home shard, it leaves its
+//           verdict, the links it crossed and the least frozen bound F of
+//           the switches it read. A walk that hands off to another shard
+//           or stops at the bound leaves none, so a stream whose path
+//           leaves its shard keeps one event per packet, and every walk of
+//           a parallel epoch still reads shard-local tables only.
+//   batch   In the same call, each later packet injected at t joins the
+//           batch while t < stop and t + links * link max_delay() < F,
+//           with saturating arithmetic (an unbounded link model batches
+//           only one-link walks, in the last freeze). Such a packet reads
+//           the same tables the memo's walk read, so it gets the same
+//           verdict. It forks its Rng and draws its link latencies in the
+//           order the walk draws them, and its verdict is recorded at its
+//           own arrival time, so reports, timelines and injected() stay
+//           bit-identical. Only the first packet the batch does not cover
+//           gets an inject event. That event is queued earlier than hop by
+//           hop would queue it, and still sorts the same against every
+//           rule change at its instant: no event inside a freeze queues a
+//           change, so every change it could meet was queued before the
+//           freeze or after the batch's last packet.
+//
 // SHARDED OPERATION. A source runs on a ShardedSim + SwitchPartition; a
 // single-queue experiment is a 1-shard group with the default partition.
 // Every queued hop executes on the event queue of the shard OWNING the
@@ -52,6 +81,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "tsu/dataplane/monitor.hpp"
@@ -149,15 +179,25 @@ class TrafficSource {
     explicit LivePacket(Rng packet_rng) : rng(packet_rng) {}
   };
 
+  // What a walk that ended inside its event leaves for a frozen batch.
+  struct Memo {
+    PacketOutcome outcome = PacketOutcome::kDelivered;
+    std::uint32_t links = 0;        // links crossed, one latency draw each
+    sim::SimTime frozen_until = 0;  // least frozen bound of the switches read
+  };
+
   void inject();
+  // Injects and records every packet from `at` on that `memo` covers (see
+  // FROZEN STREAMS); returns the injection time of the first it does not.
+  sim::SimTime batch(const Memo& memo, sim::SimTime at);
   // The packet reaches `at` now, in an event on the queue of `at`'s owning
-  // shard, and walks on from there (see the file comment).
-  void walk(LivePacket live, NodeId at);
-  // The packet reaches `at` at time `t`: records its outcome and returns
-  // false when it ends there, else returns true with the next switch and
-  // the link latency towards it.
-  bool visit(LivePacket& live, NodeId at, sim::SimTime t, NodeId& next,
-             sim::Duration& latency);
+  // shard, and walks on from there (see the file comment). Fills `memo`,
+  // when given, if the walk ends inside this event.
+  void walk(LivePacket live, NodeId at, Memo* memo = nullptr);
+  // The packet reaches `at`: returns its verdict when it ends there, else
+  // nothing, with the next switch and the link latency towards it.
+  std::optional<PacketOutcome> visit(LivePacket& live, NodeId at,
+                                     NodeId& next, sim::Duration& latency);
   // The event that resumes the walk when the packet reaches `at`.
   sim::EventFn resume(LivePacket live, NodeId at);
 
@@ -171,6 +211,7 @@ class TrafficSource {
   // Whether a walk the bound stops queues its hop in the late band (true)
   // or rewinds to its first hop; set by start() from the switches.
   bool late_band_ = false;
+  sim::Duration link_max_ = 0;  // config_.link_latency.max_delay()
   std::size_t injected_ = 0;
 };
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace tsu::sim {
 
@@ -28,6 +29,12 @@ inline constexpr double to_us(Duration d) {
 // 146 years. Saturating there keeps every such duration, and the sum of
 // two of them, inside the 64-bit clock.
 inline constexpr Duration kMaxDuration = Duration{1} << 62;
+
+// `at` plus `delay`, saturating at the largest SimTime instead of wrapping.
+inline constexpr SimTime later(SimTime at, Duration delay) noexcept {
+  constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+  return delay > kNever - at ? kNever : at + delay;
+}
 
 // Convert a double amount of nanoseconds or milliseconds to a Duration:
 // negative and NaN amounts give 0, amounts beyond kMaxDuration saturate at

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
 
 #include "tsu/proto/apply.hpp"
 #include "tsu/util/log.hpp"
@@ -39,6 +38,8 @@ void SimSwitch::start_next() {
   sim::Duration processing = config_.message_processing;
   installing_ = message.type() == proto::MsgType::kFlowMod;
   if (installing_) {
+    // The install queues its table change: never inside a freeze.
+    assert_unfrozen();
     processing = config_.install_latency.sample(rng_);
     install_times_.add(static_cast<double>(processing));
   } else if (message.type() == proto::MsgType::kBarrierRequest) {
@@ -68,15 +69,6 @@ void SimSwitch::start_next() {
   sim_.schedule(processing, std::move(completion), sim::EventScope::kLocal);
 }
 
-namespace {
-
-sim::SimTime later(sim::SimTime at, sim::Duration delay) noexcept {
-  const sim::SimTime never = std::numeric_limits<sim::SimTime>::max();
-  return delay > never - at ? never : at + delay;
-}
-
-}  // namespace
-
 void SimSwitch::expect_crash(sim::SimTime at) {
   crashes_.insert(std::upper_bound(crashes_.begin(), crashes_.end(), at),
                   at);
@@ -84,17 +76,18 @@ void SimSwitch::expect_crash(sim::SimTime at) {
 
 sim::SimTime SimSwitch::stable_until() const noexcept {
   const sim::SimTime now = sim_.now();
-  if (!up_ || !serving_) return now;
+  if (!up_ || !serving_) return std::max(now, frozen_until_);
   sim::SimTime until;
   if (busy_) {
-    until = installing_ ? busy_until_ : later(busy_until_, install_min_);
+    until = installing_ ? busy_until_ : sim::later(busy_until_, install_min_);
   } else {
     const bool quiet = inbound_ != nullptr && inbound_->in_flight() == 0;
-    until = later(quiet ? later(now, inbound_min_) : now, install_min_);
+    until = sim::later(quiet ? sim::later(now, inbound_min_) : now,
+                       install_min_);
   }
   const auto crash = std::lower_bound(crashes_.begin(), crashes_.end(), now);
   if (crash != crashes_.end()) until = std::min(until, *crash);
-  return until;
+  return std::max(until, frozen_until_);
 }
 
 void SimSwitch::complete(const proto::Message& message) {
@@ -187,10 +180,12 @@ void SimSwitch::apply_flow_mod(const proto::FlowMod& mod) {
   // non-conflicting on the table dimension really touch disjoint state.
   // Shared semantics with the controller's shadow tables (proto/apply.hpp):
   // crash resync reconstructs exactly what this would have built.
+  assert_unfrozen();
   proto::apply_flow_mod(tables_, mod);
 }
 
 void SimSwitch::crash(bool lose_state) {
+  assert_unfrozen();
   ++epoch_;  // orphan any in-flight completion event
   up_ = false;
   serving_ = false;

@@ -19,7 +19,12 @@
 // steps. The data-plane walk rests on this (dataplane/traffic.hpp): it
 // forwards a probe through a switch inline, without an event of its own,
 // whenever the probe arrives before stable_until(), and it orders the hops
-// it does queue by change_lead().
+// it does queue by change_lead(). The executor may also freeze a switch
+// (freeze_until()) over a stretch in which it sends no FlowMod; probe
+// streams then reuse one walk for many packets. The promise is checked
+// where a change happens: a FlowMod that starts installing or completes,
+// a crash and a set_serving() before the frozen bound abort the run
+// (TSU_ASSERT), so a wrong declaration cannot diverge silently.
 //
 // Reply batching (`batch_replies`): the switch->controller direction can
 // coalesce too. Replies produced within one simulation instant (barrier
@@ -42,6 +47,7 @@
 #include "tsu/sim/distributions.hpp"
 #include "tsu/sim/simulator.hpp"
 #include "tsu/stats/summary.hpp"
+#include "tsu/util/assert.hpp"
 #include "tsu/util/ids.hpp"
 #include "tsu/util/ring.hpp"
 #include "tsu/util/rng.hpp"
@@ -126,14 +132,25 @@ class SimSwitch {
   // Fault injection announces each crash it has scheduled for this switch.
   void expect_crash(sim::SimTime at);
   // The earliest instant, judged now, at which the tables or the serving
-  // state could change. That is now for a switch that is down or not
-  // serving; otherwise the earliest of the scheduled crashes, the
-  // completion of a FlowMod in progress, and the earliest start of the
-  // next message plus the least install time. The next message starts when
-  // the one in progress ends, or, on an idle switch, now if frames are in
-  // flight towards it and now plus its inbound channel's min_delay() if
-  // none are.
+  // state could change: the frozen bound (below) if that is later, else
+  // now for a switch that is down or not serving, and otherwise the
+  // earliest of the scheduled crashes, the completion of a FlowMod in
+  // progress, and the earliest start of the next message plus the least
+  // install time. The next message starts when the one in progress ends,
+  // or, on an idle switch, now if frames are in flight towards it and now
+  // plus its inbound channel's min_delay() if none are.
   sim::SimTime stable_until() const noexcept;
+  // The control plane's promise, made at a sync point, that from now until
+  // `until` no FlowMod starts installing here and the switch neither
+  // crashes nor changes its serving state: so no change happens, or is
+  // queued, before `until`. Bounds only grow. The executor freezes every
+  // switch over the warmup and after the last update (core/executor.cpp);
+  // probe streams batch packets inside the bound (FROZEN STREAMS in
+  // dataplane/traffic.hpp).
+  void freeze_until(sim::SimTime until) noexcept {
+    frozen_until_ = std::max(frozen_until_, until);
+  }
+  sim::SimTime frozen_until() const noexcept { return frozen_until_; }
   // The least time between the event that queues a change here and the
   // change: a FlowMod's completion is queued when its install starts, and
   // a resync's return to service when the switch's barrier reply leaves on
@@ -158,7 +175,10 @@ class SimSwitch {
   void announce();
   bool up() const noexcept { return up_; }
   bool serving() const noexcept { return serving_; }
-  void set_serving(bool serving) noexcept { serving_ = serving; }
+  void set_serving(bool serving) noexcept {
+    assert_unfrozen();
+    serving_ = serving;
+  }
   // Control frames dropped because they arrived while the switch was down.
   std::size_t frames_dropped() const noexcept { return frames_dropped_; }
 
@@ -181,6 +201,11 @@ class SimSwitch {
   void start_next();
   void complete(const proto::Message& message);
   void apply_flow_mod(const proto::FlowMod& mod);
+  // Aborts the run when a change lands inside the frozen bound.
+  void assert_unfrozen() const noexcept {
+    TSU_ASSERT_MSG(sim_.now() >= frozen_until_,
+                   "switch state changed inside a declared freeze");
+  }
   void send_to_controller(proto::Message message);
   void maybe_flush_replies();
   void flush_replies();
@@ -213,6 +238,7 @@ class SimSwitch {
   sim::Duration inbound_min_ = 0;
   sim::Duration change_lead_ = install_min_;
   std::vector<sim::SimTime> crashes_;
+  sim::SimTime frozen_until_ = 0;
 
   // Fault state. `epoch_` fences in-flight completion events across a
   // crash: a completion scheduled before the crash sees a stale epoch and

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -14,18 +15,22 @@
 namespace tsu::dataplane {
 namespace {
 
-// A single-queue data plane: a 1-shard group with the default partition.
+// A data plane of default switches on a group of `shards` shards, split
+// into contiguous blocks of switch ids; one shard is a single queue.
 struct Plane {
-  sim::ShardedSim sim{1};
+  sim::ShardedSim sim;
   const topo::SwitchPartition partition;
   std::vector<std::unique_ptr<switchsim::SimSwitch>> storage;
   std::vector<switchsim::SimSwitch*> switches;
 
-  explicit Plane(std::size_t nodes) : switches(nodes, nullptr) {
+  explicit Plane(std::size_t nodes, std::size_t shards = 1)
+      : sim(shards),
+        partition(shards, topo::PartitionScheme::kBlock, nodes),
+        switches(nodes, nullptr) {
     switchsim::SwitchConfig config;
     for (NodeId v = 0; v < nodes; ++v) {
       storage.push_back(std::make_unique<switchsim::SimSwitch>(
-          sim.shard(0), v, v, config, Rng(v + 1)));
+          sim.shard(partition.shard_of(v)), v, v, config, Rng(v + 1)));
       switches[v] = storage.back().get();
     }
   }
@@ -35,7 +40,29 @@ struct Plane {
     switches[at]->table().add(
         flow::FlowRule{flow::Match::exact_flow(flow), action, 100, 0});
   }
+  // Flow `flow` forwards along `path` and is delivered at its last switch.
+  void chain(FlowId flow, const std::vector<NodeId>& path) {
+    for (std::size_t i = 0; i + 1 < path.size(); ++i)
+      rule(path[i], flow, flow::Action::forward(path[i + 1]));
+    rule(path.back(), flow, flow::Action::deliver());
+  }
+  void freeze_until(sim::SimTime until) {
+    for (switchsim::SimSwitch* sw : switches) sw->freeze_until(until);
+  }
 };
+
+// Every report count, then the timeline bucket by bucket.
+std::vector<std::size_t> verdicts_of(const ConsistencyMonitor& monitor) {
+  const MonitorReport& report = monitor.report();
+  std::vector<std::size_t> verdicts{
+      report.total,      report.delivered,   report.bypassed,
+      report.looped,     report.blackholed,  report.ttl_expired,
+      report.fault_dropped};
+  for (const ConsistencyMonitor::Bucket& bucket : monitor.timeline())
+    verdicts.insert(verdicts.end(), {bucket.delivered, bucket.bypassed,
+                                     bucket.looped, bucket.blackholed});
+  return verdicts;
+}
 
 TrafficConfig config_for(NodeId ingress, NodeId egress,
                          std::optional<NodeId> waypoint,
@@ -306,15 +333,8 @@ ChainRun cross_shard_chain_run(std::size_t shards, bool parallel) {
     group.run();
   }
 
-  const MonitorReport& report = monitor.report();
   ChainRun run;
-  run.verdicts = {report.total,      report.delivered,   report.bypassed,
-                  report.looped,     report.blackholed,  report.ttl_expired,
-                  report.fault_dropped};
-  for (const ConsistencyMonitor::Bucket& bucket : monitor.timeline())
-    run.verdicts.insert(run.verdicts.end(),
-                        {bucket.delivered, bucket.bypassed, bucket.looped,
-                         bucket.blackholed});
+  run.verdicts = verdicts_of(monitor);
   run.events_per_shard = group.events_per_shard();
   run.injected = source.injected();
   return run;
@@ -336,6 +356,175 @@ TEST(TrafficTest, CrossShardWalkMatchesOneShard) {
   ASSERT_EQ(two.events_per_shard.size(), 2u);
   EXPECT_GT(two.events_per_shard[1], 0u);
   EXPECT_EQ(two_parallel.events_per_shard, two.events_per_shard);
+}
+
+// --------------------------------------------------------- frozen streams --
+
+// The verdicts a frozen walk can leave for a batch, by index in
+// verdicts_of().
+enum Verdict : std::size_t {
+  kDelivered = 1,
+  kBypassed = 2,
+  kLooped = 3,
+  kBlackholed = 4,
+  kTtlExpired = 5,
+};
+
+// One probe stream over fixed tables that give every packet `verdict`,
+// for 10 ms, on one shard whose switches are frozen until `frozen_until`
+// (0: not frozen). Injections and links are jittered unless `steady`,
+// which injects every 100 us over 10 us links. Default switches install in
+// a lognormal time with no lower bound, so an unfrozen walk queues every
+// hop.
+ChainRun stream_run(Verdict verdict, sim::SimTime frozen_until,
+                    bool steady = false) {
+  Plane plane(12);
+  TrafficConfig config = config_for(0, 3, NodeId{2}, sim::milliseconds(10));
+  config.interarrival =
+      steady ? sim::LatencyModel::constant(sim::microseconds(100))
+             : sim::LatencyModel::uniform(sim::microseconds(50),
+                                          sim::microseconds(150));
+  config.link_latency =
+      steady ? sim::LatencyModel::constant(sim::microseconds(10))
+             : sim::LatencyModel::uniform(sim::microseconds(5),
+                                          sim::microseconds(25));
+  switch (verdict) {
+    case kDelivered: plane.chain(1, {0, 1, 2, 3}); break;
+    case kBypassed: plane.chain(1, {0, 1, 3}); break;
+    case kLooped:
+      plane.chain(1, {0, 1, 2});
+      plane.rule(2, 1, flow::Action::forward(1));
+      break;
+    case kBlackholed: plane.rule(0, 1, flow::Action::forward(1)); break;
+    case kTtlExpired:
+      plane.chain(1, {0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 2, 3});
+      config.ttl = 6;
+      break;
+  }
+  if (frozen_until != 0) plane.freeze_until(frozen_until);
+  ConsistencyMonitor monitor(sim::microseconds(500));
+  TrafficSource source(plane.sim, plane.partition, plane.switches, config,
+                       Rng(9), monitor);
+  source.start();
+  plane.sim.run();
+  ChainRun run;
+  run.verdicts = verdicts_of(monitor);
+  run.events_per_shard = plane.sim.events_per_shard();
+  run.injected = source.injected();
+  return run;
+}
+
+TEST(FrozenStreamTest, BatchMatchesEventByEventForEveryVerdict) {
+  constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::max();
+  struct Case {
+    Verdict verdict;
+    std::size_t links;  // links each packet crosses
+  };
+  for (const Case c : {Case{kDelivered, 3}, Case{kBypassed, 2},
+                       Case{kLooped, 3}, Case{kBlackholed, 1},
+                       Case{kTtlExpired, 5}}) {
+    const ChainRun open = stream_run(c.verdict, 0);
+    const ChainRun frozen = stream_run(c.verdict, kNever);
+    ASSERT_EQ(open.injected, 98u) << "verdict " << c.verdict;
+    EXPECT_EQ(open.verdicts[c.verdict], open.injected)
+        << "verdict " << c.verdict;
+    EXPECT_EQ(frozen.injected, open.injected) << "verdict " << c.verdict;
+    EXPECT_EQ(frozen.verdicts, open.verdicts) << "verdict " << c.verdict;
+    // Unfrozen, each packet costs its inject event and one per link, and
+    // a last inject event finds the stop time.
+    EXPECT_EQ(open.events_per_shard,
+              std::vector<std::size_t>{98 * (c.links + 1) + 1})
+        << "verdict " << c.verdict;
+    // Frozen: the first inject event walks and batches every packet; the
+    // second finds the stop time.
+    EXPECT_EQ(frozen.events_per_shard, std::vector<std::size_t>{2})
+        << "verdict " << c.verdict;
+  }
+}
+
+TEST(FrozenStreamTest, FiniteFreezeBatchesOnlyWalksThatEndInsideIt) {
+  // 100 packets, one every 100 us, each over three 10 us links. Frozen
+  // until 5 ms, the packets injected at 100..4900 us end their walks
+  // before then and join the batch of the packet injected at 0; the
+  // packet at 5 ms gets an inject event, and from there on every hop
+  // costs an event, as unfrozen.
+  const ChainRun open = stream_run(kDelivered, 0, true);
+  const ChainRun frozen = stream_run(kDelivered, sim::milliseconds(5), true);
+  ASSERT_EQ(open.injected, 100u);
+  EXPECT_EQ(frozen.injected, open.injected);
+  EXPECT_EQ(frozen.verdicts, open.verdicts);
+  EXPECT_EQ(open.events_per_shard, std::vector<std::size_t>{100 * 4 + 1});
+  EXPECT_EQ(frozen.events_per_shard, std::vector<std::size_t>{1 + 50 * 4 + 1});
+  // Arrival times kept the verdicts in their 500 us buckets.
+  EXPECT_EQ(open.verdicts.size(), 7u + 4 * 20);
+
+  // Jittered, the batch stops at the first packet whose three links could
+  // reach 5 ms at 25 us each.
+  const ChainRun jittered_open = stream_run(kDelivered, 0);
+  const ChainRun jittered = stream_run(kDelivered, sim::milliseconds(5));
+  EXPECT_EQ(jittered.injected, jittered_open.injected);
+  EXPECT_EQ(jittered.verdicts, jittered_open.verdicts);
+  EXPECT_EQ(jittered_open.events_per_shard, std::vector<std::size_t>{393});
+  EXPECT_EQ(jittered.events_per_shard, std::vector<std::size_t>{199});
+}
+
+TEST(FrozenStreamTest, StreamCrossingShardsKeepsAnEventPerPacket) {
+  // Switches 0 and 1 on shard 0, 2 and 3 on shard 1. Flow 1 crosses to
+  // shard 1; flow 2 stays on shard 0 and batches.
+  const auto run = [](bool frozen, bool parallel) {
+    Plane plane(4, 2);
+    plane.chain(1, {0, 1, 2, 3});
+    plane.chain(2, {0, 1});
+    if (frozen) plane.freeze_until(std::numeric_limits<sim::SimTime>::max());
+    TrafficConfig crossing = config_for(0, 3, NodeId{2}, sim::milliseconds(5));
+    crossing.interarrival = sim::LatencyModel::uniform(sim::microseconds(50),
+                                                       sim::microseconds(150));
+    crossing.link_latency = sim::LatencyModel::uniform(sim::microseconds(5),
+                                                       sim::microseconds(25));
+    TrafficConfig local = crossing;
+    local.flow = 2;
+    local.egress = 1;
+    local.waypoint.reset();
+    ConsistencyMonitor crossing_monitor(sim::microseconds(500));
+    ConsistencyMonitor local_monitor(sim::microseconds(500));
+    TrafficSource crossing_source(plane.sim, plane.partition, plane.switches,
+                                  crossing, Rng(9), crossing_monitor);
+    TrafficSource local_source(plane.sim, plane.partition, plane.switches,
+                               local, Rng(10), local_monitor);
+    crossing_source.start();
+    local_source.start();
+    if (parallel) {
+      sim::ThreadPool pool(2);
+      plane.sim.run_parallel(pool, sim::microseconds(5));
+      EXPECT_GT(plane.sim.parallel_epochs(), 0u);
+    } else {
+      plane.sim.run();
+    }
+    ChainRun result;
+    result.verdicts = verdicts_of(crossing_monitor);
+    const std::vector<std::size_t> local_verdicts = verdicts_of(local_monitor);
+    result.verdicts.insert(result.verdicts.end(), local_verdicts.begin(),
+                           local_verdicts.end());
+    result.events_per_shard = plane.sim.events_per_shard();
+    result.injected = crossing_source.injected() + local_source.injected();
+    return result;
+  };
+  const ChainRun open = run(false, false);
+  const ChainRun frozen = run(true, false);
+  const ChainRun frozen_parallel = run(true, true);
+  ASSERT_EQ(open.injected, 49u + 52u);
+  EXPECT_EQ(frozen.injected, open.injected);
+  EXPECT_EQ(frozen.verdicts, open.verdicts);
+  EXPECT_EQ(frozen_parallel.injected, open.injected);
+  EXPECT_EQ(frozen_parallel.verdicts, open.verdicts);
+  EXPECT_EQ(frozen_parallel.events_per_shard, frozen.events_per_shard);
+  // 49 packets of flow 1 and 52 of flow 2. Unfrozen, every hop costs an
+  // event. Frozen, flow 1 still costs its inject event on shard 0 and the
+  // hand-off on shard 1 per packet, plus the inject that finds the stop
+  // time; flow 2's whole stream costs two events.
+  EXPECT_EQ(open.events_per_shard, (std::vector<std::size_t>{204, 98}));
+  EXPECT_EQ(frozen.events_per_shard,
+            (std::vector<std::size_t>{49 + 1 + 2, 49}));
 }
 
 // ---------------------------------------------------------------- monitor --

@@ -8,7 +8,8 @@
 //   - EventQueue push/pop churn over a warm slot arena (the "1000-flow
 //     pool" hot loop),
 //   - a full channel round-trip (pooled frame -> codec -> delivery event),
-//   - data-plane packet hops across live flow tables,
+//   - data-plane packet hops across live flow tables, and the batch a
+//     probe stream injects across frozen switches,
 //   - ShardedSim::run_parallel epochs with cross-shard outbox posts,
 //   - transient-state verdicts (update::state_satisfies, verify::state_ok)
 //     and the exact round search's constant allocation budget.
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -241,6 +243,67 @@ TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
   EXPECT_EQ(events, 51u + 49u + 50u * 2 + 2);
   EXPECT_EQ(window_end - window_start, 0u)
       << "packet injection/hops hit the allocator mid-run";
+}
+
+TEST(HotPathAllocTest, FrozenBatchAllocatesNothingOnceWarm) {
+  // One probe stream down a 4-switch chain, a packet every 100 us over
+  // jittered links until 50 ms. The switches are frozen until 10 ms, so
+  // the inject event at 0 batches the packets whose walks end by then;
+  // from 10 ms on every packet walks in an event of its own, which warms
+  // the arena. At 15 ms an event freezes the switches for good and opens
+  // the window, and the next inject event walks its packet and batches
+  // every later one: fork, latency draws and records only. The monitor's
+  // bucket width is huge so its timeline never grows mid-run.
+  sim::ShardedSim group(1);
+  const topo::SwitchPartition partition;
+  sim::Simulator& sim = group.shard(0);
+  switchsim::SwitchConfig sw_config;
+  sw_config.install_latency =
+      sim::LatencyModel::constant(sim::microseconds(50));
+  std::vector<std::unique_ptr<switchsim::SimSwitch>> storage;
+  std::vector<switchsim::SimSwitch*> switches(4, nullptr);
+  for (NodeId v = 0; v < 4; ++v) {
+    storage.push_back(std::make_unique<switchsim::SimSwitch>(
+        sim, v, v, sw_config, Rng(v + 1)));
+    switches[v] = storage.back().get();
+    switches[v]->table().add(flow::FlowRule{
+        flow::Match::exact_flow(1),
+        v == 3 ? flow::Action::deliver() : flow::Action::forward(v + 1), 100,
+        0});
+    switches[v]->freeze_until(sim::milliseconds(10));
+  }
+
+  dataplane::ConsistencyMonitor monitor(sim::milliseconds(1000000));
+  dataplane::TrafficConfig config;
+  config.flow = 1;
+  config.ingress = 0;
+  config.egress = 3;
+  config.interarrival = sim::LatencyModel::constant(sim::microseconds(100));
+  config.link_latency = sim::LatencyModel::uniform(sim::microseconds(5),
+                                                   sim::microseconds(15));
+  config.stop = sim::milliseconds(50);
+  dataplane::TrafficSource source(group, partition, switches, config, Rng(9),
+                                  monitor);
+
+  std::uint64_t window_start = 0;
+  sim.schedule_at(sim::milliseconds(15), [&]() {
+    for (switchsim::SimSwitch* sw : switches)
+      sw->freeze_until(std::numeric_limits<sim::SimTime>::max());
+    window_start = allocs();
+  });
+  source.start();
+  const std::size_t events = group.run();
+  const std::uint64_t window_end = allocs();
+
+  EXPECT_EQ(source.injected(), 500u);
+  EXPECT_EQ(monitor.report().delivered, source.injected());
+  // The batch at 0, one event per packet from 10 ms to 15 ms (each walks
+  // inline: three links of at most 15 us stay within the 50 us install),
+  // the freeze, the batch after it and the inject that finds the stop
+  // time. Packet by packet, every packet would cost an inject event.
+  EXPECT_EQ(events, 1u + 50u + 1u + 1u + 1u);
+  EXPECT_EQ(window_end - window_start, 0u)
+      << "a frozen batch hit the allocator";
 }
 
 TEST(HotPathAllocTest, SetupWatermarkFreezesTheSetupCount) {

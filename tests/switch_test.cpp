@@ -283,6 +283,83 @@ TEST(SwitchTest, StableUntilBoundsTheNextTableChange) {
   EXPECT_EQ(sw.stable_until(), start + sim::milliseconds(5));
 }
 
+TEST(SwitchTest, FreezeRaisesStableUntilToItsBound) {
+  sim::Simulator sim;
+  SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
+  EXPECT_EQ(sw.frozen_until(), 0u);
+  sw.freeze_until(sim::milliseconds(5));
+  EXPECT_EQ(sw.stable_until(), sim::milliseconds(5));
+  // Bounds only grow.
+  sw.freeze_until(sim::milliseconds(2));
+  EXPECT_EQ(sw.frozen_until(), sim::milliseconds(5));
+  // A later bound of its own still wins: a bare switch may start a 1 ms
+  // install at any instant.
+  sim.schedule_at(sim::microseconds(4500), []() {});
+  sim.run();
+  EXPECT_EQ(sw.stable_until(), sim::microseconds(4500) + sim::milliseconds(1));
+  // A switch out of service stays so until the bound.
+  SimSwitch down(sim, 2, 2, fast_config(), Rng(2));
+  down.set_serving(false);
+  EXPECT_EQ(down.stable_until(), sim::microseconds(4500));
+  down.freeze_until(sim::milliseconds(6));
+  EXPECT_EQ(down.stable_until(), sim::milliseconds(6));
+}
+
+TEST(SwitchTest, FlowModCompletingAtTheFrozenBoundApplies) {
+  sim::Simulator sim;
+  SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
+  sw.receive(add_rule(1, 5, 2));  // installs from 0 to 1 ms
+  sw.freeze_until(sim::milliseconds(1));
+  sim.run();
+  EXPECT_EQ(sw.flow_mods_applied(), 1u);
+  // Past the bound, any change is allowed again.
+  sw.receive(add_rule(2, 6, 3));
+  sw.set_serving(true);
+  sw.crash(false);
+  EXPECT_FALSE(sw.serving());
+}
+
+// A freeze is the executor's promise that nothing changes the switch
+// before its bound; a change inside it aborts the run instead of letting a
+// batched probe stream read stale tables.
+TEST(SwitchDeathTest, ChangeInsideAFreezeAborts) {
+  // A FlowMod installing from 0 to 1 ms completes inside a freeze to 2 ms.
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
+        sw.receive(add_rule(1, 5, 2));
+        sw.freeze_until(sim::milliseconds(2));
+        sim.run();
+      },
+      "inside a declared freeze");
+  // A FlowMod that arrives inside the freeze would queue a change there.
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
+        sw.freeze_until(sim::milliseconds(2));
+        sw.receive(add_rule(1, 5, 2));
+      },
+      "inside a declared freeze");
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
+        sw.freeze_until(sim::milliseconds(2));
+        sw.crash(true);
+      },
+      "inside a declared freeze");
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
+        sw.freeze_until(sim::milliseconds(2));
+        sw.set_serving(false);
+      },
+      "inside a declared freeze");
+}
+
 TEST(SwitchTest, QuiescentReflectsPendingWork) {
   sim::Simulator sim;
   SimSwitch sw(sim, 1, 1, fast_config(), Rng(1));
