@@ -56,6 +56,8 @@ void TrafficSource::inject() {
 
   // Inside a freeze the packets after this one share its walk (see FROZEN
   // STREAMS); the next event injects the first packet the batch leaves.
+  // A stream that batched nothing keeps its relative delay, and with it
+  // the queue's constant-delay lane.
   const sim::Duration gap = config_.interarrival.sample(rng_);
   const sim::SimTime next = sim::later(now, gap);
   const sim::SimTime left = batch(memo, next);

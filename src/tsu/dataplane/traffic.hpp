@@ -50,18 +50,20 @@
 //           a parallel epoch still reads shard-local tables only.
 //   batch   In the same call, each later packet injected at t joins the
 //           batch while t < stop and t + links * link max_delay() < F,
-//           with saturating arithmetic (an unbounded link model batches
-//           only one-link walks, in the last freeze). Such a packet reads
-//           the same tables the memo's walk read, so it gets the same
-//           verdict. It forks its Rng and draws its link latencies in the
-//           order the walk draws them, and its verdict is recorded at its
-//           own arrival time, so reports, timelines and injected() stay
+//           with saturating arithmetic. Such a packet reads the same
+//           tables the memo's walk read, so it gets the same verdict. It
+//           forks its Rng and draws its link latencies in the order the
+//           walk draws them, and its verdict is recorded at its own
+//           arrival time, so reports, timelines and injected() stay
 //           bit-identical. Only the first packet the batch does not cover
 //           gets an inject event. That event is queued earlier than hop by
 //           hop would queue it, and still sorts the same against every
 //           rule change at its instant: no event inside a freeze queues a
 //           change, so every change it could meet was queued before the
-//           freeze or after the batch's last packet.
+//           freeze or after the batch's last packet. An unbounded link
+//           model, whose max_delay() is 2^62 ns, batches a one-link walk
+//           only in the last freeze, which lasts to the run's 2^63 ns
+//           limit, and no longer walk at all.
 //
 // SHARDED OPERATION. A source runs on a ShardedSim + SwitchPartition; a
 // single-queue experiment is a 1-shard group with the default partition.
