@@ -47,9 +47,12 @@
 // landed. A timeline digest per test pins that: every flow's timeline
 // buckets, their width and its injected packets, over the same closed-loop
 // runs (the counter test's include hash-partitioned ones, whose probe
-// paths cross shards). Both were recorded before any probe stream was
-// batched: 0x99288499e85dda7c here and 0x3c9c015ba26a7021 in the counter
-// test.
+// paths cross shards) and, in this test, over 16 runs with jittered
+// probes. Both were recorded before any probe stream was batched:
+// 0x3c9c015ba26a7021 in the counter test, and here 0x99288499e85dda7c,
+// which became 0xd9b2e994b2dcb55c, on the same engine, when the jittered
+// runs joined: without them, a batched verdict recorded at its injection
+// time instead of its arrival time passed this test.
 //
 // A second digest pins the closed-loop call shapes on top of the engine:
 // one update on Figure 1, a serializing queue (max_in_flight = 1), one
@@ -84,7 +87,7 @@ constexpr std::uint64_t kExpectedSteppingDigest = 0x490914b78ca8f417ULL;
 constexpr std::uint64_t kExpectedEntryPointDigest = 0x8290ce736e3feec6ULL;
 constexpr std::uint64_t kExpectedCounterDigest = 0x6c114b0e978e4b8eULL;
 constexpr std::uint64_t kExpectedCounterSteppingDigest = 0xd789d5e99a39fc03ULL;
-constexpr std::uint64_t kExpectedTimelineDigest = 0x99288499e85dda7cULL;
+constexpr std::uint64_t kExpectedTimelineDigest = 0xd9b2e994b2dcb55cULL;
 constexpr std::uint64_t kExpectedCounterTimelineDigest = 0x3c9c015ba26a7021ULL;
 
 class Digest {
@@ -207,6 +210,31 @@ TEST(EngineIdentityTest, EngineRunsAreBitIdentical) {
     mix_multiflow(d, sharded.value());
     mix_stepping(stepping, sharded.value().sharding);
     mix_timelines(timeline, sharded.value());
+  }
+
+  // The runs above inject on a 400 us grid from t = 0 and every probe
+  // arrives within about 100 us, so no verdict lands near a 1 ms bucket
+  // edge: one recorded at its injection time instead of its arrival time
+  // would fall in the same bucket. Jittered injections and links put
+  // verdicts next to the edges. These runs go into the timeline digest
+  // only.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    ExecutorConfig config = pool_config(seed);
+    config.traffic_interarrival = sim::LatencyModel::uniform(
+        sim::microseconds(300), sim::microseconds(500));
+    config.link_latency = sim::LatencyModel::uniform(sim::microseconds(10),
+                                                     sim::microseconds(30));
+    config.controller.threads = 2;
+    for (const std::size_t shards : {1, 4}) {
+      config.controller.shards = shards;
+      config.controller.exec =
+          shards == 1 ? sim::ExecMode::kSequential : sim::ExecMode::kParallel;
+      const Result<MultiFlowExecutionResult> run =
+          execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
+      ASSERT_TRUE(run.ok()) << "jittered seed " << seed << ", " << shards
+                            << " shards: " << run.error().to_string();
+      mix_timelines(timeline, run.value());
+    }
   }
 
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
