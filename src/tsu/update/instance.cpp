@@ -47,18 +47,11 @@ Result<Instance> Instance::make(graph::Path old_path, graph::Path new_path,
   NodeId max_node = 0;
   for (const NodeId v : inst.old_) max_node = std::max(max_node, v);
   for (const NodeId v : inst.new_) max_node = std::max(max_node, v);
-  inst.nodes_.assign(static_cast<std::size_t>(max_node) + 1, NodeInfo{});
-
-  for (std::size_t i = 0; i < inst.old_.size(); ++i) {
-    NodeInfo& info = inst.nodes_[inst.old_[i]];
-    info.old_pos = static_cast<std::uint32_t>(i);
-    if (i + 1 < inst.old_.size()) info.old_next = inst.old_[i + 1];
-  }
-  for (std::size_t i = 0; i < inst.new_.size(); ++i) {
-    NodeInfo& info = inst.nodes_[inst.new_[i]];
-    info.new_pos = static_cast<std::uint32_t>(i);
-    if (i + 1 < inst.new_.size()) info.new_next = inst.new_[i + 1];
-  }
+  inst.nodes_.assign(static_cast<std::size_t>(max_node) + 1, Positions{});
+  for (std::size_t i = 0; i < inst.old_.size(); ++i)
+    inst.nodes_[inst.old_[i]].old_pos = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < inst.new_.size(); ++i)
+    inst.nodes_[inst.new_[i]].new_pos = static_cast<std::uint32_t>(i);
 
   // A node is "touched" when its active rule must change: it is on the new
   // path (so it ends up with its new next-hop), it is not the destination,
@@ -79,14 +72,16 @@ NodeRole Instance::role(NodeId v) const noexcept {
 }
 
 bool Instance::is_touched(NodeId v) const noexcept {
-  return on_new(v) && v != destination() &&
-         nodes_[v].old_next != nodes_[v].new_next;
+  return on_new(v) && v != destination() && old_next(v) != new_next(v);
 }
 
 std::vector<NodeId> Instance::old_only_nodes() const {
+  const auto old_only = [this](NodeId v) { return !on_new(v); };
   std::vector<NodeId> result;
+  result.reserve(static_cast<std::size_t>(
+      std::count_if(old_.begin(), old_.end(), old_only)));
   for (const NodeId v : old_)
-    if (role(v) == NodeRole::kOldOnly) result.push_back(v);
+    if (old_only(v)) result.push_back(v);
   return result;
 }
 
@@ -124,12 +119,12 @@ std::vector<NodeId> Instance::set_y() const {
 
 std::optional<std::size_t> Instance::old_pos(NodeId v) const noexcept {
   if (!on_old(v)) return std::nullopt;
-  return nodes_[v].old_pos;
+  return positions(v).old_pos;
 }
 
 std::optional<std::size_t> Instance::new_pos(NodeId v) const noexcept {
   if (!on_new(v)) return std::nullopt;
-  return nodes_[v].new_pos;
+  return positions(v).new_pos;
 }
 
 std::string Instance::to_string() const {

@@ -57,19 +57,31 @@ class Instance {
 
   NodeRole role(NodeId v) const noexcept;
   bool on_old(NodeId v) const noexcept {
-    return v < nodes_.size() && nodes_[v].old_pos != kNoPos;
+    return positions(v).old_pos != kNoPosition;
   }
   bool on_new(NodeId v) const noexcept {
-    return v < nodes_.size() && nodes_[v].new_pos != kNoPos;
+    return positions(v).new_pos != kNoPosition;
+  }
+
+  // Where v sits on each path; kNoPosition when it is off that path or
+  // past node_count(). The planner/checker kernel reads these raw.
+  static constexpr std::uint32_t kNoPosition =
+      std::numeric_limits<std::uint32_t>::max();
+  struct Positions {
+    std::uint32_t old_pos = kNoPosition;
+    std::uint32_t new_pos = kNoPosition;
+  };
+  Positions positions(NodeId v) const noexcept {
+    return v < nodes_.size() ? nodes_[v] : Positions{};
   }
 
   // Next hop under the old (resp. new) rule; kInvalidNode if the node has
   // no such rule (not on that path, or is the destination).
   NodeId old_next(NodeId v) const noexcept {
-    return v < nodes_.size() ? nodes_[v].old_next : kInvalidNode;
+    return next_on(old_, positions(v).old_pos);
   }
   NodeId new_next(NodeId v) const noexcept {
-    return v < nodes_.size() ? nodes_[v].new_next : kInvalidNode;
+    return next_on(new_, positions(v).new_pos);
   }
 
   // Nodes whose forwarding behaviour actually changes (new rule differs from
@@ -104,23 +116,19 @@ class Instance {
   std::string to_string() const;
 
  private:
-  static constexpr std::uint32_t kNoPos =
-      std::numeric_limits<std::uint32_t>::max();
-
-  // One dense row per node id; roles and touched-ness derive from it.
-  struct NodeInfo {
-    NodeId old_next = kInvalidNode;
-    NodeId new_next = kInvalidNode;
-    std::uint32_t old_pos = kNoPos;
-    std::uint32_t new_pos = kNoPos;
-  };
+  static NodeId next_on(const graph::Path& path, std::uint32_t pos) noexcept {
+    return pos != kNoPosition && pos + 1 < path.size() ? path[pos + 1]
+                                                       : kInvalidNode;
+  }
 
   Instance() = default;
 
   graph::Path old_;
   graph::Path new_;
   std::optional<NodeId> waypoint_;
-  std::vector<NodeInfo> nodes_;
+  // One dense row of positions per node id (8 bytes); next hops, roles and
+  // touched-ness derive from it and the paths.
+  std::vector<Positions> nodes_;
   std::vector<NodeId> touched_;
 };
 
