@@ -10,11 +10,12 @@
 // Every state the search asks about is initial ∪ pending[mask] for some
 // mask over the p pending nodes, so there are only 2^p distinct states. A
 // lazily filled verdict table (2 bits per mask) walks each of them at most
-// once; checking a candidate round is then a sub-subset loop over table
-// lookups. Cost is ≤ 2^p walks + 3^p lookups per round enumeration; the
-// node_limit keeps this in laptop range. Used by plan_optimal, by the
-// Peacock and secure fallbacks, and by bench_wayup_rounds (E5) to measure
-// the optimality gap of WayUp/Peacock on small instances.
+// once, on a position mask it updates bit by bit; checking a candidate
+// round is then a sub-subset loop over table lookups. Cost is ≤ 2^p walks
+// + 3^p lookups per round enumeration; the node_limit keeps this in laptop
+// range. Used by plan_optimal, by the Peacock and secure fallbacks, and by
+// bench_wayup_rounds (E5) to measure the optimality gap of WayUp/Peacock
+// on small instances.
 #include "tsu/update/schedulers.hpp"
 
 #include <algorithm>
@@ -29,12 +30,16 @@ constexpr std::size_t kMaxPending = 24;
 
 class RoundSearch {
  public:
-  RoundSearch(const Instance& inst, const StateMask& initial,
+  RoundSearch(const Instance& inst, const PositionMask& initial,
               const std::vector<NodeId>& pending, std::uint32_t properties)
       : inst_(inst), initial_(initial), pending_(pending),
         properties_(properties), state_(initial),
         verdicts_(((std::size_t{1} << pending.size()) + 31) / 32, 0),
-        failed_(std::size_t{1} << pending.size(), 0) {}
+        failed_(std::size_t{1} << pending.size(), 0) {
+    // A pending node off the new path never changes a walk.
+    for (std::size_t i = 0; i < pending.size(); ++i)
+      positions_[i] = inst.positions(pending[i]).new_pos;
+  }
 
   // Tries to retire all pending nodes in <= budget rounds; on success
   // chosen_rounds() returns the rounds in order.
@@ -100,8 +105,9 @@ class RoundSearch {
     if (verdict == kUnknown) {
       for (std::uint64_t diff = mask ^ loaded_; diff != 0; diff &= diff - 1) {
         const auto i = static_cast<std::size_t>(std::countr_zero(diff));
-        const NodeId v = pending_[i];
-        state_[v] = ((mask >> i) & 1ULL) != 0 || initial_[v];
+        const std::uint32_t p = positions_[i];
+        if (p != Instance::kNoPosition)
+          state_.assign(p, ((mask >> i) & 1ULL) != 0 || initial_.test(p));
       }
       loaded_ = mask;
       verdict = state_satisfies(inst_, state_, properties_) ? kSafe : kUnsafe;
@@ -111,11 +117,13 @@ class RoundSearch {
   }
 
   const Instance& inst_;
-  const StateMask& initial_;
+  const PositionMask& initial_;
   const std::vector<NodeId>& pending_;
   std::uint32_t properties_;
+  // New-path position of each pending node (kNoPosition: off the path).
+  std::array<std::uint32_t, kMaxPending> positions_{};
   // The state last evaluated: initial ∪ pending[loaded_].
-  StateMask state_;
+  PositionMask state_;
   std::uint64_t loaded_ = 0;
   // 2-bit verdict per mask: kUnknown, kSafe or kUnsafe.
   std::vector<std::uint64_t> verdicts_;
@@ -130,6 +138,16 @@ class RoundSearch {
 
 Result<std::vector<Round>> search_rounds(const Instance& inst,
                                          const StateMask& initial,
+                                         const std::vector<NodeId>& pending,
+                                         std::uint32_t properties,
+                                         std::size_t max_rounds,
+                                         const OracleOptions& oracle) {
+  return search_rounds(inst, positions_of(inst, initial), pending, properties,
+                       max_rounds, oracle);
+}
+
+Result<std::vector<Round>> search_rounds(const Instance& inst,
+                                         const PositionMask& initial,
                                          const std::vector<NodeId>& pending,
                                          std::uint32_t properties,
                                          std::size_t max_rounds,

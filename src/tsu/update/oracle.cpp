@@ -1,5 +1,6 @@
 #include "tsu/update/oracle.hpp"
 
+#include <array>
 #include <string>
 
 #include "tsu/graph/algorithms.hpp"
@@ -21,23 +22,39 @@ std::string property_name(std::uint32_t mask) {
   return out;
 }
 
+std::uint32_t walk_violations(const Instance& inst, const WalkVerdict& walk,
+                              std::uint32_t properties) {
+  std::uint32_t failed = 0;
+  if ((properties & kWaypoint) != 0 && inst.has_waypoint() &&
+      walk.outcome == WalkOutcome::kDelivered && !walk.visited_waypoint)
+    failed |= kWaypoint;
+  if ((properties & kLoopFree) != 0 && walk.outcome == WalkOutcome::kLoop)
+    failed |= kLoopFree;
+  if ((properties & kBlackholeFree) != 0 &&
+      walk.outcome == WalkOutcome::kBlackhole)
+    failed |= kBlackholeFree;
+  return failed;
+}
+
+std::uint32_t violated_bits(const Instance& inst, const PositionMask& state,
+                            std::uint32_t properties) {
+  std::uint32_t failed = 0;
+  if ((properties & (kWaypoint | kLoopFree | kBlackholeFree)) != 0)
+    failed = walk_violations(inst, walk_verdict(inst, state), properties);
+  if ((properties & kGlobalLoopFree) != 0 &&
+      !graph::is_acyclic(active_graph(inst, state)))
+    failed |= kGlobalLoopFree;
+  return failed;
+}
+
 bool state_satisfies(const Instance& inst, const StateMask& state,
                      std::uint32_t properties) {
-  if ((properties & (kWaypoint | kLoopFree | kBlackholeFree)) != 0) {
-    const WalkVerdict walk = walk_verdict(inst, state);
-    if ((properties & kWaypoint) != 0 && inst.has_waypoint() &&
-        walk.outcome == WalkOutcome::kDelivered && !walk.visited_waypoint)
-      return false;
-    if ((properties & kLoopFree) != 0 && walk.outcome == WalkOutcome::kLoop)
-      return false;
-    if ((properties & kBlackholeFree) != 0 &&
-        walk.outcome == WalkOutcome::kBlackhole)
-      return false;
-  }
-  if ((properties & kGlobalLoopFree) != 0) {
-    if (!graph::is_acyclic(active_graph(inst, state))) return false;
-  }
-  return true;
+  return state_satisfies(inst, positions_of(inst, state), properties);
+}
+
+bool state_satisfies(const Instance& inst, const PositionMask& state,
+                     std::uint32_t properties) {
+  return violated_bits(inst, state, properties) == 0;
 }
 
 bool round_safe_union_certificate(const Instance& inst,
@@ -68,8 +85,6 @@ bool round_safe_union_certificate(const Instance& inst,
     // rule-less while reachable: new-only nodes of the current round (not
     // yet installed) and nodes with no rule at all.
     const std::vector<bool> reach = graph::reachable_from(g, s);
-    StateMask in_round(inst.node_count(), false);
-    for (const NodeId v : round) in_round[v] = true;
     for (NodeId v = 0; v < inst.node_count(); ++v) {
       if (v == d || !reach[v]) continue;
       const bool has_old = inst.on_old(v);
@@ -84,11 +99,35 @@ bool round_safe_exhaustive(const Instance& inst, const StateMask& applied,
                            const std::vector<NodeId>& round,
                            std::uint32_t properties) {
   TSU_ASSERT_MSG(round.size() <= 63, "round too large for exhaustive check");
-  StateMask state = applied;
-  const std::uint64_t subsets = 1ULL << round.size();
+  const PositionMask landed = positions_of(inst, applied);
+  return round_safe_exhaustive(inst, landed,
+                               open_positions(inst, landed, round),
+                               properties);
+}
+
+bool round_safe_exhaustive(const Instance& inst, const PositionMask& landed,
+                           const PositionMask& open,
+                           std::uint32_t properties) {
+  PositionMask state = landed;
+  PositionMask unread = open;
+  if ((properties & kGlobalLoopFree) == 0)
+    return walk_tree(inst, state, unread,
+                     [&](const WalkVerdict& walk, std::size_t /*depth*/) {
+                       return walk_violations(inst, walk, properties) == 0;
+                     });
+  // Strong loop freedom reads every rule, not one walk: judge each state.
+  std::array<std::uint32_t, 63> slots{};
+  std::size_t count = 0;
+  for (std::size_t p = 0; p < open.size(); ++p) {
+    if (!open.test(p)) continue;
+    TSU_ASSERT_MSG(count < slots.size(),
+                   "round too large for exhaustive check");
+    slots[count++] = static_cast<std::uint32_t>(p);
+  }
+  const std::uint64_t subsets = std::uint64_t{1} << count;
   for (std::uint64_t bits = 0; bits < subsets; ++bits) {
-    for (std::size_t i = 0; i < round.size(); ++i)
-      state[round[i]] = applied[round[i]] || ((bits >> i) & 1ULL) != 0;
+    for (std::size_t i = 0; i < count; ++i)
+      state.assign(slots[i], ((bits >> i) & 1ULL) != 0);
     if (!state_satisfies(inst, state, properties)) return false;
   }
   return true;
@@ -104,15 +143,45 @@ bool round_safe(const Instance& inst, const StateMask& applied,
   // The certificate is conservative; sample random subsets looking for a
   // concrete counterexample before giving up. If none is found we still
   // report unsafe (soundness first): schedulers must then shrink the round.
+  // A node past node_count() holds no rule; it draws like any other node.
   Rng rng(options.monte_carlo_seed);
   StateMask state = applied;
   for (std::size_t sample = 0; sample < options.monte_carlo_samples;
        ++sample) {
-    for (const NodeId v : round)
+    for (const NodeId v : round) {
+      if (v >= state.size()) {
+        rng.bernoulli(0.5);
+        continue;
+      }
       state[v] = applied[v] || rng.bernoulli(0.5);
+    }
     if (!state_satisfies(inst, state, properties)) return false;
   }
   return false;
+}
+
+bool round_safe_with(const Instance& inst, const PositionMask& landed,
+                     const std::vector<NodeId>& round,
+                     const PositionMask& open, NodeId u,
+                     std::uint32_t properties, const OracleOptions& options) {
+  if (round.size() + 1 > options.exhaustive_limit) {
+    std::vector<NodeId> grown = round;
+    grown.push_back(u);
+    return round_safe(inst, state_of(inst, landed), grown, properties,
+                      options);
+  }
+  const std::uint32_t p = inst.positions(u).new_pos;
+  const bool flips =
+      p != Instance::kNoPosition && !landed.test(p) && inst.is_touched(u);
+  if (round.empty()) {
+    PositionMask open_u = open;
+    if (flips) open_u.set(p);
+    return round_safe_exhaustive(inst, landed, open_u, properties);
+  }
+  if (!flips) return true;
+  PositionMask with_u = landed;
+  with_u.set(p);
+  return round_safe_exhaustive(inst, with_u, open, properties);
 }
 
 }  // namespace tsu::update

@@ -44,6 +44,16 @@ std::string property_name(std::uint32_t mask);
 // requested (that one builds the active graph).
 bool state_satisfies(const Instance& inst, const StateMask& state,
                      std::uint32_t properties);
+bool state_satisfies(const Instance& inst, const PositionMask& state,
+                     std::uint32_t properties);
+
+// The bits of `properties` among kWaypoint, kLoopFree and kBlackholeFree
+// that a walk with this verdict violates.
+std::uint32_t walk_violations(const Instance& inst, const WalkVerdict& walk,
+                              std::uint32_t properties);
+// Every property bit that fails on one concrete state.
+std::uint32_t violated_bits(const Instance& inst, const PositionMask& state,
+                            std::uint32_t properties);
 
 struct OracleOptions {
   // Rounds up to this size are checked by exhaustive subset enumeration
@@ -63,10 +73,18 @@ bool round_safe_union_certificate(const Instance& inst,
                                   const std::vector<NodeId>& round,
                                   std::uint32_t properties);
 
-// Exact check by enumerating all 2^|round| subsets. Requires
-// round.size() <= 63 and is only sensible for small rounds.
+// Exact check of all 2^|round| subset states. Requires round.size() <= 63
+// and is only sensible for small rounds.
 bool round_safe_exhaustive(const Instance& inst, const StateMask& applied,
                            const std::vector<NodeId>& round,
+                           std::uint32_t properties);
+
+// The same over position masks: every state landed ∪ S, S ⊆ open
+// (open_positions of the round). One walk tree judges the walk properties;
+// kGlobalLoopFree is judged state by state. Requires at most 63 open
+// positions.
+bool round_safe_exhaustive(const Instance& inst, const PositionMask& landed,
+                           const PositionMask& open,
                            std::uint32_t properties);
 
 // Dispatcher: exhaustive when small, otherwise union certificate (sound)
@@ -75,5 +93,17 @@ bool round_safe_exhaustive(const Instance& inst, const StateMask& applied,
 bool round_safe(const Instance& inst, const StateMask& applied,
                 const std::vector<NodeId>& round, std::uint32_t properties,
                 const OracleOptions& options = {});
+
+// One admission step of a greedy round builder (Peacock, secure): is
+// round + u safe on top of `landed`, given that `round` is already proven
+// safe there and `open` holds its open positions? Within the exhaustive
+// limit the verdict equals round_safe's, but only the states in which u
+// has landed are new, so only they are judged (both states of u when the
+// round is empty, which has proven nothing). Past the limit round_safe
+// decides the grown round.
+bool round_safe_with(const Instance& inst, const PositionMask& landed,
+                     const std::vector<NodeId>& round,
+                     const PositionMask& open, NodeId u,
+                     std::uint32_t properties, const OracleOptions& options);
 
 }  // namespace tsu::update

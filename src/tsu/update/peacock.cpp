@@ -29,7 +29,8 @@
 //       walk first (flipping a node the walk never visits cannot change the
 //       walk - always safe), then on-walk candidates from the destination
 //       side backwards; each addition is admitted only if the grown round
-//       passes the WLF safety oracle (exhaustive for small rounds, sound
+//       passes the WLF safety oracle (exhaustive for small rounds, where
+//       only the states in which the addition has landed are new; sound
 //       union-graph certificate for large ones). If no candidate can be
 //       placed, an exhaustive search over round choices takes over (small
 //       instances; PODC'15 guarantees WLF schedules always exist).
@@ -37,11 +38,13 @@
 
 #include <algorithm>
 
-#include "tsu/util/log.hpp"
+#include "tsu/util/scratch.hpp"
 
 namespace tsu::update {
 
 namespace {
+
+constexpr std::uint32_t kNone = Instance::kNoPosition;
 
 // First old-path node reached from `u` along the new path (u itself must be
 // on both paths). Always exists because the destination is on both paths.
@@ -52,77 +55,132 @@ NodeId effective_target(const Instance& inst, NodeId u) {
   return v;
 }
 
+enum class Move : unsigned char { kInstall, kForward, kBackward };
+
+Move move_of(const Instance& inst, NodeId v) {
+  if (inst.role(v) == NodeRole::kNewOnly) return Move::kInstall;
+  const NodeId target = effective_target(inst, v);
+  return *inst.old_pos(target) > *inst.old_pos(v) ? Move::kForward
+                                                  : Move::kBackward;
+}
+
+// walk_pos[i]: the index of new_path()[i] in walk_from_source(inst,
+// applied).trace (its last one, for the node a loop revisits), kNone when
+// the walk misses it. The trace itself is never built.
+void index_live_walk(const Instance& inst, const PositionMask& applied,
+                     util::Scratch<std::uint32_t, 64>& walk_pos) {
+  std::fill(walk_pos.begin(), walk_pos.end(), kNone);
+  // Nodes off the new path the walk has visited, by old-path position.
+  PositionMask seen_off_new(inst.old_path().size());
+  NodeId v = inst.source();
+  for (std::uint32_t i = 0;; ++i) {
+    const Instance::Positions at = inst.positions(v);
+    bool seen = false;
+    if (at.new_pos != kNone) {
+      seen = walk_pos[at.new_pos] != kNone;
+      walk_pos[at.new_pos] = i;
+    } else if (at.old_pos != kNone) {
+      seen = seen_off_new.test(at.old_pos);
+      seen_off_new.set(at.old_pos);
+    }
+    if (v == inst.destination() || seen) return;
+    v = active_next(inst, applied, v);
+    if (v == kInvalidNode) return;
+  }
+}
+
 }  // namespace
 
 Result<Schedule> plan_peacock(const Instance& inst,
                               const PeacockOptions& options) {
+  const std::vector<NodeId>& touched = inst.touched();
+  const std::size_t positions = inst.new_path().size();
+  util::Scratch<Move, 64> moves(touched.size());
+  std::size_t installs = 0;
+  std::size_t forward = 0;
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    moves[i] = move_of(inst, touched[i]);
+    if (moves[i] == Move::kInstall) ++installs;
+    if (moves[i] == Move::kForward) ++forward;
+  }
+  std::size_t backward = touched.size() - installs - forward;
+
+  // Every backward round retires at least one node.
   Schedule schedule;
   schedule.algorithm = "peacock";
-
-  Round installs;
-  Round forward;
-  std::vector<NodeId> backward;
-  for (const NodeId v : inst.touched()) {
-    if (inst.role(v) == NodeRole::kNewOnly) {
-      installs.push_back(v);
-      continue;
-    }
-    const NodeId target = effective_target(inst, v);
-    const std::size_t pos_v = *inst.old_pos(v);
-    const std::size_t pos_t = *inst.old_pos(target);
-    (pos_t > pos_v ? forward : backward).push_back(v);
+  schedule.rounds.reserve((installs != 0 ? 1 : 0) + (forward != 0 ? 1 : 0) +
+                          backward);
+  PositionMask applied(positions);
+  PositionMask pending(positions);  // the backward nodes not yet scheduled
+  for (const auto& [move, size] : {std::pair{Move::kInstall, installs},
+                                  std::pair{Move::kForward, forward}}) {
+    if (size == 0) continue;
+    Round& round = schedule.rounds.emplace_back();
+    round.reserve(size);
+    for (std::size_t i = 0; i < touched.size(); ++i)
+      if (moves[i] == move) round.push_back(touched[i]);
   }
-
-  if (!installs.empty()) schedule.rounds.push_back(std::move(installs));
-  if (!forward.empty()) schedule.rounds.push_back(std::move(forward));
-
-  StateMask applied = state_after_rounds(inst, schedule, schedule.rounds.size());
+  for (std::size_t i = 0; i < touched.size(); ++i)
+    (moves[i] == Move::kBackward ? pending : applied)
+        .set(inst.positions(touched[i]).new_pos);
 
   const std::uint32_t property = kPeacockGuarantee;
-  while (!backward.empty()) {
+  util::Scratch<std::uint32_t, 64> walk_pos(positions);
+  util::Scratch<NodeId, 64> candidates(backward);
+  while (backward != 0) {
     // Order candidates: off-walk nodes first, then on-walk nodes from the
     // destination side backwards.
-    const WalkResult walk = walk_from_source(inst, applied);
-    std::vector<std::size_t> walk_pos(inst.node_count(), 0);
-    std::vector<bool> on_walk(inst.node_count(), false);
-    for (std::size_t i = 0; i < walk.trace.size(); ++i) {
-      walk_pos[walk.trace[i]] = i;
-      on_walk[walk.trace[i]] = true;
-    }
-    std::vector<NodeId> candidates = backward;
-    std::sort(candidates.begin(), candidates.end(),
+    index_live_walk(inst, applied, walk_pos);
+    std::size_t count = 0;
+    for (std::size_t p = 0; p < positions; ++p)
+      if (pending.test(p)) candidates[count++] = inst.new_path()[p];
+    const auto walk_index = [&](NodeId v) {
+      return walk_pos[inst.positions(v).new_pos];
+    };
+    std::sort(candidates.begin(), candidates.begin() + count,
               [&](NodeId a, NodeId b) {
-                if (on_walk[a] != on_walk[b]) return !on_walk[a];
-                if (on_walk[a]) return walk_pos[a] > walk_pos[b];
+                const std::uint32_t wa = walk_index(a);
+                const std::uint32_t wb = walk_index(b);
+                if ((wa != kNone) != (wb != kNone)) return wa == kNone;
+                if (wa != kNone) return wa > wb;
                 return a < b;
               });
 
     Round round;
-    for (const NodeId u : candidates) {
+    round.reserve(count);
+    PositionMask open(positions);
+    for (std::size_t i = 0; i < count; ++i) {
+      const NodeId u = candidates[i];
+      if (!round_safe_with(inst, applied, round, open, u, property,
+                           options.base.oracle))
+        continue;
       round.push_back(u);
-      if (!round_safe(inst, applied, round, property, options.base.oracle))
-        round.pop_back();
+      open.set(inst.positions(u).new_pos);
     }
 
     if (round.empty()) {
       // Greedy dead end; delegate the remaining nodes to exhaustive search.
       if (!options.search_fallback ||
-          backward.size() > options.search_node_limit)
+          backward > options.search_node_limit)
         return make_error(Errc::kExhausted,
                           "peacock greedy could not place any backward node");
-      Result<std::vector<Round>> rest =
-          search_rounds(inst, applied, backward, property,
-                        /*max_rounds=*/backward.size(), options.base.oracle);
-      if (!rest.ok()) return rest.error();
-      for (Round& r : rest.value()) schedule.rounds.push_back(std::move(r));
-      backward.clear();
+      std::vector<NodeId> rest;
+      for (std::size_t p = 0; p < positions; ++p)
+        if (pending.test(p)) rest.push_back(inst.new_path()[p]);
+      Result<std::vector<Round>> tail =
+          search_rounds(inst, applied, rest, property,
+                        /*max_rounds=*/rest.size(), options.base.oracle);
+      if (!tail.ok()) return tail.error();
+      for (Round& r : tail.value()) schedule.rounds.push_back(std::move(r));
       break;
     }
 
     for (const NodeId u : round) {
-      applied[u] = true;
-      backward.erase(std::find(backward.begin(), backward.end(), u));
+      const std::uint32_t p = inst.positions(u).new_pos;
+      applied.set(p);
+      pending.reset(p);
     }
+    backward -= round.size();
     schedule.rounds.push_back(std::move(round));
   }
 

@@ -71,8 +71,10 @@ StateMask state_after_rounds(const Instance& inst, const Schedule& schedule,
                              std::size_t upto_round) {
   StateMask state = empty_state(inst);
   const std::size_t limit = std::min(upto_round, schedule.rounds.size());
+  // A node past node_count() holds no rule: there is nothing to update.
   for (std::size_t r = 0; r < limit; ++r)
-    for (const NodeId v : schedule.rounds[r]) state[v] = true;
+    for (const NodeId v : schedule.rounds[r])
+      if (v < state.size()) state[v] = true;
   return state;
 }
 

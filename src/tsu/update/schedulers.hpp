@@ -94,5 +94,11 @@ Result<std::vector<Round>> search_rounds(const Instance& inst,
                                          std::uint32_t properties,
                                          std::size_t max_rounds,
                                          const OracleOptions& oracle);
+Result<std::vector<Round>> search_rounds(const Instance& inst,
+                                         const PositionMask& initial,
+                                         const std::vector<NodeId>& pending,
+                                         std::uint32_t properties,
+                                         std::size_t max_rounds,
+                                         const OracleOptions& oracle);
 
 }  // namespace tsu::update

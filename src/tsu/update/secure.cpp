@@ -9,7 +9,8 @@
 //
 //   1. install round for new-only rules (always jointly safe),
 //   2. greedy rounds over the remaining nodes, admitting a node only if
-//      the grown round passes the full WPE+WLF+BH oracle,
+//      the grown round passes the full WPE+WLF+BH oracle (round_safe_with:
+//      only the states in which the node has landed are new),
 //   3. if the greedy stalls, an exhaustive search over round choices
 //      (small instances) decides feasibility exactly; instances that are
 //      genuinely infeasible - including the paper's own Figure 1 scenario -
@@ -21,6 +22,8 @@
 
 #include <algorithm>
 
+#include "tsu/util/scratch.hpp"
+
 namespace tsu::update {
 
 Result<Schedule> plan_secure(const Instance& inst,
@@ -29,89 +32,113 @@ Result<Schedule> plan_secure(const Instance& inst,
     return make_error(Errc::kFailedPrecondition,
                       "plan_secure requires a waypoint");
   const std::uint32_t property = kTransientlySecure;
-
-  Schedule schedule;
-  schedule.algorithm = "secure";
-
-  std::vector<NodeId> pending = inst.touched();
-  StateMask applied = empty_state(inst);
+  const std::vector<NodeId>& touched = inst.touched();
+  const graph::Path& new_path = inst.new_path();
+  const auto position = [&](NodeId v) { return inst.positions(v).new_pos; };
+  const auto is_install = [&](NodeId v) {
+    return inst.role(v) == NodeRole::kNewOnly;
+  };
 
   // Install round: new-only nodes are unreachable until an old-path rule
   // flips, so they can never bypass the waypoint, loop, or blackhole.
-  Round installs;
-  for (const NodeId v : pending)
-    if (inst.role(v) == NodeRole::kNewOnly) installs.push_back(v);
-  if (!installs.empty()) {
-    for (const NodeId v : installs) {
-      applied[v] = true;
-      pending.erase(std::find(pending.begin(), pending.end(), v));
-    }
-    schedule.rounds.push_back(std::move(installs));
+  const auto installs = static_cast<std::size_t>(
+      std::count_if(touched.begin(), touched.end(), is_install));
+  std::size_t pending_count = touched.size() - installs;
+
+  // Every later round retires at least one node.
+  Schedule schedule;
+  schedule.algorithm = "secure";
+  schedule.rounds.reserve((installs != 0 ? 1 : 0) + pending_count);
+  PositionMask applied(new_path.size());
+  PositionMask pending(new_path.size());
+  if (installs != 0) {
+    Round& round = schedule.rounds.emplace_back();
+    round.reserve(installs);
+    for (const NodeId v : touched)
+      if (is_install(v)) round.push_back(v);
   }
+  for (const NodeId v : touched)
+    (is_install(v) ? applied : pending).set(position(v));
 
   // Candidate order: WayUp's phases are a good heuristic for the joint
-  // property too - nodes behind the waypoint first, then the prefix, then Y.
+  // property too - nodes behind the waypoint first, then the prefix, then Y
+  // (Y = O1 ∩ N2: nodes behind w on the new path and before it on the old).
   const NodeId w = *inst.waypoint();
   const std::size_t w_old = *inst.old_pos(w);
-  const bool y_empty = inst.set_y().empty();
+  const std::size_t w_new = *inst.new_pos(w);
+  const bool y_empty = std::none_of(
+      new_path.begin() + static_cast<std::ptrdiff_t>(w_new) + 1,
+      new_path.end(), [&](NodeId v) {
+        const auto pos_old = inst.old_pos(v);
+        return pos_old.has_value() && *pos_old < w_old;
+      });
   const auto phase = [&](NodeId v) -> int {
     if (v == w) return 1;
     const auto pos_old = inst.old_pos(v);
     if (!pos_old.has_value()) return 0;
     return *pos_old > w_old ? 0 : (y_empty ? 1 : 2);
   };
+  // The order of the pending nodes is the same in every round.
+  util::Scratch<NodeId, 64> order(pending_count);
+  std::copy_if(touched.begin(), touched.end(), order.begin(),
+               [&](NodeId v) { return !is_install(v); });
+  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+    const int pa = phase(a);
+    const int pb = phase(b);
+    if (pa != pb) return pa < pb;
+    return a < b;
+  });
 
-  while (!pending.empty()) {
-    std::vector<NodeId> candidates = pending;
-    std::sort(candidates.begin(), candidates.end(), [&](NodeId a, NodeId b) {
-      const int pa = phase(a);
-      const int pb = phase(b);
-      if (pa != pb) return pa < pb;
-      return a < b;
-    });
-
+  while (pending_count != 0) {
     Round round;
-    for (const NodeId u : candidates) {
+    round.reserve(pending_count);
+    PositionMask open(new_path.size());
+    for (const NodeId u : order) {
+      if (!pending.test(position(u)) ||
+          !round_safe_with(inst, applied, round, open, u, property,
+                           options.base.oracle))
+        continue;
       round.push_back(u);
-      if (!round_safe(inst, applied, round, property, options.base.oracle))
-        round.pop_back();
+      open.set(position(u));
     }
 
     if (round.empty()) {
       if (!options.search_fallback ||
-          pending.size() > options.search_node_limit)
+          pending_count > options.search_node_limit)
         return make_error(Errc::kExhausted,
                           "no jointly WPE+loop-free round exists from the "
                           "current state (instance may be infeasible)");
-      Result<std::vector<Round>> rest =
-          search_rounds(inst, applied, pending, property,
-                        /*max_rounds=*/pending.size(), options.base.oracle);
-      if (rest.ok()) {
-        for (Round& r : rest.value()) schedule.rounds.push_back(std::move(r));
-        pending.clear();
+      std::vector<NodeId> rest;
+      for (std::size_t p = 0; p < new_path.size(); ++p)
+        if (pending.test(p)) rest.push_back(new_path[p]);
+      Result<std::vector<Round>> tail =
+          search_rounds(inst, applied, rest, property,
+                        /*max_rounds=*/rest.size(), options.base.oracle);
+      if (tail.ok()) {
+        for (Round& r : tail.value()) schedule.rounds.push_back(std::move(r));
         break;
       }
       // The greedy prefix may itself have painted us into the corner;
       // decide feasibility exactly by searching from scratch.
-      if (inst.touched().size() <= options.search_node_limit) {
+      if (touched.size() <= options.search_node_limit) {
         Result<std::vector<Round>> from_scratch = search_rounds(
-            inst, empty_state(inst), inst.touched(), property,
-            /*max_rounds=*/inst.touched().size(), options.base.oracle);
+            inst, PositionMask(new_path.size()), touched, property,
+            /*max_rounds=*/touched.size(), options.base.oracle);
         if (from_scratch.ok()) {
           schedule.rounds = std::move(from_scratch).value();
-          pending.clear();
           break;
         }
       }
       return make_error(Errc::kExhausted,
                         "instance admits no jointly secure schedule: " +
-                            rest.error().message);
+                            tail.error().message);
     }
 
     for (const NodeId u : round) {
-      applied[u] = true;
-      pending.erase(std::find(pending.begin(), pending.end(), u));
+      applied.set(position(u));
+      pending.reset(position(u));
     }
+    pending_count -= round.size();
     schedule.rounds.push_back(std::move(round));
   }
 

@@ -45,6 +45,7 @@
 #include "tsu/update/schedulers.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace tsu::update {
 
@@ -57,35 +58,32 @@ Result<Schedule> plan_wayup(const Instance& inst,
   const std::size_t w_old = *inst.old_pos(w);
   const std::size_t w_new = *inst.new_pos(w);
 
-  Round r1_installs;
-  Round r2_behind_waypoint;
-  Round r3_prefix;
-  Round r4_y;
-  for (const NodeId v : inst.touched()) {
-    if (inst.role(v) == NodeRole::kNewOnly) {
-      r1_installs.push_back(v);
-      continue;
-    }
+  // Each touched node's round: 0 = R1 installs, 1 = R2 behind the
+  // waypoint (includes X), 2 = R3 prefix O1 ∩ N1 (includes s and w),
+  // 3 = R4 Y = O1 ∩ N2.
+  const auto round_of = [&](NodeId v) -> std::size_t {
+    if (inst.role(v) == NodeRole::kNewOnly) return 0;
     // v is on both paths (old-only nodes are never touched).
-    if (v == w) {
-      r3_prefix.push_back(v);
-      continue;
-    }
-    const std::size_t pos_old = *inst.old_pos(v);
-    const std::size_t pos_new = *inst.new_pos(v);
-    if (pos_old > w_old) {
-      r2_behind_waypoint.push_back(v);  // includes X (pos_new < w_new)
-    } else if (pos_new < w_new) {
-      r3_prefix.push_back(v);  // O1 ∩ N1, includes s
-    } else {
-      r4_y.push_back(v);  // Y = O1 ∩ N2
-    }
-  }
+    if (v == w) return 2;
+    if (*inst.old_pos(v) > w_old) return 1;
+    return *inst.new_pos(v) < w_new ? 2 : 3;
+  };
+  std::array<std::size_t, 4> sizes{};
+  for (const NodeId v : inst.touched()) ++sizes[round_of(v)];
 
   Schedule schedule;
   schedule.algorithm = "wayup";
-  for (Round* round : {&r1_installs, &r2_behind_waypoint, &r3_prefix, &r4_y})
-    if (!round->empty()) schedule.rounds.push_back(std::move(*round));
+  schedule.rounds.reserve(static_cast<std::size_t>(
+      std::count_if(sizes.begin(), sizes.end(),
+                    [](std::size_t size) { return size != 0; })));
+  std::array<std::size_t, 4> slot{};
+  for (std::size_t r = 0; r < sizes.size(); ++r) {
+    if (sizes[r] == 0) continue;
+    slot[r] = schedule.rounds.size();
+    schedule.rounds.emplace_back().reserve(sizes[r]);
+  }
+  for (const NodeId v : inst.touched())
+    schedule.rounds[slot[round_of(v)]].push_back(v);
   if (options.with_cleanup) schedule.cleanup = inst.old_only_nodes();
   return schedule;
 }

@@ -3,11 +3,12 @@
 // Ground truth for the whole repository: every scheduler's output is checked
 // here, per round, against the per-subset asynchrony semantics (README,
 // "Update semantics and the planner/checker kernel").
-// For round R on top of applied set A, all 2^|R| states A ∪ S are enumerated
-// (when |R| <= exhaustive_limit; Monte-Carlo sampling plus the sound
-// union-graph certificate otherwise) and each is evaluated against the
-// property mask. Violations carry the witness subset and the packet walk, so
-// failures replay as concrete forwarding traces.
+// For round R on top of applied set A, all 2^|R| states A ∪ S are judged
+// against the property mask when |R| <= exhaustive_limit (one walk tree per
+// round; state by state when the mask holds kGlobalLoopFree), and sampled
+// otherwise. Violations carry the witness subset and the packet walk, so
+// failures replay as concrete forwarding traces; a round records its
+// violating states in increasing order of their subset bits.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,9 @@ struct CheckReport {
   std::string to_string() const;
 };
 
-// Verifies `schedule` on `inst` against `properties`.
+// Verifies `schedule` on `inst` against `properties`. A scheduled node off
+// the new path, or past node_count(), never changes a walk. Allocates
+// nothing unless it records a violation or the mask holds kGlobalLoopFree.
 CheckReport check_schedule(const update::Instance& inst,
                            const update::Schedule& schedule,
                            std::uint32_t properties,
