@@ -11,8 +11,11 @@
 //   - data-plane packet hops across live flow tables, and the batch a
 //     probe stream injects across frozen switches,
 //   - ShardedSim::run_parallel epochs with cross-shard outbox posts,
-//   - transient-state verdicts (update::state_satisfies, verify::state_ok)
-//     and the exact round search's constant allocation budget.
+//   - transient-state verdicts (update::state_satisfies, verify::state_ok),
+//     round verdicts within the exhaustive limit (update::round_safe),
+//     check_schedule on a passing schedule, the planners (WayUp, Peacock
+//     and secure allocate only the schedule they return) and the exact
+//     round search's constant allocation budget.
 //
 // Any new per-event allocation anywhere on these paths turns a green test
 // red with an exact count - the same counter the bench JSON publishes.
@@ -519,13 +522,14 @@ TEST(HotPathAllocTest, ExactRoundSearchAllocatesAConstantAmount) {
   // The search's tables are sized once from the pending count; states are
   // walked trace-free and rounds built only for the answer. An
   // infeasibility proof therefore costs the same handful of allocations
-  // whether it visits dozens of states or thousands.
+  // whether it visits dozens of states or thousands: the verdict table,
+  // the failure table and the error message.
   bool feasible = true;
   const std::uint64_t fig1 = search_allocs(topo::fig1().instance,
                                            update::kTransientlySecure,
                                            &feasible);
   EXPECT_FALSE(feasible) << "Figure 1 admits no transiently secure schedule";
-  EXPECT_LE(fig1, 8u);
+  EXPECT_LE(fig1, 3u);
 
   // A 9-touched random instance that is infeasible too.
   Rng rng(0x9a11);
@@ -544,8 +548,132 @@ TEST(HotPathAllocTest, ExactRoundSearchAllocatesAConstantAmount) {
   ASSERT_TRUE(hard.has_value()) << "no infeasible 9-touched instance found";
   const std::uint64_t nine =
       search_allocs(*hard, update::kTransientlySecure, &feasible);
-  EXPECT_LE(nine, 8u);
+  EXPECT_LE(nine, 3u);
   EXPECT_EQ(nine, fig1) << "allocations scale with the states visited";
+}
+
+// Instances for the kernel windows: Figure 1, a reversal, a sparse-id
+// instance and one that secure schedules greedily in six rounds.
+std::vector<update::Instance> kernel_instances() {
+  std::vector<update::Instance> instances;
+  instances.push_back(topo::fig1().instance);
+  instances.push_back(topo::reversal_instance(8));
+  instances.push_back(std::move(update::Instance::make(
+                                    {100, 170, 130, 160, 200},
+                                    {100, 160, 130, 170, 200}, NodeId{130}))
+                          .value());
+  instances.push_back(std::move(update::Instance::make(
+                                    {0, 1, 2, 3, 4, 5, 6, 7},
+                                    {0, 8, 1, 6, 2, 5, 4, 7}, NodeId{5}))
+                          .value());
+  return instances;
+}
+
+TEST(HotPathAllocTest, CheckingAPassingScheduleAllocatesNothing) {
+  // One walk tree per round judges its states in place, and the final
+  // state's walk is checked against the new path without tracing it. Only
+  // a violation allocates (its subset and witness walk). kGlobalLoopFree,
+  // judged state by state on the active graph, is not in the masks.
+  std::size_t checked = 0;
+  for (const update::Instance& inst : kernel_instances()) {
+    std::vector<std::pair<update::Schedule, std::uint32_t>> cases;
+    cases.emplace_back(update::plan_peacock(inst).value(),
+                       update::kPeacockGuarantee);
+    if (inst.has_waypoint())
+      cases.emplace_back(update::plan_wayup(inst).value(), update::kWaypoint);
+    const Result<update::Schedule> secure = update::plan_secure(inst);
+    if (secure.ok())
+      cases.emplace_back(secure.value(), update::kTransientlySecure);
+    for (const auto& [schedule, mask] : cases) {
+      const std::uint64_t before = allocs();
+      const verify::CheckReport report =
+          verify::check_schedule(inst, schedule, mask);
+      const std::uint64_t during = allocs() - before;
+      EXPECT_EQ(during, 0u) << inst.to_string() << " "
+                            << schedule.to_string();
+      EXPECT_TRUE(report.ok) << report.to_string();
+      EXPECT_TRUE(report.exhaustive);
+      checked += report.states_checked;
+    }
+  }
+  EXPECT_GT(checked, 100u);
+}
+
+TEST(HotPathAllocTest, RoundSafetyWithinTheExhaustiveLimitAllocatesNothing) {
+  // Every round of WayUp's and Peacock's schedules on the state before it,
+  // plus all touched nodes as one round, under WPE, WLF, BH and their
+  // union: the position masks and the walk tree live on the stack.
+  constexpr std::uint32_t kMasks[] = {
+      update::kWaypoint, update::kLoopFree, update::kBlackholeFree,
+      update::kTransientlySecure};
+  struct Case {
+    const update::Instance* inst;
+    update::StateMask applied;
+    update::Round round;
+  };
+  const std::vector<update::Instance> instances = kernel_instances();
+  std::vector<Case> cases;
+  for (const update::Instance& inst : instances) {
+    cases.push_back({&inst, update::empty_state(inst), inst.touched()});
+    std::vector<update::Schedule> schedules{
+        update::plan_peacock(inst).value()};
+    if (inst.has_waypoint())
+      schedules.push_back(update::plan_wayup(inst).value());
+    for (const update::Schedule& schedule : schedules)
+      for (std::size_t r = 0; r < schedule.rounds.size(); ++r)
+        cases.push_back({&inst, update::state_after_rounds(inst, schedule, r),
+                         schedule.rounds[r]});
+  }
+
+  std::size_t safe = 0;
+  std::size_t unsafe = 0;
+  const std::uint64_t before = allocs();
+  for (const Case& c : cases) {
+    for (const std::uint32_t mask : kMasks) {
+      if (update::round_safe(*c.inst, c.applied, c.round, mask))
+        ++safe;
+      else
+        ++unsafe;
+    }
+  }
+  const std::uint64_t during = allocs() - before;
+  EXPECT_EQ(during, 0u) << "round verdicts hit the allocator";
+  EXPECT_GT(safe, 0u);
+  EXPECT_GT(unsafe, 0u) << "no round failed: the sweep proves nothing";
+}
+
+// Allocations made by one planner call, and the heap blocks its schedule
+// holds: the round list, each round and the cleanup list.
+template <class Plan>
+std::pair<std::uint64_t, std::size_t> plan_allocs(Plan&& plan) {
+  const std::uint64_t before = allocs();
+  const Result<update::Schedule> planned = plan();
+  const std::uint64_t during = allocs() - before;
+  if (!planned.ok()) return {during, 0};
+  const update::Schedule& schedule = planned.value();
+  return {during, 1 + schedule.rounds.size() +
+                      (schedule.cleanup.empty() ? 0 : 1)};
+}
+
+TEST(HotPathAllocTest, PlannersAllocateOnlyTheirSchedule) {
+  // Candidate orders, live walks, applied and pending sets live in scratch
+  // arrays and position masks; rounds are reserved at their final size.
+  // What a planner allocates is exactly the schedule it returns.
+  const update::Instance fig1 = topo::fig1().instance;
+  const update::Instance six = kernel_instances()[3];
+
+  // Figure 1: four rounds and the cleanup {4, 8, 6}.
+  EXPECT_EQ(plan_allocs([&] { return update::plan_wayup(fig1); }),
+            std::make_pair(std::uint64_t{6}, std::size_t{6}));
+  EXPECT_EQ(plan_allocs([&] { return update::plan_peacock(fig1); }),
+            std::make_pair(std::uint64_t{6}, std::size_t{6}));
+  // Secure greedily builds six rounds (cleanup {3}), Peacock four.
+  EXPECT_EQ(plan_allocs([&] { return update::plan_secure(six); }),
+            std::make_pair(std::uint64_t{8}, std::size_t{8}));
+  EXPECT_EQ(plan_allocs([&] { return update::plan_peacock(six); }),
+            std::make_pair(std::uint64_t{6}, std::size_t{6}));
+  EXPECT_EQ(plan_allocs([&] { return update::plan_wayup(six); }),
+            std::make_pair(std::uint64_t{6}, std::size_t{6}));
 }
 
 }  // namespace

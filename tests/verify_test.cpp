@@ -137,6 +137,59 @@ TEST(CheckerTest, ReportRendering) {
   EXPECT_NE(text.find("WPE"), std::string::npos);
 }
 
+TEST(CheckerTest, NodePastTheInstanceIsJudgedLikeAnOffPathNode) {
+  // Node 5000 lies past node_count() (4). It holds no rule, so like any
+  // node off the new path it never changes a walk: its round doubles the
+  // states and changes no verdict. The checker, state_after_rounds,
+  // minimize_violation and the round oracles once indexed their state
+  // vectors with it.
+  Result<Instance> made = Instance::make({0, 1, 2}, {0, 3, 2});
+  ASSERT_TRUE(made.ok());
+  const Instance& inst = made.value();
+  ASSERT_EQ(inst.node_count(), 4u);
+  Schedule good;
+  good.algorithm = "manual";
+  good.rounds = {{3}, {0}, {5000}};
+  const CheckReport passed =
+      check_schedule(inst, good, update::kTransientlySecure);
+  EXPECT_TRUE(passed.ok) << passed.to_string();
+  EXPECT_EQ(passed.states_checked, 6u);
+  EXPECT_EQ(update::state_after_rounds(inst, good, 3),
+            update::full_state(inst));
+
+  // Flipping 0 before 3 has a rule blackholes at 3, with or without 5000,
+  // and in round 2 until 3 lands.
+  Schedule bad;
+  bad.algorithm = "manual-bad";
+  bad.rounds = {{0, 5000}, {3}};
+  const CheckReport failed = check_schedule(inst, bad, update::kBlackholeFree);
+  ASSERT_EQ(failed.violations.size(), 3u) << failed.to_string();
+  EXPECT_EQ(failed.states_checked, 6u);
+  EXPECT_EQ(failed.violations[0].subset, (std::vector<NodeId>{0}));
+  EXPECT_EQ(failed.violations[1].subset, (std::vector<NodeId>{0, 5000}));
+  EXPECT_EQ(failed.violations[1].walk.outcome,
+            update::WalkOutcome::kBlackhole);
+  EXPECT_EQ(failed.violations[1].walk.trace, (std::vector<NodeId>{0, 3}));
+  EXPECT_EQ(failed.violations[2].round_index, 1u);
+  EXPECT_TRUE(failed.violations[2].subset.empty());
+  const Violation minimal = minimize_violation(
+      inst, bad, failed.violations[1], update::kBlackholeFree);
+  EXPECT_EQ(minimal.subset, (std::vector<NodeId>{0}));
+
+  const update::StateMask none = update::empty_state(inst);
+  EXPECT_FALSE(update::round_safe(inst, none, {0, 5000},
+                                  update::kBlackholeFree));
+  EXPECT_TRUE(update::round_safe(inst, none, {3, 5000},
+                                 update::kTransientlySecure));
+  // Past the exhaustive limit: the union certificate and the sampling.
+  update::OracleOptions sampled;
+  sampled.exhaustive_limit = 1;
+  EXPECT_TRUE(update::round_safe(inst, none, {3, 5000},
+                                 update::kTransientlySecure, sampled));
+  EXPECT_FALSE(update::round_safe(inst, none, {0, 5000},
+                                  update::kBlackholeFree, sampled));
+}
+
 TEST(CheckerTest, StateOkMatchesStateSatisfies) {
   const Instance inst = fig1_instance();
   EXPECT_TRUE(state_ok(inst, update::empty_state(inst),
