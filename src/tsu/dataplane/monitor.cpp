@@ -53,7 +53,7 @@ void ConsistencyMonitor::record(sim::SimTime at, PacketOutcome outcome) {
   if (bucket_width_ == 0) return;
   const sim::SimTime index = at / bucket_width_;
   if (index >= kMaxTimelineBuckets) {
-    timeline_overflowed_ = true;
+    timeline_overflowed_.store(true, std::memory_order_relaxed);
     return;
   }
   const std::size_t bucket = static_cast<std::size_t>(index);

@@ -6,6 +6,7 @@
 // *waypoint bypass* - the event WayUp exists to prevent.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -90,8 +91,11 @@ class ConsistencyMonitor {
   const std::vector<Bucket>& timeline() const noexcept { return timeline_; }
   sim::Duration bucket_width() const noexcept { return bucket_width_; }
   // True once a record fell past kMaxTimelineBuckets: the timeline then
-  // misses outcomes the report counts.
-  bool timeline_overflowed() const noexcept { return timeline_overflowed_; }
+  // misses outcomes the report counts. Safe while records run (a traffic
+  // source reads it to stop its stream).
+  bool timeline_overflowed() const noexcept {
+    return timeline_overflowed_.load(std::memory_order_relaxed);
+  }
 
   // Renders the per-bucket bypass/loop counts as a compact text timeline.
   std::string timeline_to_string() const;
@@ -101,7 +105,7 @@ class ConsistencyMonitor {
   std::mutex mutex_;  // guards record() against concurrent shard workers
   MonitorReport report_;
   std::vector<Bucket> timeline_;
-  bool timeline_overflowed_ = false;
+  std::atomic<bool> timeline_overflowed_{false};
 };
 
 // Per-flow consistency monitors for a concurrent multi-flow run: every

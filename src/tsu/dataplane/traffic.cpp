@@ -40,7 +40,9 @@ void TrafficSource::start() {
 
 void TrafficSource::inject() {
   const sim::SimTime now = home_.now();
-  if (now >= config_.stop) return;
+  // Past its timeline's limit the run fails once it drains (the executor
+  // reports the overflow), so a later packet would be wasted work.
+  if (now >= config_.stop || monitor_.timeline_overflowed()) return;
 
   // Fork in injection order: the packet's latency stream is deterministic
   // however its hops later interleave with other packets'.
@@ -75,7 +77,8 @@ sim::SimTime TrafficSource::batch(const Memo& memo, sim::SimTime at) {
       memo.links != 0 && link_max_ > kNever / memo.links
           ? kNever
           : memo.links * link_max_;
-  while (at < config_.stop && sim::later(at, walk_max) < memo.frozen_until) {
+  while (at < config_.stop && sim::later(at, walk_max) < memo.frozen_until &&
+         !monitor_.timeline_overflowed()) {
     Rng rng = rng_.fork();
     sim::SimTime arrival = at;
     for (std::uint32_t i = 0; i < memo.links; ++i)
