@@ -38,10 +38,18 @@ Result<Instance> Instance::make(graph::Path old_path, graph::Path new_path,
   if (Status s = graph::validate_update_paths(old_path, new_path, waypoint);
       !s.ok())
     return s.error();
+  if (old_path.size() > kMaxPathNodes || new_path.size() > kMaxPathNodes)
+    return make_error(Errc::kInvalidArgument,
+                      "paths may hold at most " +
+                          std::to_string(kMaxPathNodes) + " nodes");
 
+  // Every block is kept at its exact size: planners and services hold
+  // instances by the thousand.
   Instance inst;
   inst.old_ = std::move(old_path);
   inst.new_ = std::move(new_path);
+  inst.old_.shrink_to_fit();
+  inst.new_.shrink_to_fit();
   inst.waypoint_ = waypoint;
 
   NodeId max_node = 0;
@@ -49,15 +57,18 @@ Result<Instance> Instance::make(graph::Path old_path, graph::Path new_path,
   for (const NodeId v : inst.new_) max_node = std::max(max_node, v);
   inst.nodes_.assign(static_cast<std::size_t>(max_node) + 1, Positions{});
   for (std::size_t i = 0; i < inst.old_.size(); ++i)
-    inst.nodes_[inst.old_[i]].old_pos = static_cast<std::uint32_t>(i);
+    inst.nodes_[inst.old_[i]].old_pos = static_cast<std::uint16_t>(i);
   for (std::size_t i = 0; i < inst.new_.size(); ++i)
-    inst.nodes_[inst.new_[i]].new_pos = static_cast<std::uint32_t>(i);
+    inst.nodes_[inst.new_[i]].new_pos = static_cast<std::uint16_t>(i);
 
   // A node is "touched" when its active rule must change: it is on the new
   // path (so it ends up with its new next-hop), it is not the destination,
   // and either it has no old rule (install) or the next-hop differs.
+  const auto touched = [&inst](NodeId v) { return inst.is_touched(v); };
+  inst.touched_.reserve(static_cast<std::size_t>(
+      std::count_if(inst.new_.begin(), inst.new_.end(), touched)));
   for (const NodeId v : inst.new_)
-    if (inst.is_touched(v)) inst.touched_.push_back(v);
+    if (touched(v)) inst.touched_.push_back(v);
 
   return inst;
 }

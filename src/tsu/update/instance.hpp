@@ -40,8 +40,8 @@ const char* to_string(NodeRole role) noexcept;
 class Instance {
  public:
   // Validates and builds an instance. Fails if the paths are not simple,
-  // do not share endpoints, or the waypoint is not strictly interior to
-  // both paths.
+  // do not share endpoints, hold more than kMaxPathNodes nodes, or the
+  // waypoint is not strictly interior to both paths.
   static Result<Instance> make(graph::Path old_path, graph::Path new_path,
                                std::optional<NodeId> waypoint = std::nullopt);
 
@@ -64,12 +64,15 @@ class Instance {
   }
 
   // Where v sits on each path; kNoPosition when it is off that path or
-  // past node_count(). The planner/checker kernel reads these raw.
-  static constexpr std::uint32_t kNoPosition =
-      std::numeric_limits<std::uint32_t>::max();
+  // past node_count(). The planner/checker kernel reads these raw. Sixteen
+  // bits each keep a row at 4 bytes, so make() rejects paths longer than
+  // kMaxPathNodes.
+  static constexpr std::uint16_t kNoPosition =
+      std::numeric_limits<std::uint16_t>::max();
+  static constexpr std::size_t kMaxPathNodes = kNoPosition;
   struct Positions {
-    std::uint32_t old_pos = kNoPosition;
-    std::uint32_t new_pos = kNoPosition;
+    std::uint16_t old_pos = kNoPosition;
+    std::uint16_t new_pos = kNoPosition;
   };
   Positions positions(NodeId v) const noexcept {
     return v < nodes_.size() ? nodes_[v] : Positions{};
@@ -126,7 +129,7 @@ class Instance {
   graph::Path old_;
   graph::Path new_;
   std::optional<NodeId> waypoint_;
-  // One dense row of positions per node id (8 bytes); next hops, roles and
+  // One dense row of positions per node id (4 bytes); next hops, roles and
   // touched-ness derive from it and the paths.
   std::vector<Positions> nodes_;
   std::vector<NodeId> touched_;

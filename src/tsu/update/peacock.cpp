@@ -37,6 +37,7 @@
 #include "tsu/update/schedulers.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "tsu/util/scratch.hpp"
 
@@ -45,6 +46,7 @@ namespace tsu::update {
 namespace {
 
 constexpr std::uint32_t kNone = Instance::kNoPosition;
+constexpr std::uint32_t kOffWalk = std::numeric_limits<std::uint32_t>::max();
 
 // First old-path node reached from `u` along the new path (u itself must be
 // on both paths). Always exists because the destination is on both paths.
@@ -65,11 +67,11 @@ Move move_of(const Instance& inst, NodeId v) {
 }
 
 // walk_pos[i]: the index of new_path()[i] in walk_from_source(inst,
-// applied).trace (its last one, for the node a loop revisits), kNone when
-// the walk misses it. The trace itself is never built.
+// applied).trace (its last one, for the node a loop revisits), kOffWalk
+// when the walk misses it. The trace itself is never built.
 void index_live_walk(const Instance& inst, const PositionMask& applied,
                      util::Scratch<std::uint32_t, 64>& walk_pos) {
-  std::fill(walk_pos.begin(), walk_pos.end(), kNone);
+  std::fill(walk_pos.begin(), walk_pos.end(), kOffWalk);
   // Nodes off the new path the walk has visited, by old-path position.
   PositionMask seen_off_new(inst.old_path().size());
   NodeId v = inst.source();
@@ -77,7 +79,7 @@ void index_live_walk(const Instance& inst, const PositionMask& applied,
     const Instance::Positions at = inst.positions(v);
     bool seen = false;
     if (at.new_pos != kNone) {
-      seen = walk_pos[at.new_pos] != kNone;
+      seen = walk_pos[at.new_pos] != kOffWalk;
       walk_pos[at.new_pos] = i;
     } else if (at.old_pos != kNone) {
       seen = seen_off_new.test(at.old_pos);
@@ -141,8 +143,9 @@ Result<Schedule> plan_peacock(const Instance& inst,
               [&](NodeId a, NodeId b) {
                 const std::uint32_t wa = walk_index(a);
                 const std::uint32_t wb = walk_index(b);
-                if ((wa != kNone) != (wb != kNone)) return wa == kNone;
-                if (wa != kNone) return wa > wb;
+                if ((wa != kOffWalk) != (wb != kOffWalk))
+                  return wa == kOffWalk;
+                if (wa != kOffWalk) return wa > wb;
                 return a < b;
               });
 

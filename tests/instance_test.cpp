@@ -20,6 +20,28 @@ TEST(InstanceTest, MakeValidatesPaths) {
   EXPECT_FALSE(Instance::make({1, 2, 3}, {1, 4, 3}, NodeId{2}).ok());
 }
 
+TEST(InstanceTest, PathsHoldAtMostMaxPathNodes) {
+  // Positions are stored in 16 bits: the last one stays free to mean "off
+  // the path".
+  const auto straight = [](std::size_t nodes) {
+    graph::Path path(nodes);
+    for (std::size_t i = 0; i < nodes; ++i) path[i] = static_cast<NodeId>(i);
+    return path;
+  };
+  constexpr std::size_t kMax = Instance::kMaxPathNodes;
+  const Result<Instance> longest =
+      Instance::make(straight(kMax), {0, static_cast<NodeId>(kMax - 1)});
+  ASSERT_TRUE(longest.ok());
+  EXPECT_EQ(longest.value().old_pos(static_cast<NodeId>(kMax - 1)), kMax - 1);
+  EXPECT_EQ(longest.value().old_next(static_cast<NodeId>(kMax - 2)),
+            static_cast<NodeId>(kMax - 1));
+  EXPECT_EQ(longest.value().touched(), (std::vector<NodeId>{0}));
+  const Result<Instance> too_long =
+      Instance::make(straight(kMax + 1), {0, static_cast<NodeId>(kMax)});
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_EQ(too_long.error().code, Errc::kInvalidArgument);
+}
+
 TEST(InstanceTest, EndpointsAndWaypoint) {
   const Instance inst = make_fig1();
   EXPECT_EQ(inst.source(), 1u);
