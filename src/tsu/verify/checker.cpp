@@ -159,14 +159,15 @@ CheckReport check_schedule(const update::Instance& inst,
   const auto position = [&](NodeId v) { return inst.positions(v).new_pos; };
 
   // States are judged trace-free; only a recorded violation re-walks the
-  // failing state for its witness trace.
+  // failing state for its witness trace. The subset bits hold a round's
+  // first 64 nodes (a sampled round may list more).
   const auto record = [&](std::size_t round_index,
                           const std::vector<NodeId>& round, std::uint64_t bits,
                           std::uint32_t failed) {
     Violation v;
     v.violated = failed;
     v.round_index = round_index;
-    for (std::size_t i = 0; i < round.size(); ++i)
+    for (std::size_t i = 0; i < round.size() && i < 64; ++i)
       if ((bits >> i) & 1ULL) v.subset.push_back(round[i]);
     v.walk = update::walk_from_source(inst, state);
     report.violations.push_back(std::move(v));

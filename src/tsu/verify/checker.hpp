@@ -26,6 +26,7 @@ struct Violation {
   std::uint32_t violated = 0;        // property bits that failed
   std::size_t round_index = 0;       // which round was in flight
   std::vector<NodeId> subset;        // in-flight updates that had landed
+                                     // (among the round's first 64 nodes)
   update::WalkResult walk;           // witness packet walk (if applicable)
 
   std::string to_string() const;

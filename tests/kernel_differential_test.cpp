@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -70,37 +72,54 @@ StateMask subset_state(const StateMask& applied, const Round& round,
   return state;
 }
 
-bool reference_round_safe(const Instance& inst, const StateMask& applied,
-                          const Round& round, std::uint32_t properties) {
+constexpr std::uint32_t kMaskCount = 16;  // every subset of the 4 bits
+constexpr std::uint32_t kAllProperties = kMaskCount - 1;
+
+// Bit m is set when round R on top of `applied` is unsafe under mask m. A
+// state's verdict on every bit is independent of the others, so one pass
+// over the states answers all 16 masks.
+std::uint32_t reference_unsafe_masks(const Instance& inst,
+                                     const StateMask& applied,
+                                     const Round& round) {
+  std::uint32_t seen = 0;  // bit b: some state fails exactly the bits b
   for (std::uint64_t bits = 0; bits < (1ULL << round.size()); ++bits)
-    if (reference_bits(inst, subset_state(applied, round, bits),
-                       properties) != 0)
-      return false;
-  return true;
+    seen |= 1u << reference_bits(inst, subset_state(applied, round, bits),
+                                 kAllProperties);
+  std::uint32_t unsafe = 0;
+  for (std::uint32_t mask = 0; mask < kMaskCount; ++mask)
+    for (std::uint32_t b = 0; b < kMaskCount; ++b)
+      if (((seen >> b) & 1u) != 0 && (b & mask) != 0) unsafe |= 1u << mask;
+  return unsafe;
 }
 
-// check_schedule's contract, one state at a time.
-verify::CheckReport reference_check(const Instance& inst,
-                                    const Schedule& schedule,
-                                    std::uint32_t properties,
-                                    const verify::CheckOptions& options) {
-  verify::CheckReport report;
-  report.exhaustive = true;
+// check_schedule's contract, one state at a time, for all 16 masks in one
+// pass: the sampled states do not depend on the mask.
+std::array<verify::CheckReport, kMaskCount> reference_checks(
+    const Instance& inst, const Schedule& schedule,
+    const verify::CheckOptions& options) {
+  std::array<verify::CheckReport, kMaskCount> reports;
+  for (verify::CheckReport& report : reports) report.exhaustive = true;
   StateMask applied = update::empty_state(inst);
   Rng rng(options.monte_carlo_seed);
   const auto judge = [&](std::size_t r, const Round& round, std::uint64_t bits,
                          const StateMask& state) {
-    ++report.states_checked;
-    const std::uint32_t failed = reference_bits(inst, state, properties);
-    if (failed == 0 || report.violations.size() >= options.max_violations)
-      return;
-    verify::Violation v;
-    v.violated = failed;
-    v.round_index = r;
-    for (std::size_t i = 0; i < round.size(); ++i)
-      if ((bits >> i) & 1ULL) v.subset.push_back(round[i]);
-    v.walk = update::walk_from_source(inst, state);
-    report.violations.push_back(std::move(v));
+    const std::uint32_t all = reference_bits(inst, state, kAllProperties);
+    std::optional<WalkResult> walk;
+    for (std::uint32_t mask = 0; mask < kMaskCount; ++mask) {
+      verify::CheckReport& report = reports[mask];
+      ++report.states_checked;
+      const std::uint32_t failed = all & mask;
+      if (failed == 0 || report.violations.size() >= options.max_violations)
+        continue;
+      if (!walk.has_value()) walk = update::walk_from_source(inst, state);
+      verify::Violation v;
+      v.violated = failed;
+      v.round_index = r;
+      for (std::size_t i = 0; i < round.size() && i < 64; ++i)
+        if ((bits >> i) & 1ULL) v.subset.push_back(round[i]);
+      v.walk = *walk;
+      report.violations.push_back(std::move(v));
+    }
   };
   for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
     const Round& round = schedule.rounds[r];
@@ -108,7 +127,7 @@ verify::CheckReport reference_check(const Instance& inst,
       for (std::uint64_t bits = 0; bits < (1ULL << round.size()); ++bits)
         judge(r, round, bits, subset_state(applied, round, bits));
     } else {
-      report.exhaustive = false;
+      for (verify::CheckReport& report : reports) report.exhaustive = false;
       for (std::size_t s = 0; s < options.monte_carlo_samples; ++s) {
         StateMask state = applied;
         std::uint64_t bits = 0;
@@ -126,29 +145,33 @@ verify::CheckReport reference_check(const Instance& inst,
   }
   const WalkResult walk =
       update::walk_from_source(inst, update::full_state(inst));
-  if (options.check_final_state &&
-      !(walk.outcome == WalkOutcome::kDelivered &&
-        walk.trace == inst.new_path())) {
-    verify::Violation v;
-    v.violated = properties;
-    v.round_index = schedule.rounds.empty() ? 0 : schedule.rounds.size() - 1;
-    v.walk = walk;
-    report.violations.push_back(std::move(v));
-  }
-  if (options.check_cleanup) {
-    for (const NodeId v : schedule.cleanup) {
-      if (std::find(walk.trace.begin(), walk.trace.end(), v) ==
-          walk.trace.end())
-        continue;
-      verify::Violation viol;
-      viol.violated = update::kBlackholeFree;
-      viol.round_index = schedule.rounds.size();
-      viol.subset = {v};
-      report.violations.push_back(std::move(viol));
+  for (std::uint32_t mask = 0; mask < kMaskCount; ++mask) {
+    verify::CheckReport& report = reports[mask];
+    if (options.check_final_state &&
+        !(walk.outcome == WalkOutcome::kDelivered &&
+          walk.trace == inst.new_path())) {
+      verify::Violation v;
+      v.violated = mask;
+      v.round_index =
+          schedule.rounds.empty() ? 0 : schedule.rounds.size() - 1;
+      v.walk = walk;
+      report.violations.push_back(std::move(v));
     }
+    if (options.check_cleanup) {
+      for (const NodeId v : schedule.cleanup) {
+        if (std::find(walk.trace.begin(), walk.trace.end(), v) ==
+            walk.trace.end())
+          continue;
+        verify::Violation viol;
+        viol.violated = update::kBlackholeFree;
+        viol.round_index = schedule.rounds.size();
+        viol.subset = {v};
+        report.violations.push_back(std::move(viol));
+      }
+    }
+    report.ok = report.violations.empty();
   }
-  report.ok = report.violations.empty();
-  return report;
+  return reports;
 }
 
 // The first difference between two reports, or "" when they are equal.
@@ -228,8 +251,6 @@ std::vector<Schedule> planner_schedules(const Instance& inst) {
   return out;
 }
 
-constexpr std::uint32_t kMaskCount = 16;  // every subset of the 4 bits
-
 // Two checker settings: the defaults, and a small exhaustive limit (sampled
 // rounds) with a violation cap that cuts rounds short.
 verify::CheckOptions check_options(std::size_t n) {
@@ -278,33 +299,63 @@ RandomRound random_round(Rng& rng, const Instance& inst,
   return out;
 }
 
-// Round verdicts of one random round: round_safe_exhaustive on the whole
-// round, and round_safe_with for every node offered to a proven-safe
-// prefix, as the greedy planners offer it.
-void expect_round_verdicts(const Instance& inst, const RandomRound& rr,
-                           std::uint32_t mask, std::size_t* unsafe) {
-  const bool want = reference_round_safe(inst, rr.applied, rr.round, mask);
-  ASSERT_EQ(update::round_safe_exhaustive(inst, rr.applied, rr.round, mask),
-            want)
-      << inst.to_string() << " mask " << mask;
-  if (!want) ++*unsafe;
-
+// Round verdicts of one random round under every mask: round_safe_exhaustive
+// on the whole round, and round_safe_with for every node offered to a
+// proven-safe prefix, as the greedy planners offer it. Returns how many
+// masks found the whole round unsafe.
+std::size_t expect_round_verdicts(const Instance& inst,
+                                  const RandomRound& rr) {
+  std::map<Round, std::uint32_t> unsafe_masks;  // reference, per round
+  const auto reference = [&](const Round& round, std::uint32_t mask) {
+    auto [it, fresh] = unsafe_masks.try_emplace(round, 0);
+    if (fresh) it->second = reference_unsafe_masks(inst, rr.applied, round);
+    return ((it->second >> mask) & 1u) == 0;
+  };
   const update::PositionMask landed = update::positions_of(inst, rr.applied);
-  update::OracleOptions oracle;
-  Round prefix;
-  for (const NodeId u : rr.round) {
-    const update::PositionMask open =
-        update::open_positions(inst, landed, prefix);
-    Round grown = prefix;
-    grown.push_back(u);
-    const bool grown_safe =
-        reference_round_safe(inst, rr.applied, grown, mask);
-    ASSERT_EQ(update::round_safe_with(inst, landed, prefix, open, u, mask,
-                                      oracle),
-              grown_safe)
-        << inst.to_string() << " mask " << mask << " offering " << u;
-    if (grown_safe) prefix = std::move(grown);
+  const update::OracleOptions oracle;
+  std::size_t unsafe = 0;
+  for (std::uint32_t mask = 0; mask < kMaskCount; ++mask) {
+    const bool want = reference(rr.round, mask);
+    EXPECT_EQ(update::round_safe_exhaustive(inst, rr.applied, rr.round, mask),
+              want)
+        << inst.to_string() << " mask " << mask;
+    if (!want) ++unsafe;
+
+    Round prefix;
+    for (const NodeId u : rr.round) {
+      const update::PositionMask open =
+          update::open_positions(inst, landed, prefix);
+      Round grown = prefix;
+      grown.push_back(u);
+      const bool grown_safe = reference(grown, mask);
+      EXPECT_EQ(update::round_safe_with(inst, landed, prefix, open, u, mask,
+                                        oracle),
+                grown_safe)
+          << inst.to_string() << " mask " << mask << " offering " << u;
+      if (grown_safe) prefix = std::move(grown);
+    }
   }
+  return unsafe;
+}
+
+// Every check_schedule report on `schedule`, one per mask, against the
+// reference's. Returns how many failed.
+std::size_t expect_reports(const Instance& inst, const Schedule& schedule,
+                           const verify::CheckOptions& options,
+                           std::size_t* sampled = nullptr) {
+  const std::array<verify::CheckReport, kMaskCount> want =
+      reference_checks(inst, schedule, options);
+  std::size_t failed = 0;
+  for (std::uint32_t mask = 0; mask < kMaskCount; ++mask) {
+    const verify::CheckReport got =
+        verify::check_schedule(inst, schedule, mask, options);
+    EXPECT_EQ(report_diff(got, want[mask]), "")
+        << inst.to_string() << "\n  " << schedule.to_string() << " mask "
+        << mask;
+    if (!got.ok) ++failed;
+    if (!got.exhaustive && sampled != nullptr) ++*sampled;
+  }
+  return failed;
 }
 
 // ----------------------------------------------------------------- tests --
@@ -315,28 +366,20 @@ TEST(KernelDifferentialTest, PlannerRoundsMatchTheReference) {
   std::size_t sampled = 0;
   for (std::size_t n = 0; n < instances.size(); ++n) {
     const Instance& inst = instances[n];
-    const verify::CheckOptions options = check_options(n);
+    ASSERT_FALSE(HasFailure()) << "stopping at the first failing instance";
     for (const Schedule& schedule : planner_schedules(inst)) {
-      for (std::uint32_t mask = 0; mask < kMaskCount; ++mask) {
-        const verify::CheckReport got =
-            verify::check_schedule(inst, schedule, mask, options);
-        const std::string diff =
-            report_diff(got, reference_check(inst, schedule, mask, options));
-        ASSERT_EQ(diff, "") << inst.to_string() << "\n  "
-                            << schedule.to_string() << " mask " << mask;
-        if (!got.ok) ++violating;
-        if (!got.exhaustive) ++sampled;
-        for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
-          if (schedule.rounds[r].size() > 12) continue;
-          const StateMask applied =
-              update::state_after_rounds(inst, schedule, r);
-          ASSERT_EQ(update::round_safe_exhaustive(inst, applied,
+      violating += expect_reports(inst, schedule, check_options(n), &sampled);
+      for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
+        const StateMask applied =
+            update::state_after_rounds(inst, schedule, r);
+        const std::uint32_t unsafe =
+            reference_unsafe_masks(inst, applied, schedule.rounds[r]);
+        for (std::uint32_t mask = 0; mask < kMaskCount; ++mask)
+          EXPECT_EQ(update::round_safe_exhaustive(inst, applied,
                                                   schedule.rounds[r], mask),
-                    reference_round_safe(inst, applied, schedule.rounds[r],
-                                         mask))
-              << inst.to_string() << " " << schedule.to_string() << " round "
-              << r << " mask " << mask;
-        }
+                    ((unsafe >> mask) & 1u) == 0)
+              << inst.to_string() << " " << schedule.to_string()
+              << " round " << r << " mask " << mask;
       }
     }
   }
@@ -351,9 +394,10 @@ TEST(KernelDifferentialTest, RandomRoundsMatchTheReference) {
   std::size_t unsafe = 0;
   for (std::size_t n = 0; n < instances.size(); ++n) {
     const Instance& inst = instances[n];
-    const verify::CheckOptions options = check_options(n);
+    ASSERT_FALSE(HasFailure()) << "stopping at the first failing instance";
     for (int trial = 0; trial < 4; ++trial) {
       const RandomRound rr = random_round(rng, inst, 10);
+      unsafe += expect_round_verdicts(inst, rr);
       // The applied set becomes a first round of its own.
       Schedule schedule;
       schedule.algorithm = "random";
@@ -362,14 +406,7 @@ TEST(KernelDifferentialTest, RandomRoundsMatchTheReference) {
         if (rr.applied[v]) first.push_back(v);
       if (!first.empty()) schedule.rounds.push_back(first);
       schedule.rounds.push_back(rr.round);
-      for (std::uint32_t mask = 0; mask < kMaskCount; ++mask) {
-        expect_round_verdicts(inst, rr, mask, &unsafe);
-        const std::string diff = report_diff(
-            verify::check_schedule(inst, schedule, mask, options),
-            reference_check(inst, schedule, mask, options));
-        ASSERT_EQ(diff, "") << inst.to_string() << "\n  "
-                            << schedule.to_string() << " mask " << mask;
-      }
+      expect_reports(inst, schedule, check_options(n));
     }
   }
   EXPECT_GT(unsafe, 100u);
@@ -382,26 +419,14 @@ TEST(KernelDifferentialTest, NewPathPastSixtyFourPositions) {
   ASSERT_EQ(inst.new_path().size(), 70u);
   Rng rng(0x70);
   std::size_t unsafe = 0;
-  for (int trial = 0; trial < 24; ++trial) {
-    const RandomRound rr = random_round(rng, inst, 9);
-    for (std::uint32_t mask = 0; mask < kMaskCount; ++mask)
-      expect_round_verdicts(inst, rr, mask, &unsafe);
-  }
+  for (int trial = 0; trial < 24 && !HasFailure(); ++trial)
+    unsafe += expect_round_verdicts(inst, random_round(rng, inst, 9));
   EXPECT_GT(unsafe, 0u);
 
   verify::CheckOptions options;
   options.monte_carlo_samples = 256;
-  for (const Schedule& schedule : planner_schedules(inst)) {
-    for (const std::uint32_t mask :
-         {update::kPeacockGuarantee, std::uint32_t{update::kLoopFree},
-          std::uint32_t{update::kBlackholeFree},
-          std::uint32_t{update::kGlobalLoopFree}}) {
-      const std::string diff =
-          report_diff(verify::check_schedule(inst, schedule, mask, options),
-                      reference_check(inst, schedule, mask, options));
-      ASSERT_EQ(diff, "") << schedule.to_string() << " mask " << mask;
-    }
-  }
+  for (const Schedule& schedule : planner_schedules(inst))
+    expect_reports(inst, schedule, options);
 }
 
 }  // namespace
