@@ -42,7 +42,6 @@ class PositionMask {
   explicit PositionMask(std::size_t positions = 0);
   PositionMask(const PositionMask& other);
   PositionMask& operator=(const PositionMask& other);
-  ~PositionMask() = default;
 
   std::size_t size() const noexcept { return positions_; }
   bool test(std::size_t pos) const noexcept {
@@ -56,6 +55,7 @@ class PositionMask {
     else
       reset(pos);
   }
+
  private:
   static std::uint64_t bit(std::size_t pos) noexcept {
     return std::uint64_t{1} << (pos & 63);
