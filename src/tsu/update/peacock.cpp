@@ -39,7 +39,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "tsu/util/scratch.hpp"
+#include "tsu/util/inline_array.hpp"
 
 namespace tsu::update {
 
@@ -70,7 +70,7 @@ Move move_of(const Instance& inst, NodeId v) {
 // applied).trace (its last one, for the node a loop revisits), kOffWalk
 // when the walk misses it. The trace itself is never built.
 void index_live_walk(const Instance& inst, const PositionMask& applied,
-                     util::Scratch<std::uint32_t, 64>& walk_pos) {
+                     util::InlineArray<std::uint32_t, 64>& walk_pos) {
   std::fill(walk_pos.begin(), walk_pos.end(), kOffWalk);
   // Nodes off the new path the walk has visited, by old-path position.
   PositionMask seen_off_new(inst.old_path().size());
@@ -97,7 +97,7 @@ Result<Schedule> plan_peacock(const Instance& inst,
                               const PeacockOptions& options) {
   const std::vector<NodeId>& touched = inst.touched();
   const std::size_t positions = inst.new_path().size();
-  util::Scratch<Move, 64> moves(touched.size());
+  util::InlineArray<Move, 64> moves(touched.size());
   std::size_t installs = 0;
   std::size_t forward = 0;
   for (std::size_t i = 0; i < touched.size(); ++i) {
@@ -127,8 +127,8 @@ Result<Schedule> plan_peacock(const Instance& inst,
         .set(inst.positions(touched[i]).new_pos);
 
   const std::uint32_t property = kPeacockGuarantee;
-  util::Scratch<std::uint32_t, 64> walk_pos(positions);
-  util::Scratch<NodeId, 64> candidates(backward);
+  util::InlineArray<std::uint32_t, 64> walk_pos(positions);
+  util::InlineArray<NodeId, 64> candidates(backward);
   while (backward != 0) {
     // Order candidates: off-walk nodes first, then on-walk nodes from the
     // destination side backwards.

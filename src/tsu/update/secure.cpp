@@ -22,7 +22,7 @@
 
 #include <algorithm>
 
-#include "tsu/util/scratch.hpp"
+#include "tsu/util/inline_array.hpp"
 
 namespace tsu::update {
 
@@ -79,7 +79,7 @@ Result<Schedule> plan_secure(const Instance& inst,
     return *pos_old > w_old ? 0 : (y_empty ? 1 : 2);
   };
   // The order of the pending nodes is the same in every round.
-  util::Scratch<NodeId, 64> order(pending_count);
+  util::InlineArray<NodeId, 64> order(pending_count);
   std::copy_if(touched.begin(), touched.end(), order.begin(),
                [&](NodeId v) { return !is_install(v); });
   std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {

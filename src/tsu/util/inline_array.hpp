@@ -1,9 +1,9 @@
-// Fixed-size scratch array for per-call working sets sized by an input.
+// Fixed-size array for per-call working sets sized by an input.
 //
 // The planners keep one value per new-path position or per touched node
-// while they build a schedule. Scratch<T, N> holds up to N values inline,
-// so an ordinary instance plans without touching the allocator; a larger
-// one pays a single heap block for the whole call.
+// while they build a schedule. InlineArray<T, N> holds up to N values
+// inline, so an ordinary instance plans without touching the allocator; a
+// larger one pays a single heap block for the whole call.
 #pragma once
 
 #include <algorithm>
@@ -14,17 +14,18 @@
 namespace tsu::util {
 
 template <typename T, std::size_t N>
-class Scratch {
+class InlineArray {
  public:
-  explicit Scratch(std::size_t size, const T& fill = T{}) : size_(size) {
+  explicit InlineArray(std::size_t size, const T& fill = T{})
+      : size_(size) {
     if (size > N) {
       heap_ = std::make_unique<T[]>(size);
       data_ = heap_.get();
     }
     std::fill_n(data_, size_, fill);
   }
-  Scratch(const Scratch&) = delete;
-  Scratch& operator=(const Scratch&) = delete;
+  InlineArray(const InlineArray&) = delete;
+  InlineArray& operator=(const InlineArray&) = delete;
 
   std::size_t size() const noexcept { return size_; }
   T* begin() noexcept { return data_; }

@@ -656,7 +656,7 @@ std::pair<std::uint64_t, std::size_t> plan_allocs(Plan&& plan) {
 }
 
 TEST(HotPathAllocTest, PlannersAllocateOnlyTheirSchedule) {
-  // Candidate orders, live walks, applied and pending sets live in scratch
+  // Candidate orders, live walks, applied and pending sets live in inline
   // arrays and position masks; rounds are reserved at their final size.
   // What a planner allocates is exactly the schedule it returns.
   const update::Instance fig1 = topo::fig1().instance;
